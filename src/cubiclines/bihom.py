@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fields import QQ, upoly_gcd
+from .fields import QQ, VerificationError, upoly_gcd
 from .poly import MultiPoly, binary_gcd, binary_roots, resultant
 
 SVARS = ("s0", "s1")
@@ -199,7 +199,8 @@ def _verify_solutions(out, eqs, tower, F):
         lvl = tower.level(lv) if tower is not None else QQ
         vals = list(s) + list(t)
         for G in cache[lv]:
-            assert lvl.is_zero(G.eval_elems(vals)), "solution fails substitution"
+            if not lvl.is_zero(G.eval_elems(vals)):
+                raise VerificationError("solution fails substitution")
 
 
 def _sort_solutions(out, tower, F):
@@ -208,17 +209,3 @@ def _sort_solutions(out, tower, F):
         lvl = tower.level(lv) if tower is not None else QQ
         return (lv, tuple(lvl.key(x) for x in s), tuple(lvl.key(x) for x in t))
     out.solutions.sort(key=key)
-
-
-def point_key(lvl, pt):
-    return tuple(lvl.key(x) for x in pt)
-
-
-def normalize_pair(lvl, pair):
-    """Scale a projective pair so its last nonzero coordinate is one."""
-    a, b = pair
-    if not lvl.is_zero(b):
-        inv = lvl.inv(b)
-        return (lvl.mul(a, inv), lvl.one)
-    inv = lvl.inv(a)
-    return (lvl.one, lvl.zero)

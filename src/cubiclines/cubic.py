@@ -46,10 +46,6 @@ class ProjLine:
         self.n = n
         self.rows = (tuple(mat[0]), tuple(mat[1]))
 
-    @classmethod
-    def _from_rows(cls, fld, rows):
-        return cls(fld, rows[0], rows[1])
-
     def points(self):
         return [list(r) for r in self.rows]
 
@@ -134,7 +130,6 @@ class CubicForm:
         self.field = fld
         self.n = n
         self.F = F
-        self.char3_flag = (fld.char == 3)
         self.P1, self.P2 = self._polarize()
 
     def _polarize(self):

@@ -144,12 +144,6 @@ def _lift_poly(P, F, lvl):
     return P.map_field(lvl, lambda c: lvl.embed_from(c, F.k))
 
 
-def _lift_elems(vals, F, lvl):
-    if lvl is F or F is QQ:
-        return list(vals)
-    return [lvl.embed_from(v, F.k) for v in vals]
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

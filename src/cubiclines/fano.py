@@ -73,8 +73,12 @@ def _enc_row(row):
     return [list(x) if isinstance(x, tuple) else int(x) for x in row]
 
 
-def _echelon_lines(fld, n):
-    """All lines of P^n over fld, as canonical echelon row pairs."""
+def _first_rows(fld, n):
+    """Canonical echelon first rows u of the lines of P^n over fld.
+
+    Yields (u, j, vfree): the second rows paired with u have a one at the
+    pivot column j, zeros before it, and any values at the columns vfree.
+    """
     elems = list(fld.elements())
     zero, one = fld.zero, fld.one
     for i in range(n + 1):
@@ -84,21 +88,21 @@ def _echelon_lines(fld, n):
             for uvals in itertools.product(elems, repeat=len(ufree)):
                 u = [zero] * (n + 1)
                 u[i] = one
-                for c, v in zip(ufree, uvals):
-                    u[c] = v
-                for vvals in itertools.product(elems, repeat=len(vfree)):
-                    v = [zero] * (n + 1)
-                    v[j] = one
-                    for c, w in zip(vfree, vvals):
-                        v[c] = w
-                    yield u, v
+                for c, x in zip(ufree, uvals):
+                    u[c] = x
+                yield u, j, vfree
 
 
 def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     """Exhaustive census of the lines on the hypersurface at one level.
 
-    Scans every canonical echelon representative of a line of P^n; refuses
-    scans above the candidate guard.
+    Scans the canonical echelon representatives (u, v) of the lines of P^n,
+    refusing scans above the candidate guard.  F(u) is tested once per first
+    row u; for each u on X the second rows v are cut by the linear
+    condition grad F(u) . v = 0, which is the polar form P1(u; v) (the
+    linear term of F(u + lambda v) has no denominators in any
+    characteristic).  Every survivor is checked by full substitution
+    (F(u), F(v), P1, P2) before it is reported.
     """
     fld = tower.level(level)
     q = fld.p ** fld.k
@@ -109,9 +113,24 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
             "line scan needs %d candidates (guard %d)" % (total, CANDIDATE_GUARD))
     X = cubic._over(fld)
     census = LineCensus(level=level, n=n)
-    for u, v in _echelon_lines(fld, n):
-        if X.line_in_x_points(u, v, fld):
-            census.lines.append(ProjLine(fld, u, v))
+    partials = [X.F.derivative(x) for x in X.F.vars]
+    elems = list(fld.elements())
+    for u, j, vfree in _first_rows(fld, n):
+        if not fld.is_zero(X.f_at(u)):
+            continue
+        grad = [d.eval_elems(u) for d in partials]
+        for vvals in itertools.product(elems, repeat=len(vfree)):
+            dot = grad[j]
+            for c, x in zip(vfree, vvals):
+                dot = fld.add(dot, fld.mul(grad[c], x))
+            if not fld.is_zero(dot):
+                continue
+            v = [fld.zero] * (n + 1)
+            v[j] = fld.one
+            for c, x in zip(vfree, vvals):
+                v[c] = x
+            if X.line_in_x_points(u, v, fld):
+                census.lines.append(ProjLine(fld, u, v))
     census.lines.sort(key=lambda l: l.key())
     m = len(census.lines)
     census.adjacency = [[0] * m for _ in range(m)]

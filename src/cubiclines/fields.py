@@ -18,6 +18,15 @@ class BudgetError(Exception):
     """A requested extension level exceeds the tower budget."""
 
 
+class VerificationError(AssertionError):
+    """A computed result failed its substitution check.
+
+    Raised explicitly, so the check also runs under ``python -O``; it
+    subclasses AssertionError so callers that caught the former bare
+    ``assert`` behave as before.
+    """
+
+
 class Rationals:
     """Field interface for exact rational arithmetic (characteristic 0)."""
 

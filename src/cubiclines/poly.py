@@ -7,7 +7,6 @@ determinants with fraction-free Bareiss reduction) by design.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .fields import (

@@ -20,7 +20,7 @@ from .bihom import (
 )
 from .cubic import ProjLine, ambient_line_from_plane_form, plane_residual
 from .curves import curve_meeting_data, validate_curve
-from .fields import QQ
+from .fields import QQ, VerificationError
 from .poly import MultiPoly
 
 
@@ -499,7 +499,8 @@ def _assert_secant_line(cubic, line, tower, lv):
     X = cubic
     if cubic.field is not line.field and cubic.field is not QQ:
         X = cubic._over(line.field)
-    assert X.line_in_x(line), "reported secant is not contained in X"
+    if not X.line_in_x(line):
+        raise VerificationError("reported secant is not contained in X")
 
 
 def _finish_line(line, tower, lv, s, t, mult, kind):

@@ -1,14 +1,21 @@
-"""Brute-force census oracles for secant counts over small finite fields.
+"""Brute-force oracles for line censuses and secant counts over small
+finite fields.
 
-The scheme length of (line ∩ curve) is computed directly: the three
-hyperplane forms cutting out the line are composed with the
-parameterization and their binary gcd (with formal degrees, so the point
-at infinity of the parameter line participates) measures the length.
+The naive census tests every canonical echelon pair (u, v) by full
+substitution, with no first-row prefilter.  The scheme length of
+(line ∩ curve) is computed directly: the three hyperplane forms cutting
+out the line are composed with the parameterization and their binary gcd
+(with formal degrees, so the point at infinity of the parameter line
+participates) measures the length.
 """
+
+import itertools
+from types import SimpleNamespace
 
 from cubiclines import linalg
 from cubiclines.bihom import SVARS
-from cubiclines.fano import enumerate_lines
+from cubiclines.cubic import ProjLine
+from cubiclines.fano import enumerate_lines, second_type_test
 from cubiclines.poly import MultiPoly, binary_gcd
 
 
@@ -31,6 +38,39 @@ def scheme_length(line, curve):
         raise ValueError("curve image lies on the line")
     g = binary_gcd(forms, degrees=[curve.e] * len(forms))
     return g.degree()
+
+
+def naive_census(cubic, tower, level=1):
+    """Sorted lines, adjacency rows and second-type flags of the lines on
+    the hypersurface at one level, from a per-candidate scan."""
+    fld = tower.level(level)
+    X = cubic._over(fld)
+    n = cubic.n
+    elems = list(fld.elements())
+    lines = []
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            ufree = [c for c in range(i + 1, n + 1) if c != j]
+            vfree = list(range(j + 1, n + 1))
+            for uvals in itertools.product(elems, repeat=len(ufree)):
+                u = [fld.zero] * (n + 1)
+                u[i] = fld.one
+                for c, x in zip(ufree, uvals):
+                    u[c] = x
+                for vvals in itertools.product(elems, repeat=len(vfree)):
+                    v = [fld.zero] * (n + 1)
+                    v[j] = fld.one
+                    for c, x in zip(vfree, vvals):
+                        v[c] = x
+                    # (u, v) is already in echelon form: skip the RREF
+                    # of a ProjLine for the candidates that fail
+                    if X.line_in_x(SimpleNamespace(rows=(u, v))):
+                        lines.append(ProjLine(fld, u, v))
+    lines.sort(key=lambda l: l.key())
+    adjacency = [[int(a is not b and a.meets(b)) for b in lines]
+                 for a in lines]
+    second_type = [second_type_test(X, l)[0] for l in lines]
+    return lines, adjacency, second_type
 
 
 def level1_census(cubic, tower):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from cubiclines.bihom import (PositiveDimensionalError, STVARS, bidegree,
+from cubiclines.bihom import (BihomSolutions, PositiveDimensionalError,
+                              STVARS, _verify_solutions, bidegree,
                               diagonal_form, divide_diagonal, solve_bihomog)
+from cubiclines.fields import VerificationError
 from cubiclines.poly import MultiPoly
 
 
@@ -127,3 +129,11 @@ def test_solutions_sorted_and_normalized(tower7):
         keys.append((lv, tuple(slv.key(x) for x in s),
                      tuple(slv.key(x) for x in t)))
     assert keys == sorted(keys)
+
+
+def test_verify_solutions_rejects_bogus_solution(tower7):
+    lvl = tower7.level(1)
+    G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
+    bogus = BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)])
+    with pytest.raises(VerificationError):
+        _verify_solutions(bogus, (G,), tower7, lvl)

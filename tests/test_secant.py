@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from cubiclines.cubic import ProjLine
 from cubiclines.curves import curve_from_json, curve_meeting_data, line_as_curve
-from cubiclines.fields import QQ
-from cubiclines.secant import (count_secants_pair, count_secants_single,
+from cubiclines.fields import QQ, VerificationError
+from cubiclines.secant import (_assert_secant_line, count_secants_pair,
+                               count_secants_single,
                                expected_line_meeting, expected_pair,
                                expected_single, secant_multiplicity)
 from conftest import fixture_json, load_line
@@ -141,3 +146,47 @@ def test_report_json_shape(threefold7, conic7, tower7):
     assert doc["schema"] == "secant-report/1"
     assert doc["distinct_count"] == len(doc["lines"]) == 1
     assert doc["well_positioned"] is True
+
+
+def test_secant_line_check_rejects_line_off_x(threefold7, tower7):
+    lvl = tower7.level(1)
+    off = ProjLine(lvl, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+    with pytest.raises(VerificationError):
+        _assert_secant_line(threefold7, off, tower7, 1)
+
+
+OPTIMIZED_CHECKS = """
+from cubiclines.bihom import STVARS, BihomSolutions, _verify_solutions
+from cubiclines.cubic import ProjLine, fermat_cubic
+from cubiclines.fields import FieldTower, VerificationError
+from cubiclines.poly import MultiPoly
+from cubiclines.secant import _assert_secant_line
+
+if __debug__:
+    raise SystemExit("not running under -O")
+tower = FieldTower(7, budget=2, seed=0)
+lvl = tower.level(1)
+G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
+off = ProjLine(lvl, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+checks = (
+    lambda: _verify_solutions(BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)]),
+                              (G,), tower, lvl),
+    lambda: _assert_secant_line(fermat_cubic(lvl, 4), off, tower, 1),
+)
+caught = 0
+for check in checks:
+    try:
+        check()
+    except VerificationError:
+        caught += 1
+print(caught)
+"""
+
+
+def test_verification_checks_survive_optimize():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"
