@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fields import QQ, VerificationError, upoly_gcd
+from .fields import VerificationError
 from .poly import MultiPoly, binary_gcd, binary_roots, resultant
 
 SVARS = ("s0", "s1")
@@ -79,6 +79,8 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
     bidegrees, needed when leading coefficient forms vanish identically.
     """
     F = G1.field
+    if tower is None:
+        tower = F.tower
     if G1.is_zero() or G2.is_zero():
         raise PositiveDimensionalError("an equation vanishes identically")
     if bidegrees is None:
@@ -92,7 +94,7 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
                              max_level=max_level,
                              bidegrees=((d1t, d1s), (d2t, d2s)))
         sols.solutions = [(lv, t, s, m) for lv, s, t, m in sols.solutions]
-        _sort_solutions(sols, tower, F)
+        _sort_solutions(sols, tower)
         return sols
     g1d = _dehomog_t(G1)
     g2d = _dehomog_t(G2)
@@ -102,7 +104,7 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
     rm = binary_roots(R, tower, max_level=max_level, formal_degree=bezout)
     out = BihomSolutions(total_degree=bezout, complete=rm.complete)
     for lv, (a0, a1), mult in rm.roots:
-        lvl = tower.level(lv) if tower is not None else QQ
+        lvl = tower.level(lv)
         forms, degs = [], []
         for G, dt in ((G1, d1t), (G2, d2t)):
             spec = _specialize_s(G, a0, a1, lvl, F)
@@ -126,12 +128,11 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
             else:
                 m = fm
                 out.certified = False
-            tlvl = tower.level(flv) if tower is not None else QQ
-            c0 = tlvl.embed_from(a0, lv) if (tower and flv != lv) else a0
-            c1 = tlvl.embed_from(a1, lv) if (tower and flv != lv) else a1
+            tlvl = tower.level(flv)
+            c0, c1 = tlvl.embed_from(a0, lv), tlvl.embed_from(a1, lv)
             out.solutions.append((flv, (c0, c1), (b0, b1), m))
-    _verify_solutions(out, (G1, G2), tower, F)
-    _sort_solutions(out, tower, F)
+    _verify_solutions(out, (G1, G2), tower)
+    _sort_solutions(out, tower)
     return out
 
 
@@ -163,12 +164,9 @@ def _dehomog_t(G):
 
 def _specialize_s(G, a0, a1, lvl, F):
     """G(a0, a1; t0, t1) as a binary form over lvl."""
-    base_k = getattr(F, "k", 0)
-    lift = (lambda e: e) if (F is QQ or lvl is F) else (
-        lambda e: lvl.embed_from(e, base_k))
     out = {}
     for (e0, e1, e2, e3), c in G.terms.items():
-        v = lift(c)
+        v = lvl.embed_from(c, F.k)
         for _ in range(e0):
             v = lvl.mul(v, a0)
         for _ in range(e1):
@@ -184,28 +182,21 @@ def _specialize_s(G, a0, a1, lvl, F):
     return MultiPoly(lvl, TVARS, out)
 
 
-def _lift_form(G, tower, lv, F):
-    if F is QQ or getattr(F, "k", 0) == lv:
-        return G
-    lvl = tower.level(lv)
-    return G.map_field(lvl, lambda c: lvl.embed_from(c, F.k))
-
-
-def _verify_solutions(out, eqs, tower, F):
+def _verify_solutions(out, eqs, tower):
     cache = {}
     for lv, s, t, _m in out.solutions:
+        lvl = tower.level(lv)
         if lv not in cache:
-            cache[lv] = [_lift_form(G, tower, lv, F) for G in eqs]
-        lvl = tower.level(lv) if tower is not None else QQ
+            cache[lv] = [G.over(lvl) for G in eqs]
         vals = list(s) + list(t)
         for G in cache[lv]:
             if not lvl.is_zero(G.eval_elems(vals)):
                 raise VerificationError("solution fails substitution")
 
 
-def _sort_solutions(out, tower, F):
+def _sort_solutions(out, tower):
     def key(sol):
         lv, s, t, m = sol
-        lvl = tower.level(lv) if tower is not None else QQ
+        lvl = tower.level(lv)
         return (lv, tuple(lvl.key(x) for x in s), tuple(lvl.key(x) for x in t))
     out.solutions.sort(key=key)

@@ -13,10 +13,10 @@ import os
 import sys
 
 from . import chow, fano
-from .cubic import (CubicForm, ProjLine, cubic_from_json, fermat_cubic,
-                    lines_through_point, smoothness_probe)
-from .curves import curve_from_json, line_as_curve, validate_curve
-from .fields import QQ, BudgetError, FieldTower
+from .cubic import (ProjLine, cubic_from_json, lines_through_point,
+                    smoothness_probe)
+from .curves import curve_from_json, validate_curve
+from .fields import BudgetError
 from .secant import count_secants_pair, count_secants_single
 
 __all__ = ["main"]
@@ -134,7 +134,7 @@ def _emit(args, command, result, matched):
 
 def _cmd_validate_cubic(args):
     cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
-    if tower is None:
+    if cubic.field.char == 0:
         raise UsageError("smoothness probing enumerates points; needs p > 0")
     cert = smoothness_probe(cubic, tower, max_level=args.max_level or 2,
                             seed=args.seed)
@@ -228,7 +228,7 @@ def _cmd_relation_check(args):
 
 def _cmd_enumerate_lines(args):
     cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
-    if tower is None:
+    if cubic.field.char == 0:
         raise UsageError("line enumeration needs a finite field (p > 0)")
     census = fano.enumerate_lines(cubic, tower, level=args.level,
                                   with_second_type=not args.no_second_type)
@@ -395,7 +395,7 @@ def main(argv=None):
     except UsageError as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2
-    except BudgetError as ex:
+    except (BudgetError, NotImplementedError) as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2
     except (ValueError, AssertionError) as ex:

@@ -8,12 +8,15 @@ secant systems downstream.
 
 from __future__ import annotations
 
+import copy
+import math
 import random
 from dataclasses import dataclass, field
 
 from . import linalg
 from .fields import QQ, FieldTower
-from .poly import MultiPoly, binary_gcd, resultant, roots_in_tower, to_dense
+from .poly import (MultiPoly, binary_gcd, binary_roots, resultant,
+                   roots_in_tower, to_dense)
 
 
 def xvars(n):
@@ -78,16 +81,9 @@ class ProjLine:
         return hash(self.rows)
 
     def min_level(self):
-        """Smallest tower level over which this line is defined (finite only)."""
+        """Smallest tower level over which this line is defined."""
         F = self.field
-        if F is QQ or F.char == 0:
-            return 1
-        j = 1
-        for row in self.rows:
-            for x in row:
-                m = F.min_subfield(x)
-                j = j * m // _gcd(j, m)
-        return j
+        return math.lcm(*(F.min_subfield(x) for row in self.rows for x in row))
 
     def descend(self, tower, j):
         F = self.field
@@ -99,22 +95,16 @@ class ProjLine:
 
     def embed(self, tower, k):
         F = self.field
-        if F is QQ:
-            raise ValueError("cannot embed a rational line into a tower")
         if F.k == k:
             return self
         lk = tower.level(k)
+        if lk.char != F.char:
+            raise ValueError("cannot embed a line into another characteristic")
         rows = [[lk.embed_from(x, F.k) for x in row] for row in self.rows]
         return ProjLine(lk, rows[0], rows[1])
 
     def __repr__(self):
         return "ProjLine(%r)" % (self.rows,)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class CubicForm:
@@ -188,21 +178,19 @@ class CubicForm:
                 and F.is_zero(Fm.p1_at(a, b)) and F.is_zero(Fm.p2_at(a, b)))
 
     def _over(self, fld):
-        """This cubic with coefficients embedded into another tower level."""
+        """This cubic with coefficients embedded into another tower level.
+
+        Embedding is a ring map, so it commutes with polarization: the polar
+        forms are carried over rather than computed again.
+        """
         if fld is self.field:
             return self
-        base = self.field
-        if base is QQ or fld is QQ:
-            raise ValueError("cannot transport between QQ and a finite level")
-        conv = lambda c: fld.embed_from(c, base.k)
-        key = "_embed_cache"
-        cache = getattr(self, key, None)
-        if cache is None:
-            cache = {}
-            setattr(self, key, cache)
-        if fld.k not in cache:
-            cache[fld.k] = CubicForm(fld, self.n, self.F.map_field(fld, conv))
-        return cache[fld.k]
+        if self.field.char != fld.char:
+            raise ValueError("cannot move a cubic to another characteristic")
+        out = copy.copy(self)
+        out.field = fld
+        out.F, out.P1, out.P2 = (P.over(fld) for P in (self.F, self.P1, self.P2))
+        return out
 
 
 def fermat_cubic(fld, n):
@@ -218,14 +206,11 @@ def fermat_cubic(fld, n):
 
 
 def cubic_from_json(doc, budget=6, seed=0):
-    """Build (CubicForm, tower-or-None) from the JSON cubic schema."""
+    """Build (CubicForm, tower) from the JSON cubic schema; p = 0 gives QQ."""
     p = int(doc["p"])
     n = int(doc["n"])
-    if p == 0:
-        fld, tower = QQ, None
-    else:
-        tower = FieldTower(p, budget=budget, seed=seed)
-        fld = tower.level(1)
+    tower = QQ.tower if p == 0 else FieldTower(p, budget=budget, seed=seed)
+    fld = tower.level(1)
     terms = {}
     for mono in doc["monomials"]:
         exps = tuple(int(e) for e in mono["exps"])
@@ -258,6 +243,8 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     dimensional solution set is the Eckardt outcome, not an error.
     """
     F = cubic.field
+    if tower is None:
+        tower = F.tower
     if not F.is_zero(cubic.f_at(x)):
         raise ValueError("point is not on X")
     grad = cubic.gradient_at(x)
@@ -297,9 +284,9 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     roots, complete = sols
     res.complete = complete
     for lv, cpt, mult in roots:
-        lvl = tower.level(lv) if tower is not None else QQ
-        direction = _direction_point(basis, cpt, F, lvl, tower, n)
-        line = ProjLine(lvl, _lift_pt(x, F, lvl, tower), direction)
+        lvl = tower.level(lv)
+        direction = _direction_point(basis, cpt, F, lvl, n)
+        line = ProjLine(lvl, [lvl.embed_from(e, F.k) for e in x], direction)
         res.directions.append((lv, tuple(direction), mult))
         res.lines.append(line)
         res.total_multiplicity += mult
@@ -321,25 +308,15 @@ def _specialize_first(P, x, n, F):
     return MultiPoly(F, yv, out)
 
 
-def _direction_point(basis, cpt, F, lvl, tower, n):
-    base_k = getattr(F, "k", 0)
-    lift = (lambda e: e) if lvl is F else (
-        (lambda e: lvl.embed_from(e, base_k)) if F is not QQ else (lambda e: e))
+def _direction_point(basis, cpt, F, lvl, n):
     out = []
     for i in range(n + 1):
         acc = lvl.zero
         for j, c in enumerate(cpt):
-            acc = lvl.add(acc, lvl.mul(c, lift(basis[j + 1][i])))
+            b = lvl.embed_from(basis[j + 1][i], F.k)
+            acc = lvl.add(acc, lvl.mul(c, b))
         out.append(acc)
     return out
-
-
-def _lift_pt(x, F, lvl, tower):
-    if lvl is F:
-        return list(x)
-    if F is QQ:
-        return list(x)
-    return [lvl.embed_from(e, F.k) for e in x]
 
 
 def _solve_binary_pair(Q, K, tower, max_level):
@@ -347,7 +324,6 @@ def _solve_binary_pair(Q, K, tower, max_level):
     g = binary_gcd([Q, K], degrees=[2, 3])
     if g.degree() <= 0:
         return [], True
-    from .poly import binary_roots
     rm = binary_roots(g, tower, max_level=max_level)
     return [(lv, pt, m) for lv, pt, m in rm.roots], rm.complete
 
@@ -392,12 +368,11 @@ def _coeff_of_power(P, var, d):
 
 
 def _random_unimodular(F, rng):
-    p = getattr(F, "p", 0)
+    # entries in [0, p) over GF(p^k), small signed integers over QQ
+    lo, hi = (0, F.p) if F.p else (-3, 4)
     while True:
-        if p:
-            M = [[F.from_int(rng.randrange(p)) for _ in range(3)] for _ in range(3)]
-        else:
-            M = [[F.from_int(rng.randrange(-3, 4)) for _ in range(3)] for _ in range(3)]
+        M = [[F.from_int(rng.randrange(lo, hi)) for _ in range(3)]
+             for _ in range(3)]
         if not F.is_zero(_det3(M, F)):
             return M
 
@@ -432,27 +407,21 @@ def _apply_change(P, M, F):
 
 def _unapply_change(pt, M, tower, lv, F):
     """Map a solution of the changed system back: c = M c'."""
-    lvl = tower.level(lv) if tower is not None else QQ
-    base_k = getattr(F, "k", 0)
-    lift = (lambda e: e) if (F is QQ or lvl is F) else (
-        lambda e: lvl.embed_from(e, base_k))
+    lvl = tower.level(lv)
     out = []
     for i in range(3):
         acc = lvl.zero
         for j in range(3):
-            acc = lvl.add(acc, lvl.mul(lift(M[i][j]), pt[j]))
+            acc = lvl.add(acc, lvl.mul(lvl.embed_from(M[i][j], F.k), pt[j]))
         out.append(acc)
     return tuple(out)
 
 
 def _specialize_two(P, a1, a2, lvl, F):
     """P(a1, a2, c3) as a univariate polynomial in c3 over lvl."""
-    base_k = getattr(F, "k", 0)
-    lift = (lambda e: e) if (F is QQ or lvl is F) else (
-        lambda e: lvl.embed_from(e, base_k))
     out = {}
     for (e1, e2, e3), c in P.terms.items():
-        v = lift(c)
+        v = lvl.embed_from(c, F.k)
         for _ in range(e1):
             v = lvl.mul(v, a1)
         for _ in range(e2):
@@ -469,13 +438,12 @@ def _specialize_two(P, a1, a2, lvl, F):
 def _fiber_solutions(Q, K, R, F, tower, max_level):
     """Roots of R (binary in c1,c2) with fiber c3 values from gcds."""
     from .fields import upoly_gcd
-    from .poly import binary_roots
     cvars = Q.vars
     rm = binary_roots(R, tower, max_level=max_level, formal_degree=6)
     out = []
     complete = rm.complete
     for lv, (a1, a2), mult in rm.roots:
-        lvl = tower.level(lv) if tower is not None else QQ
+        lvl = tower.level(lv)
         Qs = _specialize_two(Q, a1, a2, lvl, F)
         Ks = _specialize_two(K, a1, a2, lvl, F)
         dq = to_dense(Qs) if not Qs.is_zero() else []
@@ -502,9 +470,8 @@ def _fiber_solutions(Q, K, R, F, tower, max_level):
                 m = (mult * fm) // tot
             else:
                 m = fm
-            tlvl = tower.level(flv) if tower is not None else QQ
-            b1 = tlvl.embed_from(a1, lv) if (tower and flv != lv) else a1
-            b2 = tlvl.embed_from(a2, lv) if (tower and flv != lv) else a2
+            tlvl = tower.level(flv)
+            b1, b2 = tlvl.embed_from(a1, lv), tlvl.embed_from(a2, lv)
             out.append((flv, (b1, b2, beta), m))
     return out, complete
 
@@ -563,6 +530,8 @@ def _linear_form_poly(ell, F, pv=("pa", "pb", "pc")):
 def plane_residual(cubic, plane_basis, known_line=None, tower=None, max_level=2):
     """Decompose the plane section of X, dividing out a known line exactly."""
     F = cubic.field
+    if tower is None:
+        tower = F.tower
     T = restrict_to_plane(cubic, plane_basis)
     if T.is_zero():
         return PlaneSection(status="plane_in_X")
@@ -585,8 +554,7 @@ def plane_residual(cubic, plane_basis, known_line=None, tower=None, max_level=2)
         sec.components_degrees = [3]
         return sec
     lvl, lf = found
-    Tl = T if lvl is F else T.map_field(lvl, lambda c: lvl.embed_from(c, F.k))
-    conic = Tl.exact_div(lf)
+    conic = T.over(lvl).exact_div(lf)
     sec.line_form = [lf.terms.get(tuple(1 if i == j else 0 for i in range(3)),
                                   lvl.zero) for j in range(3)]
     sec.conic = conic
@@ -598,28 +566,18 @@ def plane_residual(cubic, plane_basis, known_line=None, tower=None, max_level=2)
 
 
 def _find_linear_factor(T, F, tower, max_level):
-    if F is QQ or F.char == 0:
+    if F.char == 0:
         return None  # exhaustive factor search is finite-field machinery
-    for k in range(1, max_level + 1):
-        if tower is None or k > tower.budget:
-            break
-        if F.k > 1 and k % F.k:
+    for k in range(1, min(max_level, tower.budget) + 1):
+        if k % F.k:
             continue
         lvl = tower.level(k)
-        Tl = T if lvl is F else T.map_field(lvl, lambda c: lvl.embed_from(c, F.k))
-        for ell in _proj2_points(lvl):
+        Tl = T.over(lvl)
+        for ell in _proj_points(lvl, 2):
             lf = _linear_form_poly(ell, lvl)
             if Tl.divides_exactly(lf) is not None:
                 return lvl, lf
     return None
-
-
-def _proj2_points(lvl):
-    """Canonical representatives of P^2 over a finite level."""
-    one, zero = lvl.one, lvl.zero
-    yield from ([one, a, b] for a in lvl.elements() for b in lvl.elements())
-    yield from ([zero, one, b] for b in lvl.elements())
-    yield [zero, zero, one]
 
 
 def classify_conic(C, F, tower=None, max_level=2):
@@ -629,6 +587,8 @@ def classify_conic(C, F, tower=None, max_level=2):
     """
     if F.char == 2:
         raise NotImplementedError("conic classification needs odd characteristic")
+    if tower is None:
+        tower = F.tower
     two = F.from_int(2)
     c = {e: v for e, v in C.terms.items()}
     A = c.get((2, 0, 0), F.zero)
@@ -645,7 +605,7 @@ def classify_conic(C, F, tower=None, max_level=2):
         return "smooth", []
     if r == 1:
         row = next(row for row in M if any(not F.is_zero(x) for x in row))
-        return "double_line", [(getattr(F, "k", 1), list(row))]
+        return "double_line", [(F.k, list(row))]
     # rank 2: vertex + binary quadratic along a complement
     vertex = linalg.kernel_basis(M, F)[0]
     lines = _split_rank2_conic(C, vertex, F, tower, max_level)
@@ -675,27 +635,23 @@ def _split_rank2_conic(C, vertex, F, tower, max_level):
         assert e0 == 0
         q[(e1, e2)] = v
     qf = MultiPoly(F, (pv[1], pv[2]), q)
-    from .poly import binary_roots
     rm = binary_roots(qf, tower, max_level=max_level, formal_degree=2)
     out = []
-    Minv_cols = [[basis[j][i] for j in range(3)] for i in range(3)]
     for lv, (r0, r1), mult in rm.roots:
-        lvl = tower.level(lv) if tower is not None else QQ
-        lift = (lambda e: e) if (F is QQ or lv == getattr(F, "k", 0)) else (
-            lambda e: lvl.embed_from(e, F.k))
+        lvl = tower.level(lv)
         # factor vanishing at [.:r0:r1] in the new coords: r1*b - r0*c -> pull back
         new_form = [lvl.zero, r1, lvl.neg(r0)]
-        orig = _pull_back_form(new_form, basis, lvl, lift, F)
+        orig = _pull_back_form(new_form, basis, lvl, F)
         for _ in range(mult):
             out.append((lv, orig))
     return out
 
 
-def _pull_back_form(form_new, basis, lvl, lift, F):
+def _pull_back_form(form_new, basis, lvl, F):
     """Linear form in original coords from one in the basis coords."""
     # ell_orig(x) = ell_new(coords of x) ; coords = basis^{-1} x
-    rows = [[lift(basis[j][i]) if F is not QQ else basis[j][i]
-             for j in range(3)] for i in range(3)]
+    rows = [[lvl.embed_from(basis[j][i], F.k) for j in range(3)]
+            for i in range(3)]
     inv = _invert3(rows, lvl)
     out = []
     for i in range(3):
@@ -720,15 +676,13 @@ def ambient_line_from_plane_form(plane_basis, ell, lvl, cubic, tower):
     F = cubic.field
     ker = linalg.kernel_basis([list(ell)], lvl)
     pts = []
-    base_k = getattr(F, "k", 0)
-    lift = (lambda e: e) if (F is QQ or lvl is F) else (
-        lambda e: lvl.embed_from(e, base_k))
     for v in ker[:2]:
         pt = []
         for i in range(cubic.n + 1):
             acc = lvl.zero
             for j in range(3):
-                acc = lvl.add(acc, lvl.mul(v[j], lift(plane_basis[j][i])))
+                acc = lvl.add(acc, lvl.mul(
+                    v[j], lvl.embed_from(plane_basis[j][i], F.k)))
             pt.append(acc)
         pts.append(pt)
     return ProjLine(lvl, pts[0], pts[1])
@@ -755,21 +709,18 @@ def smoothness_probe(cubic, tower, max_level=2, sample_budget=2000,
     random sampling beyond; the certificate says which was which.
     """
     F = cubic.field
-    if F is QQ or F.char == 0:
+    if F.char == 0:
         raise ValueError("the probe enumerates points; use a finite tower")
     n = cubic.n
     grads = [cubic.F.derivative(v) for v in cubic.F.vars]
     levels_done = []
     samples = 0
     rng = random.Random("smooth:%d" % seed)
-    for k in range(1, max_level + 1):
-        if k > tower.budget:
-            break
+    for k in range(1, min(max_level, tower.budget) + 1):
         lvl = tower.level(k)
         count = sum(lvl.q ** i for i in range(n + 1))
         cub = cubic._over(lvl)
-        gl = [g.map_field(lvl, lambda c, _l=lvl: _l.embed_from(c, F.k))
-              if lvl is not F else g for g in grads]
+        gl = [g.over(lvl) for g in grads]
         if count <= exhaust_limit:
             for pt in _proj_points(lvl, n):
                 if _is_singular_at(cub, gl, pt, lvl):

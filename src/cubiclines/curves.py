@@ -19,8 +19,7 @@ from .bihom import (
     diagonal_form,
     solve_bihomog,
 )
-from .cubic import ProjLine, _proj2_points, plane_residual
-from .fields import QQ
+from .cubic import _proj_points, plane_residual
 from .poly import MultiPoly, binary_gcd
 
 
@@ -64,8 +63,7 @@ class RationalCurve:
         for name in SVARS:
             row = []
             for c in self.coords:
-                d = c.derivative(name)
-                d = _lift_poly(d, self.field, lvl)
+                d = c.derivative(name).over(lvl)
                 row.append(d.eval_elems(list(s)))
             rows.append(row)
         return rows
@@ -73,8 +71,7 @@ class RationalCurve:
     def tangent_rows_at(self, s, lvl=None):
         """Spanning rows of the embedded tangent line at a smooth parameter."""
         lvl = lvl or self.field
-        pt = [_lift_poly(c, self.field, lvl).eval_elems(list(s))
-              for c in self.coords]
+        pt = _curve_point(self, s, lvl)
         jac = self.jacobian_at(s, lvl)
         for row in jac:
             if linalg.rank([pt, row], lvl) == 2:
@@ -83,12 +80,11 @@ class RationalCurve:
 
     def embed(self, tower, k):
         F = self.field
-        if F is QQ or F.k == k:
+        if F.k == k:
             return self
         lvl = tower.level(k)
         return RationalCurve(lvl, self.e,
-                             [c.map_field(lvl, lambda x: lvl.embed_from(x, F.k))
-                              for c in self.coords])
+                             [c.over(lvl) for c in self.coords])
 
     def to_json(self):
         out = []
@@ -104,11 +100,9 @@ class RationalCurve:
 
 
 def _as_int(F, v):
-    if F is QQ:
-        if v.denominator != 1:
-            raise ValueError("non-integer coefficient in JSON export")
-        return int(v)
-    if getattr(F, "k", 1) > 1:
+    if F.char == 0 and v.denominator != 1:
+        raise ValueError("non-integer coefficient in JSON export")
+    if F.k > 1:
         raise ValueError("JSON export needs level-1 coefficients")
     return int(v)
 
@@ -138,12 +132,6 @@ def line_as_curve(line):
     return RationalCurve(F, 1, coords)
 
 
-def _lift_poly(P, F, lvl):
-    if lvl is F or F is QQ:
-        return P
-    return P.map_field(lvl, lambda c: lvl.embed_from(c, F.k))
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -169,16 +157,26 @@ class CurveValidation:
                 and self.node_free)
 
 
+def _s_forms(curve):
+    """The coordinate forms phi_i(s0, s1) as forms in (s0, s1, t0, t1)."""
+    F = curve.field
+    return [MultiPoly(F, STVARS, {(e0, e1, 0, 0): c
+                                  for (e0, e1), c in p.terms.items()})
+            for p in curve.coords]
+
+
+def _t_forms(curve):
+    """The coordinate forms phi_i(t0, t1) as forms in (s0, s1, t0, t1)."""
+    F = curve.field
+    return [MultiPoly(F, STVARS, {(0, 0, e0, e1): c
+                                  for (e0, e1), c in p.terms.items()})
+            for p in curve.coords]
+
+
 def coincidence_minors(curve):
     """The forms (phi_i(s) phi_j(t) - phi_j(s) phi_i(t)) / (s0 t1 - s1 t0)."""
-    F = curve.field
-    delta = diagonal_form(F)
-    phis = [MultiPoly(F, STVARS, {(e0, e1, 0, 0): c
-                                  for (e0, e1), c in p.terms.items()})
-            for p in curve.coords]
-    phit = [MultiPoly(F, STVARS, {(0, 0, e0, e1): c
-                                  for (e0, e1), c in p.terms.items()})
-            for p in curve.coords]
+    delta = diagonal_form(curve.field)
+    phis, phit = _s_forms(curve), _t_forms(curve)
     out = []
     for i in range(len(phis)):
         for j in range(i + 1, len(phis)):
@@ -192,7 +190,9 @@ def coincidence_minors(curve):
 def validate_curve(cubic, curve, tower=None, max_level=None):
     """Full validation report; raises on base points or a curve off X."""
     F = curve.field
-    X = cubic if cubic.field is F else cubic._over(F)
+    if tower is None:
+        tower = F.tower
+    X = cubic._over(F)
     e = curve.e
     nonzero = [c for c in curve.coords if not c.is_zero()]
     g = binary_gcd(nonzero, degrees=[e] * len(nonzero))
@@ -220,7 +220,7 @@ def validate_curve(cubic, curve, tower=None, max_level=None):
     report.complete = sols.complete
     seen = set()
     for lv, s, t, _m in sols.solutions:
-        lvl = tower.level(lv) if tower is not None else QQ
+        lvl = tower.level(lv)
         ks = tuple(lvl.key(x) for x in s)
         kt = tuple(lvl.key(x) for x in t)
         if ks == kt:
@@ -255,7 +255,7 @@ def _solve_system(forms, bidegs, tower, max_level):
                 continue
             rest = [f for k, f in enumerate(forms) if k not in (i, j)]
             sols.solutions = [sol for sol in sols.solutions
-                              if _vanishes_all(rest, sol, tower, forms[0].field)]
+                              if _vanishes_all(rest, sol, tower)]
             return sols
     return None
 
@@ -265,15 +265,11 @@ def _empty_solutions():
     return BihomSolutions()
 
 
-def _vanishes_all(forms, sol, tower, F):
+def _vanishes_all(forms, sol, tower):
     lv, s, t, _m = sol
-    lvl = tower.level(lv) if tower is not None else QQ
+    lvl = tower.level(lv)
     vals = list(s) + list(t)
-    for f in forms:
-        fl = _lift_poly(f, F, lvl)
-        if not lvl.is_zero(fl.eval_elems(vals)):
-            return False
-    return True
+    return all(lvl.is_zero(f.over(lvl).eval_elems(vals)) for f in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +304,9 @@ def curve_meeting_data(curve1, curve2, tower=None, max_level=None):
     F = curve1.field
     if curve2.field is not F:
         raise ValueError("curves must live over the same level")
-    phis = [MultiPoly(F, STVARS, {(e0, e1, 0, 0): c
-                                  for (e0, e1), c in p.terms.items()})
-            for p in curve1.coords]
-    phit = [MultiPoly(F, STVARS, {(0, 0, e0, e1): c
-                                  for (e0, e1), c in p.terms.items()})
-            for p in curve2.coords]
+    if tower is None:
+        tower = F.tower
+    phis, phit = _s_forms(curve1), _t_forms(curve2)
     mins = []
     for i in range(len(phis)):
         for j in range(i + 1, len(phis)):
@@ -327,9 +320,8 @@ def curve_meeting_data(curve1, curve2, tower=None, max_level=None):
         raise ValueError("curve images share a component")
     by_point = {}
     for lv, s, t, _m in sols.solutions:
-        lvl = tower.level(lv) if tower is not None else QQ
-        pt = [_lift_poly(c, F, lvl).eval_elems(list(s)) for c in curve1.coords]
-        pt = _normalize_point(pt, lvl)
+        lvl = tower.level(lv)
+        pt = _normalize(_curve_point(curve1, s, lvl), lvl)
         key = (lv, tuple(lvl.key(x) for x in pt))
         rec = by_point.setdefault(key, MeetingPoint(lv, tuple(pt), [], [], True))
         if s not in rec.s_params:
@@ -337,13 +329,19 @@ def curve_meeting_data(curve1, curve2, tower=None, max_level=None):
         if t not in rec.t_params:
             rec.t_params.append(t)
     for rec in by_point.values():
-        lvl = tower.level(rec.level) if tower is not None else QQ
+        lvl = tower.level(rec.level)
         rec.transversal = _is_transversal(curve1, curve2, rec, lvl)
     points = [by_point[k] for k in sorted(by_point)]
     return MeetingData(points=points, complete=sols.complete)
 
 
-def _normalize_point(pt, lvl):
+def _curve_point(curve, s, lvl):
+    """The image point phi(s) of a parameter s over the level lvl."""
+    return [c.over(lvl).eval_elems(list(s)) for c in curve.coords]
+
+
+def _normalize(pt, lvl):
+    """Projective point scaled so its last nonzero coordinate is one."""
     idx = max(i for i, x in enumerate(pt) if not lvl.is_zero(x))
     inv = lvl.inv(pt[idx])
     return [lvl.mul(x, inv) for x in pt]
@@ -376,6 +374,8 @@ def conic_residual_to_line(cubic, line, plane_basis, tower=None, max_level=2,
                            q_bound=12):
     """Parameterize the conic residual to a known line in a plane section."""
     F = cubic.field
+    if tower is None:
+        tower = F.tower
     if not cubic.line_in_x(line):
         raise ValueError("the given line does not lie on X")
     sec = plane_residual(cubic, plane_basis, known_line=line, tower=tower,
@@ -389,51 +389,49 @@ def conic_residual_to_line(cubic, line, plane_basis, tower=None, max_level=2,
     if found is None:
         return ConicResidual(kind="no_rational_point", conic=sec.conic)
     lvl, p = found
-    plane_param = _parameterize_conic(sec.conic, p, lvl, F)
+    plane_param = _parameterize_conic(sec.conic, p, lvl)
     coords = []
-    base_k = getattr(F, "k", 0)
-    lift = (lambda e: e) if (F is QQ or lvl is F) else (
-        lambda e: lvl.embed_from(e, base_k))
     for i in range(cubic.n + 1):
         acc = MultiPoly.zero(lvl, SVARS)
         for k in range(3):
-            acc = acc + plane_param[k].scale(lift(plane_basis[k][i]))
+            c = lvl.embed_from(plane_basis[k][i], F.k)
+            acc = acc + plane_param[k].scale(c)
         coords.append(acc)
     curve = RationalCurve(lvl, 2, coords)
     return ConicResidual(kind="parameterized", curve=curve, conic=sec.conic,
-                         level=getattr(lvl, "k", 1))
+                         level=lvl.k)
 
 
 def _point_on_conic(C, F, tower, max_level, q_bound):
-    if F is QQ or F.char == 0:
+    if F.char == 0:
         rng = range(-q_bound, q_bound + 1)
         for a in rng:
             for b in rng:
                 for c in rng:
                     if (a, b, c) == (0, 0, 0):
                         continue
-                    pt = [QQ.from_int(a), QQ.from_int(b), QQ.from_int(c)]
-                    if QQ.is_zero(C.eval_elems(pt)):
-                        return QQ, pt
+                    pt = [F.from_int(a), F.from_int(b), F.from_int(c)]
+                    if F.is_zero(C.eval_elems(pt)):
+                        return F, pt
         return None
-    for k in range(1, max_level + 1):
-        if tower is None or k > tower.budget or k % F.k:
+    for k in range(1, min(max_level, tower.budget) + 1):
+        if k % F.k:
             continue
         lvl = tower.level(k)
-        Cl = _lift_poly(C, F, lvl)
-        for pt in _proj2_points(lvl):
+        Cl = C.over(lvl)
+        for pt in _proj_points(lvl, 2):
             if lvl.is_zero(Cl.eval_elems(pt)):
                 return lvl, pt
     return None
 
 
-def _parameterize_conic(C, p, lvl, F):
+def _parameterize_conic(C, p, lvl):
     """Degree-2 binary forms sweeping a smooth conic through its point p.
 
     The pencil of lines through p meets the conic once more; the second
     intersection Q(d) p - B(p, d) d gives the parameterization.
     """
-    Cl = _lift_poly(C, F, lvl)
+    Cl = C.over(lvl)
     basis = [list(p)]
     for i in range(3):
         e = [lvl.zero] * 3

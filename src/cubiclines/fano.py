@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .curves import curve_meeting_data, line_as_curve
 from .cubic import ProjLine, lines_through_point
-from .fields import QQ, BudgetError
+from .fields import BudgetError, VerificationError
 from .poly import MultiPoly
 from .secant import count_secants_pair, expected_line_meeting
 
@@ -254,7 +254,7 @@ def discriminant_quintic(cubic, line):
     fld = line.field
     if cubic.n != 4:
         raise ValueError("projection discriminant needs a threefold")
-    if fld is not QQ and fld.char == 2:
+    if fld.char == 2:
         raise ValueError("conic matrices need characteristic != 2")
     comp = _complement_basis(line)
     X, pvars, G = _restrict_along(cubic, line, comp)
@@ -293,8 +293,7 @@ def sample_smoothness(curve, tower, count=20, max_level=3, seed=0):
     curve.samples = []
     for lv in range(base.k, max_level + 1):
         lvl = tower.level(lv)
-        form = (curve.form if lv == base.k else
-                curve.form.map_field(lvl, lambda c: lvl.embed_from(c, base.k)))
+        form = curve.form.over(lvl)
         parts = [form.derivative(v) for v in form.vars]
         pts = [p for p in _proj2_points(lvl)
                if lvl.is_zero(form.eval_elems(list(p)))]
@@ -310,6 +309,7 @@ def sample_smoothness(curve, tower, count=20, max_level=3, seed=0):
 
 
 def _proj2_points(lvl):
+    # keep this order: sample_smoothness shuffles it into its reported samples
     elems = list(lvl.elements())
     one, zero = lvl.one, lvl.zero
     for a in elems:
@@ -340,6 +340,8 @@ def correspondence_row(cubic, curve, line, tower=None, max_level=None):
     with multiplicity equals 5e - 5 and attaches the full census of lines
     through the meeting point.
     """
+    if tower is None:
+        tower = curve.field.tower
     line_curve = line_as_curve(line)
     meeting = curve_meeting_data(curve, line_curve, tower, max_level)
     if meeting.r != 1 or not meeting.all_transversal:
@@ -348,12 +350,12 @@ def correspondence_row(cubic, curve, line, tower=None, max_level=None):
     report = count_secants_pair(cubic, curve, line_curve, tower, max_level,
                                 meeting=meeting)
     expected = expected_line_meeting(curve.e)
-    if report.outcome == "ok":
-        assert report.count_with_multiplicity == expected, (
+    if (report.outcome == "ok"
+            and report.count_with_multiplicity != expected):
+        raise VerificationError(
             "row total %d != %d" % (report.count_with_multiplicity, expected))
     mp = meeting.points[0]
-    lvl = tower.level(mp.level) if tower is not None else QQ
-    X = cubic if cubic.field is lvl else cubic._over(lvl)
+    X = cubic._over(tower.level(mp.level))
     ltp = lines_through_point(X, list(mp.point), tower, max_level=max_level)
     return CorrespondenceRow(
         report=report,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import linalg
+
 
 class BudgetError(Exception):
     """A requested extension level exceeds the tower budget."""
@@ -27,11 +29,40 @@ class VerificationError(AssertionError):
     """
 
 
+class RationalTower:
+    """The rationals as a one-level tower: no extensions of QQ are modeled.
+
+    Gives QQ the interface of a :class:`FieldTower`, so code written for
+    tower levels runs unchanged over the rationals.
+    """
+
+    p = 0
+    budget = 1
+    seed = 0
+
+    def level(self, k):
+        if k < 1:
+            raise ValueError("level must be >= 1")
+        if k > 1:
+            raise BudgetError("the rationals have no extension level %d" % k)
+        return QQ
+
+    def __repr__(self):
+        return "RationalTower()"
+
+
 class Rationals:
-    """Field interface for exact rational arithmetic (characteristic 0)."""
+    """Field interface for exact rational arithmetic (characteristic 0).
+
+    Level 1 of :class:`RationalTower`: the subfield maps of a finite level
+    (``embed_from``, ``descend``, ``min_subfield``) are identities here.
+    """
 
     char = 0
+    p = 0
+    k = 1
     level = 1
+    tower = RationalTower()
 
     def from_int(self, n):
         return Fraction(n)
@@ -56,6 +87,9 @@ class Rationals:
     def neg(self, a):
         return -a
 
+    def pow_(self, a, e):
+        return a ** e
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -75,6 +109,17 @@ class Rationals:
 
     def key(self, a):
         return a
+
+    def embed_from(self, a, j):
+        if j != 1:
+            raise ValueError("no embedding of level %d into QQ" % j)
+        return a
+
+    def descend(self, a, j):
+        return a
+
+    def min_subfield(self, a):
+        return 1
 
     def __repr__(self):
         return "QQ"
@@ -325,7 +370,8 @@ class FiniteLevel:
             return a
         if self.k % j != 0:
             raise ValueError("level %d is not a subfield of level %d" % (j, self.k))
-        sol = self.tower._descend_solver(j, self.k)(self._vec(a))
+        sol = linalg.solve(self.tower._descend_matrix(j, self.k), self._vec(a),
+                           self.tower.level(1))
         if sol is None:
             raise ValueError("element does not lie in level %d" % j)
         return self.tower.level(j).from_coeffs(sol)
@@ -403,8 +449,8 @@ class FieldTower:
             self._gen_images[key] = min(roots, key=lk.key)
         return self._gen_images[key]
 
-    def _descend_solver(self, j, k):
-        """Linear solver writing level-k vectors in the level-j basis image."""
+    def _descend_matrix(self, j, k):
+        """GF(p) matrix whose columns are the level-j basis image in level k."""
         key = (j, k)
         if key not in self._descend_cache:
             lk = self.level(k)
@@ -417,47 +463,11 @@ class FieldTower:
                 for _ in range(j):
                     cols.append(lk._vec(power))
                     power = lk.mul(power, img)
-            self._descend_cache[key] = _make_fp_solver(cols, self.p)
+            self._descend_cache[key] = [list(row) for row in zip(*cols)]
         return self._descend_cache[key]
 
     def __repr__(self):
         return "FieldTower(p=%d, budget=%d, seed=%d)" % (self.p, self.budget, self.seed)
-
-
-def _make_fp_solver(cols, p):
-    """Return a function solving sum_i c_i cols[i] = target over GF(p)."""
-    ncols = len(cols)
-    nrows = len(cols[0])
-    # row-reduce the matrix [cols | I] once
-    mat = [[cols[c][r] % p for c in range(ncols)] for r in range(nrows)]
-
-    def solve(target):
-        aug = [row[:] + [target[r] % p] for r, row in enumerate(mat)]
-        piv_cols = []
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if aug[i][c]), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = pow(aug[r][c], p - 2, p)
-            aug[r] = [(x * inv) % p for x in aug[r]]
-            for i in range(nrows):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-            piv_cols.append(c)
-            r += 1
-        # consistency
-        for i in range(r, nrows):
-            if aug[i][ncols]:
-                return None
-        sol = [0] * ncols
-        for row_i, c in enumerate(piv_cols):
-            sol[c] = aug[row_i][ncols]
-        return sol
-
-    return solve
 
 
 def _is_prime(n):
@@ -567,7 +577,8 @@ def roots_of_split_poly(f, lvl, rng):
             w = upoly_gcd(h, g, lvl)
             if 0 < len(w) - 1 < d:
                 q, r = upoly_divmod(g, w, lvl)
-                assert not r
+                if r:
+                    raise VerificationError("inexact polynomial division")
                 stack.append(w)
                 stack.append(q)
                 break

@@ -7,12 +7,14 @@ determinants with fraction-free Bareiss reduction) by design.
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 from .fields import (
     QQ,
     BudgetError,
-    FieldTower,
+    VerificationError,
     roots_of_split_poly,
     upoly_divmod,
     upoly_gcd,
@@ -159,7 +161,7 @@ class MultiPoly:
             t = c
             for v, e in zip(values, exps):
                 if e:
-                    t = F.mul(t, _elem_pow(F, v, e))
+                    t = F.mul(t, F.pow_(v, e))
             acc = F.add(acc, t)
         return acc
 
@@ -187,6 +189,13 @@ class MultiPoly:
             if not new_field.is_zero(v):
                 out[e] = v
         return MultiPoly(new_field, self.vars, out)
+
+    def over(self, lvl):
+        """This polynomial with coefficients embedded into the level lvl."""
+        if lvl is self.field:
+            return self
+        k = self.field.k
+        return self.map_field(lvl, lambda c: lvl.embed_from(c, k))
 
     def rename_vars(self, new_vars):
         return MultiPoly(self.field, new_vars, dict(self.terms))
@@ -263,18 +272,6 @@ class MultiPoly:
                             for v, e in zip(self.vars, exps) if e)
             bits.append("(%s)%s" % (c, "*" + mono if mono else ""))
         return " + ".join(bits)
-
-
-def _elem_pow(F, v, e):
-    out = F.one
-    b = v
-    while e:
-        if e & 1:
-            out = F.mul(out, b)
-        e >>= 1
-        if e:
-            b = F.mul(b, b)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +424,15 @@ def _sqfree_dense(f, F, mult=1):
         return _sqfree_dense(root, F, mult * p)
     out = []
     a = upoly_gcd(f, df, F)
-    b, r = upoly_divmod(f, a, F)
-    assert not r
+    b = _exact_quo(f, a, F)
     # b = product of squarefree part; walk multiplicities
     i = 1
     while len(b) - 1 > 0:
         c = upoly_gcd(a, b, F)
-        fac, r = upoly_divmod(b, c, F)
-        assert not r
+        fac = _exact_quo(b, c, F)
         if len(fac) - 1 > 0:
             out.append((fac, i * mult))
-        a, r = upoly_divmod(a, c, F)
-        assert not r
+        a = _exact_quo(a, c, F)
         b = c
         i += 1
     if len(a) - 1 > 0:
@@ -447,14 +441,21 @@ def _sqfree_dense(f, F, mult=1):
     return out
 
 
+def _exact_quo(a, b, F):
+    """Quotient of dense polynomials whose division must leave no remainder."""
+    q, r = upoly_divmod(a, b, F)
+    if r:
+        raise VerificationError("inexact polynomial division")
+    return q
+
+
 def _pth_root_dense(f, F):
     p = F.char
     out = []
     for i in range(0, len(f), p):
         c = f[i]
         # coefficient p-th root: c^(p^(k-1)) in GF(p^k)
-        k = getattr(F, "k", 1)
-        out.append(_elem_pow(F, c, p ** (k - 1)) if k > 1 else c)
+        out.append(F.pow_(c, p ** (F.k - 1)) if F.k > 1 else c)
     for i, c in enumerate(f):
         if i % p and not F.is_zero(c):
             raise AssertionError("not a p-th power despite zero derivative")
@@ -498,7 +499,6 @@ class RootMultiset:
 
 def rational_roots(f, name=None):
     """All rational roots, with multiplicity, of a univariate poly over QQ."""
-    from fractions import Fraction
     name = name or f.vars[0]
     dense = to_dense(f, name)
     if not dense:
@@ -515,8 +515,7 @@ def rational_roots(f, name=None):
         if len(rem) > 1:
             for cand in _rational_candidates(rem):
                 while len(rem) > 1 and _dense_eval(rem, cand, QQ) == 0:
-                    rem, r = upoly_divmod(rem, [-cand, Fraction(1)], QQ)
-                    assert not r
+                    rem = _exact_quo(rem, [-cand, Fraction(1)], QQ)
                     found.append(cand)
         for cand in sorted(set(found)):
             roots.append((1, cand, m * found.count(cand)))
@@ -527,10 +526,7 @@ def rational_roots(f, name=None):
 
 
 def _rational_candidates(dense):
-    from fractions import Fraction
-    lcm = 1
-    for c in dense:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in dense))
     ints = [int(c * lcm) for c in dense]
     a0, an = abs(ints[0]), abs(ints[-1])
     for pnum in _divisors(a0):
@@ -553,12 +549,6 @@ def _divisors(n):
     return sorted(out)
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _dense_eval(f, x, F):
     acc = F.zero
     for c in reversed(f):
@@ -573,7 +563,7 @@ def roots_in_tower(f, tower, max_level=None, name=None):
     degree m are reported at level d*m.  Works over QQ by falling back to
     rational root extraction (no extensions of QQ are modeled).
     """
-    if f.field is QQ or getattr(f.field, "char", None) == 0:
+    if f.field.char == 0:
         return rational_roots(f, name)
     name = name or f.vars[0]
     K = max_level if max_level is not None else tower.budget
@@ -625,8 +615,7 @@ def _distinct_degree(f, lvl):
         g = upoly_gcd(diff, rem, lvl)
         if len(g) - 1 > 0:
             out.append((i, g))
-            rem, r = upoly_divmod(rem, g, lvl)
-            assert not r
+            rem = _exact_quo(rem, g, lvl)
             _, power = upoly_divmod(power, rem, lvl)
     return out
 
@@ -644,6 +633,8 @@ def binary_roots(form, tower, max_level=None, formal_degree=None):
     """
     s0, s1 = form.vars
     F = form.field
+    if tower is None:
+        tower = F.tower
     d = formal_degree if formal_degree is not None else form.degree()
     dehom = {}
     for (e0, e1), c in form.terms.items():
@@ -652,17 +643,10 @@ def binary_roots(form, tower, max_level=None, formal_degree=None):
     finite_deg = de.degree()
     inf_mult = d - finite_deg
     rm = roots_in_tower(de, tower, max_level=max_level, name=s0)
-    roots = [(lv, (r, _one_at(tower, F, lv)), m) for lv, r, m in rm.roots]
+    roots = [(lv, (r, tower.level(lv).one), m) for lv, r, m in rm.roots]
     if inf_mult > 0:
-        lv0 = 1 if (tower is None or F is QQ) else F.k
-        roots.insert(0, (lv0, (F.one, F.zero), inf_mult))
+        roots.insert(0, (F.k, (F.one, F.zero), inf_mult))
     return RootMultiset(roots, d, rm.unsplit)
-
-
-def _one_at(tower, F, lv):
-    if F is QQ or getattr(F, "char", None) == 0:
-        return QQ.one
-    return tower.level(lv).one
 
 
 def binary_gcd(forms, degrees=None):

@@ -19,8 +19,9 @@ from .bihom import (
     solve_bihomog,
 )
 from .cubic import ProjLine, ambient_line_from_plane_form, plane_residual
-from .curves import curve_meeting_data, validate_curve
-from .fields import QQ, VerificationError
+from .curves import (_curve_point, _normalize, _s_forms, _t_forms,
+                     curve_meeting_data, validate_curve)
+from .fields import VerificationError
 from .poly import MultiPoly
 
 
@@ -40,20 +41,6 @@ def expected_line_meeting(e):
     return 5 * e - 5
 
 
-def _s_forms(curve):
-    F = curve.field
-    return [MultiPoly(F, STVARS, {(e0, e1, 0, 0): c
-                                  for (e0, e1), c in p.terms.items()})
-            for p in curve.coords]
-
-
-def _t_forms(curve):
-    F = curve.field
-    return [MultiPoly(F, STVARS, {(0, 0, e0, e1): c
-                                  for (e0, e1), c in p.terms.items()})
-            for p in curve.coords]
-
-
 @dataclass
 class SecantSystem:
     mode: str                   # single | pair
@@ -71,7 +58,7 @@ def build_system(cubic, curve_a, curve_b=None):
     F = curve_a.field
     if curve_b is not None and curve_b.field is not F:
         raise ValueError("curves must live over the same level")
-    X = cubic if cubic.field is F else cubic._over(F)
+    X = cubic._over(F)
     sf = _s_forms(curve_a)
     tf = _t_forms(curve_b if curve_b is not None else curve_a)
     G1 = X.P1.eval_polys(sf + tf)
@@ -177,6 +164,8 @@ def count_secants_single(cubic, curve, tower=None, max_level=None,
     e = curve.e
     if e < 2:
         raise ValueError("a line has no secant scheme; degree must be >= 2")
+    if tower is None:
+        tower = curve.field.tower
     if validation is None:
         validation = validate_curve(cubic, curve, tower, max_level)
     if not validation.valid:
@@ -192,10 +181,9 @@ def count_secants_single(cubic, curve, tower=None, max_level=None,
         return report
     report.complete = sols.complete
     report.certified = sols.certified
-    F = curve.field
     off = {}
     for lv, s, t, m in sols.solutions:
-        lvl = tower.level(lv) if tower is not None else QQ
+        lvl = tower.level(lv)
         ks = tuple(lvl.key(x) for x in s)
         kt = tuple(lvl.key(x) for x in t)
         if ks == kt:
@@ -209,10 +197,9 @@ def count_secants_single(cubic, curve, tower=None, max_level=None,
             # swap partner missing or mismatched: only from incomplete splits
             report.certified = False
         s, t, m = entries[0]
-        lvl = tower.level(lv) if tower is not None else QQ
-        a = _curve_point(curve, s, lvl, tower)
-        b = _curve_point(curve, t, lvl, tower)
-        line = ProjLine(lvl, a, b)
+        lvl = tower.level(lv)
+        line = ProjLine(lvl, _curve_point(curve, s, lvl),
+                        _curve_point(curve, t, lvl))
         _assert_secant_line(cubic, line, tower, lv)
         report.lines.append(_finish_line(line, tower, lv, s, t, m, "secant"))
     _sort_report(report)
@@ -221,14 +208,13 @@ def count_secants_single(cubic, curve, tower=None, max_level=None,
 
 def _handle_diagonal(report, cubic, curve, tower, lv, s, m):
     """A diagonal residual solution is kept only as a true tangent secant."""
-    lvl = tower.level(lv) if tower is not None else QQ
+    lvl = tower.level(lv)
     rows = curve.tangent_rows_at(list(s), lvl)
     if rows is None:
         report.spurious += m
         return
     line = ProjLine(lvl, rows[0], rows[1])
-    X = cubic if (cubic.field is lvl or cubic.field is QQ) else cubic._over(lvl)
-    if not X.line_in_x(line):
+    if not cubic._over(lvl).line_in_x(line):
         report.spurious += m
         return
     if m % 2 == 0:
@@ -254,6 +240,8 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     F = curve1.field
     if curve2.field is not F:
         raise ValueError("curves must live over the same level")
+    if tower is None:
+        tower = F.tower
     if meeting is None:
         meeting = curve_meeting_data(curve1, curve2, tower, max_level)
     r = meeting.r
@@ -276,9 +264,9 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     report.certified = sols.certified
     excised = {}
     for lv, s, t, m in sols.solutions:
-        lvl = tower.level(lv) if tower is not None else QQ
-        a = _curve_point(curve1, s, lvl, tower)
-        b = _curve_point(curve2, t, lvl, tower)
+        lvl = tower.level(lv)
+        a = _curve_point(curve1, s, lvl)
+        b = _curve_point(curve2, t, lvl)
         if _proportional(a, b, lvl):
             key = (lv, tuple(lvl.key(x) for x in _normalize(a, lvl)))
             excised[key] = excised.get(key, 0) + m
@@ -304,7 +292,7 @@ def _count_line_meeting(cubic, curve1, curve2, tower, max_level, meeting,
     (d1s, d1t), (d2s, d2t) = system.bidegrees
     bad_s, bad_t = [], []
     for mp in meeting.points:
-        if mp.level != getattr(F, "k", 1):
+        if mp.level != F.k:
             raise ValueError("meeting parameters above the curve level "
                              "are not supported in line mode")
         for t in mp.t_params:
@@ -338,15 +326,14 @@ def _count_line_meeting(cubic, curve1, curve2, tower, max_level, meeting,
     report.certified = sols.certified
     excised = {}
     for lv, s, t, m in sols.solutions:
-        lvl = tower.level(lv) if tower is not None else QQ
-        if _param_matches(s, bad_s, lvl, tower, F) or \
-           _param_matches(t, bad_t, lvl, tower, F):
-            a = _curve_point(curve1, s, lvl, tower)
+        lvl = tower.level(lv)
+        a = _curve_point(curve1, s, lvl)
+        if (_param_matches(s, bad_s, lvl, F)
+                or _param_matches(t, bad_t, lvl, F)):
             key = (lv, tuple(lvl.key(x) for x in _normalize(a, lvl)))
             excised[key] = excised.get(key, 0) + m
             continue
-        a = _curve_point(curve1, s, lvl, tower)
-        b = _curve_point(curve2, t, lvl, tower)
+        b = _curve_point(curve2, t, lvl)
         if _proportional(a, b, lvl):
             key = (lv, tuple(lvl.key(x) for x in _normalize(a, lvl)))
             excised[key] = excised.get(key, 0) + m
@@ -374,7 +361,8 @@ def _absorb_second_type(report, cubic, curve1, curve2, meeting, tower,
     """
     consistent = True
     for mp in meeting.points:
-        key = (mp.level, tuple(_key_at(mp.level, tower, x) for x in mp.point))
+        lvl = tower.level(mp.level)
+        key = (mp.level, tuple(lvl.key(x) for x in mp.point))
         m_exc = excised.get(key, 0)
         leftover = m_exc - base_excess
         if leftover == 0:
@@ -400,20 +388,13 @@ def _absorb_second_type(report, cubic, curve1, curve2, meeting, tower,
     report.excision_consistent = consistent
 
 
-def _key_at(lv, tower, x):
-    lvl = tower.level(lv) if tower is not None else QQ
-    return lvl.key(x)
-
-
 def _second_type_lines(cubic, curve1, curve2, mp, tower, max_level):
     """Lines of X through a meeting point inside the node plane there."""
-    F = curve1.field
     if len(mp.s_params) != 1 or len(mp.t_params) != 1:
         return []
-    lvl = (tower.level(mp.level) if tower is not None
-           and F is not QQ else QQ if F is QQ else F)
-    c1 = curve1 if (F is QQ or F.k == mp.level) else curve1.embed(tower, mp.level)
-    c2 = curve2 if (F is QQ or F.k == mp.level) else curve2.embed(tower, mp.level)
+    lvl = tower.level(mp.level)
+    c1 = curve1.embed(tower, mp.level)
+    c2 = curve2.embed(tower, mp.level)
     rows1 = c1.tangent_rows_at(list(mp.s_params[0]), lvl)
     rows2 = c2.tangent_rows_at(list(mp.t_params[0]), lvl)
     if rows1 is None or rows2 is None:
@@ -422,7 +403,7 @@ def _second_type_lines(cubic, curve1, curve2, mp, tower, max_level):
     if len(piv) != 3:
         return []
     basis = mat[:3]
-    X = cubic if (cubic.field is lvl or cubic.field is QQ) else cubic._over(lvl)
+    X = cubic._over(lvl)
     known = None
     for c in (c1, c2):
         if c.e == 1:
@@ -434,16 +415,14 @@ def _second_type_lines(cubic, curve1, curve2, mp, tower, max_level):
         return []
     cands = []
     if sec.line_form is not None and known is None:
-        cands.append((getattr(lvl, "k", 1), list(sec.line_form)))
+        cands.append((lvl.k, list(sec.line_form)))
     cands.extend(sec.conic_lines)
     out = []
     seen = set()
     for clv, ell in cands:
-        l2 = tower.level(clv) if tower is not None else QQ
+        l2 = tower.level(clv)
         line = ambient_line_from_plane_form(basis, ell, l2, X, tower)
-        x = list(mp.point) if l2 is lvl else \
-            [l2.embed_from(v, mp.level) for v in mp.point]
-        if not line.contains(x):
+        if not line.contains([l2.embed_from(v, mp.level) for v in mp.point]):
             continue
         if known is not None and clv == mp.level and line == known:
             continue
@@ -455,14 +434,10 @@ def _second_type_lines(cubic, curve1, curve2, mp, tower, max_level):
     return out
 
 
-def _param_matches(p, bads, lvl, tower, F):
+def _param_matches(p, bads, lvl, F):
     for q in bads:
-        if F is QQ:
-            if not QQ.is_zero(p[0] * q[1] - p[1] * q[0]):
-                continue
-            return True
-        qq = [lvl.embed_from(x, F.k) for x in q]
-        if lvl.is_zero(lvl.sub(lvl.mul(p[0], qq[1]), lvl.mul(p[1], qq[0]))):
+        q0, q1 = (lvl.embed_from(x, F.k) for x in q)
+        if lvl.is_zero(lvl.sub(lvl.mul(p[0], q1), lvl.mul(p[1], q0))):
             return True
     return False
 
@@ -470,15 +445,6 @@ def _param_matches(p, bads, lvl, tower, F):
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-def _curve_point(curve, s, lvl, tower):
-    F = curve.field
-    if lvl is F or F is QQ:
-        return [c.eval_elems(list(s)) for c in curve.coords]
-    coords = [c.map_field(lvl, lambda x: lvl.embed_from(x, F.k))
-              for c in curve.coords]
-    return [c.eval_elems(list(s)) for c in coords]
-
 
 def _proportional(a, b, lvl):
     for i in range(len(a)):
@@ -489,23 +455,14 @@ def _proportional(a, b, lvl):
     return True
 
 
-def _normalize(pt, lvl):
-    idx = max(i for i, x in enumerate(pt) if not lvl.is_zero(x))
-    inv = lvl.inv(pt[idx])
-    return [lvl.mul(x, inv) for x in pt]
-
-
 def _assert_secant_line(cubic, line, tower, lv):
-    X = cubic
-    if cubic.field is not line.field and cubic.field is not QQ:
-        X = cubic._over(line.field)
-    if not X.line_in_x(line):
+    if not cubic._over(line.field).line_in_x(line):
         raise VerificationError("reported secant is not contained in X")
 
 
 def _finish_line(line, tower, lv, s, t, mult, kind):
     min_lv = line.min_level()
-    if tower is not None and min_lv < lv:
+    if min_lv < lv:
         line = line.descend(tower, min_lv)
     return SecantLine(level=min_lv, param_level=lv, s=tuple(s), t=tuple(t),
                       line=line, multiplicity=mult, kind=kind)
@@ -517,6 +474,8 @@ def _sort_report(report):
 
 def secant_multiplicity(cubic, target, line, tower=None, max_level=None):
     """Multiplicity of one line in the relevant secant scheme (0 if absent)."""
+    if tower is None:
+        tower = line.field.tower
     if isinstance(target, tuple):
         report = count_secants_pair(cubic, target[0], target[1], tower,
                                     max_level=max_level)
@@ -526,9 +485,7 @@ def secant_multiplicity(cubic, target, line, tower=None, max_level=None):
     if report.outcome != "ok":
         raise ValueError("secant scheme is not zero dimensional")
     min_lv = line.min_level()
-    probe = line.descend(tower, min_lv) if (tower is not None
-                                            and min_lv < line.field.level) \
-        else line
+    probe = line.descend(tower, min_lv)
     for rec in report.lines:
         if rec.level == min_lv and rec.line.key() == probe.key():
             return rec.multiplicity

@@ -136,4 +136,4 @@ def test_verify_solutions_rejects_bogus_solution(tower7):
     G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
     bogus = BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)])
     with pytest.raises(VerificationError):
-        _verify_solutions(bogus, (G,), tower7, lvl)
+        _verify_solutions(bogus, (G,), tower7)

@@ -145,12 +145,27 @@ def test_row_sum_meet_once_line(capsys):
     assert doc["result"]["lines_through_point_multiplicity"] == 6
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _ = run(capsys, "secants", "--cubic", "/nonexistent.json",
                   "--curve", fixture_path("conic7.json"))
     assert code == 2
     code, _ = run(capsys, "no-such-command")
     assert code == 2
+    # root splitting needs odd characteristic: a clean error, no traceback
+    docs = {
+        "fermat2": {"p": 2, "n": 4, "monomials": [
+            {"exps": [3 if i == j else 0 for j in range(5)], "coeff": 1}
+            for i in range(5)]},
+        "a": {"e": 1, "coords": [[1, 0], [1, 0], [0, 1], [0, 1], [0, 0]]},
+        "b": {"e": 1, "coords": [[1, 0], [0, 1], [0, 0], [0, 1], [1, 0]]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / (name + ".json")).write_text(json.dumps(doc))
+    code, doc = run(capsys, "pair-secants",
+                    "--cubic", str(tmp_path / "fermat2.json"),
+                    "--curve1", str(tmp_path / "a.json"),
+                    "--curve2", str(tmp_path / "b.json"))
+    assert code == 2 and doc is None
 
 
 def test_output_deterministic(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from cubiclines.cubic import (CubicForm, DegenerateSpanError, ProjLine,
                               SingularPointError, _proj_points,
                               cubic_from_json, fermat_cubic,
                               lines_through_point, plane_residual,
-                              smoothness_probe)
+                              smoothness_probe, xvars)
 from cubiclines.fields import QQ
 from cubiclines.poly import MultiPoly
 
@@ -164,3 +165,18 @@ def test_fermat_rejected_in_char3():
     tw = FieldTower(3, budget=2, seed=0)
     with pytest.raises(ValueError):
         fermat_cubic(tw.level(1), 4)
+
+
+def test_transport_carries_polar_forms(tower7):
+    """Embedding commutes with polarization: the carried polar forms equal
+    the ones computed over the target level."""
+    rng = random.Random(9)
+    lvl = tower7.level(1)
+    terms = {e: rng.randrange(7) for e in itertools.product(range(4), repeat=5)
+             if sum(e) == 3}
+    X = CubicForm(lvl, 4, MultiPoly.from_int_terms(lvl, xvars(4), terms))
+    for k in (2, 3):
+        ext = tower7.level(k)
+        moved = X._over(ext)
+        fresh = CubicForm(ext, 4, X.F.over(ext))
+        assert (moved.F, moved.P1, moved.P2) == (fresh.F, fresh.P1, fresh.P2)

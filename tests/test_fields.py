@@ -115,3 +115,45 @@ def test_rationals_exact():
     third = QQ.div(QQ.one, QQ.from_int(3))
     assert QQ.mul(third, QQ.from_int(3)) == QQ.one
     assert QQ.sub(QQ.add(a, third), third) == a
+
+
+def test_rationals_are_a_one_level_tower():
+    assert QQ.tower.level(1) is QQ
+    with pytest.raises(BudgetError):
+        QQ.tower.level(2)
+    assert (QQ.p, QQ.k, QQ.tower.p, QQ.tower.budget) == (0, 1, 0, 1)
+
+
+def test_rational_subfield_maps_are_identities():
+    for a in (QQ.zero, QQ.from_int(-4), QQ.div(QQ.one, QQ.from_int(3))):
+        assert QQ.embed_from(a, 1) == a
+        assert QQ.descend(a, 1) == a
+        assert QQ.min_subfield(a) == 1
+    assert QQ.pow_(QQ.from_int(-2), 3) == QQ.from_int(-8)
+    with pytest.raises(ValueError):
+        QQ.embed_from(QQ.one, 2)
+
+
+def test_secants_over_rationals_with_none_or_tower(threefoldQ, conicQ):
+    from cubiclines.cubic import cubic_from_json
+    from cubiclines.secant import count_secants_single
+    from conftest import fixture_json
+    _X, tower = cubic_from_json(fixture_json("fermatQ_threefold.json"))
+    assert tower is QQ.tower
+    by_none = count_secants_single(threefoldQ, conicQ, None)
+    by_tower = count_secants_single(threefoldQ, conicQ, tower)
+    assert by_none.to_json() == by_tower.to_json()
+    assert by_none.distinct_count == 1
+
+
+def test_cubic_transport_checks_its_target(tower7):
+    from cubiclines.cubic import fermat_cubic
+    with pytest.raises(ValueError):
+        fermat_cubic(QQ, 4)._over(tower7.level(1))
+    with pytest.raises(ValueError):
+        fermat_cubic(tower7.level(1), 4)._over(QQ)
+    # two towers of one characteristic: each level gets its own transport
+    other = FieldTower(7, budget=2, seed=5)
+    X = fermat_cubic(tower7.level(1), 4)
+    for lvl in (tower7.level(2), other.level(2)):
+        assert X._over(lvl).field is lvl

@@ -1,0 +1,54 @@
+"""Byte-identical CLI reports.
+
+Every command-line example of the README, plus the secant count over the
+rationals (the one CLI path over QQ), is rerun and its report compared
+byte for byte with the file under ``tests/golden/``.  Each case also
+fixes the exit code.
+"""
+
+import os
+
+import pytest
+
+from cubiclines.cli import main
+from conftest import fixture_path
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+X7 = fixture_path("fermat7_threefold.json")
+
+# name -> (expected exit code, argv after the global flags)
+CASES = {
+    "validate_cubic": (0, ["validate-cubic", "--cubic", X7]),
+    "secants_conic7": (0, ["secants", "--cubic", X7,
+                           "--curve", fixture_path("conic7.json")]),
+    "pair_secants_skew7": (0, ["pair-secants", "--cubic", X7,
+                               "--curve1", fixture_path("line7_a.json"),
+                               "--curve2", fixture_path("line7_b.json")]),
+    "enumerate_lines_surface7": (0, ["enumerate-lines", "--cubic",
+                                     fixture_path("fermat7_surface.json")]),
+    "lines_through_point7": (0, ["lines-through-point", "--cubic", X7,
+                                 "--point", "1,2,3,5,0"]),
+    "chow_eval": (0, ["chow-eval", "D[a]*D[a]", "--bind", "e=3"]),
+    "derive_count": (0, ["derive-count", "--e", "4", "--g", "0"]),
+    "relation_check": (0, ["relation-check", "--relation", "4.1"]),
+    # a second-type line: its discriminant is singular, an honest mismatch
+    "discriminant7": (1, ["discriminant", "--cubic", X7,
+                          "--line", "1,6,0,0,0;0,0,1,6,0"]),
+    "secants_conicQ": (0, ["secants",
+                           "--cubic", fixture_path("fermatQ_threefold.json"),
+                           "--curve", fixture_path("conicQ.json")]),
+}
+
+
+def write_report(name, path):
+    """Run one case, writing its report to ``path``; returns the exit code."""
+    return main(["--output", str(path)] + CASES[name][1])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name, tmp_path):
+    out = tmp_path / (name + ".json")
+    assert write_report(name, out) == CASES[name][0]
+    with open(os.path.join(GOLDEN, name + ".json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()

@@ -11,7 +11,7 @@ from cubiclines.secant import (_assert_secant_line, count_secants_pair,
                                count_secants_single,
                                expected_line_meeting, expected_pair,
                                expected_single, secant_multiplicity)
-from conftest import fixture_json, load_line
+from conftest import fixture_json, fixture_path, load_line
 from oracle import (oracle_disjoint_pair, oracle_meeting_pair, oracle_single,
                     oracle_skew_pair, report_level1_keys, scheme_length)
 
@@ -156,10 +156,15 @@ def test_secant_line_check_rejects_line_off_x(threefold7, tower7):
 
 
 OPTIMIZED_CHECKS = """
+import json
+import os
+
+from cubiclines import fano
 from cubiclines.bihom import STVARS, BihomSolutions, _verify_solutions
 from cubiclines.cubic import ProjLine, fermat_cubic
+from cubiclines.curves import curve_from_json
 from cubiclines.fields import FieldTower, VerificationError
-from cubiclines.poly import MultiPoly
+from cubiclines.poly import MultiPoly, _exact_quo
 from cubiclines.secant import _assert_secant_line
 
 if __debug__:
@@ -170,9 +175,18 @@ G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
 off = ProjLine(lvl, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
 checks = (
     lambda: _verify_solutions(BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)]),
-                              (G,), tower, lvl),
+                              (G,), tower),
     lambda: _assert_secant_line(fermat_cubic(lvl, 4), off, tower, 1),
+    lambda: _exact_quo([1, 0, 1], [1, 1], lvl),
+    lambda: fano.correspondence_row(fermat_cubic(lvl, 4), conic, meet, tower),
 )
+# a wrong closed form makes the (correct) row total fail its check
+fano.expected_line_meeting = lambda e: 5 * e - 4
+with open(os.path.join(FIXTURES, "conic7.json")) as fh:
+    conic = curve_from_json(json.load(fh), lvl)
+with open(os.path.join(FIXTURES, "conic7_lines.json")) as fh:
+    rows = json.load(fh)["meet_once"][0]
+meet = ProjLine(lvl, *rows)
 caught = 0
 for check in checks:
     try:
@@ -186,7 +200,8 @@ print(caught)
 def test_verification_checks_survive_optimize():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+    code = "FIXTURES = %r\n" % fixture_path("") + OPTIMIZED_CHECKS
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "2"
+    assert proc.stdout.strip() == "4"
