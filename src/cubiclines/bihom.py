@@ -96,8 +96,8 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
         sols.solutions = [(lv, t, s, m) for lv, s, t, m in sols.solutions]
         _sort_solutions(sols, tower)
         return sols
-    g1d = _dehomog_t(G1)
-    g2d = _dehomog_t(G2)
+    # t1 = 1: polynomials in (s0, s1, t0)
+    g1d, g2d = (G.subs((None, None, None, F.one)) for G in (G1, G2))
     R = resultant(g1d, g2d, "t0", deg_f=d1t, deg_g=d2t)
     if R.is_zero():
         raise PositiveDimensionalError("equations share a common component")
@@ -107,7 +107,7 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
         lvl = tower.level(lv)
         forms, degs = [], []
         for G, dt in ((G1, d1t), (G2, d2t)):
-            spec = _specialize_s(G, a0, a1, lvl, F)
+            spec = G.subs((a0, a1, None, None), lvl)
             if not spec.is_zero():
                 forms.append(spec)
                 degs.append(dt)
@@ -143,43 +143,12 @@ def _swap_st(G):
 
 def _pure_s_case(G1, G2, d1s, d2s):
     """Both equations free of t: any common s-root gives a whole fiber."""
-    F = G1.field
-    f1 = MultiPoly(F, SVARS, {(e[0], e[1]): c for e, c in G1.terms.items()})
-    f2 = MultiPoly(F, SVARS, {(e[0], e[1]): c for e, c in G2.terms.items()})
+    one = G1.field.one
+    f1, f2 = (G.subs((None, None, one, one)) for G in (G1, G2))
     g = binary_gcd([f1, f2], degrees=[d1s, d2s])
     if g.degree() > 0:
         raise PositiveDimensionalError("common fiber over a shared s-root")
     return BihomSolutions(total_degree=0)
-
-
-def _dehomog_t(G):
-    """Set t1 = 1, keeping a polynomial in (s0, s1, t0)."""
-    F = G.field
-    out = {}
-    for (e0, e1, e2, e3), c in G.terms.items():
-        key = (e0, e1, e2)
-        out[key] = F.add(out.get(key, F.zero), c)
-    return MultiPoly(F, ("s0", "s1", "t0"), out)
-
-
-def _specialize_s(G, a0, a1, lvl, F):
-    """G(a0, a1; t0, t1) as a binary form over lvl."""
-    out = {}
-    for (e0, e1, e2, e3), c in G.terms.items():
-        v = lvl.embed_from(c, F.k)
-        for _ in range(e0):
-            v = lvl.mul(v, a0)
-        for _ in range(e1):
-            v = lvl.mul(v, a1)
-        if lvl.is_zero(v):
-            continue
-        key = (e2, e3)
-        s = lvl.add(out.get(key, lvl.zero), v)
-        if lvl.is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return MultiPoly(lvl, TVARS, out)
 
 
 def _verify_solutions(out, eqs, tower):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ
+from .fields import QQ, VerificationError
 from .poly import MultiPoly
 
 PARAMS = ("e", "g", "e1", "e2", "r", "N")
@@ -605,13 +605,16 @@ def residue_surface_classes(case):
         twist = A - sumF.scale(2)
     else:
         raise ValueError("case must be 'single' or 'pair'")
-    assert (d_s + s_s - xi.scale(3)).is_zero()
-    assert (d_s - xi.scale(2) + twist).is_zero()
-    assert (s_s - xi - twist).is_zero()
+    for identity in (d_s + s_s - xi.scale(3), d_s - xi.scale(2) + twist,
+                     s_s - xi - twist):
+        if not identity.is_zero():
+            raise VerificationError("residue class identity fails: %s"
+                                    % identity.to_str())
     sq_direct = (xi * xi).normalize()
     half = (d_s + twist).scale(Fraction(1, 2))
     sq_via_d = (half * half).normalize()
-    assert sq_direct == sq_via_d
+    if sq_direct != sq_via_d:
+        raise VerificationError("two expansions of xi_S^2 disagree")
     return {"xi_S": xi.normalize(), "D_S": d_s.normalize(),
             "S_S": s_s.normalize(), "twist": twist.normalize(),
             "xi_S_sq": sq_direct}

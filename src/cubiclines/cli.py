@@ -1,8 +1,9 @@
 """Command-line front end: JSON-in, JSON-out access to every computation.
 
 Exit codes: 0 = success with all asserted counts matched; 1 = computation
-finished but a count or check mismatched; 2 = usage, IO or parse errors;
-3 = an expression evaluation had an unbound parameter.
+finished but a count or check mismatched; 2 = usage, IO or parse errors,
+unsupported cases and curves that are not valid input (off X, base
+points); 3 = an expression evaluation had an unbound parameter.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 from . import chow, fano
 from .cubic import (ProjLine, cubic_from_json, lines_through_point,
                     smoothness_probe)
-from .curves import curve_from_json, validate_curve
+from .curves import (BasePointError, NotOnXError, curve_from_json,
+                     validate_curve)
 from .fields import BudgetError
 from .secant import count_secants_pair, count_secants_single
 
@@ -171,6 +173,8 @@ def _secant_result(report):
 def _cmd_secants(args):
     cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
     curve = _load_curve(args.curve, cubic.field)
+    if curve.e < 2:
+        raise UsageError("a line has no secant scheme; use pair-secants")
     report = count_secants_single(cubic, curve, tower,
                                   max_level=args.max_level)
     result = _secant_result(report)
@@ -249,7 +253,12 @@ def _cmd_lines_through_point(args):
                    "rows": [list(r) for r in line.rows]}
                   for (lv, d, m), line in zip(res.directions, res.lines)],
     }
-    matched = res.eckardt or res.total_multiplicity == 6
+    # a point of a threefold lies on six lines (with multiplicity); a point
+    # of a surface on zero to three, so there only the search must finish
+    if cubic.n == 4:
+        matched = res.eckardt or res.total_multiplicity == 6
+    else:
+        matched = res.complete
     return _emit(args, "lines-through-point", result, matched)
 
 
@@ -264,6 +273,8 @@ def _cmd_second_type(args):
 
 def _cmd_discriminant(args):
     cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    if cubic.field.char == 0:
+        raise UsageError("smoothness sampling enumerates points; needs p > 0")
     line = _parse_line(args.line, cubic.field)
     curve = fano.discriminant_quintic(cubic, line)
     smooth = fano.sample_smoothness(curve, tower, count=args.samples,
@@ -395,7 +406,8 @@ def main(argv=None):
     except UsageError as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2
-    except (BudgetError, NotImplementedError) as ex:
+    except (BudgetError, NotImplementedError, BasePointError,
+            NotOnXError) as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2
     except (ValueError, AssertionError) as ex:

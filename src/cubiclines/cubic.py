@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg
-from .fields import QQ, FieldTower
+from .fields import QQ, FieldTower, VerificationError, upoly_gcd
 from .poly import (MultiPoly, binary_gcd, binary_roots, resultant,
                    roots_in_tower, to_dense)
 
@@ -259,16 +259,9 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     basis = [list(x)] + [k for i, k in enumerate(ker) if i != swap]
     m = len(basis) - 1  # = n - 1 direction coordinates
     cvars = tuple("c%d" % i for i in range(1, m + 1))
-    args = []
-    for i in range(n + 1):
-        acc = MultiPoly.zero(F, cvars)
-        for j in range(1, m + 1):
-            cj = MultiPoly.var(F, cvars, "c%d" % j)
-            acc = acc + cj.scale(basis[j][i])
-        args.append(acc)
+    args = MultiPoly.linear_forms(F, cvars, basis[1:])
     # P2(x; y(c)) and F(y(c))
-    p2x = _specialize_first(cubic.P2, x, n, F)
-    Q = p2x.eval_polys(args)
+    Q = cubic.P2.subs(list(x) + [None] * (n + 1)).eval_polys(args)
     K = cubic.F.eval_polys(args)
     res = LinesThroughPoint(point=tuple(x), eckardt=False)
     if Q.is_zero() or K.is_zero():
@@ -285,38 +278,13 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     res.complete = complete
     for lv, cpt, mult in roots:
         lvl = tower.level(lv)
-        direction = _direction_point(basis, cpt, F, lvl, n)
+        dirs = [[lvl.embed_from(e, F.k) for e in b] for b in basis[1:]]
+        direction = linalg.combine(cpt, dirs, lvl)
         line = ProjLine(lvl, [lvl.embed_from(e, F.k) for e in x], direction)
         res.directions.append((lv, tuple(direction), mult))
         res.lines.append(line)
         res.total_multiplicity += mult
     return res
-
-
-def _specialize_first(P, x, n, F):
-    """P(x; y) with x fixed, as a polynomial in the y variables."""
-    yv = yvars(n)
-    out = {}
-    for exps, c in P.terms.items():
-        xe, ye = exps[: n + 1], exps[n + 1:]
-        v = c
-        for xi, e in zip(x, xe):
-            for _ in range(e):
-                v = F.mul(v, xi)
-        if not F.is_zero(v):
-            out[ye] = F.add(out.get(ye, F.zero), v)
-    return MultiPoly(F, yv, out)
-
-
-def _direction_point(basis, cpt, F, lvl, n):
-    out = []
-    for i in range(n + 1):
-        acc = lvl.zero
-        for j, c in enumerate(cpt):
-            b = lvl.embed_from(basis[j + 1][i], F.k)
-            acc = lvl.add(acc, lvl.mul(c, b))
-        out.append(acc)
-    return out
 
 
 def _solve_binary_pair(Q, K, tower, max_level):
@@ -334,12 +302,13 @@ def _solve_conic_cubic(Q, K, F, tower, max_level, seed):
     rng = random.Random("ltp:%d" % seed)
     for attempt in range(24):
         if attempt == 0:
-            M = None  # identity
+            cols = None  # identity
             Qt, Kt = Q, K
         else:
-            M = _random_unimodular(F, rng)
-            Qt = _apply_change(Q, M, F)
-            Kt = _apply_change(K, M, F)
+            # c = M c': substitute the forms sum_j c'_j * (column j of M)
+            cols = list(zip(*_random_unimodular(F, rng)))
+            change = MultiPoly.linear_forms(F, cvars, cols)
+            Qt, Kt = Q.eval_polys(change), K.eval_polys(change)
         lcq = _coeff_of_power(Qt, cvars[2], 2)
         lck = _coeff_of_power(Kt, cvars[2], 3)
         if lcq is None or lck is None:
@@ -351,9 +320,14 @@ def _solve_conic_cubic(Q, K, F, tower, max_level, seed):
         if sols is None:
             continue
         roots, complete = sols
-        if M is not None:
-            roots = [(lv, _unapply_change(pt, M, tower, lv, F), m)
-                     for lv, pt, m in roots]
+        if cols is not None:
+            # map each solution back: c = M c'
+            back = []
+            for lv, pt, m in roots:
+                lvl = tower.level(lv)
+                rows = [[lvl.embed_from(x, F.k) for x in col] for col in cols]
+                back.append((lv, tuple(linalg.combine(pt, rows, lvl)), m))
+            roots = back
         return roots, complete
     raise RuntimeError("no usable coordinate change found")
 
@@ -373,79 +347,20 @@ def _random_unimodular(F, rng):
     while True:
         M = [[F.from_int(rng.randrange(lo, hi)) for _ in range(3)]
              for _ in range(3)]
-        if not F.is_zero(_det3(M, F)):
+        if linalg.rank(M, F) == 3:
             return M
-
-
-def _det3(M, F):
-    def mul(*xs):
-        acc = F.one
-        for v in xs:
-            acc = F.mul(acc, v)
-        return acc
-    s = F.zero
-    s = F.add(s, mul(M[0][0], M[1][1], M[2][2]))
-    s = F.add(s, mul(M[0][1], M[1][2], M[2][0]))
-    s = F.add(s, mul(M[0][2], M[1][0], M[2][1]))
-    s = F.sub(s, mul(M[0][2], M[1][1], M[2][0]))
-    s = F.sub(s, mul(M[0][0], M[1][2], M[2][1]))
-    s = F.sub(s, mul(M[0][1], M[1][0], M[2][2]))
-    return s
-
-
-def _apply_change(P, M, F):
-    """P(M c) for a 3x3 change of the c-coordinates."""
-    cvars = P.vars
-    args = []
-    for i in range(3):
-        acc = MultiPoly.zero(F, cvars)
-        for j in range(3):
-            acc = acc + MultiPoly.var(F, cvars, cvars[j]).scale(M[i][j])
-        args.append(acc)
-    return P.eval_polys(args)
-
-
-def _unapply_change(pt, M, tower, lv, F):
-    """Map a solution of the changed system back: c = M c'."""
-    lvl = tower.level(lv)
-    out = []
-    for i in range(3):
-        acc = lvl.zero
-        for j in range(3):
-            acc = lvl.add(acc, lvl.mul(lvl.embed_from(M[i][j], F.k), pt[j]))
-        out.append(acc)
-    return tuple(out)
-
-
-def _specialize_two(P, a1, a2, lvl, F):
-    """P(a1, a2, c3) as a univariate polynomial in c3 over lvl."""
-    out = {}
-    for (e1, e2, e3), c in P.terms.items():
-        v = lvl.embed_from(c, F.k)
-        for _ in range(e1):
-            v = lvl.mul(v, a1)
-        for _ in range(e2):
-            v = lvl.mul(v, a2)
-        if not lvl.is_zero(v):
-            s = lvl.add(out.get((e3,), lvl.zero), v)
-            if lvl.is_zero(s):
-                out.pop((e3,), None)
-            else:
-                out[(e3,)] = s
-    return MultiPoly(lvl, (P.vars[2],), out)
 
 
 def _fiber_solutions(Q, K, R, F, tower, max_level):
     """Roots of R (binary in c1,c2) with fiber c3 values from gcds."""
-    from .fields import upoly_gcd
     cvars = Q.vars
     rm = binary_roots(R, tower, max_level=max_level, formal_degree=6)
     out = []
     complete = rm.complete
     for lv, (a1, a2), mult in rm.roots:
         lvl = tower.level(lv)
-        Qs = _specialize_two(Q, a1, a2, lvl, F)
-        Ks = _specialize_two(K, a1, a2, lvl, F)
+        Qs = Q.subs((a1, a2, None), lvl)
+        Ks = K.subs((a1, a2, None), lvl)
         dq = to_dense(Qs) if not Qs.is_zero() else []
         dk = to_dense(Ks) if not Ks.is_zero() else []
         if dq and dk:
@@ -493,14 +408,7 @@ class PlaneSection:
 
 def restrict_to_plane(cubic, plane_basis):
     """F restricted to the plane spanned by three rows, in coords (a,b,c)."""
-    F = cubic.field
-    pv = ("pa", "pb", "pc")
-    args = []
-    for i in range(cubic.n + 1):
-        acc = MultiPoly.zero(F, pv)
-        for j, nm in enumerate(pv):
-            acc = acc + MultiPoly.var(F, pv, nm).scale(plane_basis[j][i])
-        args.append(acc)
+    args = MultiPoly.linear_forms(cubic.field, ("pa", "pb", "pc"), plane_basis)
     return cubic.F.eval_polys(args)
 
 
@@ -614,77 +522,31 @@ def classify_conic(C, F, tower=None, max_level=2):
 
 def _split_rank2_conic(C, vertex, F, tower, max_level):
     """Two linear factors of a rank-2 conic, possibly over an extension."""
-    basis = [vertex]
-    for i in range(3):
-        e = [F.zero] * 3
-        e[i] = F.one
-        if linalg.rank(basis + [e], F) == len(basis) + 1:
-            basis.append(e)
-        if len(basis) == 3:
-            break
-    pv = C.vars
-    args = []
-    for i in range(3):
-        acc = MultiPoly.zero(F, pv)
-        for j in range(3):
-            acc = acc + MultiPoly.var(F, pv, pv[j]).scale(basis[j][i])
-        args.append(acc)
-    Cn = C.eval_polys(args)  # no dependence on first coord
-    q = {}
-    for (e0, e1, e2), v in Cn.terms.items():
-        assert e0 == 0
-        q[(e1, e2)] = v
-    qf = MultiPoly(F, (pv[1], pv[2]), q)
+    basis = linalg.complete_basis([vertex], F)
+    Cn = C.eval_polys(MultiPoly.linear_forms(F, C.vars, basis))
+    if any(e[0] for e in Cn.terms):
+        raise VerificationError("rank-2 conic depends on its vertex coordinate")
+    qf = Cn.subs((F.one, None, None))
     rm = binary_roots(qf, tower, max_level=max_level, formal_degree=2)
     out = []
     for lv, (r0, r1), mult in rm.roots:
         lvl = tower.level(lv)
         # factor vanishing at [.:r0:r1] in the new coords: r1*b - r0*c -> pull back
         new_form = [lvl.zero, r1, lvl.neg(r0)]
-        orig = _pull_back_form(new_form, basis, lvl, F)
-        for _ in range(mult):
-            out.append((lv, orig))
+        # in original coords ell_orig(sum_j c_j basis[j]) = ell_new(c),
+        # so ell_orig is the unique solution of basis . ell_orig = ell_new
+        rows = [[lvl.embed_from(x, F.k) for x in b] for b in basis]
+        orig = linalg.solve(rows, new_form, lvl)
+        out.extend([(lv, orig)] * mult)
     return out
-
-
-def _pull_back_form(form_new, basis, lvl, F):
-    """Linear form in original coords from one in the basis coords."""
-    # ell_orig(x) = ell_new(coords of x) ; coords = basis^{-1} x
-    rows = [[lvl.embed_from(basis[j][i], F.k) for j in range(3)]
-            for i in range(3)]
-    inv = _invert3(rows, lvl)
-    out = []
-    for i in range(3):
-        acc = lvl.zero
-        for j in range(3):
-            acc = lvl.add(acc, lvl.mul(form_new[j], inv[j][i]))
-        out.append(acc)
-    return out
-
-
-def _invert3(M, F):
-    aug = [list(M[i]) + [F.one if j == i else F.zero for j in range(3)]
-           for i in range(3)]
-    red, piv = linalg.rref(aug, F)
-    if len(piv) != 3:
-        raise ValueError("singular matrix")
-    return [row[3:] for row in red]
 
 
 def ambient_line_from_plane_form(plane_basis, ell, lvl, cubic, tower):
     """ProjLine in P^n cut out on the plane by a linear plane-coord form."""
     F = cubic.field
     ker = linalg.kernel_basis([list(ell)], lvl)
-    pts = []
-    for v in ker[:2]:
-        pt = []
-        for i in range(cubic.n + 1):
-            acc = lvl.zero
-            for j in range(3):
-                acc = lvl.add(acc, lvl.mul(
-                    v[j], lvl.embed_from(plane_basis[j][i], F.k)))
-            pt.append(acc)
-        pts.append(pt)
+    rows = [[lvl.embed_from(x, F.k) for x in b] for b in plane_basis]
+    pts = [linalg.combine(v, rows, lvl) for v in ker[:2]]
     return ProjLine(lvl, pts[0], pts[1])
 
 

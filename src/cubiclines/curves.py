@@ -14,7 +14,7 @@ from . import linalg
 from .bihom import (
     STVARS,
     SVARS,
-    TVARS,
+    BihomSolutions,
     PositiveDimensionalError,
     diagonal_form,
     solve_bihomog,
@@ -125,11 +125,7 @@ def curve_from_json(doc, fld):
 def line_as_curve(line):
     """Degree-1 parameterization s0*a + s1*b of a ProjLine."""
     F = line.field
-    a, b = line.rows
-    coords = []
-    for i in range(line.n + 1):
-        coords.append(MultiPoly(F, SVARS, {(1, 0): a[i], (0, 1): b[i]}))
-    return RationalCurve(F, 1, coords)
+    return RationalCurve(F, 1, MultiPoly.linear_forms(F, SVARS, line.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def _solve_system(forms, bidegs, tower, max_level):
         return None
     bd = bidegs[0]
     if len(forms) == 1:
-        return None if max(bd) > 0 else _empty_solutions()
+        return None if max(bd) > 0 else BihomSolutions()
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             try:
@@ -258,11 +254,6 @@ def _solve_system(forms, bidegs, tower, max_level):
                               if _vanishes_all(rest, sol, tower)]
             return sols
     return None
-
-
-def _empty_solutions():
-    from .bihom import BihomSolutions
-    return BihomSolutions()
 
 
 def _vanishes_all(forms, sol, tower):
@@ -390,13 +381,9 @@ def conic_residual_to_line(cubic, line, plane_basis, tower=None, max_level=2,
         return ConicResidual(kind="no_rational_point", conic=sec.conic)
     lvl, p = found
     plane_param = _parameterize_conic(sec.conic, p, lvl)
-    coords = []
-    for i in range(cubic.n + 1):
-        acc = MultiPoly.zero(lvl, SVARS)
-        for k in range(3):
-            c = lvl.embed_from(plane_basis[k][i], F.k)
-            acc = acc + plane_param[k].scale(c)
-        coords.append(acc)
+    rows = [[lvl.embed_from(x, F.k) for x in b] for b in plane_basis]
+    coords = [f.eval_polys(plane_param) for f in
+              MultiPoly.linear_forms(lvl, sec.conic.vars, rows)]
     curve = RationalCurve(lvl, 2, coords)
     return ConicResidual(kind="parameterized", curve=curve, conic=sec.conic,
                          level=lvl.k)
@@ -432,18 +419,7 @@ def _parameterize_conic(C, p, lvl):
     intersection Q(d) p - B(p, d) d gives the parameterization.
     """
     Cl = C.over(lvl)
-    basis = [list(p)]
-    for i in range(3):
-        e = [lvl.zero] * 3
-        e[i] = lvl.one
-        if linalg.rank(basis + [e], lvl) == len(basis) + 1:
-            basis.append(e)
-        if len(basis) == 3:
-            break
-    v, w = basis[1], basis[2]
-    d = []
-    for k in range(3):
-        d.append(MultiPoly(lvl, SVARS, {(1, 0): v[k], (0, 1): w[k]}))
+    d = MultiPoly.linear_forms(lvl, SVARS, linalg.complete_basis([p], lvl)[1:])
     pd = [dk + MultiPoly.const(lvl, SVARS, pk) for dk, pk in zip(d, p)]
     qd = Cl.eval_polys(d)
     bpd = Cl.eval_polys(pd) - qd  # C(p) = 0 drops out

@@ -223,11 +223,7 @@ def second_type_test(cubic, line):
     kern = linalg.kernel_basis(rows, fld)
     if not kern:
         return False, None
-    u = kern[0]
-    direction = [fld.zero] * (line.n + 1)
-    for i, ui in enumerate(u):
-        for idx in range(line.n + 1):
-            direction[idx] = fld.add(direction[idx], fld.mul(ui, comp[i][idx]))
+    direction = linalg.combine(kern[0], comp, fld)
     plane_basis = [list(line.rows[0]), list(line.rows[1]), direction]
     return True, plane_basis
 

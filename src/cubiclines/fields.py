@@ -163,51 +163,23 @@ def _poly_mod_p(a, m, p):
     return _trim(a)
 
 
-def _poly_powmod_p(base, e, m, p):
-    result = [1]
-    b = _poly_mod_p(base, m, p)
-    while e:
-        if e & 1:
-            result = _poly_mod_p(_poly_mul_p(result, b, p), m, p)
-        e >>= 1
-        if e:
-            b = _poly_mod_p(_poly_mul_p(b, b, p), m, p)
-    return result
-
-
-def _poly_gcd_p(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a = _poly_mod_monic(a, b, p)
-        a, b = b, a
-    if a:
-        lead_inv = pow(a[-1], p - 2, p)
-        a = [(c * lead_inv) % p for c in a]
-    return a
-
-
-def _poly_mod_monic(a, b, p):
-    # remainder of a by arbitrary nonzero b
-    binv = pow(b[-1], p - 2, p)
-    bm = [(c * binv) % p for c in b]
-    return _poly_mod_p(a, bm, p)
-
-
-def _is_irreducible_p(f, p):
-    """Rabin test for a monic polynomial over GF(p)."""
+def _is_irreducible_p(f, lvl):
+    """Rabin test for a monic polynomial over the prime field level lvl."""
     k = len(f) - 1
     if k <= 0:
         return False
+    p = lvl.p
     x = [0, 1]
-    xq = _poly_powmod_p(x, p ** k, f, p)
-    if _trim([(a - b) % p for a, b in
-              zip(xq + [0] * len(x), x + [0] * len(xq))]) != []:
+
+    def x_power_minus_x(e):
+        xe = upoly_powmod(x, e, f, lvl)
+        return _trim([(a - b) % p for a, b in
+                      zip(xe + [0] * len(x), x + [0] * len(xe))])
+
+    if x_power_minus_x(p ** k):
         return False
     for ell in _prime_divisors(k):
-        xe = _poly_powmod_p(x, p ** (k // ell), f, p)
-        diff = [(a - b) % p for a, b in
-                zip(xe + [0] * len(x), x + [0] * len(xe))]
-        if len(_poly_gcd_p(_trim(diff), f, p)) - 1 != 0:
+        if len(upoly_gcd(x_power_minus_x(p ** (k // ell)), f, lvl)) - 1 != 0:
             return False
     return True
 
@@ -435,7 +407,7 @@ class FieldTower:
         rng = random.Random("defpoly:%d:%d:%d" % (self.p, self.seed, k))
         while True:
             coeffs = [rng.randrange(self.p) for _ in range(k)] + [1]
-            if _is_irreducible_p(coeffs, self.p):
+            if _is_irreducible_p(coeffs, self.level(1)):
                 return coeffs
 
     def _gen_image(self, j, k):

@@ -61,3 +61,26 @@ def solve(rows, rhs, F):
         if pc < ncols:
             x[pc] = mat[r][ncols]
     return x
+
+
+def combine(coeffs, rows, F):
+    """The linear combination sum_j coeffs[j] * rows[j] of rows over F."""
+    out = [F.zero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [F.add(acc, F.mul(c, x)) for acc, x in zip(out, row)]
+    return out
+
+
+def complete_basis(rows, F):
+    """Independent rows extended to a basis by standard vectors, in index
+    order, each kept when it raises the rank."""
+    n = len(rows[0])
+    basis = [list(r) for r in rows]
+    for i in range(n):
+        if len(basis) == n:
+            break
+        e = [F.zero] * n
+        e[i] = F.one
+        if rank(basis + [e], F) == len(basis) + 1:
+            basis.append(e)
+    return basis

@@ -18,7 +18,6 @@ from .fields import (
     roots_of_split_poly,
     upoly_divmod,
     upoly_gcd,
-    upoly_mul,
     upoly_powmod,
     upoly_trim,
 )
@@ -54,6 +53,14 @@ class MultiPoly:
         e = [0] * len(variables)
         e[i] = 1
         return cls(field, variables, {tuple(e): field.one})
+
+    @classmethod
+    def linear_forms(cls, field, variables, rows):
+        """For each column i, the form sum_j rows[j][i] * variables[j]."""
+        units = [tuple(int(i == j) for i in range(len(variables)))
+                 for j in range(len(variables))]
+        return [cls(field, variables, {u: row[i] for u, row in zip(units, rows)})
+                for i in range(len(rows[0]))]
 
     @classmethod
     def from_int_terms(cls, field, variables, int_terms):
@@ -164,6 +171,29 @@ class MultiPoly:
                     t = F.mul(t, F.pow_(v, e))
             acc = F.add(acc, t)
         return acc
+
+    def subs(self, values, lvl=None):
+        """Fix the variables whose entry in values is not None.
+
+        Returns the polynomial in the remaining variables, in their order,
+        over lvl (default: this field); coefficients are embedded into lvl.
+        """
+        F = self.field
+        lvl = lvl or F
+        free = [i for i, v in enumerate(values) if v is None]
+        fixed = [(i, v, {}) for i, v in enumerate(values) if v is not None]
+        out = {}
+        for exps, c in self.terms.items():
+            t = lvl.embed_from(c, F.k)
+            for i, v, powers in fixed:
+                e = exps[i]
+                if e:
+                    if e not in powers:
+                        powers[e] = lvl.pow_(v, e)
+                    t = lvl.mul(t, powers[e])
+            key = tuple(exps[i] for i in free)
+            out[key] = lvl.add(out[key], t) if key in out else t
+        return MultiPoly(lvl, [self.vars[i] for i in free], out)
 
     def eval_polys(self, args):
         """Substitute a MultiPoly (all over the same field/vars) per variable."""
@@ -631,15 +661,12 @@ def binary_roots(form, tower, max_level=None, formal_degree=None):
     elements normalized so the last nonzero coordinate is 1; the point at
     infinity is ((one, zero)).
     """
-    s0, s1 = form.vars
+    s0 = form.vars[0]
     F = form.field
     if tower is None:
         tower = F.tower
     d = formal_degree if formal_degree is not None else form.degree()
-    dehom = {}
-    for (e0, e1), c in form.terms.items():
-        dehom[(e0,)] = c
-    de = MultiPoly(F, (s0,), dehom)
+    de = form.subs((None, F.one))
     finite_deg = de.degree()
     inf_mult = d - finite_deg
     rm = roots_in_tower(de, tower, max_level=max_level, name=s0)

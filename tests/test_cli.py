@@ -166,6 +166,20 @@ def test_usage_errors(capsys, tmp_path):
                     "--curve1", str(tmp_path / "a.json"),
                     "--curve2", str(tmp_path / "b.json"))
     assert code == 2 and doc is None
+    # curves that are not valid input: off X, with a base point, a line
+    X7 = fixture_path("fermat7_threefold.json")
+    base = {"e": 2, "coords": [[1, 1, 0], [0, 1, 0], [1, 0, 0],
+                               [0, 0, 0], [0, 0, 0]]}
+    (tmp_path / "base.json").write_text(json.dumps(base))
+    for curve in (fixture_path("conic11.json"), str(tmp_path / "base.json"),
+                  fixture_path("line7_a.json")):
+        code, doc = run(capsys, "secants", "--cubic", X7, "--curve", curve)
+        assert code == 2 and doc is None
+    # the discriminant samples points of finite levels only
+    code, doc = run(capsys, "discriminant",
+                    "--cubic", fixture_path("fermatQ_threefold.json"),
+                    "--line", "1,-1,0,0,0;0,0,1,-1,0")
+    assert code == 2 and doc is None
 
 
 def test_output_deterministic(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from cubiclines.cubic import (CubicForm, DegenerateSpanError, ProjLine,
                               SingularPointError, _proj_points,
-                              cubic_from_json, fermat_cubic,
+                              classify_conic, cubic_from_json, fermat_cubic,
                               lines_through_point, plane_residual,
                               smoothness_probe, xvars)
 from cubiclines.fields import QQ
@@ -139,6 +139,25 @@ def test_plane_residual_double_line(threefold7, tower7):
     sec = plane_residual(threefold7, basis, known_line=line, tower=tower7)
     assert sec.status == "decomposed"
     assert sec.conic_class == "double_line"
+
+
+def test_rank2_conic_splits_into_its_factors(tower7):
+    lvl = tower7.level(1)
+    pv = ("pa", "pb", "pc")
+    a, b, c = (MultiPoly.var(lvl, pv, v) for v in pv)
+    const = lambda n: MultiPoly.const(lvl, pv, n)
+    # two lines over GF(7) through a general vertex, and a^2 - 3 b^2
+    # (3 is not a square mod 7) whose lines are defined over GF(49)
+    cases = [((a + b * const(2) + c * const(3)) * (a + b * const(6) + c), 1),
+             (a * a - b * b * const(3), 2)]
+    for C, level in cases:
+        kind, lines = classify_conic(C, lvl, tower7, max_level=2)
+        assert kind == "two_lines" and len(lines) == 2
+        for lv, form in lines:
+            assert lv == level
+            L = tower7.level(lv)
+            ell = MultiPoly.linear_forms(L, pv, [[x] for x in form])[0]
+            assert C.over(L).divides_exactly(ell) is not None
 
 
 def test_plane_residual_irreducible_section(threefold7, tower7):

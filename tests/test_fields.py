@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from cubiclines.fields import (QQ, BudgetError, FieldTower,
-                               roots_of_split_poly, upoly_divmod, upoly_gcd,
-                               upoly_mul)
+                               _is_irreducible_p, roots_of_split_poly,
+                               upoly_divmod, upoly_gcd, upoly_mul)
 
 
 def rand_elem(lvl, rng):
@@ -157,3 +158,19 @@ def test_cubic_transport_checks_its_target(tower7):
     X = fermat_cubic(tower7.level(1), 4)
     for lvl in (tower7.level(2), other.level(2)):
         assert X._over(lvl).field is lvl
+
+
+def test_rabin_test_matches_trial_division(tower7):
+    lvl = tower7.level(1)
+    divisors = [list(c) + [1] for d in (1, 2)
+                for c in itertools.product(range(7), repeat=d)]
+    rng = random.Random(6)
+    # (x^2 + 1)(x^2 + 2): squarefree, no root, x^(7^4) = x mod f
+    cands = [[2, 0, 3, 0, 1]]
+    cands += [[rng.randrange(7) for _ in range(k)] + [1]
+              for k in (2, 3, 4) for _ in range(60)]
+    for f in cands:
+        k = len(f) - 1
+        has_factor = any(not upoly_divmod(f, g, lvl)[1]
+                         for g in divisors if len(g) - 1 <= k // 2)
+        assert _is_irreducible_p(f, lvl) == (not has_factor), f

@@ -1,9 +1,11 @@
 """Byte-identical CLI reports.
 
 Every command-line example of the README, plus the secant count over the
-rationals (the one CLI path over QQ), is rerun and its report compared
-byte for byte with the file under ``tests/golden/``.  Each case also
-fixes the exit code.
+rationals (the one CLI path over QQ) and five reports that run the
+substitution layer (second-type witness, row sum, curve validation, the
+line-meeting pair mode, lines through a point of a surface), is rerun and
+its report compared byte for byte with the file under ``tests/golden/``.
+Each case also fixes the exit code.
 """
 
 import os
@@ -38,6 +40,21 @@ CASES = {
     "secants_conicQ": (0, ["secants",
                            "--cubic", fixture_path("fermatQ_threefold.json"),
                            "--curve", fixture_path("conicQ.json")]),
+    "second_type7": (0, ["second-type", "--cubic", X7,
+                         "--line", "1,6,0,0,0;0,0,1,6,0"]),
+    "row_sum7": (0, ["row-sum", "--cubic", X7,
+                     "--curve", fixture_path("conic7.json"),
+                     "--line", "1,0,0,0,3;0,1,0,3,0"]),
+    "pair_secants_meeting7": (0, ["pair-secants", "--cubic", X7,
+                                  "--curve1", fixture_path("conic7.json"),
+                                  "--curve2", fixture_path("meetline7.json")]),
+    "validate_curve7": (0, ["validate-curve", "--cubic", X7,
+                            "--curve", fixture_path("conic7.json")]),
+    # a surface point lies on 0-3 lines: matched means the search finished
+    "lines_through_point_surface7": (0, [
+        "lines-through-point",
+        "--cubic", fixture_path("fermat7_surface.json"),
+        "--point", "1,2,3,3"]),
 }
 
 

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from cubiclines import linalg
 from cubiclines.fields import QQ
 from cubiclines.poly import (MultiPoly, binary_gcd, binary_roots,
                              rational_roots, resultant, roots_in_tower,
@@ -181,3 +183,63 @@ def test_exact_div_round_trip(tower7):
             continue
         assert (f * g).exact_div(g) == f
         assert (f * g).divides_exactly(g) == f
+
+
+def dense_poly(lvl, variables, deg, rng):
+    """Every monomial of total degree <= deg, with random coefficients."""
+    terms = {e: lvl.from_int(rng.randrange(-4, 5))
+             for e in itertools.product(range(deg + 1), repeat=len(variables))
+             if sum(e) <= deg}
+    return MultiPoly(lvl, variables, terms)
+
+
+@pytest.mark.parametrize("over", ["GF7", "QQ"])
+def test_subs_agrees_with_eval(tower7, over):
+    rng = random.Random(3)
+    V = ("x", "y", "z")
+    if over == "GF7":
+        base, lvl = tower7.level(1), tower7.level(2)
+        draw = lambda: lvl.from_coeffs([rng.randrange(7) for _ in range(2)])
+    else:
+        base = lvl = QQ
+        draw = lambda: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+    for _ in range(10):
+        f = dense_poly(base, V, 3, rng)
+        a, c = draw(), draw()
+        # constants and a variable in eval_polys: the same polynomial in y
+        args = [MultiPoly.const(lvl, ("y",), a), MultiPoly.var(lvl, ("y",), "y"),
+                MultiPoly.const(lvl, ("y",), c)]
+        part = f.subs((a, None, c), lvl)
+        assert part.vars == ("y",)
+        assert part == f.over(lvl).eval_polys(args)
+        # every variable fixed: the value of eval_elems
+        vals = [a, draw(), c]
+        assert f.subs(vals, lvl).constant_value() == f.over(lvl).eval_elems(vals)
+        # nothing fixed: the same polynomial, carried to lvl
+        assert f.subs((None,) * 3, lvl) == f.over(lvl)
+
+
+def test_linear_forms_and_combine(tower7):
+    lvl = tower7.level(1)
+    rows = [[1, 0, 2], [0, 3, 0]]
+    s, t = (MultiPoly.var(lvl, ("s", "t"), v) for v in ("s", "t"))
+    assert MultiPoly.linear_forms(lvl, ("s", "t"), rows) == [
+        s, t.scale(3), s.scale(2)]
+    assert linalg.combine([2, 5], rows, lvl) == [2, 1, 4]
+    rng = random.Random(4)
+    for _ in range(10):
+        rows = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
+        c = [rng.randrange(7) for _ in range(3)]
+        forms = MultiPoly.linear_forms(lvl, ("a", "b", "c"), rows)
+        assert [f.eval_elems(c) for f in forms] == linalg.combine(c, rows, lvl)
+
+
+def test_complete_basis(tower7):
+    lvl = tower7.level(1)
+    assert linalg.complete_basis([[0, 1, 1]], lvl) == [
+        [0, 1, 1], [1, 0, 0], [0, 1, 0]]
+    # e0 is already in the span, so e1 is the first to raise the rank
+    assert linalg.complete_basis([[1, 0, 0], [0, 0, 1]], lvl) == [
+        [1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    full = [[1, 0], [0, 1]]
+    assert linalg.complete_basis(full, lvl) == full

@@ -159,7 +159,7 @@ OPTIMIZED_CHECKS = """
 import json
 import os
 
-from cubiclines import fano
+from cubiclines import chow, fano
 from cubiclines.bihom import STVARS, BihomSolutions, _verify_solutions
 from cubiclines.cubic import ProjLine, fermat_cubic
 from cubiclines.curves import curve_from_json
@@ -179,9 +179,12 @@ checks = (
     lambda: _assert_secant_line(fermat_cubic(lvl, 4), off, tower, 1),
     lambda: _exact_quo([1, 0, 1], [1, 1], lvl),
     lambda: fano.correspondence_row(fermat_cubic(lvl, 4), conic, meet, tower),
+    lambda: chow.residue_surface_classes("single"),
 )
 # a wrong closed form makes the (correct) row total fail its check
 fano.expected_line_meeting = lambda e: 5 * e - 4
+# a class calculus that sees no zero breaks the residue-class identities
+chow.ChowExpr.is_zero = lambda self: False
 with open(os.path.join(FIXTURES, "conic7.json")) as fh:
     conic = curve_from_json(json.load(fh), lvl)
 with open(os.path.join(FIXTURES, "conic7_lines.json")) as fh:
@@ -204,4 +207,15 @@ def test_verification_checks_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "4"
+    assert proc.stdout.strip() == "5"
+
+
+def test_acceptance_suite_under_optimize():
+    """The acceptance criteria hold with assert statements compiled away."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         os.path.join("tests", "test_acceptance.py")],
+        capture_output=True, text=True, env=env, cwd=root, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
