@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success with all asserted counts matched; 1 = computation
 finished but a count or check mismatched; 2 = usage, IO or parse errors,
-unsupported cases and curves that are not valid input (off X, base
-points); 3 = an expression evaluation had an unbound parameter.
+unsupported cases (including a direction system that no tried coordinate
+change puts in general position) and curves that are not valid input (off
+X, base points); 3 = an expression evaluation had an unbound parameter.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import os
 import sys
 
 from . import chow, fano
-from .cubic import (ProjLine, cubic_from_json, lines_through_point,
-                    smoothness_probe)
+from .cubic import (CoordinateChangeError, ProjLine, cubic_from_json,
+                    lines_through_point, smoothness_probe)
 from .curves import (BasePointError, NotOnXError, curve_from_json,
                      validate_curve)
 from .fields import BudgetError
@@ -407,7 +408,7 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % ex)
         return 2
     except (BudgetError, NotImplementedError, BasePointError,
-            NotOnXError) as ex:
+            NotOnXError, CoordinateChangeError) as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2
     except (ValueError, AssertionError) as ex:

@@ -35,6 +35,10 @@ class SingularPointError(ValueError):
     """An operation requiring a smooth point was given a singular one."""
 
 
+class CoordinateChangeError(Exception):
+    """No tried coordinate change put a conic/cubic pair in general position."""
+
+
 class ProjLine:
     """A line in P^n, canonicalized as the RREF of its 2x(n+1) span matrix."""
 
@@ -329,7 +333,8 @@ def _solve_conic_cubic(Q, K, F, tower, max_level, seed):
                 back.append((lv, tuple(linalg.combine(pt, rows, lvl)), m))
             roots = back
         return roots, complete
-    raise RuntimeError("no usable coordinate change found")
+    raise CoordinateChangeError("no usable coordinate change found for the "
+                                "conic/cubic pair of directions")
 
 
 def _coeff_of_power(P, var, d):

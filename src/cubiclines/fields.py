@@ -6,6 +6,12 @@ data (an ``int`` at level 1, a coefficient ``tuple`` at higher levels) and
 all arithmetic goes through the level object, so elements stay hashable
 and cheap to sort.  Defining polynomials are found by seeded search, so
 two towers built with the same seed are identical.
+
+A product at level k is the schoolbook product of the coefficient lists,
+reduced once by the monic defining polynomial.  An inverse at level k > 1
+comes from the extended Euclidean algorithm in GF(p)[x] against the
+defining polynomial (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, sec. 4.2), run on plain ints; at level 1 it is a^(p-2) mod p.
 """
 
 from __future__ import annotations
@@ -64,16 +70,11 @@ class Rationals:
     level = 1
     tower = RationalTower()
 
+    zero = Fraction(0)
+    one = Fraction(1)
+
     def from_int(self, n):
         return Fraction(n)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -138,31 +139,6 @@ def _trim(c):
     return c
 
 
-def _poly_mul_p(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_mod_p(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - dm
-            for i in range(dm):
-                a[off + i] = (a[off + i] - c * m[i]) % p
-        a.pop()
-    return _trim(a)
-
-
 def _is_irreducible_p(f, lvl):
     """Rabin test for a monic polynomial over the prime field level lvl."""
     k = len(f) - 1
@@ -217,6 +193,8 @@ class FiniteLevel:
         self.modulus = modulus  # little-endian int list, monic, len k+1
         self.char = tower.p
         self.level = k
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     # -- element construction ------------------------------------------------
 
@@ -225,14 +203,6 @@ class FiniteLevel:
         if self.k == 1:
             return n
         return (n,) + (0,) * (self.k - 1)
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
 
     def gen(self):
         if self.k == 1:
@@ -249,26 +219,42 @@ class FiniteLevel:
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a, b):
+        p = self.p
         if self.k == 1:
-            return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+            return (a + b) % p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def sub(self, a, b):
+        p = self.p
         if self.k == 1:
-            return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+            return (a - b) % p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def neg(self, a):
+        p = self.p
         if self.k == 1:
-            return (-a) % self.p
-        return tuple((-x) % self.p for x in a)
+            return (-a) % p
+        return tuple([(-x) % p for x in a])
 
     def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mul_p(list(a), list(b), self.p)
-        prod = _poly_mod_p(prod, self.modulus, self.p)
-        return tuple(prod + [0] * (self.k - len(prod)))
+        p = self.p
+        k = self.k
+        if k == 1:
+            return (a * b) % p
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        # clear x^top, top = 2k-2 .. k, by subtracting c * x^(top-k) * modulus
+        m = self.modulus
+        for top in range(2 * k - 2, k - 1, -1):
+            c = prod[top] % p
+            if c:
+                off = top - k
+                for i in range(k):
+                    prod[off + i] -= c * m[i]
+        return tuple([c % p for c in prod[:k]])
 
     def pow_(self, a, e):
         if e < 0:
@@ -286,17 +272,34 @@ class FiniteLevel:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0 in GF(%d^%d)" % (self.p, self.k))
+        p = self.p
         if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow_(a, self.q - 2)
+            return pow(a, p - 2, p)
+        # Extended Euclid in GF(p)[x], one leading term at a time, keeping
+        # r0 = s0 * a and r1 = s1 * a mod the (irreducible) modulus.
+        r0, s0 = list(self.modulus), []
+        r1, s1 = _trim(list(a)), [1]
+        while len(r1) > 1:
+            lead_inv = pow(r1[-1], p - 2, p)
+            while len(r0) >= len(r1):
+                c = r0[-1] * lead_inv % p
+                off = len(r0) - len(r1)
+                for i, x in enumerate(r1, off):
+                    r0[i] = (r0[i] - c * x) % p
+                s0 += [0] * (len(s1) + off - len(s0))
+                for i, x in enumerate(s1, off):
+                    s0[i] = (s0[i] - c * x) % p
+                _trim(r0)
+            r0, s0, r1, s1 = r1, s1, r0, _trim(s0)
+        # r1 is the nonzero constant s1 * a: divide it out
+        c = pow(r1[0], p - 2, p)
+        return tuple([x * c % p for x in s1] + [0] * (self.k - len(s1)))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
-        if self.k == 1:
-            return a == 0
-        return all(x == 0 for x in a)
+        return a == self.zero
 
     def key(self, a):
         if self.k == 1:
@@ -478,11 +481,12 @@ def upoly_divmod(a, b, lvl):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    binv = lvl.inv(b[-1])
+    monic = b[-1] == lvl.one
+    binv = lvl.one if monic else lvl.inv(b[-1])
     db = len(b) - 1
     quot = [lvl.zero] * max(0, len(a) - db)
     while len(a) - 1 >= db and a:
-        c = lvl.mul(a[-1], binv)
+        c = a[-1] if monic else lvl.mul(a[-1], binv)
         off = len(a) - 1 - db
         if not lvl.is_zero(c):
             quot[off] = c

@@ -23,6 +23,11 @@ from .fields import (
 )
 
 
+# one shared tuple per exponent vector that coeffs_in builds: the polar
+# forms of many cubics hold the same few hundred vectors
+_EXPONENTS = {}
+
+
 class MultiPoly:
     """Sparse polynomial: exponent tuples -> nonzero field elements."""
 
@@ -161,14 +166,20 @@ class MultiPoly:
     # -- substitution -------------------------------------------------------------
 
     def eval_elems(self, values):
-        """Evaluate at field elements, one per variable."""
+        """Evaluate at field elements, one per variable.
+
+        Each value's powers are computed once per call.
+        """
         F = self.field
+        powers = [{1: v} for v in values]
         acc = F.zero
         for exps, c in self.terms.items():
             t = c
-            for v, e in zip(values, exps):
+            for v, e, pw in zip(values, exps, powers):
                 if e:
-                    t = F.mul(t, F.pow_(v, e))
+                    if e not in pw:
+                        pw[e] = F.pow_(v, e)
+                    t = F.mul(t, pw[e])
             acc = F.add(acc, t)
         return acc
 
@@ -240,6 +251,7 @@ class MultiPoly:
         for exps, c in self.terms.items():
             d = exps[i]
             e2 = exps[: i] + exps[i + 1:]
+            e2 = _EXPONENTS.setdefault(e2, e2)
             by_deg.setdefault(d, {})[e2] = c
         top = max(by_deg) if by_deg else -1
         return [MultiPoly(self.field, rest, by_deg.get(d, {}))

@@ -145,7 +145,7 @@ def test_row_sum_meet_once_line(capsys):
     assert doc["result"]["lines_through_point_multiplicity"] == 6
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_usage_errors(capsys, tmp_path, monkeypatch):
     code, _ = run(capsys, "secants", "--cubic", "/nonexistent.json",
                   "--curve", fixture_path("conic7.json"))
     assert code == 2
@@ -180,6 +180,13 @@ def test_usage_errors(capsys, tmp_path):
                     "--cubic", fixture_path("fermatQ_threefold.json"),
                     "--line", "1,-1,0,0,0;0,0,1,-1,0")
     assert code == 2 and doc is None
+    # a direction system that no coordinate change puts in general position
+    from cubiclines import cubic
+    monkeypatch.setattr(cubic, "_coeff_of_power", lambda P, var, d: None)
+    code = main(["lines-through-point", "--cubic", X7, "--point", "1,2,3,5,0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith("error: no usable coordinate change")
 
 
 def test_output_deterministic(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from cubiclines.fields import (QQ, BudgetError, FieldTower,
                                _is_irreducible_p, roots_of_split_poly,
-                               upoly_divmod, upoly_gcd, upoly_mul)
+                               upoly_divmod, upoly_gcd, upoly_mul,
+                               upoly_trim)
 
 
 def rand_elem(lvl, rng):
@@ -14,10 +15,18 @@ def rand_elem(lvl, rng):
     return lvl.from_coeffs([rng.randrange(lvl.p) for _ in range(lvl.k)])
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_field_axioms_sampled(tower7, k):
-    lvl = tower7.level(k)
-    rng = random.Random(1000 + k)
+@pytest.fixture(scope="module")
+def towers(tower7, tower11):
+    return {3: FieldTower(3, budget=6, seed=0), 7: tower7, 11: tower11}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_field_axioms_sampled(towers, k):
+    for tower in towers.values():
+        _check_field_axioms(tower.level(k), random.Random(1000 + k))
+
+
+def _check_field_axioms(lvl, rng):
     for _ in range(200):
         a, b, c = (rand_elem(lvl, rng) for _ in range(3))
         assert lvl.add(a, lvl.add(b, c)) == lvl.add(lvl.add(a, b), c)
@@ -29,6 +38,24 @@ def test_field_axioms_sampled(tower7, k):
         assert lvl.add(a, lvl.neg(a)) == lvl.zero
         if not lvl.is_zero(a):
             assert lvl.mul(a, lvl.inv(a)) == lvl.one
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_inverse_matches_fermat_power(towers, k):
+    """The inverse equals a^(q-2): every element for q <= 343, else samples."""
+    for p, tower in towers.items():
+        lvl = tower.level(k)
+        if lvl.q <= 343:
+            elems = list(lvl.elements())
+        else:
+            rng = random.Random(2000 * p + k)
+            elems = [rand_elem(lvl, rng) for _ in range(200)]
+        for a in elems:
+            if lvl.is_zero(a):
+                with pytest.raises(ZeroDivisionError):
+                    lvl.inv(a)
+            else:
+                assert lvl.inv(a) == lvl.pow_(a, lvl.q - 2), (p, k, a)
 
 
 def test_frobenius_fixes_prime_field(tower7):
@@ -97,18 +124,35 @@ def test_roots_of_split_poly(tower7):
         assert sorted(map(lvl.key, roots)) == sorted(map(lvl.key, [a, b]))
 
 
+def _upoly_add(a, b, lvl):
+    n = max(len(a), len(b))
+    a, b = (list(c) + [lvl.zero] * (n - len(c)) for c in (a, b))
+    return upoly_trim([lvl.add(x, y) for x, y in zip(a, b)], lvl)
+
+
 def test_upoly_divmod_identity(tower7):
-    lvl = tower7.level(1)
-    rng = random.Random(4)
-    for _ in range(50):
-        f = [rng.randrange(7) for _ in range(6)]
-        g = [rng.randrange(7) for _ in range(3)] + [1]
+    """f = q g + r with deg r < deg g; monic divisors at level 1, and at
+    level 3 leading coefficients 1, the constants 2..6 and random ones."""
+    for k in (1, 3):
+        _check_divmod(tower7.level(k), random.Random(4))
+
+
+def _check_divmod(lvl, rng):
+    for trial in range(50):
+        f = [rand_elem(lvl, rng) for _ in range(6)]
+        g = [rand_elem(lvl, rng) for _ in range(3)]
+        if lvl.k == 1 or trial % 3 == 0:
+            lead = lvl.one
+        elif trial % 3 == 1:
+            lead = lvl.from_int(2 + trial % 5)
+        else:
+            lead = lvl.zero
+            while lvl.is_zero(lead):
+                lead = rand_elem(lvl, rng)
+        g.append(lead)
         q, r = upoly_divmod(f, g, lvl)
-        recon = [lvl.add(x, y) for x, y in
-                 zip(upoly_mul(q, g, lvl) + [0] * 8, r + [0] * 8)]
-        f_pad = f + [0] * (len(recon) - len(f))
-        assert all(lvl.is_zero(lvl.sub(x, y))
-                   for x, y in zip(recon, f_pad))
+        assert len(r) < len(g)
+        assert _upoly_add(upoly_mul(q, g, lvl), r, lvl) == upoly_trim(f, lvl)
 
 
 def test_rationals_exact():

@@ -219,6 +219,35 @@ def test_subs_agrees_with_eval(tower7, over):
         assert f.subs((None,) * 3, lvl) == f.over(lvl)
 
 
+@pytest.mark.parametrize("over", ["GF7", "GF7^3", "QQ"])
+def test_eval_elems_matches_naive(tower7, over):
+    """eval_elems against term-by-term evaluation by repeated products, on
+    dense cubics whose monomials share exponents (x^2*y and x^2*z, ...)."""
+    rng = random.Random(5)
+    V = ("x", "y", "z", "w")
+    if over == "QQ":
+        lvl = QQ
+        draw = lambda: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+    else:
+        lvl = tower7.level(1 if over == "GF7" else 3)
+        draw = lambda: lvl.from_coeffs([rng.randrange(7) for _ in range(lvl.k)])
+    for trial in range(10):
+        f = MultiPoly(lvl, V, {e: draw() for e in itertools.product(
+            range(4), repeat=len(V)) if sum(e) <= 3})
+        vals = [draw() for _ in V]
+        if trial % 2:
+            vals[1] = vals[0]       # a repeated value
+            vals[3] = lvl.zero
+        naive = lvl.zero
+        for exps, c in f.terms.items():
+            t = c
+            for v, e in zip(vals, exps):
+                for _ in range(e):
+                    t = lvl.mul(t, v)
+            naive = lvl.add(naive, t)
+        assert f.eval_elems(vals) == naive
+
+
 def test_linear_forms_and_combine(tower7):
     lvl = tower7.level(1)
     rows = [[1, 0, 2], [0, 3, 0]]
