@@ -318,12 +318,23 @@ def _cmd_row_sum(args):
 
 # -- argument parsing ---------------------------------------------------------
 
+def _positive_int(text):
+    """argparse type for levels, budgets and sample counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="cubiclines",
         description="Exact line geometry on cubic hypersurfaces.")
     top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--budget", type=int,
+    top.add_argument("--budget", type=_positive_int,
                      default=int(os.environ.get("CUBICLINES_BUDGET", "6")))
     top.add_argument("--pretty", action="store_true")
     top.add_argument("--output", help="write the JSON report to this path")
@@ -338,19 +349,19 @@ def _build_parser():
 
     p = add("validate-cubic", _cmd_validate_cubic,
             cubic={"required": True})
-    p.add_argument("--max-level", type=int, default=2)
+    p.add_argument("--max-level", type=_positive_int, default=2)
 
     p = add("validate-curve", _cmd_validate_curve,
             cubic={"required": True}, curve={"required": True})
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=_positive_int, default=None)
 
     p = add("secants", _cmd_secants,
             cubic={"required": True}, curve={"required": True})
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=_positive_int, default=None)
 
     p = add("pair-secants", _cmd_pair_secants, cubic={"required": True},
             curve1={"required": True}, curve2={"required": True})
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=_positive_int, default=None)
 
     p = sub.add_parser("chow-eval")
     p.set_defaults(fn=_cmd_chow_eval)
@@ -369,23 +380,23 @@ def _build_parser():
 
     p = add("enumerate-lines", _cmd_enumerate_lines,
             cubic={"required": True})
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=_positive_int, default=1)
     p.add_argument("--no-second-type", action="store_true")
 
     p = add("lines-through-point", _cmd_lines_through_point,
             cubic={"required": True}, point={"required": True})
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=_positive_int, default=None)
 
     add("second-type", _cmd_second_type,
         cubic={"required": True}, line={"required": True})
 
     p = add("discriminant", _cmd_discriminant,
             cubic={"required": True}, line={"required": True})
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
 
     p = add("row-sum", _cmd_row_sum, cubic={"required": True},
             curve={"required": True}, line={"required": True})
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=_positive_int, default=None)
 
     return top
 

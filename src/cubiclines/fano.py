@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg
-from .curves import curve_meeting_data, line_as_curve
+from .curves import _normalize, curve_meeting_data, line_as_curve
 from .cubic import ProjLine, lines_through_point
 from .fields import BudgetError, VerificationError
 from .poly import MultiPoly
@@ -93,16 +93,76 @@ def _first_rows(fld, n):
                 yield u, j, vfree
 
 
+def _polar_cut(fld, elems, grad, j, vfree):
+    """Second rows v of first row u with grad F(u) . v = 0.
+
+    v has a one at the pivot column j and free values at the columns vfree.
+    The equation is solved for one free column where the gradient is
+    nonzero while the other free columns run over the field; when the
+    gradient vanishes on every free column, every v passes if grad[j] = 0
+    and none does otherwise.
+    """
+    solvable = [c for c in vfree if not fld.is_zero(grad[c])]
+    if solvable:
+        c0 = solvable[0]
+        rest = [c for c in vfree if c != c0]
+        scale = fld.neg(fld.inv(grad[c0]))
+    elif fld.is_zero(grad[j]):
+        c0, rest = None, vfree
+    else:
+        return
+    for vals in itertools.product(elems, repeat=len(rest)):
+        v = [fld.zero] * len(grad)
+        v[j] = fld.one
+        dot = grad[j]
+        for c, x in zip(rest, vals):
+            v[c] = x
+            dot = fld.add(dot, fld.mul(grad[c], x))
+        if c0 is not None:
+            v[c0] = fld.mul(scale, dot)
+        yield v
+
+
+def incidence(fld, spans):
+    """0/1 meeting matrix of distinct lines given by spanning pairs (a, b).
+
+    Two distinct lines defined over fld meet exactly when they share a
+    point over fld, because their intersection is a linear subspace
+    defined over fld.  The q + 1 points s*a + t*b of each line, (1:t) for t
+    in fld and (0:1), are normalized and bucketed; the lines in a bucket
+    meet pairwise.
+    """
+    elems = list(fld.elements())
+    buckets = {}
+    for idx, (a, b) in enumerate(spans):
+        pts = [[fld.add(x, fld.mul(t, y)) for x, y in zip(a, b)]
+               for t in elems]
+        pts.append(list(b))
+        for pt in pts:
+            buckets.setdefault(tuple(_normalize(pt, fld)), []).append(idx)
+    m = len(spans)
+    adjacency = [[0] * m for _ in range(m)]
+    for idxs in buckets.values():
+        for i, k in itertools.combinations(idxs, 2):
+            adjacency[i][k] = adjacency[k][i] = 1
+    return adjacency
+
+
 def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     """Exhaustive census of the lines on the hypersurface at one level.
 
     Scans the canonical echelon representatives (u, v) of the lines of P^n,
     refusing scans above the candidate guard.  F(u) is tested once per first
-    row u; for each u on X the second rows v are cut by the linear
+    row u.  For each u on X the second rows v are cut by the linear
     condition grad F(u) . v = 0, which is the polar form P1(u; v) (the
     linear term of F(u + lambda v) has no denominators in any
-    characteristic).  Every survivor is checked by full substitution
-    (F(u), F(v), P1, P2) before it is reported.
+    characteristic); the condition is solved for one coordinate of v rather
+    than tested, so only 1/q of the second rows are formed.  A cut row is
+    rejected on F(v) != 0 first (F is evaluated once per distinct second
+    row), and every survivor is checked by full substitution (F(u), F(v),
+    P1, P2) before it is reported.  Incidence
+    comes from shared rational points (see :func:`incidence`), with no
+    rank per pair of lines.
     """
     fld = tower.level(level)
     q = fld.p ** fld.k
@@ -115,33 +175,25 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     census = LineCensus(level=level, n=n)
     partials = [X.F.derivative(x) for x in X.F.vars]
     elems = list(fld.elements())
+    # F(v) = 0 per second row: they lie in the hyperplane x0 = 0 and recur
+    # for many first rows
+    v_on_x = {}
     for u, j, vfree in _first_rows(fld, n):
         if not fld.is_zero(X.f_at(u)):
             continue
         grad = [d.eval_elems(u) for d in partials]
-        for vvals in itertools.product(elems, repeat=len(vfree)):
-            dot = grad[j]
-            for c, x in zip(vfree, vvals):
-                dot = fld.add(dot, fld.mul(grad[c], x))
-            if not fld.is_zero(dot):
-                continue
-            v = [fld.zero] * (n + 1)
-            v[j] = fld.one
-            for c, x in zip(vfree, vvals):
-                v[c] = x
-            if X.line_in_x_points(u, v, fld):
+        for v in _polar_cut(fld, elems, grad, j, vfree):
+            key = tuple(v)
+            if key not in v_on_x:
+                v_on_x[key] = fld.is_zero(X.f_at(v))
+            if v_on_x[key] and X.line_in_x_points(u, v, fld):
                 census.lines.append(ProjLine(fld, u, v))
     census.lines.sort(key=lambda l: l.key())
-    m = len(census.lines)
-    census.adjacency = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if census.lines[i].meets(census.lines[j]):
-                census.adjacency[i][j] = census.adjacency[j][i] = 1
+    census.adjacency = incidence(fld, [l.rows for l in census.lines])
     if with_second_type:
         census.second_type = [second_type_test(X, l)[0] for l in census.lines]
     else:
-        census.second_type = [False] * m
+        census.second_type = [False] * census.count
     return census
 
 

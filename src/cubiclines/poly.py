@@ -210,7 +210,7 @@ class MultiPoly:
         """Substitute a MultiPoly (all over the same field/vars) per variable."""
         F = self.field
         tvars = args[0].vars
-        out = MultiPoly.zero(F, tvars)
+        out = {}
         pow_cache = [{0: MultiPoly.const(F, tvars, F.one)} for _ in args]
         for exps, c in self.terms.items():
             term = MultiPoly.const(F, tvars, c)
@@ -219,8 +219,14 @@ class MultiPoly:
                     if e not in pow_cache[i]:
                         pow_cache[i][e] = args[i].pow(e)
                     term = term * pow_cache[i][e]
-            out = out + term
-        return out
+            # in place, in the order that summing term by term gives
+            for e, t in term.terms.items():
+                s = F.add(out[e], t) if e in out else t
+                if F.is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
+        return MultiPoly(F, tvars, out)
 
     def map_field(self, new_field, conv):
         """Transport coefficients through conv into another field."""

@@ -180,6 +180,22 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
                     "--cubic", fixture_path("fermatQ_threefold.json"),
                     "--line", "1,-1,0,0,0;0,0,1,-1,0")
     assert code == 2 and doc is None
+    # levels, budgets and sample counts must be positive: a usage error
+    S7 = fixture_path("fermat7_surface.json")
+    conic = fixture_path("conic7.json")
+    for argv in (["enumerate-lines", "--cubic", S7, "--level", "0"],
+                 ["enumerate-lines", "--cubic", S7, "--level", "-1"],
+                 ["secants", "--cubic", X7, "--curve", conic,
+                  "--max-level", "0"],
+                 ["lines-through-point", "--cubic", X7,
+                  "--point", "1,2,3,5,0", "--max-level", "0"],
+                 ["validate-cubic", "--cubic", X7, "--max-level", "-2"],
+                 ["--budget", "0", "validate-cubic", "--cubic", X7],
+                 ["discriminant", "--cubic", X7,
+                  "--line", "1,6,0,0,0;0,0,1,6,0", "--samples", "0"],
+                 ["enumerate-lines", "--cubic", S7, "--level", "one"]):
+        code, doc = run(capsys, *argv)
+        assert code == 2 and doc is None, argv
     # a direction system that no coordinate change puts in general position
     from cubiclines import cubic
     monkeypatch.setattr(cubic, "_coeff_of_power", lambda P, var, d: None)

@@ -7,9 +7,10 @@ import pytest
 from cubiclines.cubic import (CubicForm, ProjLine, fermat_cubic,
                               lines_through_point, xvars)
 from cubiclines.curves import curve_from_json
-from cubiclines.fano import (DegenerateConfigurationError, correspondence_row,
-                             discriminant_quintic, enumerate_lines,
-                             sample_smoothness, second_type_test)
+from cubiclines.fano import (DegenerateConfigurationError, _polar_cut,
+                             correspondence_row, discriminant_quintic,
+                             enumerate_lines, incidence, sample_smoothness,
+                             second_type_test)
 from cubiclines.fields import FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
@@ -106,6 +107,8 @@ def census_cases():
 
 @pytest.mark.parametrize("cubic,tower,level,expected", census_cases())
 def test_census_matches_naive_scan(cubic, tower, level, expected):
+    """Lines, second-type flags and the shared-point incidence against a
+    full-substitution scan with pairwise rank tests (ProjLine.meets)."""
     census = enumerate_lines(cubic, tower, level=level)
     lines, adjacency, second_type = naive_census(cubic, tower, level=level)
     assert [l.key() for l in census.lines] == [l.key() for l in lines]
@@ -118,6 +121,145 @@ def test_census_matches_naive_scan(cubic, tower, level, expected):
         assert axis in census.lines
     else:
         assert census.count == expected
+
+
+def cut_by_filter(fld, grad, j, vfree):
+    """Second rows with grad . v = 0, by testing every row."""
+    out = []
+    for vals in itertools.product(list(fld.elements()), repeat=len(vfree)):
+        v = [fld.zero] * len(grad)
+        v[j] = fld.one
+        for c, x in zip(vfree, vals):
+            v[c] = x
+        dot = fld.zero
+        for g, x in zip(grad, v):
+            dot = fld.add(dot, fld.mul(g, x))
+        if fld.is_zero(dot):
+            out.append(v)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 2), (3, 1)])
+def test_polar_cut_solves_the_filter(p, k):
+    """The solved cut yields exactly the rows the filter keeps, once each,
+    for gradients that vanish on some free columns (the first one among
+    them), on all of them, and everywhere."""
+    fld = FieldTower(p, budget=2, seed=0).level(k)
+    elems = list(fld.elements())
+    rng = random.Random(p * 10 + k)
+    n, j = 4, 1
+    vfree = [2, 3, 4]
+    for trial in range(30):
+        grad = [rng.choice(elems) for _ in range(n + 1)]
+        if trial % 3 == 0:
+            grad[vfree[0]] = fld.zero
+        if trial % 5 == 0:
+            for c in vfree:
+                grad[c] = fld.zero
+        if trial % 10 == 0:
+            grad[j] = fld.zero
+        got = list(_polar_cut(fld, elems, grad, j, vfree))
+        assert sorted(got) == cut_by_filter(fld, grad, j, vfree)
+        assert len({tuple(v) for v in got}) == len(got)
+
+
+def test_polar_cut_rejects_all_when_only_pivot_gradient_survives(tower7):
+    """x0^2 x1 + x1^3 + x2^3 + x3^3 at u = (1:0:0:0) with pivot j = 1: the
+    gradient (0, 1, 0, 0) vanishes on the free columns 2, 3 but not at j,
+    so no second row passes and no line joins u to a point (0:1:a:b)."""
+    fld = tower7.level(1)
+    terms = {(2, 1, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1,
+             (0, 0, 0, 3): 1}
+    X = CubicForm(fld, 3, MultiPoly.from_int_terms(fld, xvars(3), terms))
+    u = [1, 0, 0, 0]
+    assert X.on_x(u)
+    grad = X.gradient_at(u)
+    assert grad == [0, 1, 0, 0]
+    assert list(_polar_cut(fld, list(fld.elements()), grad, 1, [2, 3])) == []
+    census = enumerate_lines(X, tower7, with_second_type=False)
+    assert not any(l.contains(u) and not fld.is_zero(l.rows[1][1])
+                   for l in census.lines)
+    assert [l.key() for l in census.lines] == [
+        l.key() for l in naive_census(X, tower7)[0]]
+
+
+def test_polar_cut_at_cone_vertex_keeps_every_row():
+    """At the vertex of the cone x1^3 + x2^3 + x3^3 the gradient is zero,
+    so every second row passes and the 9 lines through it are found."""
+    cone, tower = cone_over_plane_cubic(7)
+    fld = tower.level(1)
+    vertex = [1, 0, 0, 0]
+    grad = cone.gradient_at(vertex)
+    assert all(fld.is_zero(g) for g in grad)
+    rows = list(_polar_cut(fld, list(fld.elements()), grad, 1, [2, 3]))
+    assert len(rows) == 49
+    census = enumerate_lines(cone, tower, with_second_type=False)
+    assert census.count == 9 and all(l.contains(vertex) for l in census.lines)
+
+
+def test_every_reported_line_is_certified(monkeypatch):
+    """The full substitution check runs on the rows of every reported
+    line, and only on candidates whose second row is on X."""
+    cubic, tower = dense_through_line(3, 4, 6)
+    fld = tower.level(1)
+    certified = []
+    check = CubicForm.line_in_x_points
+
+    def recording(self, a, b, fld=None):
+        certified.append((tuple(a), tuple(b)))
+        assert self.on_x(b)
+        return check(self, a, b, fld)
+
+    monkeypatch.setattr(CubicForm, "line_in_x_points", recording)
+    census = enumerate_lines(cubic, tower, with_second_type=False)
+    assert census.count > 0
+    assert {l.rows for l in census.lines} <= set(certified)
+
+
+def test_incidence_through_second_row():
+    """Lines through e0 and e2 and through e1 and e2 share only e2, the
+    point (0:1) of both parameterizations; a third line is skew to both."""
+    fld = FieldTower(7, budget=2, seed=0).level(1)
+    lines = [ProjLine(fld, [1, 0, 0, 0], [0, 0, 1, 0]),
+             ProjLine(fld, [0, 1, 0, 0], [0, 0, 1, 0]),
+             ProjLine(fld, [1, 0, 0, 1], [0, 1, 0, 3])]
+    assert lines[0].rows[1] == lines[1].rows[1] == (0, 0, 1, 0)
+    expected = [[int(a is not b and a.meets(b)) for b in lines] for a in lines]
+    assert expected == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    assert incidence(fld, [l.rows for l in lines]) == expected
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 2)])
+def test_incidence_of_arbitrary_spans(p, k):
+    """Lines given by spanning pairs that are not in echelon form (scaled,
+    mixed rows): the shared-point incidence equals pairwise ranks."""
+    fld = FieldTower(p, budget=2, seed=0).level(k)
+    elems = list(fld.elements())
+    rng = random.Random(p + k)
+    n = 3
+    basis = [[rng.choice(elems) for _ in range(n + 1)] for _ in range(4)]
+    spans, lines = [], []
+    while len(lines) < 40:
+        # pairs drawn from a few fixed points, so many lines meet
+        a, b = rng.sample(basis, 2)
+        s, t = rng.choice(elems[1:]), rng.choice(elems)
+        a = [fld.mul(s, x) for x in a]
+        b = [fld.add(y, fld.mul(t, x)) for x, y in zip(a, b)]
+        if all(fld.is_zero(x) for x in a) or all(fld.is_zero(x) for x in b):
+            continue
+        try:
+            line = ProjLine(fld, a, b)
+        except ValueError:
+            continue
+        if line in lines:
+            continue
+        spans.append((a, b))
+        lines.append(line)
+        basis.append([fld.add(x, fld.mul(t, y)) for x, y in zip(a, b)])
+    expected = [[int(x is not y and x.meets(y)) for y in lines] for x in lines]
+    meeting = sum(map(sum, expected)) // 2
+    assert 0 < meeting < len(lines) * (len(lines) - 1) // 2
+    assert incidence(fld, spans) == expected
 
 
 def test_second_type_witness(threefold7, tower7):

@@ -3,8 +3,9 @@
 Every command-line example of the README, plus the secant count over the
 rationals (the one CLI path over QQ) and five reports that run the
 substitution layer (second-type witness, row sum, curve validation, the
-line-meeting pair mode, lines through a point of a surface), is rerun and
-its report compared byte for byte with the file under ``tests/golden/``.
+line-meeting pair mode, lines through a point of a surface) and the census
+of the threefold (incidence in P^4), is rerun and its report compared byte
+for byte with the file under ``tests/golden/``.
 Each case also fixes the exit code.
 """
 
@@ -29,6 +30,8 @@ CASES = {
                                "--curve2", fixture_path("line7_b.json")]),
     "enumerate_lines_surface7": (0, ["enumerate-lines", "--cubic",
                                      fixture_path("fermat7_surface.json")]),
+    # incidence in P^4: 135 lines, adjacency over pairs of lines in P^4
+    "enumerate_lines_threefold7": (0, ["enumerate-lines", "--cubic", X7]),
     "lines_through_point7": (0, ["lines-through-point", "--cubic", X7,
                                  "--point", "1,2,3,5,0"]),
     "chow_eval": (0, ["chow-eval", "D[a]*D[a]", "--bind", "e=3"]),

@@ -248,6 +248,35 @@ def test_eval_elems_matches_naive(tower7, over):
         assert f.eval_elems(vals) == naive
 
 
+@pytest.mark.parametrize("over", ["GF7", "GF7^3", "QQ"])
+def test_eval_polys_matches_sum_of_terms(tower7, over):
+    """eval_polys against the sum of its substituted terms, one MultiPoly
+    addition per monomial: the same terms in the same order, on dense
+    inputs where partial sums cancel and terms come back."""
+    rng = random.Random(6)
+    V, W = ("x", "y", "z", "w"), ("s", "t", "u")
+    if over == "QQ":
+        lvl = QQ
+        draw = lambda: Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))
+    else:
+        lvl = tower7.level(1 if over == "GF7" else 3)
+        draw = lambda: lvl.from_coeffs([rng.randrange(7) for _ in range(lvl.k)])
+    for _ in range(6):
+        f = MultiPoly(lvl, V, {e: draw() for e in itertools.product(
+            range(4), repeat=len(V)) if sum(e) <= 3})
+        args = [MultiPoly(lvl, W, {e: draw() for e in itertools.product(
+            range(3), repeat=len(W)) if sum(e) <= 2}) for _ in V]
+        summed = MultiPoly.zero(lvl, W)
+        for exps, c in f.terms.items():
+            term = MultiPoly.const(lvl, W, c)
+            for a, e in zip(args, exps):
+                term = term * a.pow(e)
+            summed = summed + term
+        got = f.eval_polys(args)
+        assert got.vars == W
+        assert list(got.terms.items()) == list(summed.terms.items())
+
+
 def test_linear_forms_and_combine(tower7):
     lvl = tower7.level(1)
     rows = [[1, 0, 2], [0, 3, 0]]
