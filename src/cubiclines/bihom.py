@@ -4,7 +4,9 @@ Equations live in the four variables (s0, s1, t0, t1) and are homogeneous
 in each pair separately.  Elimination is by the homogeneous Sylvester
 resultant in the t-pair with formal bidegrees, so vanishing leading
 coefficients (solutions at the points at infinity of either factor) are
-handled uniformly.
+handled uniformly.  ``lift_fibers`` turns the roots of a binary resultant
+into solutions with multiplicities; the lines-through-a-point solver in
+``cubic`` lifts its conic/cubic pair through the same function.
 """
 
 from __future__ import annotations
@@ -101,38 +103,54 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
     R = resultant(g1d, g2d, "t0", deg_f=d1t, deg_g=d2t)
     if R.is_zero():
         raise PositiveDimensionalError("equations share a common component")
-    rm = binary_roots(R, tower, max_level=max_level, formal_degree=bezout)
-    out = BihomSolutions(total_degree=bezout, complete=rm.complete)
-    for lv, (a0, a1), mult in rm.roots:
-        lvl = tower.level(lv)
+
+    def fiber(lvl, a):
         forms, degs = [], []
         for G, dt in ((G1, d1t), (G2, d2t)):
-            spec = G.subs((a0, a1, None, None), lvl)
+            spec = G.subs((a[0], a[1], None, None), lvl)
             if not spec.is_zero():
                 forms.append(spec)
                 degs.append(dt)
         if not forms:
             raise PositiveDimensionalError("a fiber line lies in the zero set")
-        g = binary_gcd(forms, degrees=degs)
+        return binary_gcd(forms, degrees=degs)
+
+    out = lift_fibers(R, bezout, fiber, tower, max_level)
+    _verify_solutions(out, (G1, G2), tower)
+    _sort_solutions(out, tower)
+    return out
+
+
+def lift_fibers(R, degree, fiber, tower, max_level=None):
+    """Common zeros over the roots of a binary resultant, with multiplicities.
+
+    R is a binary form of formal degree ``degree`` in the base pair;
+    ``fiber(lvl, a)`` returns the binary form (the gcd of the specialized
+    equations) whose roots are the fiber points over the root a found at
+    the level lvl.  A root's multiplicity goes whole to a lone fiber point
+    of a complete split, is shared in proportion to the fiber
+    multiplicities when that is integral, and otherwise falls back to the
+    fiber multiplicity with ``certified`` False.  Solutions are
+    (level, base point, fiber point, multiplicity), unverified and unsorted.
+    """
+    rm = binary_roots(R, tower, max_level=max_level, formal_degree=degree)
+    out = BihomSolutions(total_degree=degree, complete=rm.complete)
+    for lv, a, mult in rm.roots:
+        g = fiber(tower.level(lv), a)
+        tot = g.degree()
         frm = binary_roots(g, tower, max_level=max_level)
         out.complete = out.complete and frm.complete
-        fr = frm.roots
-        if not fr:
-            continue
-        tot = g.degree()
-        for flv, (b0, b1), fm in fr:
-            if len(fr) == 1 and frm.complete:
+        for flv, b, fm in frm.roots:
+            if len(frm.roots) == 1 and frm.complete:
                 m = mult
             elif (mult * fm) % tot == 0:
                 m = (mult * fm) // tot
             else:
                 m = fm
                 out.certified = False
-            tlvl = tower.level(flv)
-            c0, c1 = tlvl.embed_from(a0, lv), tlvl.embed_from(a1, lv)
-            out.solutions.append((flv, (c0, c1), (b0, b1), m))
-    _verify_solutions(out, (G1, G2), tower)
-    _sort_solutions(out, tower)
+            flvl = tower.level(flv)
+            out.solutions.append(
+                (flv, tuple(flvl.embed_from(x, lv) for x in a), b, m))
     return out
 
 

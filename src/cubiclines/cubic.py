@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg
-from .fields import QQ, FieldTower, VerificationError, upoly_gcd
-from .poly import (MultiPoly, binary_gcd, binary_roots, resultant,
-                   roots_in_tower, to_dense)
+from .bihom import lift_fibers
+from .fields import QQ, FieldTower, VerificationError
+from .poly import MultiPoly, binary_gcd, binary_roots, resultant
 
 
 def xvars(n):
@@ -274,7 +274,7 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     if m == 2:
         sols = _solve_binary_pair(Q, K, tower, max_level)
     else:
-        sols = _solve_conic_cubic(Q, K, F, tower, max_level, seed)
+        sols = _solve_conic_cubic(Q, K, tower, max_level, seed)
     if sols is None:
         res.eckardt = True
         return res
@@ -300,8 +300,15 @@ def _solve_binary_pair(Q, K, tower, max_level):
     return [(lv, pt, m) for lv, pt, m in rm.roots], rm.complete
 
 
-def _solve_conic_cubic(Q, K, F, tower, max_level, seed):
-    """Solve a conic/cubic pair in P^2 exactly; None signals positive dim."""
+def _solve_conic_cubic(Q, K, tower, max_level, seed):
+    """Solve a conic/cubic pair in P^2 exactly; None signals positive dim.
+
+    After a coordinate change that makes c3^2 in Q and c3^3 in K appear with
+    nonzero constant coefficients, (0:0:1) lies on neither curve, so the
+    resultant in c3 sees every solution and each fiber over a root (a1:a2)
+    is the binary form in (c3, w) of the points (w*a1 : w*a2 : c3).
+    """
+    F = Q.field
     cvars = Q.vars
     rng = random.Random("ltp:%d" % seed)
     for attempt in range(24):
@@ -320,19 +327,25 @@ def _solve_conic_cubic(Q, K, F, tower, max_level, seed):
         R = resultant(Qt, Kt, cvars[2], deg_f=2, deg_g=3)
         if R.is_zero():
             return None
-        sols = _fiber_solutions(Qt, Kt, R, F, tower, max_level)
-        if sols is None:
-            continue
-        roots, complete = sols
-        if cols is not None:
-            # map each solution back: c = M c'
-            back = []
-            for lv, pt, m in roots:
+
+        def fiber(lvl, a):
+            forms = [MultiPoly(lvl, (cvars[2], "w"),
+                               {(e[0], d - e[0]): c for e, c in
+                                P.subs((a[0], a[1], None), lvl).terms.items()})
+                     for P, d in ((Qt, 2), (Kt, 3))]
+            return binary_gcd(forms, degrees=[2, 3])
+
+        sols = lift_fibers(R, 6, fiber, tower, max_level)
+        roots = []
+        for lv, a, b, m in sols.solutions:
+            pt = (a[0], a[1], b[0])
+            if cols is not None:
+                # map each solution back: c = M c'
                 lvl = tower.level(lv)
                 rows = [[lvl.embed_from(x, F.k) for x in col] for col in cols]
-                back.append((lv, tuple(linalg.combine(pt, rows, lvl)), m))
-            roots = back
-        return roots, complete
+                pt = tuple(linalg.combine(pt, rows, lvl))
+            roots.append((lv, pt, m))
+        return roots, sols.complete
     raise CoordinateChangeError("no usable coordinate change found for the "
                                 "conic/cubic pair of directions")
 
@@ -354,46 +367,6 @@ def _random_unimodular(F, rng):
              for _ in range(3)]
         if linalg.rank(M, F) == 3:
             return M
-
-
-def _fiber_solutions(Q, K, R, F, tower, max_level):
-    """Roots of R (binary in c1,c2) with fiber c3 values from gcds."""
-    cvars = Q.vars
-    rm = binary_roots(R, tower, max_level=max_level, formal_degree=6)
-    out = []
-    complete = rm.complete
-    for lv, (a1, a2), mult in rm.roots:
-        lvl = tower.level(lv)
-        Qs = Q.subs((a1, a2, None), lvl)
-        Ks = K.subs((a1, a2, None), lvl)
-        dq = to_dense(Qs) if not Qs.is_zero() else []
-        dk = to_dense(Ks) if not Ks.is_zero() else []
-        if dq and dk:
-            g = upoly_gcd(dq, dk, lvl)
-        else:
-            g = dq or dk
-        if len(g) - 1 <= 0:
-            # resultant root with empty fiber: bad coordinates, retry
-            return None
-        gpoly = MultiPoly(lvl, (cvars[2],), {(i,): c for i, c in enumerate(g)})
-        frm = roots_in_tower(gpoly, tower, max_level=max_level)
-        complete = complete and frm.complete
-        fr = frm.roots
-        if not fr:
-            continue
-        distinct = len(fr)
-        tot = sum(m for _, _, m in fr)
-        for flv, beta, fm in fr:
-            if distinct == 1 and frm.complete:
-                m = mult
-            elif (mult * fm) % tot == 0:
-                m = (mult * fm) // tot
-            else:
-                m = fm
-            tlvl = tower.level(flv)
-            b1, b2 = tlvl.embed_from(a1, lv), tlvl.embed_from(a2, lv)
-            out.append((flv, (b1, b2, beta), m))
-    return out, complete
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +519,7 @@ def _split_rank2_conic(C, vertex, F, tower, max_level):
     return out
 
 
-def ambient_line_from_plane_form(plane_basis, ell, lvl, cubic, tower):
+def ambient_line_from_plane_form(plane_basis, ell, lvl, cubic):
     """ProjLine in P^n cut out on the plane by a linear plane-coord form."""
     F = cubic.field
     ker = linalg.kernel_basis([list(ell)], lvl)

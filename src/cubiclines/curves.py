@@ -153,34 +153,32 @@ class CurveValidation:
                 and self.node_free)
 
 
-def _s_forms(curve):
-    """The coordinate forms phi_i(s0, s1) as forms in (s0, s1, t0, t1)."""
-    F = curve.field
-    return [MultiPoly(F, STVARS, {(e0, e1, 0, 0): c
-                                  for (e0, e1), c in p.terms.items()})
+def _side_forms(curve, side):
+    """The coordinate forms phi_i as forms in (s0, s1, t0, t1), in the
+    parameter pair ``side`` ("s" or "t")."""
+    pad = (0, 0)
+    return [MultiPoly(curve.field, STVARS,
+                      {(e + pad if side == "s" else pad + e): c
+                       for e, c in p.terms.items()})
             for p in curve.coords]
 
 
-def _t_forms(curve):
-    """The coordinate forms phi_i(t0, t1) as forms in (s0, s1, t0, t1)."""
-    F = curve.field
-    return [MultiPoly(F, STVARS, {(0, 0, e0, e1): c
-                                  for (e0, e1), c in p.terms.items()})
-            for p in curve.coords]
+def _pair_minors(curve1, curve2):
+    """The nonzero forms phi1_i(s) phi2_j(t) - phi1_j(s) phi2_i(t), i < j."""
+    phis, phit = _side_forms(curve1, "s"), _side_forms(curve2, "t")
+    out = []
+    for i in range(len(phis)):
+        for j in range(i + 1, len(phis)):
+            M = phis[i] * phit[j] - phis[j] * phit[i]
+            if not M.is_zero():
+                out.append(M)
+    return out
 
 
 def coincidence_minors(curve):
     """The forms (phi_i(s) phi_j(t) - phi_j(s) phi_i(t)) / (s0 t1 - s1 t0)."""
     delta = diagonal_form(curve.field)
-    phis, phit = _s_forms(curve), _t_forms(curve)
-    out = []
-    for i in range(len(phis)):
-        for j in range(i + 1, len(phis)):
-            M = phis[i] * phit[j] - phis[j] * phit[i]
-            if M.is_zero():
-                continue
-            out.append(M.exact_div(delta))
-    return out
+    return [M.exact_div(delta) for M in _pair_minors(curve, curve)]
 
 
 def validate_curve(cubic, curve, tower=None, max_level=None):
@@ -297,13 +295,7 @@ def curve_meeting_data(curve1, curve2, tower=None, max_level=None):
         raise ValueError("curves must live over the same level")
     if tower is None:
         tower = F.tower
-    phis, phit = _s_forms(curve1), _t_forms(curve2)
-    mins = []
-    for i in range(len(phis)):
-        for j in range(i + 1, len(phis)):
-            M = phis[i] * phit[j] - phis[j] * phit[i]
-            if not M.is_zero():
-                mins.append(M)
+    mins = _pair_minors(curve1, curve2)
     if not mins:
         raise ValueError("images coincide in a single point")
     sols = _solve_system(mins, ((curve1.e, curve2.e),), tower, max_level)

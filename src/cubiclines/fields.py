@@ -496,6 +496,14 @@ def upoly_divmod(a, b, lvl):
     return upoly_trim(quot, lvl), upoly_trim(a, lvl)
 
 
+def _exact_quo(a, b, lvl):
+    """Quotient of dense polynomials whose division must leave no remainder."""
+    q, r = upoly_divmod(a, b, lvl)
+    if r:
+        raise VerificationError("inexact polynomial division")
+    return q
+
+
 def upoly_gcd(a, b, lvl):
     a, b = list(a), list(b)
     while b:
@@ -552,10 +560,7 @@ def roots_of_split_poly(f, lvl, rng):
             h = upoly_trim(h, lvl)
             w = upoly_gcd(h, g, lvl)
             if 0 < len(w) - 1 < d:
-                q, r = upoly_divmod(g, w, lvl)
-                if r:
-                    raise VerificationError("inexact polynomial division")
                 stack.append(w)
-                stack.append(q)
+                stack.append(_exact_quo(g, w, lvl))
                 break
     return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .fields import (
     QQ,
     BudgetError,
-    VerificationError,
+    _exact_quo,
     roots_of_split_poly,
     upoly_divmod,
     upoly_gcd,
@@ -409,10 +409,6 @@ def to_dense(f, name=None):
     return upoly_trim(out, f.field)
 
 
-def from_dense(coeffs, field, name="t"):
-    return MultiPoly(field, (name,), {(i,): c for i, c in enumerate(coeffs)})
-
-
 def squarefree_decompose(f, name=None):
     """Squarefree decomposition of a univariate polynomial.
 
@@ -436,9 +432,7 @@ def squarefree_decompose(f, name=None):
             merged[key] = (fac, merged[key][1] + m)
         else:
             merged[key] = (fac, m)
-    out = [(from_dense(fac, F, name).rename_vars(f.vars) if len(f.vars) == 1
-            else _lift_univar(fac, f, name), m)
-           for fac, m in merged.values()]
+    out = [(_lift_univar(fac, f, name), m) for fac, m in merged.values()]
     out.sort(key=lambda fm: (len(to_dense(fm[0], name)), fm[0].sort_key()))
     return unit, out
 
@@ -487,14 +481,6 @@ def _sqfree_dense(f, F, mult=1):
         # residual p-th power content
         out.extend(_sqfree_dense(a, F, mult))
     return out
-
-
-def _exact_quo(a, b, F):
-    """Quotient of dense polynomials whose division must leave no remainder."""
-    q, r = upoly_divmod(a, b, F)
-    if r:
-        raise VerificationError("inexact polynomial division")
-    return q
 
 
 def _pth_root_dense(f, F):

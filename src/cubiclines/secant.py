@@ -4,7 +4,8 @@ A line through two points of X lies on X iff both mixed polar forms vanish
 on the pair, so secants of one curve (or of a pair) are cut out by two
 bihomogeneous equations on P^1 x P^1.  Single mode removes the universal
 order-2 diagonal vanishing exactly; pair mode excises the coincidence
-solutions at common points of the two images.
+solutions at common points of the two images (and, in line mode, the
+degenerate fibers of a line through such a point).
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ from dataclasses import dataclass, field
 from . import linalg
 from .bihom import (
     STVARS,
+    SVARS,
+    TVARS,
     PositiveDimensionalError,
     divide_diagonal,
     solve_bihomog,
 )
 from .cubic import ProjLine, ambient_line_from_plane_form, plane_residual
-from .curves import (_curve_point, _normalize, _s_forms, _t_forms,
-                     curve_meeting_data, validate_curve)
+from .curves import (_curve_point, _normalize, _side_forms, curve_meeting_data,
+                     validate_curve)
 from .fields import VerificationError
 from .poly import MultiPoly
 
@@ -60,10 +63,10 @@ def build_system(cubic, curve_a, curve_b=None):
     if curve_b is not None and curve_b.field is not F:
         raise ValueError("curves must live over the same level")
     X = cubic._over(F)
-    sf = _s_forms(curve_a)
-    tf = _t_forms(curve_b if curve_b is not None else curve_a)
-    G1 = X.P1.eval_polys(sf + tf)
-    G2 = X.P2.eval_polys(sf + tf)
+    forms = (_side_forms(curve_a, "s")
+             + _side_forms(curve_b if curve_b is not None else curve_a, "t"))
+    G1 = X.P1.eval_polys(forms)
+    G2 = X.P2.eval_polys(forms)
     ea = curve_a.e
     eb = curve_b.e if curve_b is not None else ea
     bidegs = ((2 * ea, eb), (ea, 2 * eb))
@@ -201,7 +204,7 @@ def count_secants_single(cubic, curve, tower=None, max_level=None,
         lvl = tower.level(lv)
         line = ProjLine(lvl, _curve_point(curve, s, lvl),
                         _curve_point(curve, t, lvl))
-        _assert_secant_line(cubic, line, tower, lv)
+        _assert_secant_line(cubic, line)
         report.lines.append(_finish_line(line, tower, lv, s, t, m, "secant"))
     _sort_report(report)
     return report
@@ -234,9 +237,12 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
                        meeting=None):
     """Secants meeting both curves once each, against 5 e1 e2 - 6 r.
 
-    When one member is a line through a point of the other curve the whole
-    fiber over that point degenerates; the fiber's linear factor is divided
-    out and the expected count switches to 5 e - 5.
+    Line mode: when one member is a line through r >= 1 points of the
+    other curve, the whole fiber over each meeting parameter of the other
+    curve degenerates.  Its linear factor is divided out, which lowers the
+    formal bidegrees; the solutions at any meeting parameter are excised
+    with the coincidences; the Bezout excess left at each meeting point is
+    2 instead of 6; and the expected count switches to 5 e - 5.
     """
     F = curve1.field
     if curve2.field is not F:
@@ -250,73 +256,36 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     if r > 0 and all(line_sides):
         raise ValueError("two meeting lines span a plane; no secant count")
     system = build_system(cubic, curve1, curve2)
-    if r > 0 and any(line_sides):
-        return _count_line_meeting(cubic, curve1, curve2, tower, max_level,
-                                   meeting, system)
-    report = SecantReport(mode="pair",
-                          expected=expected_pair(curve1.e, curve2.e, r))
-    try:
-        sols = solve_bihomog(system.G1, system.G2, tower, max_level=max_level,
-                             bidegrees=system.bidegrees)
-    except PositiveDimensionalError:
-        report.outcome = "infinitely_many"
-        return report
-    report.complete = sols.complete
-    report.certified = sols.certified
-    excised = {}
-    for lv, s, t, m in sols.solutions:
-        lvl = tower.level(lv)
-        a = _curve_point(curve1, s, lvl)
-        b = _curve_point(curve2, t, lvl)
-        if _proportional(a, b, lvl):
-            key = (lv, tuple(lvl.key(x) for x in _normalize(a, lvl)))
-            excised[key] = excised.get(key, 0) + m
-            continue
-        line = ProjLine(lvl, a, b)
-        _assert_secant_line(cubic, line, tower, lv)
-        report.lines.append(_finish_line(line, tower, lv, s, t, m, "secant"))
-    report.excised = [(lv, pt, excised[(lv, pt)]) for lv, pt in sorted(excised)]
-    _absorb_second_type(report, cubic, curve1, curve2, meeting, tower,
-                        max_level, excised, base_excess=6)
-    _sort_report(report)
-    return report
-
-
-def _count_line_meeting(cubic, curve1, curve2, tower, max_level, meeting,
-                        system):
-    """Pair count when one curve is a line through r >= 1 common points."""
-    F = curve1.field
-    line_is_first = curve1.e == 1
-    e = curve2.e if line_is_first else curve1.e
-    report = SecantReport(mode="pair", expected=expected_line_meeting(e))
     G1, G2 = system.G1, system.G2
     (d1s, d1t), (d2s, d2t) = system.bidegrees
     bad_s, bad_t = [], []
-    for mp in meeting.points:
-        if mp.level != F.k:
-            raise ValueError("meeting parameters above the curve level "
-                             "are not supported in line mode")
-        for t in mp.t_params:
-            bad_t.append(t)
-        for s in mp.s_params:
-            bad_s.append(s)
-    if line_is_first:
-        # the fibers {t = t*} degenerate
-        for t in bad_t:
-            lam = MultiPoly(F, STVARS, {(0, 0, 1, 0): t[1],
-                                        (0, 0, 0, 1): F.neg(t[0])})
+    if r > 0 and any(line_sides):
+        expected = expected_line_meeting(curve2.e if line_sides[0]
+                                         else curve1.e)
+        # after the linear divisions the Bezout excess at each meeting point
+        # is 2, plus the multiplicities of the second-type secants there
+        base_excess = 2
+        for mp in meeting.points:
+            if mp.level != F.k:
+                raise ValueError("meeting parameters above the curve level "
+                                 "are not supported in line mode")
+            bad_s.extend(mp.s_params)
+            bad_t.extend(mp.t_params)
+        # the fibers over the other curve's meeting parameters degenerate
+        bad, pair = (bad_t, TVARS) if line_sides[0] else (bad_s, SVARS)
+        u0, u1 = (MultiPoly.var(F, STVARS, v) for v in pair)
+        for p in bad:
+            lam = u0.scale(p[1]) - u1.scale(p[0])
             G1 = G1.exact_div(lam)
             G2 = G2.exact_div(lam)
-            d1t -= 1
-            d2t -= 1
+        if line_sides[0]:
+            d1t, d2t = d1t - len(bad), d2t - len(bad)
+        else:
+            d1s, d2s = d1s - len(bad), d2s - len(bad)
     else:
-        for s in bad_s:
-            lam = MultiPoly(F, STVARS, {(1, 0, 0, 0): s[1],
-                                        (0, 1, 0, 0): F.neg(s[0])})
-            G1 = G1.exact_div(lam)
-            G2 = G2.exact_div(lam)
-            d1s -= 1
-            d2s -= 1
+        expected = expected_pair(curve1.e, curve2.e, r)
+        base_excess = 6
+    report = SecantReport(mode="pair", expected=expected)
     try:
         sols = solve_bihomog(G1, G2, tower, max_level=max_level,
                              bidegrees=((d1s, d1t), (d2s, d2t)))
@@ -329,24 +298,18 @@ def _count_line_meeting(cubic, curve1, curve2, tower, max_level, meeting,
     for lv, s, t, m in sols.solutions:
         lvl = tower.level(lv)
         a = _curve_point(curve1, s, lvl)
-        if (_param_matches(s, bad_s, lvl, F)
-                or _param_matches(t, bad_t, lvl, F)):
-            key = (lv, tuple(lvl.key(x) for x in _normalize(a, lvl)))
-            excised[key] = excised.get(key, 0) + m
-            continue
         b = _curve_point(curve2, t, lvl)
-        if _proportional(a, b, lvl):
+        if (_param_matches(s, bad_s, lvl, F) or _param_matches(t, bad_t, lvl, F)
+                or _proportional(a, b, lvl)):
             key = (lv, tuple(lvl.key(x) for x in _normalize(a, lvl)))
             excised[key] = excised.get(key, 0) + m
             continue
         line = ProjLine(lvl, a, b)
-        _assert_secant_line(cubic, line, tower, lv)
+        _assert_secant_line(cubic, line)
         report.lines.append(_finish_line(line, tower, lv, s, t, m, "secant"))
     report.excised = [(lv, pt, excised[(lv, pt)]) for lv, pt in sorted(excised)]
-    # after one linear division the Bezout excess at each meeting point is 2,
-    # plus the multiplicities of the second-type secants through that point
     _absorb_second_type(report, cubic, curve1, curve2, meeting, tower,
-                        max_level, excised, base_excess=2)
+                        max_level, excised, base_excess)
     _sort_report(report)
     return report
 
@@ -422,7 +385,7 @@ def _second_type_lines(cubic, curve1, curve2, mp, tower, max_level):
     seen = set()
     for clv, ell in cands:
         l2 = tower.level(clv)
-        line = ambient_line_from_plane_form(basis, ell, l2, X, tower)
+        line = ambient_line_from_plane_form(basis, ell, l2, X)
         if not line.contains([l2.embed_from(v, mp.level) for v in mp.point]):
             continue
         if known is not None and clv == mp.level and line == known:
@@ -456,7 +419,7 @@ def _proportional(a, b, lvl):
     return True
 
 
-def _assert_secant_line(cubic, line, tower, lv):
+def _assert_secant_line(cubic, line):
     if not cubic._over(line.field).line_in_x(line):
         raise VerificationError("reported secant is not contained in X")
 

@@ -4,7 +4,8 @@ import pytest
 
 from cubiclines.bihom import (BihomSolutions, PositiveDimensionalError,
                               STVARS, _verify_solutions, bidegree,
-                              diagonal_form, divide_diagonal, solve_bihomog)
+                              diagonal_form, divide_diagonal, lift_fibers,
+                              solve_bihomog)
 from cubiclines.fields import VerificationError
 from cubiclines.poly import MultiPoly
 
@@ -137,3 +138,38 @@ def test_verify_solutions_rejects_bogus_solution(tower7):
     bogus = BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)])
     with pytest.raises(VerificationError):
         _verify_solutions(bogus, (G,), tower7)
+
+
+def binary_linear(lvl, names, root):
+    """The binary form u0 - root*u1 in the pair ``names`` over GF(7)."""
+    return MultiPoly.from_int_terms(lvl, names, {(1, 0): 1, (0, 1): -root})
+
+
+@pytest.mark.parametrize("mult, fiber_roots, expected, certified", [
+    # one fiber point takes the whole multiplicity of the resultant root
+    (3, [3], [(3, 3)], True),
+    # a double root over two simple fiber points: 2 * 1 / 2 each
+    (2, [1, 3], [(1, 1), (3, 1)], True),
+    # a triple root over two simple points: 3 * 1 / 2 is not integral, so
+    # each point falls back to its fiber multiplicity, uncertified
+    (3, [1, 3], [(1, 1), (3, 1)], False),
+])
+def test_lift_fibers_split_rule(tower7, mult, fiber_roots, expected,
+                                certified):
+    """The multiplicity split, driven by a fake fiber over GF(7)."""
+    lvl = tower7.level(1)
+    R = binary_linear(lvl, ("s0", "s1"), 2).pow(mult)
+    seen = []
+
+    def fiber(flvl, a):
+        seen.append((flvl.k, a))
+        g = MultiPoly.const(lvl, ("t0", "t1"), lvl.one)
+        for r in fiber_roots:
+            g = g * binary_linear(lvl, ("t0", "t1"), r)
+        return g
+
+    sols = lift_fibers(R, mult, fiber, tower7)
+    assert seen == [(1, (2, 1))]
+    assert sols.complete and sols.total_degree == mult
+    assert sols.certified is certified
+    assert sols.solutions == [(1, (2, 1), (b, 1), m) for b, m in expected]

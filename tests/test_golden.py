@@ -5,7 +5,8 @@ rationals (the one CLI path over QQ) and five reports that run the
 substitution layer (second-type witness, row sum, curve validation, the
 line-meeting pair mode, lines through a point of a surface) and the census
 of the threefold (incidence in P^4), is rerun and its report compared byte
-for byte with the file under ``tests/golden/``.
+for byte with the file under ``tests/golden/``.  Two more cases run on a
+dense smooth threefold over GF(11) instead of a Fermat cubic.
 Each case also fixes the exit code.
 """
 
@@ -14,11 +15,18 @@ import os
 import pytest
 
 from cubiclines.cli import main
-from conftest import fixture_path
+from conftest import fixture_json, fixture_path
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 X7 = fixture_path("fermat7_threefold.json")
+
+# the first GF(11) configuration of the `solve` benchmark's seed 1
+# (perfbench/wl_solve.py, generate(1)): a dense cubic with 31 monomials,
+# a conic on it and a line meeting the conic once
+X11 = fixture_path("dense11_threefold.json")
+MEET11 = ";".join(",".join(str(c) for c in row) for row in zip(
+    *fixture_json("dense11_meetline.json")["coords"]))
 
 # name -> (expected exit code, argv after the global flags)
 CASES = {
@@ -58,6 +66,15 @@ CASES = {
         "lines-through-point",
         "--cubic", fixture_path("fermat7_surface.json"),
         "--point", "1,2,3,3"]),
+    # the counts are right: six distinct lines (one multiplicity each, all
+    # over GF(11^6)) through the configuration's first point
+    "lines_through_point_dense11": (0, ["lines-through-point", "--cubic", X11,
+                                        "--point", "4,6,6,0,8"]),
+    # the counts are right: the row total is 5 = 5e - 5, with 6 lines
+    # through the meeting point and an excision of multiplicity 2 there
+    "row_sum_dense11": (0, ["row-sum", "--cubic", X11,
+                            "--curve", fixture_path("dense11_conic.json"),
+                            "--line", MEET11]),
 }
 
 

@@ -152,7 +152,7 @@ def test_secant_line_check_rejects_line_off_x(threefold7, tower7):
     lvl = tower7.level(1)
     off = ProjLine(lvl, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
     with pytest.raises(VerificationError):
-        _assert_secant_line(threefold7, off, tower7, 1)
+        _assert_secant_line(threefold7, off)
 
 
 OPTIMIZED_CHECKS = """
@@ -176,7 +176,7 @@ off = ProjLine(lvl, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
 checks = (
     lambda: _verify_solutions(BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)]),
                               (G,), tower),
-    lambda: _assert_secant_line(fermat_cubic(lvl, 4), off, tower, 1),
+    lambda: _assert_secant_line(fermat_cubic(lvl, 4), off),
     lambda: _exact_quo([1, 0, 1], [1, 1], lvl),
     lambda: fano.correspondence_row(fermat_cubic(lvl, 4), conic, meet, tower),
     lambda: chow.residue_surface_classes("single"),
