@@ -133,12 +133,12 @@ def lift_fibers(R, degree, fiber, tower, max_level=None):
     fiber multiplicity with ``certified`` False.  Solutions are
     (level, base point, fiber point, multiplicity), unverified and unsorted.
     """
-    rm = binary_roots(R, tower, max_level=max_level, formal_degree=degree)
+    rm = binary_roots(R, max_level=max_level, formal_degree=degree)
     out = BihomSolutions(total_degree=degree, complete=rm.complete)
     for lv, a, mult in rm.roots:
         g = fiber(tower.level(lv), a)
         tot = g.degree()
-        frm = binary_roots(g, tower, max_level=max_level)
+        frm = binary_roots(g, max_level=max_level)
         out.complete = out.complete and frm.complete
         for flv, b, fm in frm.roots:
             if len(frm.roots) == 1 and frm.complete:

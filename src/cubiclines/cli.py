@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import chow, fano
@@ -334,8 +333,7 @@ def _build_parser():
         prog="cubiclines",
         description="Exact line geometry on cubic hypersurfaces.")
     top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--budget", type=_positive_int,
-                     default=int(os.environ.get("CUBICLINES_BUDGET", "6")))
+    top.add_argument("--budget", type=_positive_int, default=6)
     top.add_argument("--pretty", action="store_true")
     top.add_argument("--output", help="write the JSON report to this path")
     sub = top.add_subparsers(dest="command", required=True)
@@ -412,14 +410,8 @@ def main(argv=None):
     except chow.UnboundParameterError as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 3
-    except chow.ChowSyntaxError as ex:
-        sys.stderr.write("error: %s\n" % ex)
-        return 2
-    except UsageError as ex:
-        sys.stderr.write("error: %s\n" % ex)
-        return 2
-    except (BudgetError, NotImplementedError, BasePointError,
-            NotOnXError, CoordinateChangeError) as ex:
+    except (chow.ChowSyntaxError, UsageError, BudgetError, NotImplementedError,
+            BasePointError, NotOnXError, CoordinateChangeError) as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2
     except (ValueError, AssertionError) as ex:

@@ -170,12 +170,10 @@ class CubicForm:
 
     def line_in_x(self, line):
         """F vanishes identically on the line."""
-        a, b = line.rows
-        F = self.field
-        return (F.is_zero(self.f_at(a)) and F.is_zero(self.f_at(b))
-                and F.is_zero(self.p1_at(a, b)) and F.is_zero(self.p2_at(a, b)))
+        return self.line_in_x_points(*line.rows)
 
     def line_in_x_points(self, a, b, fld=None):
+        """F vanishes identically on the line through a and b over fld."""
         F = fld or self.field
         Fm = self._over(F)
         return (F.is_zero(Fm.f_at(a)) and F.is_zero(Fm.f_at(b))
@@ -272,7 +270,7 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
         res.eckardt = True
         return res
     if m == 2:
-        sols = _solve_binary_pair(Q, K, tower, max_level)
+        sols = _solve_binary_pair(Q, K, max_level)
     else:
         sols = _solve_conic_cubic(Q, K, tower, max_level, seed)
     if sols is None:
@@ -291,13 +289,13 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     return res
 
 
-def _solve_binary_pair(Q, K, tower, max_level):
+def _solve_binary_pair(Q, K, max_level):
     """Common projective roots of two binary forms (n = 3 case)."""
     g = binary_gcd([Q, K], degrees=[2, 3])
     if g.degree() <= 0:
         return [], True
-    rm = binary_roots(g, tower, max_level=max_level)
-    return [(lv, pt, m) for lv, pt, m in rm.roots], rm.complete
+    rm = binary_roots(g, max_level=max_level)
+    return rm.roots, rm.complete
 
 
 def _solve_conic_cubic(Q, K, tower, max_level, seed):
@@ -421,34 +419,21 @@ def plane_residual(cubic, plane_basis, known_line=None, tower=None, max_level=2)
     T = restrict_to_plane(cubic, plane_basis)
     if T.is_zero():
         return PlaneSection(status="plane_in_X")
-    sec = PlaneSection(status="decomposed", cubic=T)
     if known_line is not None:
-        ell = plane_line_form(plane_basis, known_line, F)
-        lf = _linear_form_poly(ell, F)
-        conic = T.exact_div(lf)
-        sec.line_form = ell
-        sec.conic = conic
-        cls, lines = classify_conic(conic, F, tower, max_level)
-        sec.conic_class = cls
-        sec.conic_lines = lines
-        sec.components_degrees = [1] + ([1, 1] if cls != "smooth" else [2])
-        return sec
-    # full linear-factor search over low tower levels
-    found = _find_linear_factor(T, F, tower, max_level)
-    if found is None:
-        sec.status = "no_linear_factor"
-        sec.components_degrees = [3]
-        return sec
-    lvl, lf = found
-    conic = T.over(lvl).exact_div(lf)
-    sec.line_form = [lf.terms.get(tuple(1 if i == j else 0 for i in range(3)),
-                                  lvl.zero) for j in range(3)]
-    sec.conic = conic
+        lvl, ell = F, plane_line_form(plane_basis, known_line, F)
+    else:
+        # full linear-factor search over low tower levels
+        found = _find_linear_factor(T, F, tower, max_level)
+        if found is None:
+            return PlaneSection(status="no_linear_factor", cubic=T,
+                                components_degrees=[3])
+        lvl, ell = found
+    conic = T.over(lvl).exact_div(_linear_form_poly(ell, lvl))
     cls, lines = classify_conic(conic, lvl, tower, max_level)
-    sec.conic_class = cls
-    sec.conic_lines = lines
-    sec.components_degrees = [1] + ([1, 1] if cls != "smooth" else [2])
-    return sec
+    degrees = [1, 2] if cls == "smooth" else [1, 1, 1]
+    return PlaneSection(status="decomposed", cubic=T, line_form=ell,
+                        conic=conic, conic_class=cls, conic_lines=lines,
+                        components_degrees=degrees)
 
 
 def _find_linear_factor(T, F, tower, max_level):
@@ -460,9 +445,8 @@ def _find_linear_factor(T, F, tower, max_level):
         lvl = tower.level(k)
         Tl = T.over(lvl)
         for ell in _proj_points(lvl, 2):
-            lf = _linear_form_poly(ell, lvl)
-            if Tl.divides_exactly(lf) is not None:
-                return lvl, lf
+            if Tl.divides_exactly(_linear_form_poly(ell, lvl)) is not None:
+                return lvl, ell
     return None
 
 
@@ -505,7 +489,7 @@ def _split_rank2_conic(C, vertex, F, tower, max_level):
     if any(e[0] for e in Cn.terms):
         raise VerificationError("rank-2 conic depends on its vertex coordinate")
     qf = Cn.subs((F.one, None, None))
-    rm = binary_roots(qf, tower, max_level=max_level, formal_degree=2)
+    rm = binary_roots(qf, max_level=max_level, formal_degree=2)
     out = []
     for lv, (r0, r1), mult in rm.roots:
         lvl = tower.level(lv)

@@ -52,9 +52,10 @@ class RationalCurve:
         self.e = e
         self.coords = coords
 
-    def point_at(self, s):
-        vals = list(s)
-        return [c.eval_elems(vals) for c in self.coords]
+    def point_at(self, s, lvl=None):
+        """The image point phi(s) of a parameter s over the level lvl."""
+        lvl = lvl or self.field
+        return [c.over(lvl).eval_elems(list(s)) for c in self.coords]
 
     def jacobian_at(self, s, lvl=None):
         """Rows d(phi)/d(s0) and d(phi)/d(s1) evaluated at the parameter."""
@@ -71,7 +72,7 @@ class RationalCurve:
     def tangent_rows_at(self, s, lvl=None):
         """Spanning rows of the embedded tangent line at a smooth parameter."""
         lvl = lvl or self.field
-        pt = _curve_point(self, s, lvl)
+        pt = self.point_at(s, lvl)
         jac = self.jacobian_at(s, lvl)
         for row in jac:
             if linalg.rank([pt, row], lvl) == 2:
@@ -304,7 +305,7 @@ def curve_meeting_data(curve1, curve2, tower=None, max_level=None):
     by_point = {}
     for lv, s, t, _m in sols.solutions:
         lvl = tower.level(lv)
-        pt = _normalize(_curve_point(curve1, s, lvl), lvl)
+        pt = _normalize(curve1.point_at(s, lvl), lvl)
         key = (lv, tuple(lvl.key(x) for x in pt))
         rec = by_point.setdefault(key, MeetingPoint(lv, tuple(pt), [], [], True))
         if s not in rec.s_params:
@@ -316,11 +317,6 @@ def curve_meeting_data(curve1, curve2, tower=None, max_level=None):
         rec.transversal = _is_transversal(curve1, curve2, rec, lvl)
     points = [by_point[k] for k in sorted(by_point)]
     return MeetingData(points=points, complete=sols.complete)
-
-
-def _curve_point(curve, s, lvl):
-    """The image point phi(s) of a parameter s over the level lvl."""
-    return [c.over(lvl).eval_elems(list(s)) for c in curve.coords]
 
 
 def _normalize(pt, lvl):

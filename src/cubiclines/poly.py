@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials over an exact field, with resultants,
-squarefree decomposition and root extraction over a field tower.
+and root extraction over a field tower, which runs on dense coefficient
+lists from the binary form to the roots.
 
 No floating point anywhere; elimination is resultant-based (Sylvester
 determinants with fraction-free Bareiss reduction) by design.
@@ -103,9 +104,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
-
-    def sort_key(self):
-        return tuple(sorted((e, self.field.key(c)) for e, c in self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -392,60 +390,33 @@ def _bareiss_det(mat, F, variables):
 
 
 # ---------------------------------------------------------------------------
-# univariate utilities (MultiPoly in one variable <-> dense element lists)
+# univariate root finding on dense element lists (coefficients by degree)
 # ---------------------------------------------------------------------------
 
-def to_dense(f, name=None):
-    if len(f.vars) != 1 and name is None:
-        raise ValueError("to_dense needs a univariate polynomial")
-    name = name or f.vars[0]
+def to_dense(f, name):
+    """Coefficients of f by degree in name, with the other variables set to one.
+
+    For a binary form this is its dehomogenization.
+    """
     i = f.vars.index(name)
-    if any(e for exps in f.terms for j, e in enumerate(exps) if j != i and e):
-        raise ValueError("polynomial involves other variables")
-    d = f.degree(name)
-    out = [f.field.zero] * (d + 1)
+    F = f.field
+    out = [F.zero] * (f.degree(name) + 1)
     for exps, c in f.terms.items():
-        out[exps[i]] = c
-    return upoly_trim(out, f.field)
+        out[exps[i]] = F.add(out[exps[i]], c)
+    return upoly_trim(out, F)
 
 
-def squarefree_decompose(f, name=None):
-    """Squarefree decomposition of a univariate polynomial.
+def squarefree_decompose(f, F):
+    """Squarefree decomposition of a nonzero dense polynomial over F.
 
-    Returns (unit, [(factor: MultiPoly, multiplicity)]) with monic pairwise
-    coprime squarefree factors.  Uses Yun over the rationals and the
+    Returns [(factor, multiplicity)] with monic, pairwise coprime,
+    squarefree dense factors.  Uses Yun's walk over the rationals and the
     p-th-power refinement in positive characteristic.
     """
-    if f.is_zero():
+    if not f:
         raise ValueError("squarefree decomposition of zero")
-    name = name or f.vars[0]
-    F = f.field
-    dense = to_dense(f, name)
-    unit = dense[-1]
-    inv = F.inv(unit)
-    dense = [F.mul(c, inv) for c in dense]
-    pairs = _sqfree_dense(dense, F)
-    merged = {}
-    for fac, m in pairs:
-        key = tuple(F.key(c) for c in fac)
-        if key in merged:
-            merged[key] = (fac, merged[key][1] + m)
-        else:
-            merged[key] = (fac, m)
-    out = [(_lift_univar(fac, f, name), m) for fac, m in merged.values()]
-    out.sort(key=lambda fm: (len(to_dense(fm[0], name)), fm[0].sort_key()))
-    return unit, out
-
-
-def _lift_univar(dense, template, name):
-    i = template.vars.index(name)
-    terms = {}
-    for d, c in enumerate(dense):
-        if not template.field.is_zero(c):
-            e = [0] * len(template.vars)
-            e[i] = d
-            terms[tuple(e)] = c
-    return MultiPoly(template.field, template.vars, terms)
+    inv = F.inv(f[-1])
+    return _sqfree_dense([F.mul(c, inv) for c in f], F)
 
 
 def _deriv_dense(f, F):
@@ -496,77 +467,77 @@ def _pth_root_dense(f, F):
     return out
 
 
-# ---------------------------------------------------------------------------
-# roots over a tower
-# ---------------------------------------------------------------------------
-
 class RootMultiset:
     """Roots of a univariate polynomial found inside a field tower.
 
-    Each entry is (level, root, multiplicity); ``complete`` says whether the
-    polynomial split entirely within the budget, with leftover irreducible
-    factor data recorded in ``unsplit``.
+    ``roots`` holds (level, root, multiplicity) entries; ``unsplit`` holds
+    (relative degree, base level, multiplicity) for each piece whose roots
+    lie beyond the level budget, and ``complete`` says there is none.
     """
 
-    def __init__(self, roots, degree, unsplit=None):
-        self.roots = list(roots)
-        self.degree = degree
-        self.unsplit = list(unsplit or [])
+    def __init__(self, roots, unsplit):
+        self.roots = roots
+        self.unsplit = unsplit
 
     @property
     def complete(self):
         return not self.unsplit
 
-    @property
-    def total_multiplicity(self):
-        return sum(m for _, _, m in self.roots)
 
-    def __iter__(self):
-        return iter(self.roots)
+def roots_in_tower(f, lvl, max_level=None):
+    """All roots of a nonzero dense polynomial over lvl, up to max_level.
 
-    def __len__(self):
-        return len(self.roots)
-
-    def __repr__(self):
-        return "RootMultiset(%r, unsplit=%r)" % (self.roots, self.unsplit)
-
-
-def rational_roots(f, name=None):
-    """All rational roots, with multiplicity, of a univariate poly over QQ."""
-    name = name or f.vars[0]
-    dense = to_dense(f, name)
-    if not dense:
+    Each squarefree factor is cut into pieces whose roots share a level:
+    over GF(p^k) by the distinct-degree split, a piece of relative degree
+    m having its roots at level k*m (found by Cantor-Zassenhaus), and over
+    QQ, which has no extension levels and so ignores max_level, into its
+    rational linear factors and one unsplit rest.
+    """
+    if not f:
         raise ValueError("zero polynomial")
-    _, factors = squarefree_decompose(f, name)
+    tower = lvl.tower
+    K = max_level if max_level is not None and lvl.char else tower.budget
+    if K > tower.budget:
+        raise BudgetError("max level %d exceeds budget %d" % (K, tower.budget))
+    base = lvl.level
     roots = []
     unsplit = []
-    for fac, m in factors:
-        rem = to_dense(fac, name)
-        found = []
-        while len(rem) > 1 and rem[0] == 0:
-            rem = rem[1:]
-            found.append(Fraction(0))
-        if len(rem) > 1:
-            for cand in _rational_candidates(rem):
-                while len(rem) > 1 and _dense_eval(rem, cand, QQ) == 0:
-                    rem = _exact_quo(rem, [-cand, Fraction(1)], QQ)
+    rng = random.Random("roots:%d:%d" % (tower.p, tower.seed))
+    for fac, m in squarefree_decompose(f, lvl):
+        pieces = _distinct_degree(fac, lvl) if lvl.char else _rational_split(fac)
+        for rel_deg, piece in pieces:
+            target = base * rel_deg
+            if target > K:
+                unsplit.append((rel_deg, base, m))
+                continue
+            tgt = tower.level(target)
+            lifted = [tgt.embed_from(c, base) for c in piece]
+            for r in roots_of_split_poly(lifted, tgt, rng):
+                roots.append((target, r, m))
+    roots.sort(key=lambda t: (t[0], tower.level(t[0]).key(t[1])))
+    return RootMultiset(roots, unsplit)
+
+
+def _rational_split(f):
+    """Linear factors of a monic squarefree f over QQ, then the rest.
+
+    Candidates come from the rational root theorem; the rest, of degree
+    m > 1, is one piece of relative degree m.
+    """
+    found = []
+    if f[0] == 0:
+        f = f[1:]
+        found.append(QQ.zero)
+    lcm = math.lcm(*(c.denominator for c in f))
+    # f is monic, so lcm is its leading coefficient once cleared
+    for num in _divisors(int(f[0] * lcm)):
+        for den in _divisors(lcm):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if len(f) > 1 and sum(c * cand ** i for i, c in enumerate(f)) == 0:
+                    f = _exact_quo(f, [-cand, QQ.one], QQ)
                     found.append(cand)
-        for cand in sorted(set(found)):
-            roots.append((1, cand, m * found.count(cand)))
-        if len(rem) - 1 > 0:
-            unsplit.append((len(rem) - 1, 1, m))
-    roots.sort(key=lambda t: (t[0], QQ.key(t[1])))
-    return RootMultiset(roots, len(dense) - 1, unsplit)
-
-
-def _rational_candidates(dense):
-    lcm = math.lcm(*(c.denominator for c in dense))
-    ints = [int(c * lcm) for c in dense]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for pnum in _divisors(a0):
-        for pden in _divisors(an):
-            yield Fraction(pnum, pden)
-            yield Fraction(-pnum, pden)
+    rest = [(len(f) - 1, f)] if len(f) > 1 else []
+    return [(1, [-r, QQ.one]) for r in found] + rest
 
 
 def _divisors(n):
@@ -581,51 +552,6 @@ def _divisors(n):
             out.add(n // d)
         d += 1
     return sorted(out)
-
-
-def _dense_eval(f, x, F):
-    acc = F.zero
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def roots_in_tower(f, tower, max_level=None, name=None):
-    """All roots of a univariate polynomial within tower levels <= max_level.
-
-    Coefficients may live at any level d; roots of a factor of relative
-    degree m are reported at level d*m.  Works over QQ by falling back to
-    rational root extraction (no extensions of QQ are modeled).
-    """
-    if f.field.char == 0:
-        return rational_roots(f, name)
-    name = name or f.vars[0]
-    K = max_level if max_level is not None else tower.budget
-    if K > tower.budget:
-        raise BudgetError("max level %d exceeds budget %d" % (K, tower.budget))
-    lvl = f.field
-    base_level = lvl.level
-    dense = to_dense(f, name)
-    if not dense:
-        raise ValueError("zero polynomial")
-    degree = len(dense) - 1
-    _, factors = squarefree_decompose(f, name)
-    roots = []
-    unsplit = []
-    rng = random.Random("roots:%d:%d" % (tower.p, tower.seed))
-    for fac, m in factors:
-        d = to_dense(fac, name)
-        for rel_deg, piece in _distinct_degree(d, lvl):
-            target = base_level * rel_deg
-            if target > K:
-                unsplit.append((rel_deg, base_level, m))
-                continue
-            tgt = tower.level(target)
-            lifted = [tgt.embed_from(c, base_level) for c in piece]
-            for r in roots_of_split_poly(lifted, tgt, rng):
-                roots.append((target, r, m))
-    roots.sort(key=lambda t: (t[0], tower.level(t[0]).key(t[1])))
-    return RootMultiset(roots, degree, unsplit)
 
 
 def _distinct_degree(f, lvl):
@@ -658,26 +584,22 @@ def _distinct_degree(f, lvl):
 # binary (two-variable homogeneous) form helpers
 # ---------------------------------------------------------------------------
 
-def binary_roots(form, tower, max_level=None, formal_degree=None):
+def binary_roots(form, max_level=None, formal_degree=None):
     """Projective roots [a:1] and possibly [1:0] of a binary form.
 
     Returns a RootMultiset whose root values are pairs (a, b) of field
     elements normalized so the last nonzero coordinate is 1; the point at
     infinity is ((one, zero)).
     """
-    s0 = form.vars[0]
     F = form.field
-    if tower is None:
-        tower = F.tower
     d = formal_degree if formal_degree is not None else form.degree()
-    de = form.subs((None, F.one))
-    finite_deg = de.degree()
-    inf_mult = d - finite_deg
-    rm = roots_in_tower(de, tower, max_level=max_level, name=s0)
-    roots = [(lv, (r, tower.level(lv).one), m) for lv, r, m in rm.roots]
+    dense = to_dense(form, form.vars[0])
+    rm = roots_in_tower(dense, F, max_level=max_level)
+    roots = [(lv, (r, F.tower.level(lv).one), m) for lv, r, m in rm.roots]
+    inf_mult = d - (len(dense) - 1)
     if inf_mult > 0:
         roots.insert(0, (F.k, (F.one, F.zero), inf_mult))
-    return RootMultiset(roots, d, rm.unsplit)
+    return RootMultiset(roots, rm.unsplit)
 
 
 def binary_gcd(forms, degrees=None):
@@ -691,7 +613,7 @@ def binary_gcd(forms, degrees=None):
     infs = []
     for i, f in enumerate(forms):
         d = degrees[i] if degrees else f.degree()
-        de = to_dense_in(f, s0)
+        de = to_dense(f, s0)
         denses.append(de)
         infs.append(d - (len(de) - 1))
     g = denses[0]
@@ -705,14 +627,3 @@ def binary_gcd(forms, degrees=None):
         if not F.is_zero(c):
             terms[(i, total - i)] = c
     return MultiPoly(F, (s0, s1), terms)
-
-
-def to_dense_in(f, name):
-    """Dense coefficient list in one variable of a form (other vars collapse)."""
-    i = f.vars.index(name)
-    d = f.degree(name)
-    F = f.field
-    out = [F.zero] * (d + 1)
-    for exps, c in f.terms.items():
-        out[exps[i]] = F.add(out[exps[i]], c)
-    return upoly_trim(out, F)

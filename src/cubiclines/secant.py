@@ -22,8 +22,7 @@ from .bihom import (
     solve_bihomog,
 )
 from .cubic import ProjLine, ambient_line_from_plane_form, plane_residual
-from .curves import (_curve_point, _normalize, _side_forms, curve_meeting_data,
-                     validate_curve)
+from .curves import _normalize, _side_forms, curve_meeting_data, validate_curve
 from .fields import VerificationError
 from .poly import MultiPoly
 
@@ -202,8 +201,7 @@ def count_secants_single(cubic, curve, tower=None, max_level=None,
             report.certified = False
         s, t, m = entries[0]
         lvl = tower.level(lv)
-        line = ProjLine(lvl, _curve_point(curve, s, lvl),
-                        _curve_point(curve, t, lvl))
+        line = ProjLine(lvl, curve.point_at(s, lvl), curve.point_at(t, lvl))
         _assert_secant_line(cubic, line)
         report.lines.append(_finish_line(line, tower, lv, s, t, m, "secant"))
     _sort_report(report)
@@ -297,8 +295,8 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     excised = {}
     for lv, s, t, m in sols.solutions:
         lvl = tower.level(lv)
-        a = _curve_point(curve1, s, lvl)
-        b = _curve_point(curve2, t, lvl)
+        a = curve1.point_at(s, lvl)
+        b = curve2.point_at(t, lvl)
         if (_param_matches(s, bad_s, lvl, F) or _param_matches(t, bad_t, lvl, F)
                 or _proportional(a, b, lvl)):
             key = (lv, tuple(lvl.key(x) for x in _normalize(a, lvl)))

@@ -205,6 +205,14 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: no usable coordinate change")
 
 
+def test_budget_default_is_not_read_from_environment(capsys, monkeypatch):
+    """--budget is set by the flag alone; without it the budget is 6."""
+    for value in ("x", "0"):
+        monkeypatch.setenv("CUBICLINES_BUDGET", value)
+        code, doc = run(capsys, "derive-count", "--e", "4", "--g", "0")
+        assert code == 0 and doc["config"]["budget"] == 6
+
+
 def test_output_deterministic(tmp_path, capsys):
     paths = [tmp_path / ("out%d.json" % i) for i in range(2)]
     for p in paths:

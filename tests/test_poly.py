@@ -6,9 +6,8 @@ import pytest
 
 from cubiclines import linalg
 from cubiclines.fields import QQ
-from cubiclines.poly import (MultiPoly, binary_gcd, binary_roots,
-                             rational_roots, resultant, roots_in_tower,
-                             squarefree_decompose)
+from cubiclines.poly import (MultiPoly, binary_gcd, binary_roots, resultant,
+                             roots_in_tower, squarefree_decompose, to_dense)
 
 
 def rand_poly(lvl, variables, rng, deg=2, terms=4):
@@ -78,11 +77,11 @@ def test_squarefree_decompose(tower7):
     x = MultiPoly.var(lvl, V, "x")
     c = lambda n: MultiPoly.const(lvl, V, n)
     f = (x - c(1)).pow(3) * (x - c(2)).pow(2) * (x - c(3))
-    _unit, parts = squarefree_decompose(f)
-    by_mult = {m: g for g, m in parts if g.degree() > 0}
+    parts = squarefree_decompose(to_dense(f, "x"), lvl)
+    by_mult = {m: g for g, m in parts if len(g) > 1}
     assert set(by_mult) == {1, 2, 3}
-    assert by_mult[3] == x - c(1)
-    assert by_mult[2] == x - c(2)
+    assert by_mult[3] == to_dense(x - c(1), "x")
+    assert by_mult[2] == to_dense(x - c(2), "x")
 
 
 def test_roots_in_tower_vs_bruteforce(tower7):
@@ -93,7 +92,7 @@ def test_roots_in_tower_vs_bruteforce(tower7):
         coeffs = [rng.randrange(7) for _ in range(4)] + [1]
         f = MultiPoly.from_int_terms(lvl, V, {(i,): c for i, c in
                                               enumerate(coeffs) if c})
-        rm = roots_in_tower(f, tower7, max_level=4, name="x")
+        rm = roots_in_tower(to_dense(f, "x"), lvl, max_level=4)
         assert rm.complete
         for k in (1, 2):
             ext = tower7.level(k)
@@ -118,10 +117,41 @@ def test_root_multiplicities_sum_to_degree(tower7):
     x = MultiPoly.var(lvl, V, "x")
     c = lambda n: MultiPoly.const(lvl, V, n)
     f = (x - c(2)).pow(4) * (x.pow(2) - c(3))  # 3 is a non-residue mod 7
-    rm = roots_in_tower(f, tower7, max_level=4, name="x")
+    rm = roots_in_tower(to_dense(f, "x"), lvl, max_level=4)
     assert rm.complete
     assert sum(m for _, _, m in rm.roots) == 6
     assert {lv for lv, _, _ in rm.roots} == {1, 2}
+
+
+def test_root_multiplicities_in_characteristic_p(tower7):
+    # multiplicities divisible by 7 make the derivative of a squarefree
+    # part vanish, so the decomposition must take p-th roots (at level 2
+    # of coefficients too, through c -> c^7)
+    def roots_of(lvl, factors):
+        x = MultiPoly.var(lvl, ("x",), "x")
+        f = MultiPoly.const(lvl, ("x",), lvl.one)
+        for r, m in factors:
+            f = f * (x - MultiPoly.const(lvl, ("x",), r)).pow(m)
+        rm = roots_in_tower(to_dense(f, "x"), lvl, max_level=2)
+        assert rm.complete
+        return {(lv, tower7.level(lv).key(r)): m for lv, r, m in rm.roots}
+
+    l1, l2 = tower7.level(1), tower7.level(2)
+    assert roots_of(l1, [(1, 7), (2, 8), (3, 14), (4, 49)]) == {
+        (1, (1,)): 7, (1, (2,)): 8, (1, (3,)): 14, (1, (4,)): 49}
+    g = l2.gen()
+    assert roots_of(l2, [(g, 8), (l2.one, 7)]) == {
+        (2, l2.key(g)): 8, (2, l2.key(l2.one)): 7}
+    h = l2.add(g, l2.one)  # (x - h)^14 takes the 7th root of h^7
+    assert roots_of(l2, [(g, 8), (l2.one, 7), (h, 14)]) == {
+        (2, l2.key(g)): 8, (2, l2.key(l2.one)): 7, (2, l2.key(h)): 14}
+    # (x^2 - 3)^7 over GF(7): 3 is a non-residue, roots at level 2
+    x = MultiPoly.var(l1, ("x",), "x")
+    f = (x.pow(2) - MultiPoly.const(l1, ("x",), 3)).pow(7)
+    rm = roots_in_tower(to_dense(f, "x"), l1, max_level=2)
+    assert rm.complete and [(lv, m) for lv, _r, m in rm.roots] == [(2, 7)] * 2
+    assert all(l2.mul(r, r) == l2.from_int(3) for _lv, r, _m in rm.roots)
+    assert not roots_in_tower(to_dense(f, "x"), l1, max_level=1).complete
 
 
 def test_binary_roots_infinity(tower7):
@@ -130,7 +160,7 @@ def test_binary_roots_infinity(tower7):
     # s1^2 * (s0 - 3 s1): the two s1 factors plus the two formal-degree
     # excess factors all land on the point at infinity [1:0]
     form = MultiPoly.from_int_terms(lvl, V, {(1, 2): 1, (0, 3): -3})
-    rm = binary_roots(form, tower7, max_level=2, formal_degree=5)
+    rm = binary_roots(form, max_level=2, formal_degree=5)
     inf = [r for r in rm.roots if r[1][1] == lvl.zero]
     assert len(inf) == 1 and inf[0][2] == 4
     finite = [r for r in rm.roots if r[1][1] != lvl.zero]
@@ -142,7 +172,7 @@ def test_binary_roots_level_of_infinity_matches_form_field(tower7):
     lvl = tower7.level(2)
     V = ("t0", "t1")
     form = MultiPoly(lvl, V, {(1, 0): lvl.one})  # t0: root [0:1] only
-    rm = binary_roots(form, tower7, max_level=4, formal_degree=2)
+    rm = binary_roots(form, max_level=4, formal_degree=2)
     for lv, (a, b), _m in rm.roots:
         ext = tower7.level(lv)
         assert lv % lvl.k == 0 or lv == lvl.k
@@ -167,7 +197,7 @@ def test_rational_roots():
     x = MultiPoly.var(QQ, V, "x")
     c = lambda n: MultiPoly.const(QQ, V, Fraction(n))
     f = (x - c(2)) * (x + c(Fraction(1, 3))) * (x.pow(2) - c(2))
-    rm = rational_roots(f, "x")
+    rm = roots_in_tower(to_dense(f, "x"), QQ)
     vals = sorted(r for _, r, _m in rm.roots)
     assert vals == [Fraction(-1, 3), Fraction(2)]
     assert not rm.complete  # sqrt(2) factor has no rational roots
