@@ -73,7 +73,7 @@ class BihomSolutions:
         return sum(m for _, _, _, m in self.solutions)
 
 
-def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
+def solve_bihomog(G1, G2, max_level=None, bidegrees=None):
     """All isolated common zeros of two bihomogeneous forms on P^1 x P^1.
 
     Raises PositiveDimensionalError when the two forms share a component
@@ -81,8 +81,6 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
     bidegrees, needed when leading coefficient forms vanish identically.
     """
     F = G1.field
-    if tower is None:
-        tower = F.tower
     if G1.is_zero() or G2.is_zero():
         raise PositiveDimensionalError("an equation vanishes identically")
     if bidegrees is None:
@@ -92,11 +90,10 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
     if d1t == 0 and d2t == 0:
         return _pure_s_case(G1, G2, d1s, d2s)
     if d1s == 0 and d2s == 0:
-        sols = solve_bihomog(_swap_st(G1), _swap_st(G2), tower,
-                             max_level=max_level,
+        sols = solve_bihomog(_swap_st(G1), _swap_st(G2), max_level=max_level,
                              bidegrees=((d1t, d1s), (d2t, d2s)))
         sols.solutions = [(lv, t, s, m) for lv, s, t, m in sols.solutions]
-        _sort_solutions(sols, tower)
+        _sort_solutions(sols, F)
         return sols
     # t1 = 1: polynomials in (s0, s1, t0)
     g1d, g2d = (G.subs((None, None, None, F.one)) for G in (G1, G2))
@@ -115,13 +112,13 @@ def solve_bihomog(G1, G2, tower, max_level=None, bidegrees=None):
             raise PositiveDimensionalError("a fiber line lies in the zero set")
         return binary_gcd(forms, degrees=degs)
 
-    out = lift_fibers(R, bezout, fiber, tower, max_level)
-    _verify_solutions(out, (G1, G2), tower)
-    _sort_solutions(out, tower)
+    out = lift_fibers(R, bezout, fiber, max_level)
+    _verify_solutions(out, (G1, G2))
+    _sort_solutions(out, F)
     return out
 
 
-def lift_fibers(R, degree, fiber, tower, max_level=None):
+def lift_fibers(R, degree, fiber, max_level=None):
     """Common zeros over the roots of a binary resultant, with multiplicities.
 
     R is a binary form of formal degree ``degree`` in the base pair;
@@ -133,6 +130,7 @@ def lift_fibers(R, degree, fiber, tower, max_level=None):
     fiber multiplicity with ``certified`` False.  Solutions are
     (level, base point, fiber point, multiplicity), unverified and unsorted.
     """
+    tower = R.field.tower
     rm = binary_roots(R, max_level=max_level, formal_degree=degree)
     out = BihomSolutions(total_degree=degree, complete=rm.complete)
     for lv, a, mult in rm.roots:
@@ -169,7 +167,8 @@ def _pure_s_case(G1, G2, d1s, d2s):
     return BihomSolutions(total_degree=0)
 
 
-def _verify_solutions(out, eqs, tower):
+def _verify_solutions(out, eqs):
+    tower = eqs[0].field.tower
     cache = {}
     for lv, s, t, _m in out.solutions:
         lvl = tower.level(lv)
@@ -181,9 +180,9 @@ def _verify_solutions(out, eqs, tower):
                 raise VerificationError("solution fails substitution")
 
 
-def _sort_solutions(out, tower):
+def _sort_solutions(out, F):
     def key(sol):
         lv, s, t, m = sol
-        lvl = tower.level(lv)
+        lvl = F.tower.level(lv)
         return (lv, tuple(lvl.key(x) for x in s), tuple(lvl.key(x) for x in t))
     out.solutions.sort(key=key)

@@ -41,7 +41,7 @@ def _load_json(path):
 def _load_cubic(path, budget, seed):
     doc = _load_json(path)
     try:
-        return cubic_from_json(doc, budget=budget, seed=seed)
+        return cubic_from_json(doc, budget=budget, seed=seed)[0]
     except (KeyError, ValueError) as ex:
         raise UsageError("bad cubic file %s: %s" % (path, ex))
 
@@ -135,10 +135,10 @@ def _emit(args, command, result, matched):
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_validate_cubic(args):
-    cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    cubic = _load_cubic(args.cubic, args.budget, args.seed)
     if cubic.field.char == 0:
         raise UsageError("smoothness probing enumerates points; needs p > 0")
-    cert = smoothness_probe(cubic, tower, max_level=args.max_level or 2,
+    cert = smoothness_probe(cubic, max_level=args.max_level or 2,
                             seed=args.seed)
     result = {
         "smooth_so_far": cert.smooth_so_far,
@@ -151,9 +151,9 @@ def _cmd_validate_cubic(args):
 
 
 def _cmd_validate_curve(args):
-    cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    cubic = _load_cubic(args.cubic, args.budget, args.seed)
     curve = _load_curve(args.curve, cubic.field)
-    val = validate_curve(cubic, curve, tower, max_level=args.max_level)
+    val = validate_curve(cubic, curve, max_level=args.max_level)
     result = {
         "e": val.e, "on_x": val.on_x, "base_point_free": val.base_point_free,
         "birational": val.birational, "nodes": val.nodes, "cusps": val.cusps,
@@ -171,12 +171,11 @@ def _secant_result(report):
 
 
 def _cmd_secants(args):
-    cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    cubic = _load_cubic(args.cubic, args.budget, args.seed)
     curve = _load_curve(args.curve, cubic.field)
     if curve.e < 2:
         raise UsageError("a line has no secant scheme; use pair-secants")
-    report = count_secants_single(cubic, curve, tower,
-                                  max_level=args.max_level)
+    report = count_secants_single(cubic, curve, max_level=args.max_level)
     result = _secant_result(report)
     matched = (result["count_matches_formula"] and report.complete
                and report.certified)
@@ -184,10 +183,10 @@ def _cmd_secants(args):
 
 
 def _cmd_pair_secants(args):
-    cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    cubic = _load_cubic(args.cubic, args.budget, args.seed)
     curve1 = _load_curve(args.curve1, cubic.field)
     curve2 = _load_curve(args.curve2, cubic.field)
-    report = count_secants_pair(cubic, curve1, curve2, tower,
+    report = count_secants_pair(cubic, curve1, curve2,
                                 max_level=args.max_level)
     result = _secant_result(report)
     matched = (result["count_matches_formula"] and report.complete
@@ -231,18 +230,18 @@ def _cmd_relation_check(args):
 
 
 def _cmd_enumerate_lines(args):
-    cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    cubic = _load_cubic(args.cubic, args.budget, args.seed)
     if cubic.field.char == 0:
         raise UsageError("line enumeration needs a finite field (p > 0)")
-    census = fano.enumerate_lines(cubic, tower, level=args.level,
+    census = fano.enumerate_lines(cubic, None, level=args.level,
                                   with_second_type=not args.no_second_type)
     return _emit(args, "enumerate-lines", census.to_json(), True)
 
 
 def _cmd_lines_through_point(args):
-    cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    cubic = _load_cubic(args.cubic, args.budget, args.seed)
     point = _parse_vector(args.point, cubic.field)
-    res = lines_through_point(cubic, point, tower, max_level=args.max_level,
+    res = lines_through_point(cubic, point, None, max_level=args.max_level,
                               seed=args.seed)
     result = {
         "point": res.point,
@@ -263,7 +262,7 @@ def _cmd_lines_through_point(args):
 
 
 def _cmd_second_type(args):
-    cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    cubic = _load_cubic(args.cubic, args.budget, args.seed)
     line = _parse_line(args.line, cubic.field)
     flag, witness = fano.second_type_test(cubic, line)
     result = {"second_type": flag,
@@ -272,12 +271,12 @@ def _cmd_second_type(args):
 
 
 def _cmd_discriminant(args):
-    cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    cubic = _load_cubic(args.cubic, args.budget, args.seed)
     if cubic.field.char == 0:
         raise UsageError("smoothness sampling enumerates points; needs p > 0")
     line = _parse_line(args.line, cubic.field)
     curve = fano.discriminant_quintic(cubic, line)
-    smooth = fano.sample_smoothness(curve, tower, count=args.samples,
+    smooth = fano.sample_smoothness(curve, count=args.samples,
                                     max_level=min(4, args.budget),
                                     seed=args.seed)
     result = {
@@ -295,10 +294,10 @@ def _cmd_discriminant(args):
 
 
 def _cmd_row_sum(args):
-    cubic, tower = _load_cubic(args.cubic, args.budget, args.seed)
+    cubic = _load_cubic(args.cubic, args.budget, args.seed)
     curve = _load_curve(args.curve, cubic.field)
     line = _parse_line(args.line, cubic.field)
-    row = fano.correspondence_row(cubic, curve, line, tower,
+    row = fano.correspondence_row(cubic, curve, line,
                                   max_level=args.max_level)
     expected = 5 * curve.e - 5
     result = {

@@ -9,13 +9,14 @@ secant systems downstream.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 
 from . import linalg
 from .bihom import lift_fibers
-from .fields import QQ, FieldTower, VerificationError
+from .fields import QQ, FieldTower, VerificationError, check_tower
 from .poly import MultiPoly, binary_gcd, binary_roots, resultant
 
 
@@ -89,21 +90,19 @@ class ProjLine:
         F = self.field
         return math.lcm(*(F.min_subfield(x) for row in self.rows for x in row))
 
-    def descend(self, tower, j):
+    def descend(self, j):
         F = self.field
         if F.k == j:
             return self
-        lj = tower.level(j)
+        lj = F.tower.level(j)
         rows = [[F.descend(x, j) for x in row] for row in self.rows]
         return ProjLine(lj, rows[0], rows[1])
 
-    def embed(self, tower, k):
+    def embed(self, k):
         F = self.field
         if F.k == k:
             return self
-        lk = tower.level(k)
-        if lk.char != F.char:
-            raise ValueError("cannot embed a line into another characteristic")
+        lk = F.tower.level(k)
         rows = [[lk.embed_from(x, F.k) for x in row] for row in self.rows]
         return ProjLine(lk, rows[0], rows[1])
 
@@ -245,8 +244,7 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     dimensional solution set is the Eckardt outcome, not an error.
     """
     F = cubic.field
-    if tower is None:
-        tower = F.tower
+    check_tower(tower, F)
     if not F.is_zero(cubic.f_at(x)):
         raise ValueError("point is not on X")
     grad = cubic.gradient_at(x)
@@ -272,14 +270,14 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     if m == 2:
         sols = _solve_binary_pair(Q, K, max_level)
     else:
-        sols = _solve_conic_cubic(Q, K, tower, max_level, seed)
+        sols = _solve_conic_cubic(Q, K, max_level, seed)
     if sols is None:
         res.eckardt = True
         return res
     roots, complete = sols
     res.complete = complete
     for lv, cpt, mult in roots:
-        lvl = tower.level(lv)
+        lvl = F.tower.level(lv)
         dirs = [[lvl.embed_from(e, F.k) for e in b] for b in basis[1:]]
         direction = linalg.combine(cpt, dirs, lvl)
         line = ProjLine(lvl, [lvl.embed_from(e, F.k) for e in x], direction)
@@ -298,7 +296,7 @@ def _solve_binary_pair(Q, K, max_level):
     return rm.roots, rm.complete
 
 
-def _solve_conic_cubic(Q, K, tower, max_level, seed):
+def _solve_conic_cubic(Q, K, max_level, seed):
     """Solve a conic/cubic pair in P^2 exactly; None signals positive dim.
 
     After a coordinate change that makes c3^2 in Q and c3^3 in K appear with
@@ -333,13 +331,13 @@ def _solve_conic_cubic(Q, K, tower, max_level, seed):
                      for P, d in ((Qt, 2), (Kt, 3))]
             return binary_gcd(forms, degrees=[2, 3])
 
-        sols = lift_fibers(R, 6, fiber, tower, max_level)
+        sols = lift_fibers(R, 6, fiber, max_level)
         roots = []
         for lv, a, b, m in sols.solutions:
             pt = (a[0], a[1], b[0])
             if cols is not None:
                 # map each solution back: c = M c'
-                lvl = tower.level(lv)
+                lvl = F.tower.level(lv)
                 rows = [[lvl.embed_from(x, F.k) for x in col] for col in cols]
                 pt = tuple(linalg.combine(pt, rows, lvl))
             roots.append((lv, pt, m))
@@ -411,11 +409,9 @@ def _linear_form_poly(ell, F, pv=("pa", "pb", "pc")):
                              for j, c in enumerate(ell) if not F.is_zero(c)})
 
 
-def plane_residual(cubic, plane_basis, known_line=None, tower=None, max_level=2):
+def plane_residual(cubic, plane_basis, known_line=None, max_level=2):
     """Decompose the plane section of X, dividing out a known line exactly."""
     F = cubic.field
-    if tower is None:
-        tower = F.tower
     T = restrict_to_plane(cubic, plane_basis)
     if T.is_zero():
         return PlaneSection(status="plane_in_X")
@@ -423,26 +419,26 @@ def plane_residual(cubic, plane_basis, known_line=None, tower=None, max_level=2)
         lvl, ell = F, plane_line_form(plane_basis, known_line, F)
     else:
         # full linear-factor search over low tower levels
-        found = _find_linear_factor(T, F, tower, max_level)
+        found = _find_linear_factor(T, F, max_level)
         if found is None:
             return PlaneSection(status="no_linear_factor", cubic=T,
                                 components_degrees=[3])
         lvl, ell = found
     conic = T.over(lvl).exact_div(_linear_form_poly(ell, lvl))
-    cls, lines = classify_conic(conic, lvl, tower, max_level)
+    cls, lines = classify_conic(conic, lvl, max_level)
     degrees = [1, 2] if cls == "smooth" else [1, 1, 1]
     return PlaneSection(status="decomposed", cubic=T, line_form=ell,
                         conic=conic, conic_class=cls, conic_lines=lines,
                         components_degrees=degrees)
 
 
-def _find_linear_factor(T, F, tower, max_level):
+def _find_linear_factor(T, F, max_level):
     if F.char == 0:
         return None  # exhaustive factor search is finite-field machinery
-    for k in range(1, min(max_level, tower.budget) + 1):
+    for k in range(1, min(max_level, F.tower.budget) + 1):
         if k % F.k:
             continue
-        lvl = tower.level(k)
+        lvl = F.tower.level(k)
         Tl = T.over(lvl)
         for ell in _proj_points(lvl, 2):
             if Tl.divides_exactly(_linear_form_poly(ell, lvl)) is not None:
@@ -450,15 +446,13 @@ def _find_linear_factor(T, F, tower, max_level):
     return None
 
 
-def classify_conic(C, F, tower=None, max_level=2):
+def classify_conic(C, F, max_level=2):
     """Rank classification of a ternary conic, with split lines if cheap.
 
     Needs characteristic != 2 for the symmetric matrix criterion.
     """
     if F.char == 2:
         raise NotImplementedError("conic classification needs odd characteristic")
-    if tower is None:
-        tower = F.tower
     two = F.from_int(2)
     c = {e: v for e, v in C.terms.items()}
     A = c.get((2, 0, 0), F.zero)
@@ -478,11 +472,11 @@ def classify_conic(C, F, tower=None, max_level=2):
         return "double_line", [(F.k, list(row))]
     # rank 2: vertex + binary quadratic along a complement
     vertex = linalg.kernel_basis(M, F)[0]
-    lines = _split_rank2_conic(C, vertex, F, tower, max_level)
+    lines = _split_rank2_conic(C, vertex, F, max_level)
     return "two_lines", lines
 
 
-def _split_rank2_conic(C, vertex, F, tower, max_level):
+def _split_rank2_conic(C, vertex, F, max_level):
     """Two linear factors of a rank-2 conic, possibly over an extension."""
     basis = linalg.complete_basis([vertex], F)
     Cn = C.eval_polys(MultiPoly.linear_forms(F, C.vars, basis))
@@ -492,7 +486,7 @@ def _split_rank2_conic(C, vertex, F, tower, max_level):
     rm = binary_roots(qf, max_level=max_level, formal_degree=2)
     out = []
     for lv, (r0, r1), mult in rm.roots:
-        lvl = tower.level(lv)
+        lvl = F.tower.level(lv)
         # factor vanishing at [.:r0:r1] in the new coords: r1*b - r0*c -> pull back
         new_form = [lvl.zero, r1, lvl.neg(r0)]
         # in original coords ell_orig(sum_j c_j basis[j]) = ell_new(c),
@@ -525,12 +519,16 @@ class SmoothnessCertificate:
     conclusive: bool
 
 
-def smoothness_probe(cubic, tower, max_level=2, sample_budget=2000,
-                     exhaust_limit=500_000, seed=0):
+SAMPLE_BUDGET = 2000       # random points tried per level too big to scan
+EXHAUST_LIMIT = 500_000    # largest projective point count scanned in full
+
+
+def smoothness_probe(cubic, max_level=2, seed=0):
     """Search for common zeros of F and its partials over low tower levels.
 
-    Exhaustive wherever the projective point count fits the limit, seeded
-    random sampling beyond; the certificate says which was which.
+    Exhaustive wherever the projective point count fits EXHAUST_LIMIT,
+    SAMPLE_BUDGET seeded random points beyond; the certificate says which
+    was which.
     """
     F = cubic.field
     if F.char == 0:
@@ -540,22 +538,21 @@ def smoothness_probe(cubic, tower, max_level=2, sample_budget=2000,
     levels_done = []
     samples = 0
     rng = random.Random("smooth:%d" % seed)
-    for k in range(1, min(max_level, tower.budget) + 1):
-        lvl = tower.level(k)
+    for k in range(1, min(max_level, F.tower.budget) + 1):
+        lvl = F.tower.level(k)
         count = sum(lvl.q ** i for i in range(n + 1))
         cub = cubic._over(lvl)
         gl = [g.over(lvl) for g in grads]
-        if count <= exhaust_limit:
+        if count <= EXHAUST_LIMIT:
             for pt in _proj_points(lvl, n):
                 if _is_singular_at(cub, gl, pt, lvl):
                     return SmoothnessCertificate(False, tuple(pt), levels_done,
                                                  samples, True)
             levels_done.append(k)
         else:
-            for _ in range(sample_budget):
+            for _ in range(SAMPLE_BUDGET):
                 pt = [lvl.from_coeffs([rng.randrange(lvl.p)
                                        for _ in range(lvl.k)])
-                      if lvl.k > 1 else rng.randrange(lvl.p)
                       for _ in range(n + 1)]
                 if all(lvl.is_zero(c) for c in pt):
                     continue
@@ -575,16 +572,8 @@ def _is_singular_at(cub, grads, pt, lvl):
 
 def _proj_points(lvl, n):
     """Canonical representatives of P^n over a finite level."""
+    elems = list(lvl.elements())
     for i in range(n, -1, -1):
         lead = [lvl.zero] * (n - i) + [lvl.one]
-        for tail in _tuples(lvl, i):
+        for tail in itertools.product(elems, repeat=i):
             yield lead + list(tail)
-
-
-def _tuples(lvl, m):
-    if m == 0:
-        yield ()
-        return
-    for head in _tuples(lvl, m - 1):
-        for e in lvl.elements():
-            yield head + (e,)

@@ -79,11 +79,11 @@ class RationalCurve:
                 return [pt, row]
         return None
 
-    def embed(self, tower, k):
+    def embed(self, k):
         F = self.field
         if F.k == k:
             return self
-        lvl = tower.level(k)
+        lvl = F.tower.level(k)
         return RationalCurve(lvl, self.e,
                              [c.over(lvl) for c in self.coords])
 
@@ -182,11 +182,9 @@ def coincidence_minors(curve):
     return [M.exact_div(delta) for M in _pair_minors(curve, curve)]
 
 
-def validate_curve(cubic, curve, tower=None, max_level=None):
+def validate_curve(cubic, curve, max_level=None):
     """Full validation report; raises on base points or a curve off X."""
     F = curve.field
-    if tower is None:
-        tower = F.tower
     X = cubic._over(F)
     e = curve.e
     nonzero = [c for c in curve.coords if not c.is_zero()]
@@ -208,14 +206,14 @@ def validate_curve(cubic, curve, tower=None, max_level=None):
     if any(N.is_constant() and not N.is_zero() for N in mins):
         # a constant nonzero minor forbids any coincidence at all
         return report
-    sols = _solve_system(nonconst, ((e - 1, e - 1),), tower, max_level)
+    sols = _solve_system(nonconst, ((e - 1, e - 1),), max_level)
     if sols is None:
         report.birational = False
         return report
     report.complete = sols.complete
     seen = set()
     for lv, s, t, _m in sols.solutions:
-        lvl = tower.level(lv)
+        lvl = F.tower.level(lv)
         ks = tuple(lvl.key(x) for x in s)
         kt = tuple(lvl.key(x) for x in t)
         if ks == kt:
@@ -228,7 +226,7 @@ def validate_curve(cubic, curve, tower=None, max_level=None):
     return report
 
 
-def _solve_system(forms, bidegs, tower, max_level):
+def _solve_system(forms, bidegs, max_level):
     """Common zeros of >= 1 bihomogeneous forms of one shared bidegree.
 
     Solves a pair with a nonzero resultant and filters by the rest;
@@ -244,22 +242,25 @@ def _solve_system(forms, bidegs, tower, max_level):
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             try:
-                sols = solve_bihomog(forms[i], forms[j], tower,
-                                     max_level=max_level, bidegrees=(bd, bd))
+                sols = solve_bihomog(forms[i], forms[j], max_level=max_level,
+                                     bidegrees=(bd, bd))
             except PositiveDimensionalError:
                 continue
             rest = [f for k, f in enumerate(forms) if k not in (i, j)]
             sols.solutions = [sol for sol in sols.solutions
-                              if _vanishes_all(rest, sol, tower)]
+                              if _vanishes_all(rest, sol)]
             return sols
     return None
 
 
-def _vanishes_all(forms, sol, tower):
+def _vanishes_all(forms, sol):
     lv, s, t, _m = sol
-    lvl = tower.level(lv)
     vals = list(s) + list(t)
-    return all(lvl.is_zero(f.over(lvl).eval_elems(vals)) for f in forms)
+    for f in forms:
+        lvl = f.field.tower.level(lv)
+        if not lvl.is_zero(f.over(lvl).eval_elems(vals)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +290,20 @@ class MeetingData:
         return all(p.transversal for p in self.points)
 
 
-def curve_meeting_data(curve1, curve2, tower=None, max_level=None):
+def curve_meeting_data(curve1, curve2, max_level=None):
     """Common image points of two distinct curves, with transversality."""
     F = curve1.field
     if curve2.field is not F:
         raise ValueError("curves must live over the same level")
-    if tower is None:
-        tower = F.tower
     mins = _pair_minors(curve1, curve2)
     if not mins:
         raise ValueError("images coincide in a single point")
-    sols = _solve_system(mins, ((curve1.e, curve2.e),), tower, max_level)
+    sols = _solve_system(mins, ((curve1.e, curve2.e),), max_level)
     if sols is None:
         raise ValueError("curve images share a component")
     by_point = {}
     for lv, s, t, _m in sols.solutions:
-        lvl = tower.level(lv)
+        lvl = F.tower.level(lv)
         pt = _normalize(curve1.point_at(s, lvl), lvl)
         key = (lv, tuple(lvl.key(x) for x in pt))
         rec = by_point.setdefault(key, MeetingPoint(lv, tuple(pt), [], [], True))
@@ -313,7 +312,7 @@ def curve_meeting_data(curve1, curve2, tower=None, max_level=None):
         if t not in rec.t_params:
             rec.t_params.append(t)
     for rec in by_point.values():
-        lvl = tower.level(rec.level)
+        lvl = F.tower.level(rec.level)
         rec.transversal = _is_transversal(curve1, curve2, rec, lvl)
     points = [by_point[k] for k in sorted(by_point)]
     return MeetingData(points=points, complete=sols.complete)
@@ -349,22 +348,19 @@ class ConicResidual:
     level: int = 1
 
 
-def conic_residual_to_line(cubic, line, plane_basis, tower=None, max_level=2,
-                           q_bound=12):
+def conic_residual_to_line(cubic, line, plane_basis, max_level=2):
     """Parameterize the conic residual to a known line in a plane section."""
     F = cubic.field
-    if tower is None:
-        tower = F.tower
     if not cubic.line_in_x(line):
         raise ValueError("the given line does not lie on X")
-    sec = plane_residual(cubic, plane_basis, known_line=line, tower=tower,
+    sec = plane_residual(cubic, plane_basis, known_line=line,
                          max_level=max_level)
     if sec.status == "plane_in_X":
         raise ValueError("the plane lies inside X")
     if sec.conic_class != "smooth":
         return ConicResidual(kind=sec.conic_class, conic=sec.conic,
                              lines=sec.conic_lines)
-    found = _point_on_conic(sec.conic, F, tower, max_level, q_bound)
+    found = _point_on_conic(sec.conic, F, max_level)
     if found is None:
         return ConicResidual(kind="no_rational_point", conic=sec.conic)
     lvl, p = found
@@ -377,9 +373,12 @@ def conic_residual_to_line(cubic, line, plane_basis, tower=None, max_level=2,
                          level=lvl.k)
 
 
-def _point_on_conic(C, F, tower, max_level, q_bound):
+Q_BOUND = 12   # rational points of a conic over QQ: coordinates up to this
+
+
+def _point_on_conic(C, F, max_level):
     if F.char == 0:
-        rng = range(-q_bound, q_bound + 1)
+        rng = range(-Q_BOUND, Q_BOUND + 1)
         for a in rng:
             for b in rng:
                 for c in rng:
@@ -389,10 +388,10 @@ def _point_on_conic(C, F, tower, max_level, q_bound):
                     if F.is_zero(C.eval_elems(pt)):
                         return F, pt
         return None
-    for k in range(1, min(max_level, tower.budget) + 1):
+    for k in range(1, min(max_level, F.tower.budget) + 1):
         if k % F.k:
             continue
-        lvl = tower.level(k)
+        lvl = F.tower.level(k)
         Cl = C.over(lvl)
         for pt in _proj_points(lvl, 2):
             if lvl.is_zero(Cl.eval_elems(pt)):

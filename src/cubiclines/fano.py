@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from . import linalg
 from .curves import _normalize, curve_meeting_data, line_as_curve
 from .cubic import ProjLine, lines_through_point
-from .fields import BudgetError, VerificationError
+from .fields import BudgetError, VerificationError, check_tower
 from .poly import MultiPoly
-from .secant import count_secants_pair, expected_line_meeting
+from .secant import _enc_vec, count_secants_pair, expected_line_meeting
 
 CANDIDATE_GUARD = 10 ** 8
 
@@ -63,14 +63,10 @@ class LineCensus:
             "level": self.level,
             "n": self.n,
             "count": self.count,
-            "lines": [[_enc_row(r) for r in l.rows] for l in self.lines],
+            "lines": [[_enc_vec(r) for r in l.rows] for l in self.lines],
             "second_type": list(self.second_type),
             "adjacency": base64.b64encode(bytes(packed)).decode("ascii"),
         }
-
-
-def _enc_row(row):
-    return [list(x) if isinstance(x, tuple) else int(x) for x in row]
 
 
 def _first_rows(fld, n):
@@ -164,7 +160,8 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     comes from shared rational points (see :func:`incidence`), with no
     rank per pair of lines.
     """
-    fld = tower.level(level)
+    check_tower(tower, cubic.field)
+    fld = cubic.field.tower.level(level)
     q = fld.p ** fld.k
     n = cubic.n
     total = _line_space_size(q, n)
@@ -328,7 +325,7 @@ def discriminant_quintic(cubic, line):
     return DiscriminantCurve(form=det, level_field=fld)
 
 
-def sample_smoothness(curve, tower, count=20, max_level=3, seed=0):
+def sample_smoothness(curve, count=20, max_level=3, seed=0):
     """Check the Jacobian criterion at sampled zeros of the discriminant.
 
     Collects projective zeros level by level until ``count`` are found,
@@ -340,7 +337,7 @@ def sample_smoothness(curve, tower, count=20, max_level=3, seed=0):
     rng = random.Random(seed)
     curve.samples = []
     for lv in range(base.k, max_level + 1):
-        lvl = tower.level(lv)
+        lvl = base.tower.level(lv)
         form = curve.form.over(lvl)
         parts = [form.derivative(v) for v in form.vars]
         pts = [p for p in _proj2_points(lvl)
@@ -388,14 +385,13 @@ def correspondence_row(cubic, curve, line, tower=None, max_level=None):
     with multiplicity equals 5e - 5 and attaches the full census of lines
     through the meeting point.
     """
-    if tower is None:
-        tower = curve.field.tower
+    check_tower(tower, curve.field)
     line_curve = line_as_curve(line)
-    meeting = curve_meeting_data(curve, line_curve, tower, max_level)
+    meeting = curve_meeting_data(curve, line_curve, max_level)
     if meeting.r != 1 or not meeting.all_transversal:
         raise ValueError(
             "the line must meet the curve transversally at exactly one point")
-    report = count_secants_pair(cubic, curve, line_curve, tower, max_level,
+    report = count_secants_pair(cubic, curve, line_curve, max_level=max_level,
                                 meeting=meeting)
     expected = expected_line_meeting(curve.e)
     if (report.outcome == "ok"
@@ -403,8 +399,8 @@ def correspondence_row(cubic, curve, line, tower=None, max_level=None):
         raise VerificationError(
             "row total %d != %d" % (report.count_with_multiplicity, expected))
     mp = meeting.points[0]
-    X = cubic._over(tower.level(mp.level))
-    ltp = lines_through_point(X, list(mp.point), tower, max_level=max_level)
+    X = cubic._over(curve.field.tower.level(mp.level))
+    ltp = lines_through_point(X, list(mp.point), None, max_level=max_level)
     return CorrespondenceRow(
         report=report,
         meeting_level=mp.level,

@@ -445,6 +445,18 @@ class FieldTower:
         return "FieldTower(p=%d, budget=%d, seed=%d)" % (self.p, self.budget, self.seed)
 
 
+def check_tower(tower, fld):
+    """Reject a tower other than the one ``fld`` belongs to.
+
+    A level carries its tower (``fld.tower``), which is where every
+    extension level below the entry points comes from; an entry point's
+    ``tower`` argument may only be None or that same tower.
+    """
+    if tower is not None and tower is not fld.tower:
+        raise ValueError("%r is not the tower of the input field %r"
+                         % (tower, fld))
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -548,8 +560,7 @@ def roots_of_split_poly(f, lvl, rng):
             out.append(lvl.neg(g[0]))
             continue
         while True:
-            c = lvl.from_coeffs([rng.randrange(lvl.p) for _ in range(lvl.k)]) \
-                if lvl.k > 1 else rng.randrange(lvl.p)
+            c = lvl.from_coeffs([rng.randrange(lvl.p) for _ in range(lvl.k)])
             base = [c, lvl.one]
             h = upoly_powmod(base, (lvl.q - 1) // 2, g, lvl)
             h = list(h)

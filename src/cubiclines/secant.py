@@ -23,7 +23,7 @@ from .bihom import (
 )
 from .cubic import ProjLine, ambient_line_from_plane_form, plane_residual
 from .curves import _normalize, _side_forms, curve_meeting_data, validate_curve
-from .fields import VerificationError
+from .fields import VerificationError, check_tower
 from .poly import MultiPoly
 
 
@@ -44,20 +44,13 @@ def expected_line_meeting(e):
     return 5 * e - 5
 
 
-@dataclass
-class SecantSystem:
-    mode: str                   # single | pair
-    G1: object
-    G2: object
-    bidegrees: tuple            # of (G1, G2)
-    Gt1: object = None          # single mode: after diagonal division
-    Gt2: object = None
-    removed_order: int = 0
-    residual_bidegrees: tuple = ()
-
-
 def build_system(cubic, curve_a, curve_b=None):
-    """The two mixed-polar equations for secants of one curve or a pair."""
+    """The two mixed-polar equations for secants of one curve or a pair.
+
+    Returns the pair to solve with its formal bidegrees, (G1, G2,
+    bidegrees); for one curve both forms are first divided by the
+    diagonal twice, its universal vanishing order.
+    """
     F = curve_a.field
     if curve_b is not None and curve_b.field is not F:
         raise ValueError("curves must live over the same level")
@@ -67,16 +60,11 @@ def build_system(cubic, curve_a, curve_b=None):
     G1 = X.P1.eval_polys(forms)
     G2 = X.P2.eval_polys(forms)
     ea = curve_a.e
-    eb = curve_b.e if curve_b is not None else ea
-    bidegs = ((2 * ea, eb), (ea, 2 * eb))
     if curve_b is not None:
-        return SecantSystem(mode="pair", G1=G1, G2=G2, bidegrees=bidegs)
-    Gt1 = divide_diagonal(G1, 2)
-    Gt2 = divide_diagonal(G2, 2)
-    return SecantSystem(mode="single", G1=G1, G2=G2, bidegrees=bidegs,
-                        Gt1=Gt1, Gt2=Gt2, removed_order=2,
-                        residual_bidegrees=((2 * ea - 2, ea - 2),
-                                            (ea - 2, 2 * ea - 2)))
+        eb = curve_b.e
+        return G1, G2, ((2 * ea, eb), (ea, 2 * eb))
+    return (divide_diagonal(G1, 2), divide_diagonal(G2, 2),
+            ((2 * ea - 2, ea - 2), (ea - 2, 2 * ea - 2)))
 
 
 @dataclass
@@ -161,24 +149,19 @@ def _enc_vec(vec):
 # single mode
 # ---------------------------------------------------------------------------
 
-def count_secants_single(cubic, curve, tower=None, max_level=None,
-                         validation=None):
+def count_secants_single(cubic, curve, tower=None, max_level=None):
     """All secants of one curve, with multiplicity, against N(e, 0)."""
     e = curve.e
     if e < 2:
         raise ValueError("a line has no secant scheme; degree must be >= 2")
-    if tower is None:
-        tower = curve.field.tower
-    if validation is None:
-        validation = validate_curve(cubic, curve, tower, max_level)
-    if not validation.valid:
+    check_tower(tower, curve.field)
+    if not validate_curve(cubic, curve, max_level).valid:
         raise ValueError("curve must validate as birational and node-free")
-    system = build_system(cubic, curve)
+    Gt1, Gt2, bidegrees = build_system(cubic, curve)
     report = SecantReport(mode="single", expected=expected_single(e))
     try:
-        sols = solve_bihomog(system.Gt1, system.Gt2, tower,
-                             max_level=max_level,
-                             bidegrees=system.residual_bidegrees)
+        sols = solve_bihomog(Gt1, Gt2, max_level=max_level,
+                             bidegrees=bidegrees)
     except PositiveDimensionalError:
         report.outcome = "infinitely_many"
         return report
@@ -186,11 +169,11 @@ def count_secants_single(cubic, curve, tower=None, max_level=None,
     report.certified = sols.certified
     off = {}
     for lv, s, t, m in sols.solutions:
-        lvl = tower.level(lv)
+        lvl = curve.field.tower.level(lv)
         ks = tuple(lvl.key(x) for x in s)
         kt = tuple(lvl.key(x) for x in t)
         if ks == kt:
-            _handle_diagonal(report, cubic, curve, tower, lv, s, m)
+            _handle_diagonal(report, cubic, curve, lvl, s, m)
             continue
         key = (lv, min(ks, kt), max(ks, kt))
         off.setdefault(key, []).append((s, t, m))
@@ -200,17 +183,16 @@ def count_secants_single(cubic, curve, tower=None, max_level=None,
             # swap partner missing or mismatched: only from incomplete splits
             report.certified = False
         s, t, m = entries[0]
-        lvl = tower.level(lv)
+        lvl = curve.field.tower.level(lv)
         line = ProjLine(lvl, curve.point_at(s, lvl), curve.point_at(t, lvl))
         _assert_secant_line(cubic, line)
-        report.lines.append(_finish_line(line, tower, lv, s, t, m, "secant"))
+        report.lines.append(_finish_line(line, s, t, m, "secant"))
     _sort_report(report)
     return report
 
 
-def _handle_diagonal(report, cubic, curve, tower, lv, s, m):
+def _handle_diagonal(report, cubic, curve, lvl, s, m):
     """A diagonal residual solution is kept only as a true tangent secant."""
-    lvl = tower.level(lv)
     rows = curve.tangent_rows_at(list(s), lvl)
     if rows is None:
         report.spurious += m
@@ -224,7 +206,7 @@ def _handle_diagonal(report, cubic, curve, tower, lv, s, m):
     else:
         mult = m
         report.certified = False
-    report.lines.append(_finish_line(line, tower, lv, s, s, mult, "tangent"))
+    report.lines.append(_finish_line(line, s, s, mult, "tangent"))
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +227,14 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     F = curve1.field
     if curve2.field is not F:
         raise ValueError("curves must live over the same level")
-    if tower is None:
-        tower = F.tower
+    check_tower(tower, F)
     if meeting is None:
-        meeting = curve_meeting_data(curve1, curve2, tower, max_level)
+        meeting = curve_meeting_data(curve1, curve2, max_level)
     r = meeting.r
     line_sides = [curve1.e == 1, curve2.e == 1]
     if r > 0 and all(line_sides):
         raise ValueError("two meeting lines span a plane; no secant count")
-    system = build_system(cubic, curve1, curve2)
-    G1, G2 = system.G1, system.G2
-    (d1s, d1t), (d2s, d2t) = system.bidegrees
+    G1, G2, ((d1s, d1t), (d2s, d2t)) = build_system(cubic, curve1, curve2)
     bad_s, bad_t = [], []
     if r > 0 and any(line_sides):
         expected = expected_line_meeting(curve2.e if line_sides[0]
@@ -285,7 +264,7 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
         base_excess = 6
     report = SecantReport(mode="pair", expected=expected)
     try:
-        sols = solve_bihomog(G1, G2, tower, max_level=max_level,
+        sols = solve_bihomog(G1, G2, max_level=max_level,
                              bidegrees=((d1s, d1t), (d2s, d2t)))
     except PositiveDimensionalError:
         report.outcome = "infinitely_many"
@@ -294,7 +273,7 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     report.certified = sols.certified
     excised = {}
     for lv, s, t, m in sols.solutions:
-        lvl = tower.level(lv)
+        lvl = F.tower.level(lv)
         a = curve1.point_at(s, lvl)
         b = curve2.point_at(t, lvl)
         if (_param_matches(s, bad_s, lvl, F) or _param_matches(t, bad_t, lvl, F)
@@ -304,16 +283,16 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
             continue
         line = ProjLine(lvl, a, b)
         _assert_secant_line(cubic, line)
-        report.lines.append(_finish_line(line, tower, lv, s, t, m, "secant"))
+        report.lines.append(_finish_line(line, s, t, m, "secant"))
     report.excised = [(lv, pt, excised[(lv, pt)]) for lv, pt in sorted(excised)]
-    _absorb_second_type(report, cubic, curve1, curve2, meeting, tower,
-                        max_level, excised, base_excess)
+    _absorb_second_type(report, cubic, curve1, curve2, meeting, max_level,
+                        excised, base_excess)
     _sort_report(report)
     return report
 
 
-def _absorb_second_type(report, cubic, curve1, curve2, meeting, tower,
-                        max_level, excised, base_excess):
+def _absorb_second_type(report, cubic, curve1, curve2, meeting, max_level,
+                        excised, base_excess):
     """Assign the leftover coincidence multiplicity to second-type secants.
 
     At a common point x of the two images, lines of X through x lying in
@@ -323,7 +302,7 @@ def _absorb_second_type(report, cubic, curve1, curve2, meeting, tower,
     """
     consistent = True
     for mp in meeting.points:
-        lvl = tower.level(mp.level)
+        lvl = curve1.field.tower.level(mp.level)
         key = (mp.level, tuple(lvl.key(x) for x in mp.point))
         m_exc = excised.get(key, 0)
         leftover = m_exc - base_excess
@@ -332,7 +311,7 @@ def _absorb_second_type(report, cubic, curve1, curve2, meeting, tower,
         if leftover < 0:
             consistent = False
             continue
-        cands = _second_type_lines(cubic, curve1, curve2, mp, tower, max_level)
+        cands = _second_type_lines(cubic, curve1, curve2, mp, max_level)
         if not cands:
             consistent = False
             continue
@@ -342,21 +321,20 @@ def _absorb_second_type(report, cubic, curve1, curve2, meeting, tower,
             each = 1
             consistent = False
             report.certified = False
-        for lv, line in cands:
-            s = tuple(mp.s_params[0])
-            t = tuple(mp.t_params[0])
-            report.lines.append(_finish_line(line, tower, lv, s, t, each,
+        for line in cands:
+            report.lines.append(_finish_line(line, mp.s_params[0],
+                                             mp.t_params[0], each,
                                              "second_type"))
     report.excision_consistent = consistent
 
 
-def _second_type_lines(cubic, curve1, curve2, mp, tower, max_level):
+def _second_type_lines(cubic, curve1, curve2, mp, max_level):
     """Lines of X through a meeting point inside the node plane there."""
     if len(mp.s_params) != 1 or len(mp.t_params) != 1:
         return []
-    lvl = tower.level(mp.level)
-    c1 = curve1.embed(tower, mp.level)
-    c2 = curve2.embed(tower, mp.level)
+    c1 = curve1.embed(mp.level)
+    c2 = curve2.embed(mp.level)
+    lvl = c1.field
     rows1 = c1.tangent_rows_at(list(mp.s_params[0]), lvl)
     rows2 = c2.tangent_rows_at(list(mp.t_params[0]), lvl)
     if rows1 is None or rows2 is None:
@@ -371,8 +349,7 @@ def _second_type_lines(cubic, curve1, curve2, mp, tower, max_level):
         if c.e == 1:
             known = ProjLine(lvl, c.point_at([lvl.one, lvl.zero]),
                              c.point_at([lvl.zero, lvl.one]))
-    sec = plane_residual(X, basis, known_line=known, tower=tower,
-                         max_level=max_level or 2)
+    sec = plane_residual(X, basis, known_line=known, max_level=max_level or 2)
     if sec.status != "decomposed":
         return []
     cands = []
@@ -382,7 +359,7 @@ def _second_type_lines(cubic, curve1, curve2, mp, tower, max_level):
     out = []
     seen = set()
     for clv, ell in cands:
-        l2 = tower.level(clv)
+        l2 = lvl.tower.level(clv)
         line = ambient_line_from_plane_form(basis, ell, l2, X)
         if not line.contains([l2.embed_from(v, mp.level) for v in mp.point]):
             continue
@@ -392,7 +369,7 @@ def _second_type_lines(cubic, curve1, curve2, mp, tower, max_level):
         if k in seen:
             continue
         seen.add(k)
-        out.append((clv, line))
+        out.append(line)
     return out
 
 
@@ -422,10 +399,12 @@ def _assert_secant_line(cubic, line):
         raise VerificationError("reported secant is not contained in X")
 
 
-def _finish_line(line, tower, lv, s, t, mult, kind):
+def _finish_line(line, s, t, mult, kind):
+    """The report entry of a line found over its parameters' level."""
+    lv = line.field.k
     min_lv = line.min_level()
     if min_lv < lv:
-        line = line.descend(tower, min_lv)
+        line = line.descend(min_lv)
     return SecantLine(level=min_lv, param_level=lv, s=tuple(s), t=tuple(t),
                       line=line, multiplicity=mult, kind=kind)
 
@@ -434,20 +413,17 @@ def _sort_report(report):
     report.lines.sort(key=lambda l: (l.level, l.line.key(), l.param_level))
 
 
-def secant_multiplicity(cubic, target, line, tower=None, max_level=None):
+def secant_multiplicity(cubic, target, line, max_level=None):
     """Multiplicity of one line in the relevant secant scheme (0 if absent)."""
-    if tower is None:
-        tower = line.field.tower
     if isinstance(target, tuple):
-        report = count_secants_pair(cubic, target[0], target[1], tower,
+        report = count_secants_pair(cubic, target[0], target[1],
                                     max_level=max_level)
     else:
-        report = count_secants_single(cubic, target, tower,
-                                      max_level=max_level)
+        report = count_secants_single(cubic, target, max_level=max_level)
     if report.outcome != "ok":
         raise ValueError("secant scheme is not zero dimensional")
     min_lv = line.min_level()
-    probe = line.descend(tower, min_lv)
+    probe = line.descend(min_lv)
     for rec in report.lines:
         if rec.level == min_lv and rec.line.key() == probe.key():
             return rec.multiplicity

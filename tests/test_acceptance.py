@@ -141,7 +141,7 @@ def test_criterion_08_discriminant_quintic(threefold7, tower7):
         curve = discriminant_quintic(threefold7._over(line.field), line)
         assert curve.form.degree() == 5
         assert {sum(e) for e in curve.form.terms} == {5}
-        assert sample_smoothness(curve, tower7, count=20, max_level=4)
+        assert sample_smoothness(curve, count=20, max_level=4)
         assert len(curve.samples) == 20
         assert curve.genus == 6
         assert curve.double_cover_genus == 2 * 6 - 1 == 11
@@ -185,7 +185,7 @@ def test_criterion_10_bruteforce_oracle(threefold7, conic7, tower7, skew7,
                                  lvl)
             line = ProjLine(lvl, lc.point_at([lvl.one, lvl.zero]),
                             lc.point_at([lvl.zero, lvl.one]))
-            md = curve_meeting_data(conic, lc, tower=tw, max_level=6)
+            md = curve_meeting_data(conic, lc, max_level=6)
             rep = count_secants_pair(X, conic, lc, tw, max_level=6,
                                      meeting=md)
             mp = md.points[0]

@@ -48,7 +48,7 @@ def test_solver_matches_bruteforce(tower7):
         if G1.is_zero() or G2.is_zero():
             continue
         try:
-            sols = solve_bihomog(G1, G2, tower7, max_level=6)
+            sols = solve_bihomog(G1, G2, max_level=6)
         except PositiveDimensionalError:
             continue
         solved += 1
@@ -79,10 +79,10 @@ def test_positive_dimensional_detection(tower7):
     delta = diagonal_form(lvl)
     other = rand_biform(lvl, random.Random(3), 1, 1)
     with pytest.raises(PositiveDimensionalError):
-        solve_bihomog(delta, delta * other, tower7, max_level=2)
+        solve_bihomog(delta, delta * other, max_level=2)
     zero = MultiPoly.zero(lvl, STVARS)
     with pytest.raises(PositiveDimensionalError):
-        solve_bihomog(zero, delta, tower7, max_level=2)
+        solve_bihomog(zero, delta, max_level=2)
 
 
 def test_whole_fiber_detection(tower7):
@@ -91,7 +91,7 @@ def test_whole_fiber_detection(tower7):
     s0t0 = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
     s0t1 = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 0, 1): 1})
     with pytest.raises(PositiveDimensionalError):
-        solve_bihomog(s0t0, s0t1, tower7, max_level=2)
+        solve_bihomog(s0t0, s0t1, max_level=2)
 
 
 def test_diagonal_division_sharp(tower7):
@@ -121,7 +121,7 @@ def test_solutions_sorted_and_normalized(tower7):
     rng = random.Random(13)
     G1 = rand_biform(lvl, rng, 2, 1)
     G2 = rand_biform(lvl, rng, 1, 2)
-    sols = solve_bihomog(G1, G2, tower7, max_level=6)
+    sols = solve_bihomog(G1, G2, max_level=6)
     keys = []
     for lv, s, t, _m in sols.solutions:
         slv = tower7.level(lv)
@@ -137,7 +137,7 @@ def test_verify_solutions_rejects_bogus_solution(tower7):
     G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
     bogus = BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)])
     with pytest.raises(VerificationError):
-        _verify_solutions(bogus, (G,), tower7)
+        _verify_solutions(bogus, (G,))
 
 
 def binary_linear(lvl, names, root):
@@ -168,7 +168,7 @@ def test_lift_fibers_split_rule(tower7, mult, fiber_roots, expected,
             g = g * binary_linear(lvl, ("t0", "t1"), r)
         return g
 
-    sols = lift_fibers(R, mult, fiber, tower7)
+    sols = lift_fibers(R, mult, fiber)
     assert seen == [(1, (2, 1))]
     assert sols.complete and sols.total_degree == mult
     assert sols.certified is certified

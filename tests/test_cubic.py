@@ -34,9 +34,9 @@ def test_projline_canonical_and_meets(tower7):
 def test_projline_embed_descend_round_trip(tower7):
     lvl = tower7.level(1)
     l1 = ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 1, 6, 0])
-    up = l1.embed(tower7, 2)
+    up = l1.embed(2)
     assert up.min_level() == 1
-    assert up.descend(tower7, 1) == l1
+    assert up.descend(1) == l1
 
 
 def test_cubic_validation(tower7):
@@ -64,7 +64,7 @@ def test_polarization_identity(threefold7, tower7):
 
 
 def test_smoothness_probe_fermat(threefold7, tower7):
-    cert = smoothness_probe(threefold7, tower7, max_level=2)
+    cert = smoothness_probe(threefold7, max_level=2)
     assert cert.smooth_so_far and cert.singular_point is None
     assert 1 in cert.levels_exhausted
 
@@ -75,15 +75,15 @@ def test_smoothness_probe_finds_singularity(tower7):
         {"exps": [3, 0, 0, 0, 0], "coeff": 1},
         {"exps": [0, 3, 0, 0, 0], "coeff": 1},
         {"exps": [0, 0, 3, 0, 0], "coeff": 1}]}
-    cone, tw = cubic_from_json(doc)
-    cert = smoothness_probe(cone, tw, max_level=1)
+    cone = cubic_from_json(doc)[0]
+    cert = smoothness_probe(cone, max_level=1)
     assert not cert.smooth_so_far
     assert cert.singular_point is not None
 
 
 def test_smoothness_probe_rejects_rationals(threefoldQ):
     with pytest.raises(ValueError):
-        smoothness_probe(threefoldQ, None)
+        smoothness_probe(threefoldQ)
 
 
 def test_lines_through_point_vs_bruteforce(threefold7, tower7):
@@ -105,7 +105,7 @@ def test_lines_through_point_vs_bruteforce(threefold7, tower7):
                 continue
             if threefold7.line_in_x(line):
                 brute.add(line.key())
-        level1 = {l.descend(tower7, 1).key() for l in res.lines
+        level1 = {l.descend(1).key() for l in res.lines
                   if l.min_level() == 1}
         assert level1 == brute
         assert res.total_multiplicity == 6
@@ -136,7 +136,7 @@ def test_plane_residual_double_line(threefold7, tower7):
     lvl = tower7.level(1)
     line = ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 1, 6, 0])
     basis = [list(line.rows[0]), list(line.rows[1]), [0, 0, 0, 0, 1]]
-    sec = plane_residual(threefold7, basis, known_line=line, tower=tower7)
+    sec = plane_residual(threefold7, basis, known_line=line)
     assert sec.status == "decomposed"
     assert sec.conic_class == "double_line"
 
@@ -151,7 +151,7 @@ def test_rank2_conic_splits_into_its_factors(tower7):
     cases = [((a + b * const(2) + c * const(3)) * (a + b * const(6) + c), 1),
              (a * a - b * b * const(3), 2)]
     for C, level in cases:
-        kind, lines = classify_conic(C, lvl, tower7, max_level=2)
+        kind, lines = classify_conic(C, lvl, max_level=2)
         assert kind == "two_lines" and len(lines) == 2
         for lv, form in lines:
             assert lv == level
@@ -162,7 +162,7 @@ def test_rank2_conic_splits_into_its_factors(tower7):
 
 def test_plane_residual_irreducible_section(threefold7, tower7):
     basis = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
-    sec = plane_residual(threefold7, basis, tower=tower7, max_level=2)
+    sec = plane_residual(threefold7, basis, max_level=2)
     assert sec.status == "no_linear_factor"
     assert sec.components_degrees == [3]
 
@@ -173,9 +173,9 @@ def test_plane_residual_plane_inside(tower7):
         {"exps": [1, 2, 0, 0, 0], "coeff": 1},
         {"exps": [1, 0, 2, 0, 0], "coeff": 1},
         {"exps": [1, 0, 0, 1, 1], "coeff": 1}]}
-    cub, tw = cubic_from_json(doc)
+    cub = cubic_from_json(doc)[0]
     basis = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
-    sec = plane_residual(cub, basis, tower=tw)
+    sec = plane_residual(cub, basis)
     assert sec.status == "plane_in_X"
 
 

@@ -11,13 +11,11 @@ from cubiclines.poly import MultiPoly
 from conftest import fixture_json, load_line
 
 
-def test_conic_fixtures_validate(threefold7, conic7, tower7,
-                                 threefold11, conic11, tower11,
+def test_conic_fixtures_validate(threefold7, conic7, threefold11, conic11,
                                  threefoldQ, conicQ):
-    for X, C, tw in ((threefold7, conic7, tower7),
-                     (threefold11, conic11, tower11),
-                     (threefoldQ, conicQ, None)):
-        rep = validate_curve(X, C, tower=tw, max_level=4)
+    for X, C in ((threefold7, conic7), (threefold11, conic11),
+                 (threefoldQ, conicQ)):
+        rep = validate_curve(X, C, max_level=4)
         assert rep.valid, (X.field, rep)
         assert rep.e == 2
 
@@ -36,7 +34,7 @@ def test_base_point_detection(threefold7, tower7):
     z = MultiPoly.zero(lvl, SVARS)
     bad = RationalCurve(lvl, 2, [s0 * s0, s0 * s1, z, z, z])
     with pytest.raises(BasePointError):
-        validate_curve(threefold7, bad, tower=tower7)
+        validate_curve(threefold7, bad)
 
 
 def test_off_x_detection(threefold7, tower7):
@@ -45,19 +43,19 @@ def test_off_x_detection(threefold7, tower7):
     s1 = MultiPoly.var(lvl, SVARS, "s1")
     bad = RationalCurve(lvl, 1, [s0, s1, s0, s1, s0])
     with pytest.raises(NotOnXError):
-        validate_curve(threefold7, bad, tower=tower7)
+        validate_curve(threefold7, bad)
 
 
 def test_line_as_curve_is_valid(threefold7, skew7, tower7):
     for line in skew7:
-        rep = validate_curve(threefold7, line_as_curve(line), tower=tower7)
+        rep = validate_curve(threefold7, line_as_curve(line))
         assert rep.valid and rep.e == 1
 
 
 def test_meeting_data_skew_lines(skew7, tower7):
     l1, l2 = skew7
     md = curve_meeting_data(line_as_curve(l1), line_as_curve(l2),
-                            tower=tower7, max_level=4)
+                            max_level=4)
     assert md.complete and md.r == 0
 
 
@@ -67,7 +65,7 @@ def test_meeting_data_crossing_lines(tower7):
     l2 = ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 0, 0, 1])
     assert l1.meets(l2)
     md = curve_meeting_data(line_as_curve(l1), line_as_curve(l2),
-                            tower=tower7, max_level=4)
+                            max_level=4)
     assert md.r == 1
     pt = md.points[0]
     assert pt.transversal
@@ -78,7 +76,7 @@ def test_meeting_data_crossing_lines(tower7):
 def test_meeting_data_conic_and_line(threefold7, conic7, tower7):
     doc = fixture_json("meetline7.json")
     line = curve_from_json(doc, tower7.level(1))
-    md = curve_meeting_data(conic7, line, tower=tower7, max_level=4)
+    md = curve_meeting_data(conic7, line, max_level=4)
     assert md.complete and md.r == 1
     assert md.all_transversal
 
@@ -86,7 +84,7 @@ def test_meeting_data_conic_and_line(threefold7, conic7, tower7):
 def test_meeting_data_disjoint_conic_line(conic7, tower7):
     doc = fixture_json("disjline7.json")
     line = curve_from_json(doc, tower7.level(1))
-    md = curve_meeting_data(conic7, line, tower=tower7, max_level=4)
+    md = curve_meeting_data(conic7, line, max_level=4)
     assert md.complete and md.r == 0
 
 
@@ -95,13 +93,12 @@ def test_conic_residual_parameterized(threefold7, tower7):
     lvl = tower7.level(1)
     line = load_line(doc["residual_of_line"], lvl)
     basis = doc["plane_basis"]
-    res = conic_residual_to_line(threefold7, line, basis, tower=tower7)
+    res = conic_residual_to_line(threefold7, line, basis)
     assert res.kind == "parameterized"
-    rep = validate_curve(threefold7, res.curve, tower=tower7, max_level=4)
+    rep = validate_curve(threefold7, res.curve, max_level=4)
     assert rep.valid and rep.e == 2
     # the conic and the line it is residual to meet inside the plane
-    md = curve_meeting_data(res.curve, line_as_curve(line), tower=tower7,
-                            max_level=4)
+    md = curve_meeting_data(res.curve, line_as_curve(line), max_level=4)
     assert md.r >= 1
 
 
@@ -109,7 +106,7 @@ def test_conic_residual_double_line(threefold7, tower7):
     lvl = tower7.level(1)
     line = ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 1, 6, 0])
     basis = [list(line.rows[0]), list(line.rows[1]), [0, 0, 0, 0, 1]]
-    res = conic_residual_to_line(threefold7, line, basis, tower=tower7)
+    res = conic_residual_to_line(threefold7, line, basis)
     assert res.kind == "double_line"
 
 
@@ -121,5 +118,5 @@ def test_conic_residual_rational_case(threefoldQ):
                     [QQ.from_int(x) for x in basis[1]])
     if not threefoldQ.line_in_x(line):
         pytest.skip("fixture plane basis rows do not span a line of X")
-    res = conic_residual_to_line(threefoldQ, line, basis, tower=None)
+    res = conic_residual_to_line(threefoldQ, line, basis)
     assert res.kind in ("parameterized", "no_rational_point")

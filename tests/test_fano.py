@@ -285,7 +285,7 @@ def test_discriminant_first_type_line(threefold7, tower7):
     curve = discriminant_quintic(threefold7._over(line.field), line)
     assert curve.degree == 5 and curve.form.degree() == 5
     assert curve.genus == 6 and curve.double_cover_genus == 11
-    assert sample_smoothness(curve, tower7, count=20, max_level=4)
+    assert sample_smoothness(curve, count=20, max_level=4)
     assert len(curve.samples) == 20
 
 
@@ -294,7 +294,7 @@ def test_discriminant_second_type_line_is_singular(threefold7, tower7):
     line = ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 1, 6, 0])
     curve = discriminant_quintic(threefold7, line)
     assert curve.form.degree() == 5
-    assert not sample_smoothness(curve, tower7, count=20, max_level=2)
+    assert not sample_smoothness(curve, count=20, max_level=2)
     assert any(not s for _, _, s in curve.samples)
 
 

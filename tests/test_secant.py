@@ -100,7 +100,7 @@ def test_meeting_conic_line_f7(threefold7, conic7, tower7, census7):
     lvl = tower7.level(1)
     lc = curve_from_json(fixture_json("meetline7.json"), lvl)
     line = line_of_curve(lc)
-    md = curve_meeting_data(conic7, lc, tower=tower7, max_level=4)
+    md = curve_meeting_data(conic7, lc, max_level=4)
     assert md.r == 1
     report = count_secants_pair(threefold7, conic7, lc, tower7, max_level=4,
                                 meeting=md)
@@ -118,7 +118,7 @@ def test_meeting_conic_line_f11(threefold11, conic11, tower11, census11):
     lvl = tower11.level(1)
     lc = curve_from_json(fixture_json("meetline11.json"), lvl)
     line = line_of_curve(lc)
-    md = curve_meeting_data(conic11, lc, tower=tower11, max_level=4)
+    md = curve_meeting_data(conic11, lc, max_level=4)
     assert md.r == 1
     report = count_secants_pair(threefold11, conic11, lc, tower11,
                                 max_level=4, meeting=md)
@@ -133,11 +133,9 @@ def test_meeting_conic_line_f11(threefold11, conic11, tower11, census11):
 def test_secant_multiplicity_lookup(threefold7, conic7, tower7):
     lvl = tower7.level(1)
     residual = load_line(fixture_json("conic7.json")["residual_of_line"], lvl)
-    assert secant_multiplicity(threefold7, conic7, residual, tower7,
-                               max_level=4) == 1
+    assert secant_multiplicity(threefold7, conic7, residual, max_level=4) == 1
     other = ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 1, 6, 0])
-    assert secant_multiplicity(threefold7, conic7, other, tower7,
-                               max_level=4) == 0
+    assert secant_multiplicity(threefold7, conic7, other, max_level=4) == 0
 
 
 def test_report_json_shape(threefold7, conic7, tower7):
@@ -175,7 +173,7 @@ G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
 off = ProjLine(lvl, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
 checks = (
     lambda: _verify_solutions(BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)]),
-                              (G,), tower),
+                              (G,)),
     lambda: _assert_secant_line(fermat_cubic(lvl, 4), off),
     lambda: _exact_quo([1, 0, 1], [1, 1], lvl),
     lambda: fano.correspondence_row(fermat_cubic(lvl, 4), conic, meet, tower),
