@@ -233,7 +233,7 @@ def _cmd_enumerate_lines(args):
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     if cubic.field.char == 0:
         raise UsageError("line enumeration needs a finite field (p > 0)")
-    census = fano.enumerate_lines(cubic, None, level=args.level,
+    census = fano.enumerate_lines(cubic, cubic.field.tower, level=args.level,
                                   with_second_type=not args.no_second_type)
     return _emit(args, "enumerate-lines", census.to_json(), True)
 
@@ -241,7 +241,8 @@ def _cmd_enumerate_lines(args):
 def _cmd_lines_through_point(args):
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     point = _parse_vector(args.point, cubic.field)
-    res = lines_through_point(cubic, point, None, max_level=args.max_level,
+    res = lines_through_point(cubic, point, cubic.field.tower,
+                              max_level=args.max_level,
                               seed=args.seed)
     result = {
         "point": res.point,

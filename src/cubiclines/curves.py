@@ -248,19 +248,16 @@ def _solve_system(forms, bidegs, max_level):
                 continue
             rest = [f for k, f in enumerate(forms) if k not in (i, j)]
             sols.solutions = [sol for sol in sols.solutions
-                              if _vanishes_all(rest, sol)]
+                              if _vanishes_all(rest, forms[0].field, sol)]
             return sols
     return None
 
 
-def _vanishes_all(forms, sol):
+def _vanishes_all(forms, F, sol):
     lv, s, t, _m = sol
+    lvl = F.tower.level(lv)
     vals = list(s) + list(t)
-    for f in forms:
-        lvl = f.field.tower.level(lv)
-        if not lvl.is_zero(f.over(lvl).eval_elems(vals)):
-            return False
-    return True
+    return all(lvl.is_zero(f.over(lvl).eval_elems(vals)) for f in forms)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,31 @@ def test_lines_through_point(capsys):
     assert code == 1  # point not on the hypersurface
 
 
+def test_census_and_point_commands_pass_the_cubic_tower(capsys, monkeypatch):
+    # wrappers that observe these calls read the tower positionally
+    from cubiclines import cli, fano
+    seen = []
+
+    def recording(fn):
+        def wrapped(cubic, *args, **kwargs):
+            seen.append(args[-1] is cubic.field.tower)
+            return fn(cubic, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fano, "enumerate_lines",
+                        recording(fano.enumerate_lines))
+    monkeypatch.setattr(cli, "lines_through_point",
+                        recording(cli.lines_through_point))
+    code, _ = run(capsys, "enumerate-lines",
+                  "--cubic", fixture_path("fermat7_surface.json"))
+    assert code == 0
+    code, _ = run(capsys, "lines-through-point",
+                  "--cubic", fixture_path("fermat7_threefold.json"),
+                  "--point", "1,-1,0,0,0")
+    assert code == 0
+    assert seen == [True, True]
+
+
 def test_second_type_and_discriminant(capsys):
     code, doc = run(capsys, "second-type",
                     "--cubic", fixture_path("fermat7_threefold.json"),
