@@ -96,15 +96,24 @@ def _sym_model(sym):
     return "exc"
 
 
-def _rule(lhs_a, lhs_b, result_terms):
+def _signed_join(bits):
+    """Join rendered terms with " + ", writing a leading minus as " - "."""
+    out = bits[0]
+    for b in bits[1:]:
+        out += " - " + b[1:] if b.startswith("-") else " + " + b
+    return out
+
+
+def _rule(sa, sb, result_terms):
     rhs = " + ".join(
         "%s*%s" % (_poly_str(c), _sym_str(s)) if c != _P_ONE else _sym_str(s)
         for s, c in result_terms.items()) or "0"
-    return "%s*%s -> %s" % (_sym_str(lhs_a), _sym_str(lhs_b), rhs)
+    a, b = sorted((sa, sb))
+    return "%s*%s -> %s" % (_sym_str(a), _sym_str(b), rhs)
 
 
 def _mul_grade1(sa, sb):
-    """Product of two grade-1 symbols: (grade-2 terms, rule description)."""
+    """Grade-2 terms of the product of two grade-1 symbols."""
     a, b = sorted((sa, sb))
     ka, kb = a[0], b[0]
     ma, mb = _sym_model(a), _sym_model(b)
@@ -114,39 +123,25 @@ def _mul_grade1(sa, sb):
             % (_sym_str(sa), _sym_str(sb)))
     if "exc" in (ma, mb) and ma != mb:
         # exceptional classes are orthogonal to pullbacks from the base
-        return {}, _rule(a, b, {})
-    if ka == "D" and kb == "D":
+        return {}
+    if ka == kb == "D":
         if a[1] == b[1]:
-            out = {("delta", a[1]): _P_ONE, ("pair2", a[1]): _pconst(2)}
-        else:
-            deg = DIVISOR_DEGREES[a[1]] * DIVISOR_DEGREES[b[1]]
-            out = {("pt",): deg}
-        return out, _rule(a, b, out)
-    if ka == "D" and kb == "Delta0":
-        out = {("delta", a[1]): _pconst(-1)}
-        return out, _rule(a, b, out)
-    if ka == "Delta0" and kb == "Delta0":
-        out = {("Delta0sq",): _P_ONE}
-        return out, _rule(a, b, out)
-    if ka in ("A1xC2", "C1xA2") and kb in ("A1xC2", "C1xA2"):
-        out = {} if ka == kb else {("pt",): _pvar("e1") * _pvar("e2")}
-        return out, _rule(a, b, out)
-    # both exceptional
-    out = {}
-    if ka == kb == "E":
-        if a[1] == b[1]:
-            out = {("pt",): _pconst(-1)}
-    elif ka == kb == "F":
-        if a[1] == b[1]:
-            out = {("pt",): _pconst(-1)}
-    elif (ka, kb) == ("E", "sumE") or (ka, kb) == ("F", "sumF"):
-        out = {("pt",): _pconst(-1)}
-    elif ka == kb == "sumE":
-        out = {("pt",): _pvar("N").scale(Fraction(-1))}
-    elif ka == kb == "sumF":
-        out = {("pt",): _pvar("r").scale(Fraction(-1))}
-    # all E-vs-F mixes vanish (disjoint exceptional loci)
-    return out, _rule(a, b, out)
+            return {("delta", a[1]): _P_ONE, ("pair2", a[1]): _pconst(2)}
+        return {("pt",): DIVISOR_DEGREES[a[1]] * DIVISOR_DEGREES[b[1]]}
+    if (ka, kb) == ("D", "Delta0"):
+        return {("delta", a[1]): _pconst(-1)}
+    if ka == kb == "Delta0":
+        return {("Delta0sq",): _P_ONE}
+    if ma == "prod":
+        return {} if ka == kb else {("pt",): _pvar("e1") * _pvar("e2")}
+    # both exceptional; all E-vs-F mixes vanish (disjoint exceptional loci)
+    if a == b == ("sumE",):
+        return {("pt",): _pvar("N").scale(Fraction(-1))}
+    if a == b == ("sumF",):
+        return {("pt",): _pvar("r").scale(Fraction(-1))}
+    if a == b or (ka, kb) in (("E", "sumE"), ("F", "sumF")):
+        return {("pt",): _pconst(-1)}
+    return {}
 
 
 def _merge(dst, sym, coeff):
@@ -202,27 +197,20 @@ class ChowExpr:
                         {s: c * poly for s, c in self.g2.items()})
 
     def mul(self, other, log=None):
-        """Graded product; grade-3 and higher parts vanish on a surface."""
-        g0 = self.g0 * other.g0
-        g1 = {}
-        g2 = {}
-        for s, c in self.g1.items():
-            _merge(g1, s, c * other.g0)
-        for s, c in other.g1.items():
-            _merge(g1, s, c * self.g0)
-        for s, c in self.g2.items():
-            _merge(g2, s, c * other.g0)
-        for s, c in other.g2.items():
-            _merge(g2, s, c * self.g0)
+        """Graded product; grade-3 and higher parts vanish on a surface.
+
+        The rewrite rule of each grade-1 product is appended to ``log``.
+        """
+        out = (ChowExpr(g1=self.g1, g2=self.g2).scale(other.g0)
+               + other.scale(self.g0))
         for sa, ca in self.g1.items():
             for sb, cb in other.g1.items():
-                terms, rule = _mul_grade1(sa, sb)
+                terms = _mul_grade1(sa, sb)
                 if log is not None:
-                    log.append(rule)
-                coeff = ca * cb
+                    log.append(_rule(sa, sb, terms))
                 for sym, mult in terms.items():
-                    _merge(g2, sym, coeff * mult)
-        return ChowExpr(g0, g1, g2)
+                    _merge(out.g2, sym, ca * cb * mult)
+        return out
 
     def __mul__(self, other):
         return self.mul(other)
@@ -233,16 +221,6 @@ class ChowExpr:
     def __eq__(self, other):
         return (isinstance(other, ChowExpr) and self.g0 == other.g0
                 and self.g1 == other.g1 and self.g2 == other.g2)
-
-    def __hash__(self):
-        return hash((self.g0, frozenset(self.g1), frozenset(self.g2)))
-
-    def normalize(self):
-        """Canonical copy (terms pruned; held in sorted order)."""
-        return ChowExpr(
-            self.g0,
-            {s: self.g1[s] for s in sorted(self.g1)},
-            {s: self.g2[s] for s in sorted(self.g2)})
 
     def params_used(self):
         used = _poly_params(self.g0)
@@ -256,9 +234,7 @@ class ChowExpr:
         return used
 
     def to_str(self):
-        bits = []
-        if not self.g0.is_zero():
-            bits.append(_poly_str(self.g0))
+        bits = [] if self.g0.is_zero() else [_poly_str(self.g0)]
         for part in (self.g1, self.g2):
             for sym in sorted(part):
                 coeff = part[sym]
@@ -269,12 +245,7 @@ class ChowExpr:
                     bits.append("-%s" % name)
                 else:
                     bits.append("%s*%s" % (_poly_str(coeff), name))
-        if not bits:
-            return "0"
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+        return _signed_join(bits) if bits else "0"
 
     def __repr__(self):
         return self.to_str()
@@ -307,25 +278,14 @@ def _poly_str(poly):
             bits.append(head + mono)
         else:
             bits.append(head + ("*" + mono if mono else ""))
-    out = bits[0]
-    for b in bits[1:]:
-        out += " - " + b[1:] if b.startswith("-") else " + " + b
+    out = _signed_join(bits)
     return "(%s)" % out if len(bits) > 1 else out
 
 
 # -- parsing ---------------------------------------------------------------
 
-_PLAIN_SYMBOLS = {
-    "Delta0": ("Delta0",),
-    "Delta0sq": ("Delta0sq",),
-    "pt": ("pt",),
-    "sumE": ("sumE",),
-    "sumF": ("sumF",),
-    "A1xC2": ("A1xC2",),
-    "C1xA2": ("C1xA2",),
-}
-
-_GRADE2_HEADS = {"delta", "pair2"}
+_GRADE1_NAMES = {"Delta0", "sumE", "sumF", "A1xC2", "C1xA2"}
+_GRADE2_NAMES = {"Delta0sq", "pt"}
 
 
 def _tokenize(text):
@@ -361,10 +321,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text):
-        self.text = text
+    def __init__(self, text, log=None):
         self.toks = _tokenize(text)
         self.i = 0
+        self.log = log
 
     def peek(self):
         return self.toks[self.i]
@@ -397,7 +357,7 @@ class _Parser:
             op, _, pos = self.take()
             rhs = self.factor()
             if op == "*":
-                out = out * rhs
+                out = out.mul(rhs, self.log)
             else:
                 if rhs.g1 or rhs.g2 or not rhs.g0.is_constant():
                     raise ChowSyntaxError("division only by constants", pos)
@@ -429,19 +389,16 @@ class _Parser:
         name = val
         if name in PARAMS:
             return ChowExpr.scalar(_pvar(name))
-        if name in _PLAIN_SYMBOLS:
-            sym = _PLAIN_SYMBOLS[name]
-            if sym in (("Delta0sq",), ("pt",)):
-                return ChowExpr.grade2(sym)
-            return ChowExpr.grade1(sym)
+        if name in _GRADE1_NAMES:
+            return ChowExpr.grade1((name,))
+        if name in _GRADE2_NAMES:
+            return ChowExpr.grade2((name,))
         if name == "K_C":
             return ChowExpr.grade1(("D", "K_C"))
         if name == "xS":
             # hyperplane class restricted to the residue surface
-            return (ChowExpr.grade1(("D", "a")).scale(2)
-                    + ChowExpr.grade1(("Delta0",)).scale(3)
-                    - ChowExpr.grade1(("sumE",)))
-        if name in {"D", "E", "F"} | _GRADE2_HEADS:
+            return _Parser(RESIDUE_CLASSES["single"]["xi_S"], self.log).parse()
+        if name in ("D", "E", "F", "delta", "pair2"):
             self.take("[")
             akind, aval, apos = self.take()
             self.take("]")
@@ -453,25 +410,22 @@ class _Parser:
                 raise UnknownSymbolError("unknown divisor %r" % (aval,), apos)
             if name == "D":
                 return ChowExpr.grade1((name, aval))
-            return ChowExpr(g2={(name, aval): _P_ONE})
+            return ChowExpr.grade2((name, aval))
         raise UnknownSymbolError("unknown symbol %r" % name, pos)
 
 
-def parse(text):
+def parse(text, log=None):
     """Parse an expression into normal form.
 
     Grammar: ``+ - * /`` with parentheses; atoms are integers, the formal
     parameters, and the symbols D[a], Delta0, delta[a], pair2[a], pt,
-    Delta0sq, E[i], F[i], sumE, sumF, A1xC2, C1xA2, K_C, xS.
+    Delta0sq, E[i], F[i], sumE, sumF, A1xC2, C1xA2, K_C, xS.  The rewrite
+    rule of each grade-1 product is appended to ``log``.
     """
-    return _Parser(text).parse().normalize()
+    return _Parser(text, log).parse()
 
 
 # -- evaluation -------------------------------------------------------------
-
-def _eval_poly(poly, values):
-    return poly.eval_elems(values)
-
 
 def evaluate(expr, bindings):
     """Integer degree of a grade-2 (or scalar) class at integer parameters."""
@@ -481,18 +435,18 @@ def evaluate(expr, bindings):
         if name not in bindings:
             raise UnboundParameterError(name)
     values = [Fraction(bindings.get(p, 0)) for p in PARAMS]
-    total = _eval_poly(expr.g0, values)
+    total = expr.g0.eval_elems(values)
     for sym, coeff in expr.g2.items():
         if sym[0] == "delta":
-            v = _eval_poly(DIVISOR_DEGREES[sym[1]], values)
+            v = DIVISOR_DEGREES[sym[1]].eval_elems(values)
         elif sym[0] == "pair2":
-            d = _eval_poly(DIVISOR_DEGREES[sym[1]], values)
+            d = DIVISOR_DEGREES[sym[1]].eval_elems(values)
             v = d * (d - 1) / 2
         elif sym == ("pt",):
             v = Fraction(1)
         else:  # Delta0sq
             v = 1 - Fraction(bindings["g"])
-        total += _eval_poly(coeff, values) * v
+        total += coeff.eval_elems(values) * v
     if total.denominator != 1:
         raise ChowError("degree is not an integer: %s" % total)
     return int(total)
@@ -500,83 +454,66 @@ def evaluate(expr, bindings):
 
 # -- derivations ------------------------------------------------------------
 
-def single_count_class(log=None):
-    """Second Chern class of the twisted secant bundle on the symmetric
-    square: c2 + c1*(D+2*Delta0) + (D+2*Delta0)^2 with c1 = D + Delta0 and
-    c2 = pair2[a]."""
-    D = ChowExpr.grade1(("D", "a"))
-    delta0 = ChowExpr.grade1(("Delta0",))
-    c1 = D + delta0
-    c2 = ChowExpr.grade2(("pair2", "a"))
-    twist = D + delta0.scale(2)
-    return (c2 + c1.mul(twist, log) + twist.mul(twist, log)).normalize()
+# (c1, c2, twist) of the secant bundle: on the symmetric square of one curve
+# ("single") and on the blown-up product of two curves ("pair")
+COUNT_CLASSES = {
+    "single": ("D[a] + Delta0", "pair2[a]", "D[a] + 2*Delta0"),
+    "pair": ("A1xC2 + C1xA2 - sumF", "A1xC2*C1xA2", "A1xC2 + C1xA2 - 2*sumF"),
+}
 
 
-def pair_count_class(log=None):
-    """Second Chern class of the twisted bundle on the blown-up product:
-    c2 + c1*(A-2*sumF) + (A-2*sumF)^2 with A = A1xC2 + C1xA2,
-    c1 = A - sumF and c2 = A1xC2*C1xA2."""
-    A = ChowExpr.grade1(("A1xC2",)) + ChowExpr.grade1(("C1xA2",))
-    sumF = ChowExpr.grade1(("sumF",))
-    c1 = A - sumF
-    c2 = ChowExpr.grade1(("A1xC2",)).mul(ChowExpr.grade1(("C1xA2",)), log)
-    twist = A - sumF.scale(2)
-    return (c2 + c1.mul(twist, log) + twist.mul(twist, log)).normalize()
+def count_class(case, log=None):
+    """Second Chern class of the twisted secant bundle,
+    c2 + c1*twist + twist*twist, for ``case`` "single" or "pair"."""
+    c1, c2, twist = (parse(text, log) for text in COUNT_CLASSES[case])
+    return c2 + c1.mul(twist, log) + twist.mul(twist, log)
+
+
+def _derive(case, bindings):
+    log = []
+    cls = count_class(case, log)
+    trace = ["%s = %s" % pair
+             for pair in zip(("c1", "c2", "twist"), COUNT_CLASSES[case])]
+    trace.append("count class = c2 + c1*twist + twist*twist")
+    trace += ["rewrite: " + rule for rule in log]
+    trace.append("normal form: " + cls.to_str())
+    value = evaluate(cls, bindings)
+    trace.append("evaluate at %s: %d" % (
+        ", ".join("%s=%d" % kv for kv in bindings.items()), value))
+    return value, trace
 
 
 def derive_secant_count(e, g):
     """Secant-line count of a degree-e genus-g curve, with a rewrite trace."""
-    log = []
-    cls = single_count_class(log)
-    trace = [
-        "c1 = D[a] + Delta0",
-        "c2 = pair2[a]",
-        "twist = D[a] + 2*Delta0",
-        "count class = c2 + c1*twist + twist*twist",
-    ]
-    trace += ["rewrite: " + r for r in log]
-    trace.append("normal form: " + cls.to_str())
-    value = evaluate(cls, {"e": e, "g": g})
-    trace.append("evaluate at e=%d, g=%d: %d" % (e, g, value))
-    return value, trace
+    return _derive("single", {"e": e, "g": g})
 
 
 def derive_pair_count(e1, e2, r):
     """Secant-line count of a pair of curves meeting at r points."""
-    log = []
-    cls = pair_count_class(log)
-    trace = [
-        "c1 = A1xC2 + C1xA2 - sumF",
-        "c2 = A1xC2*C1xA2",
-        "twist = A1xC2 + C1xA2 - 2*sumF",
-        "count class = c2 + c1*twist + twist*twist",
-    ]
-    trace += ["rewrite: " + r_ for r_ in log]
-    trace.append("normal form: " + cls.to_str())
-    value = evaluate(cls, {"e1": e1, "e2": e2, "r": r})
-    trace.append("evaluate at e1=%d, e2=%d, r=%d: %d" % (e1, e2, r, value))
-    return value, trace
+    return _derive("pair", {"e1": e1, "e2": e2, "r": r})
 
 
 def secant_bundle_chern_consistent():
     """Check the two routes to the Chern classes of the bundle twisted by
     a difference of two named divisors give the same normal form."""
-    D1 = ChowExpr.grade1(("D", "a1"))
-    D2 = ChowExpr.grade1(("D", "a2"))
-    delta0 = ChowExpr.grade1(("Delta0",))
-    stated_c2 = (ChowExpr.grade2(("pair2", "a1"))
-                 + ChowExpr.grade2(("pair2", "a2"))
-                 + ChowExpr.grade2(("delta", "a2"))
-                 - D1 * D2)
-    # product expansion (1 + D1 + Delta0 + pair2[a1]) * (1 - D2 + pair2[a2])
-    lhs = (ChowExpr.scalar(1) + D1 + delta0 + ChowExpr.grade2(("pair2", "a1")))
-    rhs = (ChowExpr.scalar(1) - D2 + ChowExpr.grade2(("pair2", "a2")))
-    total = lhs * rhs
-    expanded_c1 = ChowExpr(g1=total.g1)
-    expanded_c2 = ChowExpr(g2=total.g2)
-    stated_c1 = delta0 + D1 - D2
-    return (expanded_c1.normalize() == stated_c1.normalize()
-            and expanded_c2.normalize() == stated_c2.normalize())
+    total = parse("(1 + D[a1] + Delta0 + pair2[a1]) * (1 - D[a2] + pair2[a2])")
+    return (ChowExpr(g1=total.g1) == parse("Delta0 + D[a1] - D[a2]")
+            and ChowExpr(g2=total.g2) == parse(
+                "pair2[a1] + pair2[a2] + delta[a2] - D[a1]*D[a2]"))
+
+
+# relative hyperplane xi_S, residual-line divisor D_S, self-restriction S_S
+# and the twist class, restricted to the residue surface
+RESIDUE_CLASSES = {
+    "single": {"xi_S": "2*D[a] + 3*Delta0 - sumE",
+               "D_S": "3*D[a] + 4*Delta0 - 2*sumE",
+               "S_S": "3*D[a] + 5*Delta0 - sumE",
+               "twist": COUNT_CLASSES["single"][2]},
+    "pair": {"xi_S": "2*A1xC2 + 2*C1xA2 - 3*sumF - sumE",
+             "D_S": "3*A1xC2 + 3*C1xA2 - 4*sumF - 2*sumE",
+             "S_S": "3*A1xC2 + 3*C1xA2 - 5*sumF - sumE",
+             "twist": COUNT_CLASSES["pair"][2]},
+}
 
 
 def residue_surface_classes(case):
@@ -587,37 +524,22 @@ def residue_surface_classes(case):
     the linear consistency identities and the agreement of two independent
     expansions of xi_S^2.
     """
-    if case == "single":
-        base = ChowExpr.grade1(("D", "a"))
-        delta0 = ChowExpr.grade1(("Delta0",))
-        sumE = ChowExpr.grade1(("sumE",))
-        xi = base.scale(2) + delta0.scale(3) - sumE
-        d_s = base.scale(3) + delta0.scale(4) - sumE.scale(2)
-        s_s = base.scale(3) + delta0.scale(5) - sumE
-        twist = base + delta0.scale(2)
-    elif case == "pair":
-        A = ChowExpr.grade1(("A1xC2",)) + ChowExpr.grade1(("C1xA2",))
-        sumF = ChowExpr.grade1(("sumF",))
-        sumE = ChowExpr.grade1(("sumE",))
-        xi = A.scale(2) - sumF.scale(3) - sumE
-        d_s = A.scale(3) - sumF.scale(4) - sumE.scale(2)
-        s_s = A.scale(3) - sumF.scale(5) - sumE
-        twist = A - sumF.scale(2)
-    else:
+    if case not in RESIDUE_CLASSES:
         raise ValueError("case must be 'single' or 'pair'")
+    classes = {name: parse(text)
+               for name, text in RESIDUE_CLASSES[case].items()}
+    xi, d_s, s_s, twist = (classes[name]
+                           for name in ("xi_S", "D_S", "S_S", "twist"))
     for identity in (d_s + s_s - xi.scale(3), d_s - xi.scale(2) + twist,
                      s_s - xi - twist):
         if not identity.is_zero():
             raise VerificationError("residue class identity fails: %s"
                                     % identity.to_str())
-    sq_direct = (xi * xi).normalize()
+    classes["xi_S_sq"] = xi * xi
     half = (d_s + twist).scale(Fraction(1, 2))
-    sq_via_d = (half * half).normalize()
-    if sq_direct != sq_via_d:
+    if classes["xi_S_sq"] != half * half:
         raise VerificationError("two expansions of xi_S^2 disagree")
-    return {"xi_S": xi.normalize(), "D_S": d_s.normalize(),
-            "S_S": s_s.normalize(), "twist": twist.normalize(),
-            "xi_S_sq": sq_direct}
+    return classes
 
 
 # -- degree checks for the 1-cycle relations --------------------------------
@@ -635,29 +557,28 @@ def relation_degree_check(relation, ranges=None):
     ranges = dict(RELATION_RANGES[relation], **(ranges or {}))
     rows = []
     if relation == "4.1":
+        cls = count_class("single")
         for e in ranges["e"]:
             for g in ranges["g"]:
-                count, _ = derive_secant_count(e, g)
-                lhs = (2 * e - 3) * e + count
+                lhs = (2 * e - 3) * e + evaluate(cls, {"e": e, "g": g})
                 rhs = 3 * ((e - 1) * (3 * e - 4) // 2 - 2 * g)
                 rows.append({"params": {"e": e, "g": g},
                              "lhs": lhs, "rhs": rhs, "ok": lhs == rhs})
     elif relation == "4.2":
+        cls = count_class("pair")
         for e1 in ranges["e1"]:
             for e2 in ranges["e2"]:
                 for r in ranges["r"]:
-                    count, _ = derive_pair_count(e1, e2, r)
+                    count = evaluate(cls, {"e1": e1, "e2": e2, "r": r})
                     lhs = 2 * e2 * e1 + 2 * e1 * e2 + count
                     rhs = 3 * (3 * e1 * e2 - 2 * r)
                     rows.append({"params": {"e1": e1, "e2": e2, "r": r},
                                  "lhs": lhs, "rhs": rhs, "ok": lhs == rhs})
-    elif relation == "4.3":
+    else:  # 4.3
         for e in ranges["e"]:
             lhs = (2 * e - 1) + 2 * e + (5 * e - 5)
             rhs = 3 * (3 * e - 2)
             rows.append({"params": {"e": e},
                          "lhs": lhs, "rhs": rhs, "ok": lhs == rhs})
-    else:
-        raise ValueError("unknown relation %r" % relation)
     return {"relation": relation, "rows": rows,
             "passed": all(row["ok"] for row in rows)}

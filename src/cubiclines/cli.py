@@ -225,6 +225,12 @@ def _cmd_derive_count(args):
 
 def _cmd_relation_check(args):
     ranges = _parse_ranges(args.range)
+    for name, span in ranges.items():
+        if name not in chow.RELATION_RANGES[args.relation]:
+            raise UsageError("relation %s has no parameter %r"
+                             % (args.relation, name))
+        if not span:
+            raise UsageError("range for %s is empty" % name)
     table = chow.relation_degree_check(args.relation, ranges or None)
     return _emit(args, "relation-check", table, table["passed"])
 
@@ -410,7 +416,7 @@ def main(argv=None):
     except chow.UnboundParameterError as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 3
-    except (chow.ChowSyntaxError, UsageError, BudgetError, NotImplementedError,
+    except (chow.ChowError, UsageError, BudgetError, NotImplementedError,
             BasePointError, NotOnXError, CoordinateChangeError) as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2

@@ -432,13 +432,16 @@ def plane_residual(cubic, plane_basis, known_line=None, max_level=2):
                         components_degrees=degrees)
 
 
+def _levels_over(F, max_level):
+    """The tower levels that contain F, up to max_level and the budget."""
+    for k in range(F.k, min(max_level, F.tower.budget) + 1, F.k):
+        yield F.tower.level(k)
+
+
 def _find_linear_factor(T, F, max_level):
     if F.char == 0:
         return None  # exhaustive factor search is finite-field machinery
-    for k in range(1, min(max_level, F.tower.budget) + 1):
-        if k % F.k:
-            continue
-        lvl = F.tower.level(k)
+    for lvl in _levels_over(F, max_level):
         Tl = T.over(lvl)
         for ell in _proj_points(lvl, 2):
             if Tl.divides_exactly(_linear_form_poly(ell, lvl)) is not None:
@@ -538,8 +541,7 @@ def smoothness_probe(cubic, max_level=2, seed=0):
     levels_done = []
     samples = 0
     rng = random.Random("smooth:%d" % seed)
-    for k in range(1, min(max_level, F.tower.budget) + 1):
-        lvl = F.tower.level(k)
+    for lvl in _levels_over(F, max_level):
         count = sum(lvl.q ** i for i in range(n + 1))
         cub = cubic._over(lvl)
         gl = [g.over(lvl) for g in grads]
@@ -548,7 +550,7 @@ def smoothness_probe(cubic, max_level=2, seed=0):
                 if _is_singular_at(cub, gl, pt, lvl):
                     return SmoothnessCertificate(False, tuple(pt), levels_done,
                                                  samples, True)
-            levels_done.append(k)
+            levels_done.append(lvl.k)
         else:
             for _ in range(SAMPLE_BUDGET):
                 pt = [lvl.from_coeffs([rng.randrange(lvl.p)

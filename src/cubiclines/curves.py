@@ -19,7 +19,7 @@ from .bihom import (
     diagonal_form,
     solve_bihomog,
 )
-from .cubic import _proj_points, plane_residual
+from .cubic import _levels_over, _proj_points, plane_residual
 from .poly import MultiPoly, binary_gcd
 
 
@@ -385,10 +385,7 @@ def _point_on_conic(C, F, max_level):
                     if F.is_zero(C.eval_elems(pt)):
                         return F, pt
         return None
-    for k in range(1, min(max_level, F.tower.budget) + 1):
-        if k % F.k:
-            continue
-        lvl = F.tower.level(k)
+    for lvl in _levels_over(F, max_level):
         Cl = C.over(lvl)
         for pt in _proj_points(lvl, 2):
             if lvl.is_zero(Cl.eval_elems(pt)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .curves import _normalize, curve_meeting_data, line_as_curve
-from .cubic import ProjLine, lines_through_point
+from .cubic import ProjLine, _levels_over, lines_through_point
 from .fields import BudgetError, VerificationError, check_tower
 from .poly import MultiPoly
 from .secant import _enc_vec, count_secants_pair, expected_line_meeting
@@ -160,6 +160,8 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     comes from shared rational points (see :func:`incidence`), with no
     rank per pair of lines.
     """
+    if cubic.field.char == 0:
+        raise ValueError("line enumeration needs a finite field (p > 0)")
     check_tower(tower, cubic.field)
     fld = cubic.field.tower.level(level)
     q = fld.p ** fld.k
@@ -211,40 +213,23 @@ def _complement_basis(line):
 
 
 def _restrict_along(cubic, line, comp):
-    """F(s*r0 + t*r1 + z*sum u_i w_i) as a polynomial in (s, t, z, u...)."""
+    """F(s*r0 + t*r1 + sum u_i w_i) as a polynomial in (s, t, u...)."""
     fld = line.field
     X = cubic._over(fld)
-    m = len(comp)
-    pvars = ("s", "t", "z") + tuple("u%d" % i for i in range(m))
-    r0, r1 = line.rows
-
-    def lin(idx):
-        terms = {}
-        for vi, coeff in (((1, 0, 0) + (0,) * m, r0[idx]),
-                          ((0, 1, 0) + (0,) * m, r1[idx])):
-            if not fld.is_zero(coeff):
-                terms[vi] = coeff
-        for i in range(m):
-            c = comp[i][idx]
-            if not fld.is_zero(c):
-                e = [0, 0, 1] + [0] * m
-                e[3 + i] = 1
-                terms[tuple(e)] = c
-        return MultiPoly(fld, pvars, terms)
-
-    coords = [lin(idx) for idx in range(line.n + 1)]
-    return X, pvars, X.F.eval_polys(coords)
+    pvars = ("s", "t") + tuple("u%d" % i for i in range(len(comp)))
+    coords = MultiPoly.linear_forms(fld, pvars, list(line.rows) + comp)
+    G = X.F.eval_polys(coords)
+    if any(not any(exps[2:]) for exps in G.terms):
+        raise ValueError("line does not lie on the hypersurface")
+    return pvars, G
 
 
-def _u_part(G, pvars, s_deg, t_deg, z_deg):
-    """Coefficient of s^a t^b z^c as a polynomial in the u variables."""
-    fld = G.field
-    uvars = pvars[3:]
-    terms = {}
-    for exps, c in G.terms.items():
-        if exps[0] == s_deg and exps[1] == t_deg and exps[2] == z_deg:
-            terms[exps[3:]] = c
-    return MultiPoly(fld, uvars, terms)
+def _u_part(G, pvars, s_deg, t_deg):
+    """Coefficient of s^a t^b as a polynomial in the u variables; it is a
+    form of degree 3 - a - b, since F is a cubic."""
+    terms = {exps[2:]: c for exps, c in G.terms.items()
+             if exps[:2] == (s_deg, t_deg)}
+    return MultiPoly(G.field, pvars[2:], terms)
 
 
 def second_type_test(cubic, line):
@@ -257,13 +242,11 @@ def second_type_test(cubic, line):
     """
     fld = line.field
     comp = _complement_basis(line)
-    X, pvars, G = _restrict_along(cubic, line, comp)
-    if any(exps[2] == 0 and not fld.is_zero(c) for exps, c in G.terms.items()):
-        raise ValueError("line does not lie on the hypersurface")
+    pvars, G = _restrict_along(cubic, line, comp)
     m = len(comp)
     rows = []
     for (sa, tb) in ((2, 0), (1, 1), (0, 2)):
-        form = _u_part(G, pvars, sa, tb, 1)
+        form = _u_part(G, pvars, sa, tb)
         row = [fld.zero] * m
         for exps, c in form.terms.items():
             i = next(k for k, e in enumerate(exps) if e)
@@ -302,16 +285,14 @@ def discriminant_quintic(cubic, line):
     if fld.char == 2:
         raise ValueError("conic matrices need characteristic != 2")
     comp = _complement_basis(line)
-    X, pvars, G = _restrict_along(cubic, line, comp)
-    if any(exps[2] == 0 and not fld.is_zero(c) for exps, c in G.terms.items()):
-        raise ValueError("line does not lie on the hypersurface")
+    pvars, G = _restrict_along(cubic, line, comp)
     two = fld.add(fld.one, fld.one)
-    alpha = _u_part(G, pvars, 2, 0, 1)
-    beta = _u_part(G, pvars, 1, 1, 1)
-    gamma = _u_part(G, pvars, 0, 2, 1)
-    delta = _u_part(G, pvars, 1, 0, 2)
-    eps = _u_part(G, pvars, 0, 1, 2)
-    zeta = _u_part(G, pvars, 0, 0, 3)
+    alpha = _u_part(G, pvars, 2, 0)
+    beta = _u_part(G, pvars, 1, 1)
+    gamma = _u_part(G, pvars, 0, 2)
+    delta = _u_part(G, pvars, 1, 0)
+    eps = _u_part(G, pvars, 0, 1)
+    zeta = _u_part(G, pvars, 0, 0)
     a2, g2, z2 = (f.scale(two) for f in (alpha, gamma, zeta))
     det = (a2 * (g2 * z2 - eps * eps)
            - beta * (beta * z2 - eps * delta)
@@ -328,16 +309,17 @@ def discriminant_quintic(cubic, line):
 def sample_smoothness(curve, count=20, max_level=3, seed=0):
     """Check the Jacobian criterion at sampled zeros of the discriminant.
 
-    Collects projective zeros level by level until ``count`` are found,
+    Collects projective zeros level by level (the levels that contain the
+    curve's field, up to max_level and the budget) until ``count`` are found,
     records (level, point, smooth) per sample, and returns True when every
     sampled zero is a smooth point of the curve.
     """
     base = curve.form.field
-    grads = {}
+    if base.char == 0:
+        raise ValueError("smoothness sampling enumerates points; needs p > 0")
     rng = random.Random(seed)
     curve.samples = []
-    for lv in range(base.k, max_level + 1):
-        lvl = base.tower.level(lv)
+    for lvl in _levels_over(base, max_level):
         form = curve.form.over(lvl)
         parts = [form.derivative(v) for v in form.vars]
         pts = [p for p in _proj2_points(lvl)
@@ -347,7 +329,7 @@ def sample_smoothness(curve, count=20, max_level=3, seed=0):
             if len(curve.samples) >= count:
                 break
             smooth = any(not lvl.is_zero(d.eval_elems(list(p))) for d in parts)
-            curve.samples.append((lv, tuple(p), smooth))
+            curve.samples.append((lvl.k, tuple(p), smooth))
         if len(curve.samples) >= count:
             break
     return bool(curve.samples) and all(s for _, _, s in curve.samples)

@@ -214,9 +214,7 @@ def test_criterion_11_property_suites(tower7, tmp_path):
             atoms = rand_atoms(rng, pool, rng.randrange(2, 5))
             shuffled = atoms[:]
             rng.shuffle(shuffled)
-            assert fold(op, atoms).normalize() \
-                == rfold(op, atoms).normalize() \
-                == fold(op, shuffled).normalize()
+            assert fold(op, atoms) == rfold(op, atoms) == fold(op, shuffled)
         # field axioms: 1000 random triples at every level up to 4
         for k in range(1, 5):
             lvl = tower7.level(k)
@@ -240,7 +238,6 @@ def test_criterion_11_property_suites(tower7, tmp_path):
             expr = atoms[0]
             for x in atoms[1:]:
                 expr = expr * x if srng.random() < 0.5 else expr + x
-            expr = expr.normalize()
             if expr.g1:
                 # evaluation is only defined without a grade-1 part
                 expr = ChowExpr(g0=expr.g0, g2=expr.g2)

@@ -69,6 +69,18 @@ def test_chow_eval_exit_codes(capsys):
     assert code == 2  # syntax error
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["D[a]", "--bind", "e=3"], "grade-1 part"),
+    (["D[a]*A1xC2"], "different ambient surfaces"),
+    (["1/2*pt"], "degree is not an integer"),
+])
+def test_chow_eval_calculus_errors_exit_2(capsys, argv, message):
+    code = main(["chow-eval"] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
 def test_derive_count(capsys):
     code, doc = run(capsys, "derive-count", "--e", "3", "--g", "0")
     assert code == 0 and doc["result"]["value"] == 6
@@ -86,6 +98,18 @@ def test_relation_check(capsys):
     code, _ = run(capsys, "relation-check", "--relation",
                   "4.1", "--range", "e=nope..3")
     assert code == 2
+
+
+@pytest.mark.parametrize("relation, spec, message", [
+    ("4.1", "e=5..3", "empty"),
+    ("4.1", "x=1..3", "no parameter 'x'"),
+    ("4.3", "g=0..2", "no parameter 'g'"),
+])
+def test_relation_check_rejects_bad_ranges(capsys, relation, spec, message):
+    code = main(["relation-check", "--relation", relation, "--range", spec])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err
 
 
 def test_enumerate_lines_surface(capsys):

@@ -8,7 +8,7 @@ from cubiclines.cubic import (CubicForm, DegenerateSpanError, ProjLine,
                               classify_conic, cubic_from_json, fermat_cubic,
                               lines_through_point, plane_residual,
                               smoothness_probe, xvars)
-from cubiclines.fields import QQ
+from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
 
 
@@ -84,6 +84,13 @@ def test_smoothness_probe_finds_singularity(tower7):
 def test_smoothness_probe_rejects_rationals(threefoldQ):
     with pytest.raises(ValueError):
         smoothness_probe(threefoldQ)
+
+
+def test_smoothness_probe_sweeps_only_levels_over_the_cubic():
+    # a cubic defined at level 2 is probed at level 2, never at level 1
+    surface = fermat_cubic(FieldTower(5, budget=2).level(2), 3)
+    cert = smoothness_probe(surface, max_level=2)
+    assert cert.smooth_so_far and cert.levels_exhausted == [2]
 
 
 def test_lines_through_point_vs_bruteforce(threefold7, tower7):

@@ -7,11 +7,11 @@ import pytest
 from cubiclines.cubic import (CubicForm, ProjLine, fermat_cubic,
                               lines_through_point, xvars)
 from cubiclines.curves import curve_from_json
-from cubiclines.fano import (DegenerateConfigurationError, _polar_cut,
-                             correspondence_row, discriminant_quintic,
-                             enumerate_lines, incidence, sample_smoothness,
-                             second_type_test)
-from cubiclines.fields import FieldTower
+from cubiclines.fano import (DegenerateConfigurationError, DiscriminantCurve,
+                             _polar_cut, correspondence_row,
+                             discriminant_quintic, enumerate_lines, incidence,
+                             sample_smoothness, second_type_test)
+from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
 from oracle import naive_census
@@ -287,6 +287,9 @@ def test_discriminant_first_type_line(threefold7, tower7):
     assert curve.genus == 6 and curve.double_cover_genus == 11
     assert sample_smoothness(curve, count=20, max_level=4)
     assert len(curve.samples) == 20
+    # every zero over the curve's own level 2: level 3 does not contain it
+    assert sample_smoothness(curve, count=10 ** 6, max_level=3)
+    assert {lv for lv, _, _ in curve.samples} == {2}
 
 
 def test_discriminant_second_type_line_is_singular(threefold7, tower7):
@@ -296,6 +299,15 @@ def test_discriminant_second_type_line_is_singular(threefold7, tower7):
     assert curve.form.degree() == 5
     assert not sample_smoothness(curve, count=20, max_level=2)
     assert any(not s for _, _, s in curve.samples)
+
+
+def test_census_and_sampling_refuse_characteristic_zero():
+    with pytest.raises(ValueError, match="finite field"):
+        enumerate_lines(fermat_cubic(QQ, 4), None)
+    quintic = MultiPoly.from_int_terms(
+        QQ, ("u0", "u1", "u2"), {(5, 0, 0): 1, (0, 5, 0): 1, (0, 0, 5): 1})
+    with pytest.raises(ValueError, match="p > 0"):
+        sample_smoothness(DiscriminantCurve(form=quintic, level_field=QQ))
 
 
 def test_correspondence_row(threefold7, conic7, tower7):
