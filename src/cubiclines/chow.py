@@ -553,8 +553,19 @@ RELATION_RANGES = {
 
 def relation_degree_check(relation, ranges=None):
     """Verify deg(LHS) == 3 * (hyperplane-section coefficient) for one of
-    the three 1-cycle relations, over a grid of parameters."""
-    ranges = dict(RELATION_RANGES[relation], **(ranges or {}))
+    the three 1-cycle relations, over a grid of parameters.
+
+    ``ranges`` overrides the default range of some of the relation's
+    parameters; a name the relation does not have, or an empty range,
+    raises ValueError.
+    """
+    defaults = RELATION_RANGES[relation]
+    for name, span in (ranges or {}).items():
+        if name not in defaults:
+            raise ValueError("relation %s has no parameter %r" % (relation, name))
+        if not span:
+            raise ValueError("range for %s is empty" % name)
+    ranges = dict(defaults, **(ranges or {}))
     rows = []
     if relation == "4.1":
         cls = count_class("single")

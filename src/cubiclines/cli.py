@@ -225,13 +225,10 @@ def _cmd_derive_count(args):
 
 def _cmd_relation_check(args):
     ranges = _parse_ranges(args.range)
-    for name, span in ranges.items():
-        if name not in chow.RELATION_RANGES[args.relation]:
-            raise UsageError("relation %s has no parameter %r"
-                             % (args.relation, name))
-        if not span:
-            raise UsageError("range for %s is empty" % name)
-    table = chow.relation_degree_check(args.relation, ranges or None)
+    try:
+        table = chow.relation_degree_check(args.relation, ranges or None)
+    except ValueError as ex:
+        raise UsageError(str(ex))
     return _emit(args, "relation-check", table, table["passed"])
 
 

@@ -12,12 +12,16 @@ reduced once by the monic defining polynomial.  An inverse at level k > 1
 comes from the extended Euclidean algorithm in GF(p)[x] against the
 defining polynomial (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, sec. 4.2), run on plain ints; at level 1 it is a^(p-2) mod p.
+The Frobenius a -> a^p is GF(p)-linear, so at level k > 1 it is a k x k
+matrix over GF(p) acting on the coefficients: its columns are the powers
+of x^p, computed once per level on first use.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 
@@ -195,6 +199,7 @@ class FiniteLevel:
         self.level = k
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
+        self._frob_rows = None
 
     # -- element construction ------------------------------------------------
 
@@ -307,11 +312,21 @@ class FiniteLevel:
         return a
 
     def frob(self, a, times=1):
-        """Frobenius a -> a^(p^times)."""
+        """Frobenius a -> a^(p^times), by the matrix of a -> a^p."""
         t = times % self.k
         if t == 0:
             return a
-        return self.pow_(a, self.p ** t)
+        rows = self._frob_rows
+        if rows is None:
+            xp = self.pow_(self.gen(), self.p)
+            cols = [self.one]
+            for _ in range(self.k - 1):
+                cols.append(self.mul(cols[-1], xp))
+            rows = self._frob_rows = list(zip(*cols))
+        p = self.p
+        for _ in range(t):
+            a = tuple([sum(map(mul, row, a)) % p for row in rows])
+        return a
 
     # -- subfield structure ----------------------------------------------------
 
@@ -333,9 +348,11 @@ class FiniteLevel:
         return acc
 
     def min_subfield(self, a):
-        """Smallest j | k with a in GF(p^j)."""
-        for j in sorted(d for d in range(1, self.k + 1) if self.k % d == 0):
-            if self.pow_(a, self.p ** j) == a:
+        """Smallest j | k with a in GF(p^j): the length of a's Frobenius orbit."""
+        b = a
+        for j in range(1, self.k):
+            b = self.frob(b)
+            if b == a:
                 return j
         return self.k
 
@@ -559,19 +576,30 @@ def roots_of_split_poly(f, lvl, rng):
         if d == 1:
             out.append(lvl.neg(g[0]))
             continue
-        while True:
-            c = lvl.from_coeffs([rng.randrange(lvl.p) for _ in range(lvl.k)])
-            base = [c, lvl.one]
-            h = upoly_powmod(base, (lvl.q - 1) // 2, g, lvl)
-            h = list(h)
-            if h:
-                h[0] = lvl.sub(h[0], lvl.one)
-            else:
-                h = [lvl.neg(lvl.one)]
-            h = upoly_trim(h, lvl)
-            w = upoly_gcd(h, g, lvl)
-            if 0 < len(w) - 1 < d:
-                stack.append(w)
-                stack.append(_exact_quo(g, w, lvl))
-                break
+        w = None
+        while w is None:
+            w = _cz_factor([_random_elem(lvl, rng), lvl.one], (lvl.q - 1) // 2,
+                           g, lvl)
+        stack.append(w)
+        stack.append(_exact_quo(g, w, lvl))
     return out
+
+
+def _random_elem(lvl, rng):
+    return lvl.from_coeffs([rng.randrange(lvl.p) for _ in range(lvl.k)])
+
+
+def _cz_factor(a, e, g, lvl):
+    """gcd(a^e - 1, g) if it is a proper factor of the monic g, else None.
+
+    One Cantor-Zassenhaus step (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, sec. 14.3): with e = (Q - 1)/2, a^e is +-1 or 0
+    modulo each irreducible factor of g whose residue field has Q elements.
+    """
+    h = upoly_powmod(a, e, g, lvl)
+    if h:
+        h[0] = lvl.sub(h[0], lvl.one)
+    else:
+        h = [lvl.neg(lvl.one)]
+    w = upoly_gcd(upoly_trim(h, lvl), g, lvl)
+    return w if 0 < len(w) - 1 < len(g) - 1 else None

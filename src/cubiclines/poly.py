@@ -15,10 +15,14 @@ from fractions import Fraction
 from .fields import (
     QQ,
     BudgetError,
+    VerificationError,
+    _cz_factor,
     _exact_quo,
+    _random_elem,
     roots_of_split_poly,
     upoly_divmod,
     upoly_gcd,
+    upoly_mul,
     upoly_powmod,
     upoly_trim,
 )
@@ -42,6 +46,16 @@ class MultiPoly:
             for exps, c in terms.items():
                 if not field.is_zero(c):
                     self.terms[tuple(exps)] = c
+
+    @classmethod
+    def _trusted(cls, field, variables, terms):
+        """Wrap a variables tuple and a dict keyed by exponent tuples that
+        holds no zero coefficient, without checking either."""
+        out = object.__new__(cls)
+        out.field = field
+        out.vars = variables
+        out.terms = terms
+        return out
 
     # -- constructors ----------------------------------------------------------
 
@@ -121,11 +135,12 @@ class MultiPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return MultiPoly(F, self.vars, out)
+        return MultiPoly._trusted(F, self.vars, out)
 
     def __neg__(self):
         F = self.field
-        return MultiPoly(F, self.vars, {e: F.neg(c) for e, c in self.terms.items()})
+        return MultiPoly._trusted(F, self.vars,
+                                  {e: F.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -142,13 +157,14 @@ class MultiPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return MultiPoly(F, self.vars, out)
+        return MultiPoly._trusted(F, self.vars, out)
 
     def scale(self, c):
         F = self.field
         if F.is_zero(c):
             return MultiPoly.zero(F, self.vars)
-        return MultiPoly(F, self.vars, {e: F.mul(c, v) for e, v in self.terms.items()})
+        return MultiPoly._trusted(F, self.vars,
+                                  {e: F.mul(c, v) for e, v in self.terms.items()})
 
     def pow(self, n):
         out = MultiPoly.const(self.field, self.vars, self.field.one)
@@ -224,7 +240,7 @@ class MultiPoly:
                     del out[e]
                 else:
                     out[e] = s
-        return MultiPoly(F, tvars, out)
+        return MultiPoly._trusted(F, tvars, out)
 
     def map_field(self, new_field, conv):
         """Transport coefficients through conv into another field."""
@@ -233,7 +249,7 @@ class MultiPoly:
             v = conv(c)
             if not new_field.is_zero(v):
                 out[e] = v
-        return MultiPoly(new_field, self.vars, out)
+        return MultiPoly._trusted(new_field, self.vars, out)
 
     def over(self, lvl):
         """This polynomial with coefficients embedded into the level lvl."""
@@ -243,7 +259,7 @@ class MultiPoly:
         return self.map_field(lvl, lambda c: lvl.embed_from(c, k))
 
     def rename_vars(self, new_vars):
-        return MultiPoly(self.field, new_vars, dict(self.terms))
+        return MultiPoly._trusted(self.field, tuple(new_vars), dict(self.terms))
 
     # -- structure -------------------------------------------------------------
 
@@ -460,7 +476,7 @@ def _pth_root_dense(f, F):
     for i in range(0, len(f), p):
         c = f[i]
         # coefficient p-th root: c^(p^(k-1)) in GF(p^k)
-        out.append(F.pow_(c, p ** (F.k - 1)) if F.k > 1 else c)
+        out.append(F.frob(c, F.k - 1))
     for i, c in enumerate(f):
         if i % p and not F.is_zero(c):
             raise AssertionError("not a p-th power despite zero derivative")
@@ -489,9 +505,12 @@ def roots_in_tower(f, lvl, max_level=None):
 
     Each squarefree factor is cut into pieces whose roots share a level:
     over GF(p^k) by the distinct-degree split, a piece of relative degree
-    m having its roots at level k*m (found by Cantor-Zassenhaus), and over
-    QQ, which has no extension levels and so ignores max_level, into its
-    rational linear factors and one unsplit rest.
+    m having its roots at level k*m, and over QQ, which has no extension
+    levels and so ignores max_level, into its rational linear factors and
+    one unsplit rest.  A piece with m = 1 is split by Cantor-Zassenhaus at
+    level k.  A piece with m > 1 is split at level k into its irreducible
+    factors of degree m; each factor's roots form one Frobenius orbit
+    at level k*m, found from one root (:func:`_orbit_roots`).
     """
     if not f:
         raise ValueError("zero polynomial")
@@ -510,12 +529,73 @@ def roots_in_tower(f, lvl, max_level=None):
             if target > K:
                 unsplit.append((rel_deg, base, m))
                 continue
-            tgt = tower.level(target)
-            lifted = [tgt.embed_from(c, base) for c in piece]
-            for r in roots_of_split_poly(lifted, tgt, rng):
-                roots.append((target, r, m))
+            if rel_deg == 1:
+                found = roots_of_split_poly(piece, lvl, rng)
+            else:
+                found = _orbit_roots(piece, rel_deg, lvl, tower.level(target), rng)
+            roots.extend((target, r, m) for r in found)
     roots.sort(key=lambda t: (t[0], tower.level(t[0]).key(t[1])))
     return RootMultiset(roots, unsplit)
+
+
+def _orbit_roots(piece, m, lvl, tgt, rng):
+    """Roots at level tgt = lvl.level * m of a monic squarefree piece over
+    lvl whose irreducible factors all have degree m.
+
+    Each factor is lifted to tgt, one root r is found there, and its
+    conjugates are r^(q^i) for q = |lvl|, i < m.  The orbit must multiply
+    back to the lifted factor, or VerificationError is raised.
+    """
+    if lvl.p == 2:
+        raise NotImplementedError("root splitting needs odd characteristic")
+    base = lvl.level
+    out = []
+    for h in _equal_degree(piece, m, lvl, rng):
+        lifted = [tgt.embed_from(c, base) for c in h]
+        orbit = [_one_root(lifted, tgt, rng)]
+        for _ in range(m - 1):
+            orbit.append(tgt.frob(orbit[-1], base))
+        prod = [tgt.one]
+        for r in orbit:
+            prod = upoly_mul(prod, [tgt.neg(r), tgt.one], tgt)
+        if prod != lifted:
+            raise VerificationError("a Frobenius orbit of roots does not "
+                                    "multiply back to its factor")
+        out.extend(orbit)
+    return out
+
+
+def _equal_degree(f, m, lvl, rng):
+    """Monic irreducible factors of a monic squarefree f over lvl whose
+    irreducible factors all have degree m (Cantor-Zassenhaus equal-degree
+    split, with random splitting polynomials of degree below that of the
+    polynomial being split)."""
+    e = (lvl.q ** m - 1) // 2
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        d = len(g) - 1
+        if d == m:
+            out.append(g)
+            continue
+        w = None
+        while w is None:
+            w = _cz_factor([_random_elem(lvl, rng) for _ in range(d)], e, g, lvl)
+        stack.append(w)
+        stack.append(_exact_quo(g, w, lvl))
+    return out
+
+
+def _one_root(g, lvl, rng):
+    """One root of a monic squarefree g that splits over lvl: Cantor-Zassenhaus
+    steps that keep only the smaller factor."""
+    half = (lvl.q - 1) // 2
+    while len(g) > 2:
+        w = _cz_factor([_random_elem(lvl, rng), lvl.one], half, g, lvl)
+        if w is not None:
+            g = w if 2 * len(w) <= len(g) + 1 else _exact_quo(g, w, lvl)
+    return lvl.neg(g[0])
 
 
 def _rational_split(f):

@@ -168,6 +168,20 @@ def test_relation_degree_checks():
         relation_degree_check("9.9")
 
 
+@pytest.mark.parametrize("relation, ranges, message", [
+    ("4.1", {"x": range(1, 3)}, "no parameter 'x'"),
+    ("4.3", {"g": range(0, 3)}, "no parameter 'g'"),
+    ("4.1", {"e": range(5, 3)}, "range for e is empty"),
+    ("4.2", {"r": range(0)}, "range for r is empty"),
+])
+def test_relation_check_rejects_unknown_and_empty_ranges(relation, ranges,
+                                                         message):
+    """A range the relation does not use, or an empty one, is an error, not
+    a vacuous pass."""
+    with pytest.raises(ValueError, match=message):
+        relation_degree_check(relation, ranges)
+
+
 def test_relation_check_derives_its_count_class_once(monkeypatch):
     cases = []
 

@@ -1,0 +1,193 @@
+"""Frobenius orbits in root finding: the linear Frobenius, the equal-degree
+split at the base level and one root per factor, against a full split."""
+
+import random
+
+import pytest
+import sympy
+
+from cubiclines import fields
+from cubiclines.fields import (FieldTower, VerificationError,
+                               _is_irreducible_p, roots_of_split_poly,
+                               upoly_mul)
+from cubiclines.poly import (_distinct_degree, _equal_degree, _orbit_roots,
+                             roots_in_tower, squarefree_decompose)
+
+
+def rand_elem(lvl, rng):
+    return lvl.from_coeffs([rng.randrange(lvl.p) for _ in range(lvl.k)])
+
+
+def is_irreducible(h, lvl):
+    """Irreducibility over lvl: Rabin at the prime level (which expects
+    degree > 1), else (degree <= 3) no root in lvl."""
+    if len(h) == 2:
+        return True
+    if lvl.k == 1:
+        return _is_irreducible_p(h, lvl)
+    assert len(h) - 1 <= 3
+    return not any(_eval(h, x, lvl) == lvl.zero for x in lvl.elements())
+
+
+def _eval(h, x, lvl):
+    acc = lvl.zero
+    for c in reversed(h):
+        acc = lvl.add(lvl.mul(acc, x), c)
+    return acc
+
+
+def random_irreducibles(lvl, m, count, rng):
+    """``count`` distinct monic irreducibles of degree m over lvl."""
+    out = []
+    while len(out) < count:
+        h = [rand_elem(lvl, rng) for _ in range(m)] + [lvl.one]
+        if h not in out and is_irreducible(h, lvl):
+            out.append(h)
+    return out
+
+
+def product(polys, lvl):
+    acc = [lvl.one]
+    for h in polys:
+        acc = upoly_mul(acc, h, lvl)
+    return acc
+
+
+def full_split_roots(f, lvl):
+    """Reference: each distinct-degree piece lifted whole to its level and
+    split all the way down there."""
+    tower = lvl.tower
+    rng = random.Random(99)
+    out = []
+    for fac, mult in squarefree_decompose(f, lvl):
+        for m, piece in _distinct_degree(fac, lvl):
+            target = lvl.level * m
+            if target > tower.budget:
+                continue
+            tgt = tower.level(target)
+            lifted = [tgt.embed_from(c, lvl.level) for c in piece]
+            out += [(target, r, mult)
+                    for r in roots_of_split_poly(lifted, tgt, rng)]
+    return sorted(out, key=lambda t: (t[0], tower.level(t[0]).key(t[1])))
+
+
+def _sorted(roots, lvl):
+    return sorted(roots, key=lvl.key)
+
+
+# (p, base level, relative degree m); the target level is base * m
+ORBIT_CASES = ([(5, 1, m) for m in (2, 3, 4, 5, 6)]
+               + [(7, 1, m) for m in (2, 3, 4, 5, 6)]
+               + [(11, 1, m) for m in (2, 3, 4, 5)]
+               + [(7, 2, 2), (7, 2, 3)])
+
+
+@pytest.fixture(scope="module")
+def towers():
+    return {p: FieldTower(p, budget=6, seed=0) for p in (5, 7, 11)}
+
+
+@pytest.mark.parametrize("p, base, m", ORBIT_CASES)
+def test_orbit_path_matches_full_split(towers, p, base, m):
+    """Pieces of one to three degree-m factors: the equal-degree factors are
+    irreducible and multiply back to the piece, and the orbit roots are the
+    roots of the piece lifted whole and split at level base * m."""
+    tower = towers[p]
+    lvl, tgt = tower.level(base), tower.level(base * m)
+    rng = random.Random("orbit:%d:%d:%d" % (p, base, m))
+    for count in (1, 2, 3):
+        chosen = random_irreducibles(lvl, m, count, rng)
+        piece = product(chosen, lvl)
+        factors = _equal_degree(piece, m, lvl, rng)
+        assert all(len(h) - 1 == m and is_irreducible(h, lvl) for h in factors)
+        assert product(factors, lvl) == piece
+        assert sorted(factors) == sorted(chosen)
+        lifted = [tgt.embed_from(c, base) for c in piece]
+        expected = roots_of_split_poly(lifted, tgt, rng)
+        got = _orbit_roots(piece, m, lvl, tgt, rng)
+        assert len(got) == m * count
+        assert _sorted(got, tgt) == _sorted(expected, tgt)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_equal_degree_split_matches_sympy(towers, p):
+    """Level-1 equal-degree factors against sympy's factorization mod p."""
+    x = sympy.Symbol("x")
+    lvl = towers[p].level(1)
+    rng = random.Random(p)
+    for m in (2, 3, 4):
+        piece = product(random_irreducibles(lvl, m, 3, rng), lvl)
+        expr = sum(c * x ** i for i, c in enumerate(piece))
+        _, facs = sympy.Poly(expr, x, modulus=p).factor_list()
+        ref = sorted([int(c) % p for c in reversed(g.all_coeffs())]
+                     for g, e in facs for _ in range(e))
+        assert sorted(_equal_degree(piece, m, lvl, rng)) == ref
+
+
+@pytest.mark.parametrize("p, base", [(5, 1), (7, 1), (11, 1), (7, 2)])
+def test_roots_in_tower_matches_full_split(towers, p, base):
+    """Seeded random polynomials, with repeated factors and factors of
+    several degrees, including pieces of several same-degree factors."""
+    tower = towers[p]
+    lvl = tower.level(base)
+    rng = random.Random("tower:%d:%d" % (p, base))
+    for trial in range(12):
+        parts = []
+        for m in range(1, 6 // base + 1):
+            parts += random_irreducibles(lvl, m, rng.randrange(3), rng)
+        if not parts:
+            continue
+        f = product(parts, lvl)
+        if trial % 3 == 0:
+            f = upoly_mul(f, parts[0], lvl)
+        if trial % 4 == 1:
+            # irreducible of degree 7 over GF(p) and GF(p^2): stays unsplit
+            h = random_irreducibles(tower.level(1), 7, 1, rng)[0]
+            f = upoly_mul(f, [lvl.from_int(c) for c in h], lvl)
+        f = [lvl.mul(c, lvl.from_int(3)) for c in f]
+        rm = roots_in_tower(f, lvl)
+        assert rm.roots == full_split_roots(f, lvl)
+        assert rm.complete == (trial % 4 != 1)
+
+
+def _frob_by_power(lvl, a, t):
+    return lvl.pow_(a, lvl.p ** t)
+
+
+def _min_subfield_by_power(lvl, a):
+    return min(j for j in range(1, lvl.k + 1)
+               if lvl.k % j == 0 and lvl.pow_(a, lvl.p ** j) == a)
+
+
+@pytest.mark.parametrize("p, k, samples", [(7, 2, None), (7, 3, None),
+                                           (11, 6, 150)])
+def test_frob_and_min_subfield_match_powers(p, k, samples):
+    """Every element of GF(7^2) and GF(7^3), and a sample of GF(11^6)."""
+    lvl = FieldTower(p, budget=6, seed=0).level(k)
+    if samples is None:
+        elems = list(lvl.elements())
+    else:
+        rng = random.Random(k)
+        elems = [rand_elem(lvl, rng) for _ in range(samples)]
+    for a in elems:
+        for t in range(k + 1):
+            assert lvl.frob(a, t) == _frob_by_power(lvl, a, t), (a, t)
+        assert lvl.min_subfield(a) == _min_subfield_by_power(lvl, a), a
+
+
+def test_orbit_certificate_rejects_a_wrong_orbit(monkeypatch):
+    """With the Frobenius replaced by the identity, the orbit of x^2 + 1 over
+    GF(7) is one root twice and must not pass."""
+    lvl = FieldTower(7, budget=2, seed=0).level(1)
+    monkeypatch.setattr(fields.FiniteLevel, "frob", lambda self, a, times=1: a)
+    with pytest.raises(VerificationError):
+        roots_in_tower([1, 0, 1], lvl)
+
+
+def test_characteristic_two_is_refused():
+    """Both root paths need odd characteristic."""
+    lvl = FieldTower(2, budget=4, seed=0).level(1)
+    with pytest.raises(NotImplementedError):
+        roots_in_tower([1, 1, 1], lvl)          # irreducible: orbit path
+    with pytest.raises(NotImplementedError):
+        roots_in_tower([0, 1, 1], lvl)          # x(x + 1): level-1 path

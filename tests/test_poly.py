@@ -331,3 +331,55 @@ def test_complete_basis(tower7):
         [1, 0, 0], [0, 0, 1], [0, 1, 0]]
     full = [[1, 0], [0, 1]]
     assert linalg.complete_basis(full, lvl) == full
+
+
+@pytest.mark.parametrize("over", ["GF7", "GF7^3", "QQ"])
+def test_unchecked_results_match_checking_constructor(tower7, over):
+    """Sums, products, negation, scaling, eval_polys, map_field and
+    rename_vars build their results without the constructor's zero check:
+    each equals the checking constructor on the raw (zero-holding) result
+    and holds no zero coefficient, on dense inputs where terms cancel."""
+    rng = random.Random(8)
+    V, W = ("x", "y", "z"), ("s", "t")
+    if over == "QQ":
+        lvl = QQ
+        draw = lambda: Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))
+    else:
+        lvl = tower7.level(1 if over == "GF7" else 3)
+        draw = lambda: lvl.from_coeffs([rng.randrange(7) for _ in range(lvl.k)])
+    monos = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+    for _ in range(5):
+        fd, gd = ({e: draw() for e in monos} for _ in range(2))
+        f, g = MultiPoly(lvl, V, fd), MultiPoly(lvl, V, gd)
+        c = draw()
+        prod = {}
+        for e1, c1 in f.terms.items():
+            for e2, c2 in g.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                prod[e] = lvl.add(prod.get(e, lvl.zero), lvl.mul(c1, c2))
+        args = [MultiPoly(lvl, W, {e: draw() for e in itertools.product(
+            range(2), repeat=2)}) for _ in V]
+        summed = MultiPoly.zero(lvl, W)
+        for exps, a in f.terms.items():
+            term = MultiPoly.const(lvl, W, a)
+            for arg, e in zip(args, exps):
+                term = term * arg.pow(e)
+            summed = summed + term
+        cases = [
+            (f + g, V, {e: lvl.add(fd[e], gd[e]) for e in monos}),
+            (f + (-f), V, {e: lvl.zero for e in monos}),
+            (f * g, V, prod),
+            (-f, V, {e: lvl.neg(a) for e, a in fd.items()}),
+            (f.scale(c), V, {e: lvl.mul(c, a) for e, a in fd.items()}),
+            (f.map_field(lvl, lambda a: lvl.sub(a, c)), V,
+             {e: lvl.sub(a, c) for e, a in f.terms.items()}),
+            (f.eval_polys(args), W, summed.terms),
+        ]
+        for got, variables, raw in cases:
+            assert got == MultiPoly(lvl, variables, raw)
+            assert isinstance(got.vars, tuple)
+            assert all(isinstance(e, tuple) and not lvl.is_zero(a)
+                       for e, a in got.terms.items())
+        renamed = f.rename_vars(["u", "v", "w"])
+        assert renamed.vars == ("u", "v", "w")
+        assert renamed.terms == f.terms and renamed.terms is not f.terms

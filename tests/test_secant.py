@@ -157,7 +157,7 @@ OPTIMIZED_CHECKS = """
 import json
 import os
 
-from cubiclines import chow, fano
+from cubiclines import chow, fano, fields, poly
 from cubiclines.bihom import STVARS, BihomSolutions, _verify_solutions
 from cubiclines.cubic import ProjLine, fermat_cubic
 from cubiclines.curves import curve_from_json
@@ -171,6 +171,19 @@ tower = FieldTower(7, budget=2, seed=0)
 lvl = tower.level(1)
 G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
 off = ProjLine(lvl, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+
+
+def orbit_with_identity_frob():
+    # the roots of x^2 + 1 over GF(7) with r -> r^7 replaced by the identity:
+    # one root twice, which the orbit certificate must refuse
+    frob = fields.FiniteLevel.frob
+    fields.FiniteLevel.frob = lambda self, a, times=1: a
+    try:
+        poly.roots_in_tower([1, 0, 1], lvl)
+    finally:
+        fields.FiniteLevel.frob = frob
+
+
 checks = (
     lambda: _verify_solutions(BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)]),
                               (G,)),
@@ -178,6 +191,7 @@ checks = (
     lambda: _exact_quo([1, 0, 1], [1, 1], lvl),
     lambda: fano.correspondence_row(fermat_cubic(lvl, 4), conic, meet, tower),
     lambda: chow.residue_surface_classes("single"),
+    orbit_with_identity_frob,
 )
 # a wrong closed form makes the (correct) row total fail its check
 fano.expected_line_meeting = lambda e: 5 * e - 4
@@ -205,7 +219,7 @@ def test_verification_checks_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "5"
+    assert proc.stdout.strip() == "6"
 
 
 def test_acceptance_suite_under_optimize():
