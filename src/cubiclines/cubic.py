@@ -69,11 +69,6 @@ class ProjLine:
     def contains(self, pt):
         return linalg.rank(list(self.rows) + [list(pt)], self.field) == 2
 
-    def meets(self, other):
-        if self.field is not other.field:
-            raise ValueError("lines live over different fields")
-        return linalg.rank(list(self.rows) + list(other.rows), self.field) <= 3
-
     def key(self):
         F = self.field
         return tuple(tuple(F.key(x) for x in row) for row in self.rows)
@@ -241,7 +236,9 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     Solves {P1(x;y)=0, P2(x;y)=0, F(y)=0} in the projective space of
     directions modulo x: the linear condition is substituted first and the
     remaining conic/cubic pair is eliminated by resultants.  A positive
-    dimensional solution set is the Eckardt outcome, not an error.
+    dimensional solution set is the Eckardt outcome, not an error.  Each
+    direction must solve that pair by substitution at its own level, or
+    VerificationError is raised.
     """
     F = cubic.field
     check_tower(tower, F)
@@ -278,6 +275,10 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     res.complete = complete
     for lv, cpt, mult in roots:
         lvl = F.tower.level(lv)
+        if not all(lvl.is_zero(P.over(lvl).eval_elems(list(cpt)))
+                   for P in (Q, K)):
+            raise VerificationError("a direction through the point does not "
+                                    "solve its conic/cubic pair")
         dirs = [[lvl.embed_from(e, F.k) for e in b] for b in basis[1:]]
         direction = linalg.combine(cpt, dirs, lvl)
         line = ProjLine(lvl, [lvl.embed_from(e, F.k) for e in x], direction)

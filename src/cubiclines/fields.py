@@ -14,7 +14,15 @@ defining polynomial (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, sec. 4.2), run on plain ints; at level 1 it is a^(p-2) mod p.
 The Frobenius a -> a^p is GF(p)-linear, so at level k > 1 it is a k x k
 matrix over GF(p) acting on the coefficients: its columns are the powers
-of x^p, computed once per level on first use.
+of x^p, computed once per level on first use; embedding level j into
+level k is the GF(p) matrix that descent solves against.
+
+The dense univariate layer ends in the one root finder (ch. 14 of the
+same book): ``_distinct_degree`` cuts a squarefree polynomial into pieces
+whose irreducible factors share a degree m, and :func:`roots_of_split_poly`
+splits a piece into them, finds one root of each by Cantor-Zassenhaus and
+takes the rest as its Frobenius orbit.  The tower is built with the same
+code.
 """
 
 from __future__ import annotations
@@ -133,49 +141,10 @@ class Rationals:
 QQ = Rationals()
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over GF(p), coefficient lists little-endian
-# ---------------------------------------------------------------------------
-
 def _trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _is_irreducible_p(f, lvl):
-    """Rabin test for a monic polynomial over the prime field level lvl."""
-    k = len(f) - 1
-    if k <= 0:
-        return False
-    p = lvl.p
-    x = [0, 1]
-
-    def x_power_minus_x(e):
-        xe = upoly_powmod(x, e, f, lvl)
-        return _trim([(a - b) % p for a, b in
-                      zip(xe + [0] * len(x), x + [0] * len(xe))])
-
-    if x_power_minus_x(p ** k):
-        return False
-    for ell in _prime_divisors(k):
-        if len(upoly_gcd(x_power_minus_x(p ** (k // ell)), f, lvl)) - 1 != 0:
-            return False
-    return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +300,20 @@ class FiniteLevel:
     # -- subfield structure ----------------------------------------------------
 
     def embed_from(self, a, j):
-        """Embed an element of level j into this level (requires j | k)."""
+        """Embed an element of level j into this level (requires j | k).
+
+        Above level 1 this is the GF(p)-linear map whose matrix
+        :meth:`descend` solves against.
+        """
         if j == self.k:
             return a
         if self.k % j != 0:
             raise ValueError("no embedding of level %d into level %d" % (j, self.k))
         if j == 1:
             return self.from_int(a)
-        img = self.tower._gen_image(j, self.k)
-        acc = self.zero
-        power = self.one
-        for c in a:
-            if c:
-                acc = self.add(acc, self.mul(self.from_int(c), power))
-            power = self.mul(power, img)
-        return acc
+        p = self.p
+        return tuple([sum(map(mul, row, a)) % p
+                      for row in self.tower._descend_matrix(j, self.k)])
 
     def min_subfield(self, a):
         """Smallest j | k with a in GF(p^j): the length of a's Frobenius orbit."""
@@ -396,9 +364,11 @@ class FiniteLevel:
 class FieldTower:
     """GF(p) plus extensions GF(p^k), k <= budget, with compatible embeddings.
 
-    Embeddings exist between levels j | k.  Maps out of the prime field are
-    canonical, and for budget <= 6 no two composable proper extensions stack,
-    so all embedding diagrams commute by construction.
+    Moduli and generator images come from the root path that solving
+    uses, and embedding and descent share one GF(p) matrix per pair of
+    levels.  Embeddings exist between levels j | k.  Maps out of the prime
+    field are canonical, and for budget <= 6 no two composable proper
+    extensions stack, so all embedding diagrams commute by construction.
     """
 
     def __init__(self, p, budget=6, seed=0):
@@ -427,17 +397,18 @@ class FieldTower:
         rng = random.Random("defpoly:%d:%d:%d" % (self.p, self.seed, k))
         while True:
             coeffs = [rng.randrange(self.p) for _ in range(k)] + [1]
-            if _is_irreducible_p(coeffs, self.level(1)):
+            if _distinct_degree(coeffs, self.level(1)) == [(k, coeffs)]:
                 return coeffs
 
     def _gen_image(self, j, k):
-        """Canonical image of the level-j generator in level k (j | k, j > 1)."""
+        """Canonical image of the level-j generator in level k (j | k, j > 1):
+        the least root of the level-j modulus, whose roots in level k are
+        one Frobenius orbit."""
         key = (j, k)
         if key not in self._gen_images:
             lk = self.level(k)
-            mj = self.level(j).modulus
-            f = [lk.from_int(c) for c in mj]
-            roots = roots_of_split_poly(f, lk, self._rng)
+            roots = roots_of_split_poly(self.level(j).modulus, j, self.level(1),
+                                        lk, self._rng)
             self._gen_images[key] = min(roots, key=lk.key)
         return self._gen_images[key]
 
@@ -446,15 +417,12 @@ class FieldTower:
         key = (j, k)
         if key not in self._descend_cache:
             lk = self.level(k)
+            img = self._gen_image(j, k) if j > 1 else lk.one
             cols = []
-            if j == 1:
-                cols.append(lk._vec(lk.one))
-            else:
-                img = self._gen_image(j, k)
-                power = lk.one
-                for _ in range(j):
-                    cols.append(lk._vec(power))
-                    power = lk.mul(power, img)
+            power = lk.one
+            for _ in range(j):
+                cols.append(lk._vec(power))
+                power = lk.mul(power, img)
             self._descend_cache[key] = [list(row) for row in zip(*cols)]
         return self._descend_cache[key]
 
@@ -556,50 +524,114 @@ def upoly_powmod(base, e, m, lvl):
     return result
 
 
-def roots_of_split_poly(f, lvl, rng):
-    """All roots of a monic squarefree polynomial that splits over lvl.
+def roots_of_split_poly(f, m, lvl, tgt, rng):
+    """Roots in tgt of a monic squarefree f over lvl whose irreducible
+    factors all have degree m; tgt must contain them.
 
-    Cantor-Zassenhaus splitting; requires odd characteristic.
+    Each factor of f over lvl is lifted to tgt, where one root r is found;
+    its conjugates over lvl are r^(q^i), q = |lvl|, i < m.  An orbit that
+    does not multiply back to its lifted factor raises VerificationError.
+    Needs odd characteristic.
     """
     if lvl.p == 2:
         raise NotImplementedError("root splitting needs odd characteristic")
-    f = list(f)
-    inv = lvl.inv(f[-1])
-    f = [lvl.mul(c, inv) for c in f]
+    base = lvl.level
+    out = []
+    for h in _equal_degree(f, m, lvl, rng):
+        lifted = [tgt.embed_from(c, base) for c in h]
+        orbit = [_one_root(lifted, tgt, rng)]
+        for _ in range(m - 1):
+            orbit.append(tgt.frob(orbit[-1], base))
+        prod = [tgt.neg(orbit[0]), tgt.one]
+        for r in orbit[1:]:
+            prod = upoly_mul(prod, [tgt.neg(r), tgt.one], tgt)
+        if prod != lifted:
+            raise VerificationError("a Frobenius orbit of roots does not "
+                                    "multiply back to its factor")
+        out.extend(orbit)
+    return out
+
+
+def _equal_degree(f, m, lvl, rng):
+    """Monic irreducible factors of a monic squarefree f over lvl whose
+    irreducible factors all have degree m (Cantor-Zassenhaus equal-degree
+    split)."""
     out = []
     stack = [f]
     while stack:
         g = stack.pop()
-        d = len(g) - 1
-        if d == 0:
+        if len(g) - 1 == m:
+            out.append(g)
             continue
-        if d == 1:
-            out.append(lvl.neg(g[0]))
-            continue
-        w = None
-        while w is None:
-            w = _cz_factor([_random_elem(lvl, rng), lvl.one], (lvl.q - 1) // 2,
-                           g, lvl)
-        stack.append(w)
-        stack.append(_exact_quo(g, w, lvl))
+        w = _cz_factor(g, m, lvl, rng)
+        stack += [w, _exact_quo(g, w, lvl)]
     return out
+
+
+def _one_root(g, lvl, rng):
+    """One root of a monic squarefree g that splits over lvl: Cantor-Zassenhaus
+    steps that keep only the smaller factor."""
+    while len(g) > 2:
+        w = _cz_factor(g, 1, lvl, rng)
+        g = w if 2 * len(w) <= len(g) + 1 else _exact_quo(g, w, lvl)
+    return lvl.neg(g[0])
 
 
 def _random_elem(lvl, rng):
     return lvl.from_coeffs([rng.randrange(lvl.p) for _ in range(lvl.k)])
 
 
-def _cz_factor(a, e, g, lvl):
-    """gcd(a^e - 1, g) if it is a proper factor of the monic g, else None.
+def _cz_factor(g, m, lvl, rng):
+    """A proper monic factor of a monic squarefree g over lvl whose
+    irreducible factors all have degree m < deg g.
 
-    One Cantor-Zassenhaus step (von zur Gathen and Gerhard, *Modern
-    Computer Algebra*, sec. 14.3): with e = (Q - 1)/2, a^e is +-1 or 0
-    modulo each irreducible factor of g whose residue field has Q elements.
+    Cantor-Zassenhaus steps (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, sec. 14.3): with e = (q^m - 1)/2, a^e is +-1 or 0 modulo
+    each irreducible factor, so gcd(a^e - 1, g) is proper for about half
+    of the splitting polynomials a, drawn monic of degree below
+    min(deg g, 2m) (x + c at m = 1).  A step fails with probability near
+    1/2 (at most 0.6 in the small fields checked, at q = 5), so 100
+    failed steps mean that g breaks the precondition, and
+    VerificationError is raised instead of looping on.
     """
-    h = upoly_powmod(a, e, g, lvl)
-    if h:
-        h[0] = lvl.sub(h[0], lvl.one)
-    else:
-        h = [lvl.neg(lvl.one)]
-    w = upoly_gcd(upoly_trim(h, lvl), g, lvl)
-    return w if 0 < len(w) - 1 < len(g) - 1 else None
+    d = len(g) - 1
+    e = (lvl.q ** m - 1) // 2
+    for _ in range(100):
+        a = [_random_elem(lvl, rng) for _ in range(min(d, 2 * m) - 1)]
+        h = upoly_powmod(a + [lvl.one], e, g, lvl)
+        if h:
+            h[0] = lvl.sub(h[0], lvl.one)
+        else:
+            h = [lvl.neg(lvl.one)]
+        w = upoly_gcd(upoly_trim(h, lvl), g, lvl)
+        if 0 < len(w) - 1 < d:
+            return w
+    raise VerificationError("Cantor-Zassenhaus steps do not split a "
+                            "polynomial whose factors share a degree")
+
+
+def _distinct_degree(f, lvl):
+    """Distinct-degree split [(i, product of the degree-i factors)] of a
+    monic squarefree dense polynomial over a finite level.
+
+    Any monic f of degree k is irreducible exactly when the split is
+    [(k, f)]: a reducible f has a factor of degree at most k/2.
+    """
+    out = []
+    rem = list(f)
+    power = [lvl.zero, lvl.one]
+    i = 0
+    while len(rem) - 1 > 0:
+        i += 1
+        if 2 * i > len(rem) - 1:
+            out.append((len(rem) - 1, rem))
+            break
+        power = upoly_powmod(power, lvl.q, rem, lvl)
+        diff = list(power) + [lvl.zero] * (2 - len(power))
+        diff[1] = lvl.sub(diff[1], lvl.one)
+        g = upoly_gcd(upoly_trim(diff, lvl), rem, lvl)
+        if len(g) - 1 > 0:
+            out.append((i, g))
+            rem = _exact_quo(rem, g, lvl)
+            _, power = upoly_divmod(power, rem, lvl)
+    return out

@@ -15,15 +15,10 @@ from fractions import Fraction
 from .fields import (
     QQ,
     BudgetError,
-    VerificationError,
-    _cz_factor,
+    _distinct_degree,
     _exact_quo,
-    _random_elem,
     roots_of_split_poly,
-    upoly_divmod,
     upoly_gcd,
-    upoly_mul,
-    upoly_powmod,
     upoly_trim,
 )
 
@@ -507,10 +502,11 @@ def roots_in_tower(f, lvl, max_level=None):
     over GF(p^k) by the distinct-degree split, a piece of relative degree
     m having its roots at level k*m, and over QQ, which has no extension
     levels and so ignores max_level, into its rational linear factors and
-    one unsplit rest.  A piece with m = 1 is split by Cantor-Zassenhaus at
-    level k.  A piece with m > 1 is split at level k into its irreducible
-    factors of degree m; each factor's roots form one Frobenius orbit
-    at level k*m, found from one root (:func:`_orbit_roots`).
+    one unsplit rest.  Every piece, m = 1 included, takes one path
+    (:func:`fields.roots_of_split_poly`): it is split at level k into its
+    irreducible factors of degree m, and each factor's roots are one
+    Frobenius orbit at level k*m, found from one root and checked by
+    multiplying the orbit back to the factor.
     """
     if not f:
         raise ValueError("zero polynomial")
@@ -529,73 +525,11 @@ def roots_in_tower(f, lvl, max_level=None):
             if target > K:
                 unsplit.append((rel_deg, base, m))
                 continue
-            if rel_deg == 1:
-                found = roots_of_split_poly(piece, lvl, rng)
-            else:
-                found = _orbit_roots(piece, rel_deg, lvl, tower.level(target), rng)
+            found = roots_of_split_poly(piece, rel_deg, lvl, tower.level(target),
+                                        rng)
             roots.extend((target, r, m) for r in found)
     roots.sort(key=lambda t: (t[0], tower.level(t[0]).key(t[1])))
     return RootMultiset(roots, unsplit)
-
-
-def _orbit_roots(piece, m, lvl, tgt, rng):
-    """Roots at level tgt = lvl.level * m of a monic squarefree piece over
-    lvl whose irreducible factors all have degree m.
-
-    Each factor is lifted to tgt, one root r is found there, and its
-    conjugates are r^(q^i) for q = |lvl|, i < m.  The orbit must multiply
-    back to the lifted factor, or VerificationError is raised.
-    """
-    if lvl.p == 2:
-        raise NotImplementedError("root splitting needs odd characteristic")
-    base = lvl.level
-    out = []
-    for h in _equal_degree(piece, m, lvl, rng):
-        lifted = [tgt.embed_from(c, base) for c in h]
-        orbit = [_one_root(lifted, tgt, rng)]
-        for _ in range(m - 1):
-            orbit.append(tgt.frob(orbit[-1], base))
-        prod = [tgt.one]
-        for r in orbit:
-            prod = upoly_mul(prod, [tgt.neg(r), tgt.one], tgt)
-        if prod != lifted:
-            raise VerificationError("a Frobenius orbit of roots does not "
-                                    "multiply back to its factor")
-        out.extend(orbit)
-    return out
-
-
-def _equal_degree(f, m, lvl, rng):
-    """Monic irreducible factors of a monic squarefree f over lvl whose
-    irreducible factors all have degree m (Cantor-Zassenhaus equal-degree
-    split, with random splitting polynomials of degree below that of the
-    polynomial being split)."""
-    e = (lvl.q ** m - 1) // 2
-    out = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        d = len(g) - 1
-        if d == m:
-            out.append(g)
-            continue
-        w = None
-        while w is None:
-            w = _cz_factor([_random_elem(lvl, rng) for _ in range(d)], e, g, lvl)
-        stack.append(w)
-        stack.append(_exact_quo(g, w, lvl))
-    return out
-
-
-def _one_root(g, lvl, rng):
-    """One root of a monic squarefree g that splits over lvl: Cantor-Zassenhaus
-    steps that keep only the smaller factor."""
-    half = (lvl.q - 1) // 2
-    while len(g) > 2:
-        w = _cz_factor([_random_elem(lvl, rng), lvl.one], half, g, lvl)
-        if w is not None:
-            g = w if 2 * len(w) <= len(g) + 1 else _exact_quo(g, w, lvl)
-    return lvl.neg(g[0])
 
 
 def _rational_split(f):
@@ -632,32 +566,6 @@ def _divisors(n):
             out.add(n // d)
         d += 1
     return sorted(out)
-
-
-def _distinct_degree(f, lvl):
-    """Distinct-degree split of a monic squarefree dense polynomial."""
-    out = []
-    rem = list(f)
-    x = [lvl.zero, lvl.one]
-    power = x
-    i = 0
-    while len(rem) - 1 > 0:
-        i += 1
-        if 2 * i > len(rem) - 1:
-            out.append((len(rem) - 1, rem))
-            break
-        power = upoly_powmod(power, lvl.q, rem, lvl)
-        diff = list(power)
-        while len(diff) < 2:
-            diff.append(lvl.zero)
-        diff[1] = lvl.sub(diff[1], lvl.one)
-        diff = upoly_trim(diff, lvl)
-        g = upoly_gcd(diff, rem, lvl)
-        if len(g) - 1 > 0:
-            out.append((i, g))
-            rem = _exact_quo(rem, g, lvl)
-            _, power = upoly_divmod(power, rem, lvl)
-    return out
 
 
 # ---------------------------------------------------------------------------

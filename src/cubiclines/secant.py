@@ -374,11 +374,8 @@ def _second_type_lines(cubic, curve1, curve2, mp, max_level):
 
 
 def _param_matches(p, bads, lvl, F):
-    for q in bads:
-        q0, q1 = (lvl.embed_from(x, F.k) for x in q)
-        if lvl.is_zero(lvl.sub(lvl.mul(p[0], q1), lvl.mul(p[1], q0))):
-            return True
-    return False
+    return any(_proportional(p, [lvl.embed_from(x, F.k) for x in q], lvl)
+               for q in bads)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ from cubiclines.fano import enumerate_lines, second_type_test
 from cubiclines.poly import MultiPoly, binary_gcd
 
 
+def meets(l1, l2):
+    """Two lines of P^n meet iff their four spanning rows have rank <= 3."""
+    if l1.field is not l2.field:
+        raise ValueError("lines live over different fields")
+    return linalg.rank(list(l1.rows) + list(l2.rows), l1.field) <= 3
+
+
 def line_hyperplanes(line):
     """Coefficient vectors of the linear forms vanishing on the line."""
     return linalg.kernel_basis([list(r) for r in line.rows], line.field)
@@ -67,7 +74,7 @@ def naive_census(cubic, tower, level=1):
                     if X.line_in_x(SimpleNamespace(rows=(u, v))):
                         lines.append(ProjLine(fld, u, v))
     lines.sort(key=lambda l: l.key())
-    adjacency = [[int(a is not b and a.meets(b)) for b in lines]
+    adjacency = [[int(a is not b and meets(a, b)) for b in lines]
                  for a in lines]
     second_type = [second_type_test(X, l)[0] for l in lines]
     return lines, adjacency, second_type
@@ -93,7 +100,7 @@ def oracle_skew_pair(census, line1, line2):
     for l in census.lines:
         if l in (line1, line2):
             continue
-        if l.meets(line1) and l.meets(line2):
+        if meets(l, line1) and meets(l, line2):
             out.append(l.key())
     return sorted(out)
 
@@ -104,7 +111,7 @@ def oracle_disjoint_pair(census, curve, line):
     for l in census.lines:
         if l == line:
             continue
-        if l.meets(line) and scheme_length(l, curve) >= 1:
+        if meets(l, line) and scheme_length(l, curve) >= 1:
             out.append(l.key())
     return sorted(out)
 
@@ -127,6 +134,6 @@ def oracle_meeting_pair(census, curve, line, meeting_point, tangent_rows):
             stacked = plane_rows + [list(r) for r in l.rows]
             if linalg.rank(stacked, F) == 3:
                 out.append(l.key())
-        elif l.meets(line) and scheme_length(l, curve) >= 1:
+        elif meets(l, line) and scheme_length(l, curve) >= 1:
             out.append(l.key())
     return sorted(out)

@@ -9,6 +9,7 @@ from cubiclines.curves import (BasePointError, NotOnXError, RationalCurve,
 from cubiclines.fields import QQ
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json, load_line
+from oracle import meets
 
 
 def test_conic_fixtures_validate(threefold7, conic7, threefold11, conic11,
@@ -63,7 +64,7 @@ def test_meeting_data_crossing_lines(tower7):
     lvl = tower7.level(1)
     l1 = ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 1, 6, 0])
     l2 = ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 0, 0, 1])
-    assert l1.meets(l2)
+    assert meets(l1, l2)
     md = curve_meeting_data(line_as_curve(l1), line_as_curve(l2),
                             max_level=4)
     assert md.r == 1

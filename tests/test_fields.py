@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cubiclines.fields import (QQ, BudgetError, FieldTower,
-                               _is_irreducible_p, roots_of_split_poly,
+                               _distinct_degree, roots_of_split_poly,
                                upoly_divmod, upoly_gcd, upoly_mul,
                                upoly_trim)
 
@@ -120,7 +120,7 @@ def test_roots_of_split_poly(tower7):
         if a == b:
             continue
         poly = upoly_mul([lvl.neg(a), lvl.one], [lvl.neg(b), lvl.one], lvl)
-        roots = roots_of_split_poly(poly, lvl, rng)
+        roots = roots_of_split_poly(poly, 1, lvl, lvl, rng)
         assert sorted(map(lvl.key, roots)) == sorted(map(lvl.key, [a, b]))
 
 
@@ -204,17 +204,22 @@ def test_cubic_transport_checks_its_target(tower7):
         assert X._over(lvl).field is lvl
 
 
-def test_rabin_test_matches_trial_division(tower7):
+def test_distinct_degree_irreducibility_matches_trial_division(tower7):
+    """The tower's irreducibility criterion, a distinct-degree split that
+    is the whole polynomial, against trial division by every monic of
+    degree at most half."""
     lvl = tower7.level(1)
     divisors = [list(c) + [1] for d in (1, 2)
                 for c in itertools.product(range(7), repeat=d)]
     rng = random.Random(6)
     # (x^2 + 1)(x^2 + 2): squarefree, no root, x^(7^4) = x mod f
-    cands = [[2, 0, 3, 0, 1]]
+    cands = [[2, 0, 3, 0, 1]] + [[a, 1] for a in range(7)]
+    cands += [[a * a % 7, 2 * a % 7, 1] for a in range(7)]        # (x + a)^2
+    cands += [[b * b % 7, 0, 2 * b % 7, 0, 1] for b in range(7)]  # (x^2+b)^2
     cands += [[rng.randrange(7) for _ in range(k)] + [1]
               for k in (2, 3, 4) for _ in range(60)]
     for f in cands:
         k = len(f) - 1
         has_factor = any(not upoly_divmod(f, g, lvl)[1]
                          for g in divisors if len(g) - 1 <= k // 2)
-        assert _is_irreducible_p(f, lvl) == (not has_factor), f
+        assert (_distinct_degree(f, lvl) == [(k, f)]) == (not has_factor), f

@@ -1,5 +1,11 @@
 """Frobenius orbits in root finding: the linear Frobenius, the equal-degree
-split at the base level and one root per factor, against a full split."""
+split at the base level and one root per factor.
+
+The references do not use the root finder or the tower's irreducibility
+test: roots are checked by Horner substitution, pairwise distinctness and
+their count, and against brute force on levels of at most 2,401 elements;
+irreducibility at level 1 comes from sympy's factorization mod p.
+"""
 
 import random
 
@@ -7,29 +13,38 @@ import pytest
 import sympy
 
 from cubiclines import fields
-from cubiclines.fields import (FieldTower, VerificationError,
-                               _is_irreducible_p, roots_of_split_poly,
-                               upoly_mul)
-from cubiclines.poly import (_distinct_degree, _equal_degree, _orbit_roots,
-                             roots_in_tower, squarefree_decompose)
+from cubiclines.fields import (FieldTower, VerificationError, _equal_degree,
+                               roots_of_split_poly, upoly_mul)
+from cubiclines.poly import roots_in_tower
+
+BRUTE_FORCE_MAX = 7 ** 4
 
 
 def rand_elem(lvl, rng):
     return lvl.from_coeffs([rng.randrange(lvl.p) for _ in range(lvl.k)])
 
 
+def sympy_factors(h, p):
+    """Monic factors with multiplicity of h over GF(p), by sympy."""
+    x = sympy.Symbol("x")
+    expr = sum(c * x ** i for i, c in enumerate(h))
+    _, facs = sympy.Poly(expr, x, modulus=p).factor_list()
+    return sorted([int(c) % p for c in reversed(g.all_coeffs())]
+                  for g, e in facs for _ in range(e))
+
+
 def is_irreducible(h, lvl):
-    """Irreducibility over lvl: Rabin at the prime level (which expects
-    degree > 1), else (degree <= 3) no root in lvl."""
+    """Irreducibility over lvl: sympy at the prime level, else (degree <= 3)
+    no root in lvl."""
     if len(h) == 2:
         return True
     if lvl.k == 1:
-        return _is_irreducible_p(h, lvl)
+        return sympy_factors(h, lvl.p) == [h]
     assert len(h) - 1 <= 3
-    return not any(_eval(h, x, lvl) == lvl.zero for x in lvl.elements())
+    return not any(horner(h, x, lvl) == lvl.zero for x in lvl.elements())
 
 
-def _eval(h, x, lvl):
+def horner(h, x, lvl):
     acc = lvl.zero
     for c in reversed(h):
         acc = lvl.add(lvl.mul(acc, x), c)
@@ -53,26 +68,16 @@ def product(polys, lvl):
     return acc
 
 
-def full_split_roots(f, lvl):
-    """Reference: each distinct-degree piece lifted whole to its level and
-    split all the way down there."""
-    tower = lvl.tower
-    rng = random.Random(99)
-    out = []
-    for fac, mult in squarefree_decompose(f, lvl):
-        for m, piece in _distinct_degree(fac, lvl):
-            target = lvl.level * m
-            if target > tower.budget:
-                continue
-            tgt = tower.level(target)
-            lifted = [tgt.embed_from(c, lvl.level) for c in piece]
-            out += [(target, r, mult)
-                    for r in roots_of_split_poly(lifted, tgt, rng)]
-    return sorted(out, key=lambda t: (t[0], tower.level(t[0]).key(t[1])))
-
-
-def _sorted(roots, lvl):
-    return sorted(roots, key=lvl.key)
+def check_full_split(roots, h, base, tgt):
+    """roots are all roots in tgt of the squarefree h over level base, which
+    splits there: each is a root, they are pairwise distinct and as many as
+    deg h, and on a small level they are every element where h vanishes."""
+    lifted = [tgt.embed_from(c, base) for c in h]
+    assert all(horner(lifted, r, tgt) == tgt.zero for r in roots)
+    assert len(set(roots)) == len(roots) == len(h) - 1
+    if tgt.q <= BRUTE_FORCE_MAX:
+        brute = [x for x in tgt.elements() if horner(lifted, x, tgt) == tgt.zero]
+        assert sorted(roots, key=tgt.key) == sorted(brute, key=tgt.key)
 
 
 # (p, base level, relative degree m); the target level is base * m
@@ -90,8 +95,8 @@ def towers():
 @pytest.mark.parametrize("p, base, m", ORBIT_CASES)
 def test_orbit_path_matches_full_split(towers, p, base, m):
     """Pieces of one to three degree-m factors: the equal-degree factors are
-    irreducible and multiply back to the piece, and the orbit roots are the
-    roots of the piece lifted whole and split at level base * m."""
+    irreducible and multiply back to the piece, and the orbit roots are a
+    full split of the piece at level base * m."""
     tower = towers[p]
     lvl, tgt = tower.level(base), tower.level(base * m)
     rng = random.Random("orbit:%d:%d:%d" % (p, base, m))
@@ -102,32 +107,28 @@ def test_orbit_path_matches_full_split(towers, p, base, m):
         assert all(len(h) - 1 == m and is_irreducible(h, lvl) for h in factors)
         assert product(factors, lvl) == piece
         assert sorted(factors) == sorted(chosen)
-        lifted = [tgt.embed_from(c, base) for c in piece]
-        expected = roots_of_split_poly(lifted, tgt, rng)
-        got = _orbit_roots(piece, m, lvl, tgt, rng)
-        assert len(got) == m * count
-        assert _sorted(got, tgt) == _sorted(expected, tgt)
+        check_full_split(roots_of_split_poly(piece, m, lvl, tgt, rng), piece,
+                         base, tgt)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_equal_degree_split_matches_sympy(towers, p):
     """Level-1 equal-degree factors against sympy's factorization mod p."""
-    x = sympy.Symbol("x")
     lvl = towers[p].level(1)
     rng = random.Random(p)
     for m in (2, 3, 4):
         piece = product(random_irreducibles(lvl, m, 3, rng), lvl)
-        expr = sum(c * x ** i for i, c in enumerate(piece))
-        _, facs = sympy.Poly(expr, x, modulus=p).factor_list()
-        ref = sorted([int(c) % p for c in reversed(g.all_coeffs())]
-                     for g, e in facs for _ in range(e))
-        assert sorted(_equal_degree(piece, m, lvl, rng)) == ref
+        assert sorted(_equal_degree(piece, m, lvl, rng)) == \
+            sympy_factors(piece, p)
 
 
 @pytest.mark.parametrize("p, base", [(5, 1), (7, 1), (11, 1), (7, 2)])
 def test_roots_in_tower_matches_full_split(towers, p, base):
     """Seeded random polynomials, with repeated factors and factors of
-    several degrees, including pieces of several same-degree factors."""
+    several degrees, including pieces of several same-degree factors: the
+    roots of each known irreducible factor h of degree m are a full split
+    of h at level base * m, with h's multiplicity, sorted by level and
+    key."""
     tower = towers[p]
     lvl = tower.level(base)
     rng = random.Random("tower:%d:%d" % (p, base))
@@ -138,16 +139,27 @@ def test_roots_in_tower_matches_full_split(towers, p, base):
         if not parts:
             continue
         f = product(parts, lvl)
+        mults = [1] * len(parts)
         if trial % 3 == 0:
             f = upoly_mul(f, parts[0], lvl)
+            mults[0] = 2
         if trial % 4 == 1:
             # irreducible of degree 7 over GF(p) and GF(p^2): stays unsplit
             h = random_irreducibles(tower.level(1), 7, 1, rng)[0]
             f = upoly_mul(f, [lvl.from_int(c) for c in h], lvl)
         f = [lvl.mul(c, lvl.from_int(3)) for c in f]
         rm = roots_in_tower(f, lvl)
-        assert rm.roots == full_split_roots(f, lvl)
-        assert rm.complete == (trial % 4 != 1)
+        got = rm.roots
+        assert got == sorted(got, key=lambda t: (t[0], tower.level(t[0]).key(t[1])))
+        assert len(got) == sum(len(h) - 1 for h in parts)
+        for h, mult in zip(parts, mults):
+            tgt = tower.level(base * (len(h) - 1))
+            lifted = [tgt.embed_from(c, base) for c in h]
+            mine = [(r, mu) for lv, r, mu in got if lv == tgt.k
+                    and horner(lifted, r, tgt) == tgt.zero]
+            check_full_split([r for r, _ in mine], h, base, tgt)
+            assert all(mu == mult for _, mu in mine)
+        assert rm.unsplit == ([(7, base, 1)] if trial % 4 == 1 else [])
 
 
 def _frob_by_power(lvl, a, t):
@@ -184,10 +196,21 @@ def test_orbit_certificate_rejects_a_wrong_orbit(monkeypatch):
         roots_in_tower([1, 0, 1], lvl)
 
 
+def test_a_piece_of_mixed_degrees_raises_instead_of_looping():
+    """(x - 1)(x^2 + 1) over GF(7) passed as a piece of degree-1 factors:
+    the quadratic never splits, and the bounded Cantor-Zassenhaus steps
+    give up with VerificationError."""
+    lvl = FieldTower(7, budget=2, seed=0).level(1)
+    piece = upoly_mul([6, 1], [1, 0, 1], lvl)
+    with pytest.raises(VerificationError):
+        roots_of_split_poly(piece, 1, lvl, lvl, random.Random(0))
+
+
 def test_characteristic_two_is_refused():
-    """Both root paths need odd characteristic."""
+    """The root path needs odd characteristic, for pieces of relative
+    degree 2 and 1 alike."""
     lvl = FieldTower(2, budget=4, seed=0).level(1)
     with pytest.raises(NotImplementedError):
-        roots_in_tower([1, 1, 1], lvl)          # irreducible: orbit path
+        roots_in_tower([1, 1, 1], lvl)          # irreducible of degree 2
     with pytest.raises(NotImplementedError):
-        roots_in_tower([0, 1, 1], lvl)          # x(x + 1): level-1 path
+        roots_in_tower([0, 1, 1], lvl)          # x(x + 1)

@@ -157,7 +157,7 @@ OPTIMIZED_CHECKS = """
 import json
 import os
 
-from cubiclines import chow, fano, fields, poly
+from cubiclines import chow, cubic, fano, fields, poly
 from cubiclines.bihom import STVARS, BihomSolutions, _verify_solutions
 from cubiclines.cubic import ProjLine, fermat_cubic
 from cubiclines.curves import curve_from_json
@@ -184,6 +184,18 @@ def orbit_with_identity_frob():
         fields.FiniteLevel.frob = frob
 
 
+def lines_through_point_with_wrong_solver():
+    # a conic/cubic solver answering a point off the pair: the substitution
+    # check of each direction must refuse it
+    solve = cubic._solve_conic_cubic
+    cubic._solve_conic_cubic = lambda Q, K, max_level, seed: (
+        [(1, (1, 1, 1), 1)], True)
+    try:
+        cubic.lines_through_point(fermat_cubic(lvl, 4), [1, 1, 3, 3, 0], tower)
+    finally:
+        cubic._solve_conic_cubic = solve
+
+
 checks = (
     lambda: _verify_solutions(BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)]),
                               (G,)),
@@ -192,6 +204,7 @@ checks = (
     lambda: fano.correspondence_row(fermat_cubic(lvl, 4), conic, meet, tower),
     lambda: chow.residue_surface_classes("single"),
     orbit_with_identity_frob,
+    lines_through_point_with_wrong_solver,
 )
 # a wrong closed form makes the (correct) row total fail its check
 fano.expected_line_meeting = lambda e: 5 * e - 4
@@ -219,7 +232,7 @@ def test_verification_checks_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "6"
+    assert proc.stdout.strip() == "7"
 
 
 def test_acceptance_suite_under_optimize():
