@@ -5,8 +5,10 @@ in each pair separately.  Elimination is by the homogeneous Sylvester
 resultant in the t-pair with formal bidegrees, so vanishing leading
 coefficients (solutions at the points at infinity of either factor) are
 handled uniformly.  ``lift_fibers`` turns the roots of a binary resultant
-into solutions with multiplicities; the lines-through-a-point solver in
-``cubic`` lifts its conic/cubic pair through the same function.
+into solutions with multiplicities, lifting one fiber per Frobenius orbit
+of roots and mapping it to the orbit's other roots; the
+lines-through-a-point solver in ``cubic`` lifts its conic/cubic pair
+through the same function.
 """
 
 from __future__ import annotations
@@ -127,28 +129,66 @@ def lift_fibers(R, degree, fiber, max_level=None):
     the level lvl.  A root's multiplicity goes whole to a lone fiber point
     of a complete split, is shared in proportion to the fiber
     multiplicities when that is integral, and otherwise falls back to the
-    fiber multiplicity with ``certified`` False.  Solutions are
-    (level, base point, fiber point, multiplicity), unverified and unsorted.
+    fiber multiplicity with ``certified`` False.
+
+    The equations must be defined over R's level b, so that the Frobenius
+    sigma: x -> x^(p^b) maps the fiber over a onto the fiber over sigma(a).
+    Only the first root met in each orbit (lv // b roots at level lv) is
+    lifted; the fiber over sigma^j(a) is the image of its points under
+    sigma^j.  A conjugate that is missing from R's roots, or has another
+    multiplicity, raises VerificationError.  Solutions are (level, base
+    point, fiber point, multiplicity), in the order of R's roots and, over
+    each, of ``binary_roots`` on its fiber; they are unverified.
     """
     tower = R.field.tower
+    base = R.field.level
     rm = binary_roots(R, max_level=max_level, formal_degree=degree)
     out = BihomSolutions(total_degree=degree, complete=rm.complete)
+    conjugates = {}     # (level, root) -> (multiplicity, fiber points)
     for lv, a, mult in rm.roots:
-        g = fiber(tower.level(lv), a)
-        tot = g.degree()
-        frm = binary_roots(g, max_level=max_level)
-        out.complete = out.complete and frm.complete
-        for flv, b, fm in frm.roots:
-            if len(frm.roots) == 1 and frm.complete:
-                m = mult
-            elif (mult * fm) % tot == 0:
-                m = (mult * fm) // tot
-            else:
-                m = fm
-                out.certified = False
-            flvl = tower.level(flv)
-            out.solutions.append(
-                (flv, tuple(flvl.embed_from(x, lv) for x in a), b, m))
+        if (lv, a) in conjugates:
+            cmult, pts = conjugates.pop((lv, a))
+            if cmult != mult:
+                raise VerificationError("Frobenius-conjugate roots of a "
+                                        "resultant differ in multiplicity")
+        else:
+            lvl = tower.level(lv)
+            g = fiber(lvl, a)
+            tot = g.degree()
+            frm = binary_roots(g, max_level=max_level)
+            out.complete = out.complete and frm.complete
+            pts = []
+            for flv, b, fm in frm.roots:
+                if len(frm.roots) == 1 and frm.complete:
+                    m = mult
+                elif (mult * fm) % tot == 0:
+                    m = (mult * fm) // tot
+                else:
+                    m = fm
+                    out.certified = False
+                pts.append((flv, b, m))
+            for j in range(1, lv // base):
+                conj = tuple(lvl.frob(x, base * j) for x in a)
+                conjugates[(lv, conj)] = (mult,
+                                          _map_fiber(pts, base * j, R.field))
+        out.solutions.extend(
+            (flv, tuple(tower.level(flv).embed_from(x, lv) for x in a), b, m)
+            for flv, b, m in pts)
+    if conjugates:
+        raise VerificationError("a Frobenius conjugate of a resultant root "
+                                "is missing from its roots")
+    return out
+
+
+def _map_fiber(pts, s, fld):
+    """Fiber points (level, point, multiplicity) in the tower of fld under
+    x -> x^(p^s), listed as ``binary_roots`` lists them: the point at
+    infinity first, then by level and key."""
+    level = fld.tower.level
+    out = [(flv, tuple(level(flv).frob(x, s) for x in b), m)
+           for flv, b, m in pts]
+    out.sort(key=lambda pt: (not level(pt[0]).is_zero(pt[1][1]), pt[0],
+                             level(pt[0]).key(pt[1][0])))
     return out
 
 

@@ -228,6 +228,7 @@ class LinesThroughPoint:
     lines: list = field(default_factory=list)       # ProjLine, aligned
     total_multiplicity: int = 0
     complete: bool = True
+    certified: bool = True      # every multiplicity followed the exact rule
 
 
 def lines_through_point(cubic, x, tower, max_level=None, seed=0):
@@ -271,8 +272,7 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     if sols is None:
         res.eckardt = True
         return res
-    roots, complete = sols
-    res.complete = complete
+    roots, res.complete, res.certified = sols
     for lv, cpt, mult in roots:
         lvl = F.tower.level(lv)
         if not all(lvl.is_zero(P.over(lvl).eval_elems(list(cpt)))
@@ -289,16 +289,18 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
 
 
 def _solve_binary_pair(Q, K, max_level):
-    """Common projective roots of two binary forms (n = 3 case)."""
+    """Common projective roots of two binary forms (n = 3 case), with
+    complete and certified flags."""
     g = binary_gcd([Q, K], degrees=[2, 3])
     if g.degree() <= 0:
-        return [], True
+        return [], True, True
     rm = binary_roots(g, max_level=max_level)
-    return rm.roots, rm.complete
+    return rm.roots, rm.complete, True
 
 
 def _solve_conic_cubic(Q, K, max_level, seed):
-    """Solve a conic/cubic pair in P^2 exactly; None signals positive dim.
+    """Solve a conic/cubic pair in P^2 exactly: (roots, complete,
+    certified) from ``lift_fibers``, or None for positive dimension.
 
     After a coordinate change that makes c3^2 in Q and c3^3 in K appear with
     nonzero constant coefficients, (0:0:1) lies on neither curve, so the
@@ -342,7 +344,7 @@ def _solve_conic_cubic(Q, K, max_level, seed):
                 rows = [[lvl.embed_from(x, F.k) for x in col] for col in cols]
                 pt = tuple(linalg.combine(pt, rows, lvl))
             roots.append((lv, pt, m))
-        return roots, sols.complete
+        return roots, sols.complete, sols.certified
     raise CoordinateChangeError("no usable coordinate change found for the "
                                 "conic/cubic pair of directions")
 

@@ -20,9 +20,10 @@ level k is the GF(p) matrix that descent solves against.
 The dense univariate layer ends in the one root finder (ch. 14 of the
 same book): ``_distinct_degree`` cuts a squarefree polynomial into pieces
 whose irreducible factors share a degree m, and :func:`roots_of_split_poly`
-splits a piece into them, finds one root of each by Cantor-Zassenhaus and
-takes the rest as its Frobenius orbit.  The tower is built with the same
-code.
+splits a piece into them by Cantor-Zassenhaus, finds one root of each by
+Berlekamp's trace algorithm (Math. Comp. 24, 1970), which needs only p-th
+powers, that is the linear Frobenius, and takes the rest as its Frobenius
+orbit.  The tower is built with the same code.
 """
 
 from __future__ import annotations
@@ -528,10 +529,11 @@ def roots_of_split_poly(f, m, lvl, tgt, rng):
     """Roots in tgt of a monic squarefree f over lvl whose irreducible
     factors all have degree m; tgt must contain them.
 
-    Each factor of f over lvl is lifted to tgt, where one root r is found;
-    its conjugates over lvl are r^(q^i), q = |lvl|, i < m.  An orbit that
-    does not multiply back to its lifted factor raises VerificationError.
-    Needs odd characteristic.
+    Each factor h of f over lvl is lifted to tgt, where one root r is found
+    from the powers x^(p^i) mod h, i < [tgt : GF(p)], computed once at the
+    level of lvl; its conjugates over lvl are r^(q^i), q = |lvl|, i < m.
+    An orbit that does not multiply back to its lifted factor raises
+    VerificationError.  Needs odd characteristic.
     """
     if lvl.p == 2:
         raise NotImplementedError("root splitting needs odd characteristic")
@@ -539,7 +541,9 @@ def roots_of_split_poly(f, m, lvl, tgt, rng):
     out = []
     for h in _equal_degree(f, m, lvl, rng):
         lifted = [tgt.embed_from(c, base) for c in h]
-        orbit = [_one_root(lifted, tgt, rng)]
+        powers = [[tgt.embed_from(c, base) for c in y]
+                  for y in _frobenius_powers(h, tgt.k, lvl)] if m > 1 else []
+        orbit = [_one_root(lifted, powers, tgt, rng)]
         for _ in range(m - 1):
             orbit.append(tgt.frob(orbit[-1], base))
         prod = [tgt.neg(orbit[0]), tgt.one]
@@ -549,6 +553,14 @@ def roots_of_split_poly(f, m, lvl, tgt, rng):
             raise VerificationError("a Frobenius orbit of roots does not "
                                     "multiply back to its factor")
         out.extend(orbit)
+    return out
+
+
+def _frobenius_powers(h, n, lvl):
+    """[x^(p^i) mod h for i < n] over lvl, for a monic h of degree >= 2."""
+    out = [[lvl.zero, lvl.one]]
+    for _ in range(n - 1):
+        out.append(upoly_powmod(out[-1], lvl.p, h, lvl))
     return out
 
 
@@ -568,12 +580,43 @@ def _equal_degree(f, m, lvl, rng):
     return out
 
 
-def _one_root(g, lvl, rng):
-    """One root of a monic squarefree g that splits over lvl: Cantor-Zassenhaus
-    steps that keep only the smaller factor."""
+def _one_root(g, powers, lvl, rng):
+    """One root of a monic squarefree g that splits over lvl = GF(p^k), by
+    absolute-trace splits that keep only the smaller factor.
+
+    ``powers`` holds x^(p^i) mod g for i < k (it may be empty when g is
+    linear).  For random c and c0 in lvl, T = sum_i c^(p^i) x^(p^i) +
+    Tr(c0) takes the value Tr(c r + c0) in GF(p) at each root r, and those
+    values are independent and uniform for two distinct roots, so
+    gcd(g, T^((p-1)/2) - 1) is proper with probability about 1/2
+    (Berlekamp's trace algorithm; von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, sec. 14.4).  The shift c0 is needed: without it,
+    roots whose ratio is a square in GF(p), such as those of x^2 + 3 over
+    GF(5), are never separated.  The kept factor's powers are reduced
+    modulo it.  100 failed steps in a row mean that g does not split over
+    lvl, and VerificationError is raised instead of looping on.
+    """
+    e = (lvl.p - 1) // 2
     while len(g) > 2:
-        w = _cz_factor(g, 1, lvl, rng)
+        for _ in range(100):
+            c, c0 = _random_elem(lvl, rng), _random_elem(lvl, rng)
+            t = [lvl.zero] * (len(g) - 1)
+            tr = lvl.zero
+            for y in powers:
+                for j, a in enumerate(y):
+                    t[j] = lvl.add(t[j], lvl.mul(c, a))
+                tr = lvl.add(tr, c0)
+                c, c0 = lvl.frob(c), lvl.frob(c0)
+            t[0] = lvl.add(t[0], tr)
+            w = _gcd_minus_one(upoly_powmod(upoly_trim(t, lvl), e, g, lvl),
+                               g, lvl)
+            if 0 < len(w) - 1 < len(g) - 1:
+                break
+        else:
+            raise VerificationError("trace steps do not split a polynomial "
+                                    "that should split over its level")
         g = w if 2 * len(w) <= len(g) + 1 else _exact_quo(g, w, lvl)
+        powers = [upoly_divmod(y, g, lvl)[1] for y in powers]
     return lvl.neg(g[0])
 
 
@@ -598,16 +641,18 @@ def _cz_factor(g, m, lvl, rng):
     e = (lvl.q ** m - 1) // 2
     for _ in range(100):
         a = [_random_elem(lvl, rng) for _ in range(min(d, 2 * m) - 1)]
-        h = upoly_powmod(a + [lvl.one], e, g, lvl)
-        if h:
-            h[0] = lvl.sub(h[0], lvl.one)
-        else:
-            h = [lvl.neg(lvl.one)]
-        w = upoly_gcd(upoly_trim(h, lvl), g, lvl)
+        w = _gcd_minus_one(upoly_powmod(a + [lvl.one], e, g, lvl), g, lvl)
         if 0 < len(w) - 1 < d:
             return w
     raise VerificationError("Cantor-Zassenhaus steps do not split a "
                             "polynomial whose factors share a degree")
+
+
+def _gcd_minus_one(h, g, lvl):
+    """gcd(h - 1, g) for a dense h reduced modulo g."""
+    h = h or [lvl.zero]
+    h[0] = lvl.sub(h[0], lvl.one)
+    return upoly_gcd(upoly_trim(h, lvl), g, lvl)
 
 
 def _distinct_degree(f, lvl):

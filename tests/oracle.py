@@ -7,16 +7,19 @@ substitution, with no first-row prefilter.  The scheme length of
 out the line are composed with the parameterization and their binary gcd
 (with formal degrees, so the point at infinity of the parameter line
 participates) measures the length.
+
+The per-root fiber lift is the solver's lift before it took one fiber per
+Frobenius orbit: it lifts the fiber over every root of the resultant.
 """
 
 import itertools
 from types import SimpleNamespace
 
 from cubiclines import linalg
-from cubiclines.bihom import SVARS
+from cubiclines.bihom import SVARS, BihomSolutions
 from cubiclines.cubic import ProjLine
 from cubiclines.fano import enumerate_lines, second_type_test
-from cubiclines.poly import MultiPoly, binary_gcd
+from cubiclines.poly import MultiPoly, binary_gcd, binary_roots
 
 
 def meets(l1, l2):
@@ -137,3 +140,27 @@ def oracle_meeting_pair(census, curve, line, meeting_point, tangent_rows):
         elif meets(l, line) and scheme_length(l, curve) >= 1:
             out.append(l.key())
     return sorted(out)
+
+
+def lift_fibers_per_root(R, degree, fiber, max_level=None):
+    """``bihom.lift_fibers`` with one fiber lift per root of R."""
+    tower = R.field.tower
+    rm = binary_roots(R, max_level=max_level, formal_degree=degree)
+    out = BihomSolutions(total_degree=degree, complete=rm.complete)
+    for lv, a, mult in rm.roots:
+        g = fiber(tower.level(lv), a)
+        tot = g.degree()
+        frm = binary_roots(g, max_level=max_level)
+        out.complete = out.complete and frm.complete
+        for flv, b, fm in frm.roots:
+            if len(frm.roots) == 1 and frm.complete:
+                m = mult
+            elif (mult * fm) % tot == 0:
+                m = (mult * fm) // tot
+            else:
+                m = fm
+                out.certified = False
+            flvl = tower.level(flv)
+            out.solutions.append(
+                (flv, tuple(flvl.embed_from(x, lv) for x in a), b, m))
+    return out

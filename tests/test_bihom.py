@@ -2,12 +2,17 @@ import random
 
 import pytest
 
+from cubiclines import bihom, cubic
 from cubiclines.bihom import (BihomSolutions, PositiveDimensionalError,
                               STVARS, _verify_solutions, bidegree,
                               diagonal_form, divide_diagonal, lift_fibers,
                               solve_bihomog)
+from cubiclines.curves import curve_from_json, curve_meeting_data, line_as_curve
 from cubiclines.fields import VerificationError
 from cubiclines.poly import MultiPoly
+from cubiclines.secant import count_secants_pair, count_secants_single
+from conftest import fixture_json
+from oracle import lift_fibers_per_root
 
 
 def rand_biform(lvl, rng, ds, dt):
@@ -173,3 +178,70 @@ def test_lift_fibers_split_rule(tower7, mult, fiber_roots, expected,
     assert sols.complete and sols.total_degree == mult
     assert sols.certified is certified
     assert sols.solutions == [(1, (2, 1), (b, 1), m) for b, m in expected]
+
+
+def _meeting_pair(X, conic, name):
+    lc = curve_from_json(fixture_json(name), X.field)
+    md = curve_meeting_data(conic, lc, max_level=4)
+    return count_secants_pair(X, conic, lc, None, max_level=4, meeting=md)
+
+
+def _point_lines(name, point):
+    X, _ = cubic.cubic_from_json(fixture_json(name))
+    return cubic.lines_through_point(X, point, None)
+
+
+LIFT_CASES = {
+    "conic7": lambda fx: count_secants_single(
+        fx("threefold7"), fx("conic7"), None, max_level=4),
+    "conic11": lambda fx: count_secants_single(
+        fx("threefold11"), fx("conic11"), None, max_level=4),
+    "skew7": lambda fx: count_secants_pair(
+        fx("threefold7"), *map(line_as_curve, fx("skew7")), None,
+        max_level=4),
+    "skew11": lambda fx: count_secants_pair(
+        fx("threefold11"), *map(line_as_curve, fx("skew11")), None,
+        max_level=4),
+    "meeting7": lambda fx: _meeting_pair(
+        fx("threefold7"), fx("conic7"), "meetline7.json"),
+    "meeting11": lambda fx: _meeting_pair(
+        fx("threefold11"), fx("conic11"), "meetline11.json"),
+    # six directions at level 6
+    "dense11_point": lambda fx: _point_lines(
+        "dense11_threefold.json", [4, 6, 6, 0, 8]),
+    # an uncertified split (test_cubic.test_uncertified_split_is_reported)
+    "solve48_point": lambda fx: _point_lines(
+        "solve48_threefold.json", [8, 1, 9, 4, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+def test_orbit_lift_matches_per_root_lift(case, request, monkeypatch):
+    """Every fiber lift the solvers make, run both ways: one fiber per
+    Frobenius orbit, mapped to the orbit's other roots, and one fiber per
+    root.  Solutions (order, levels, points, multiplicities), complete and
+    certified agree, and the orbit lift lifts no more fibers."""
+    orbit_lift = bihom.lift_fibers
+    fibers = {"orbit": 0, "per_root": 0}
+
+    def counted(fiber, name):
+        def wrapped(lvl, a):
+            fibers[name] += 1
+            return fiber(lvl, a)
+        return wrapped
+
+    def both(R, degree, fiber, max_level=None):
+        new = orbit_lift(R, degree, counted(fiber, "orbit"), max_level)
+        old = lift_fibers_per_root(R, degree, counted(fiber, "per_root"),
+                                   max_level)
+        assert new.solutions == old.solutions
+        assert (new.complete, new.certified, new.total_degree) == \
+            (old.complete, old.certified, old.total_degree)
+        return new
+
+    monkeypatch.setattr(bihom, "lift_fibers", both)
+    monkeypatch.setattr(cubic, "lift_fibers", both)
+    LIFT_CASES[case](request.getfixturevalue)
+    assert 0 < fibers["orbit"] <= fibers["per_root"]
+    if case == "dense11_point":
+        assert fibers["orbit"] < fibers["per_root"]

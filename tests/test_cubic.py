@@ -10,6 +10,7 @@ from cubiclines.cubic import (CubicForm, DegenerateSpanError, ProjLine,
                               smoothness_probe, xvars)
 from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
+from conftest import fixture_json
 from oracle import meets
 
 
@@ -121,6 +122,17 @@ def test_lines_through_point_vs_bruteforce(threefold7, tower7):
         if checked >= 8:
             break
     assert checked >= 8
+
+
+def test_uncertified_split_is_reported():
+    """The cubic of config 48 of the seed-1 ``solve`` workload, at
+    (8:1:9:4:4) over GF(11): a level-1 resultant root of multiplicity 3 lies
+    under two fiber points, which the split rule cannot share exactly, so
+    the total is 5 and the result says it is not certified."""
+    X, _ = cubic_from_json(fixture_json("solve48_threefold.json"))
+    res = lines_through_point(X, [8, 1, 9, 4, 4], None)
+    assert res.total_multiplicity == 5
+    assert res.complete and res.certified is False
 
 
 def test_eckardt_point_on_fermat(threefold7, tower7):

@@ -1,5 +1,5 @@
 """Frobenius orbits in root finding: the linear Frobenius, the equal-degree
-split at the base level and one root per factor.
+split at the base level and one root per factor by trace splits.
 
 The references do not use the root finder or the tower's irreducibility
 test: roots are checked by Horner substitution, pairwise distinctness and
@@ -14,7 +14,7 @@ import sympy
 
 from cubiclines import fields
 from cubiclines.fields import (FieldTower, VerificationError, _equal_degree,
-                               roots_of_split_poly, upoly_mul)
+                               _one_root, roots_of_split_poly, upoly_mul)
 from cubiclines.poly import roots_in_tower
 
 BRUTE_FORCE_MAX = 7 ** 4
@@ -109,6 +109,35 @@ def test_orbit_path_matches_full_split(towers, p, base, m):
         assert sorted(factors) == sorted(chosen)
         check_full_split(roots_of_split_poly(piece, m, lvl, tgt, rng), piece,
                          base, tgt)
+
+
+# irreducible binomials x^m - a whose roots are GF(p)-multiples of each
+# other with square ratios: r and -r (-1 = 2^2 mod 5), r * {1, 2, 4} (the
+# cube roots of unity mod 7 are squares), and r * GF(7)^*
+BINOMIALS = [(5, [3, 0, 1]), (7, [4, 0, 0, 1]), (7, [4, 0, 0, 0, 0, 0, 1])]
+
+
+@pytest.mark.parametrize("p, h", BINOMIALS)
+def test_roots_with_square_ratios(towers, p, h):
+    """A trace split Tr(c r) takes the same quadratic character at roots
+    whose ratio is a square in GF(p), so only the shift Tr(c0) separates
+    them: the roots are still found, each a root and as many as deg h."""
+    lvl = towers[p].level(1)
+    m = len(h) - 1
+    assert is_irreducible(h, lvl)
+    roots = roots_of_split_poly(h, m, lvl, towers[p].level(m),
+                                random.Random("binomial:%d:%d" % (p, m)))
+    check_full_split(roots, h, 1, towers[p].level(m))
+
+
+def test_an_irreducible_quadratic_passed_as_split_raises(towers):
+    """x^2 + 1 over GF(7) has no root there: the trace steps never split
+    it, and give up with VerificationError instead of looping."""
+    lvl = towers[7].level(1)
+    with pytest.raises(VerificationError):
+        _one_root([1, 0, 1], [[0, 1]], lvl, random.Random(0))
+    with pytest.raises(VerificationError):
+        roots_of_split_poly([1, 0, 1], 2, lvl, lvl, random.Random(0))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

@@ -157,7 +157,7 @@ OPTIMIZED_CHECKS = """
 import json
 import os
 
-from cubiclines import chow, cubic, fano, fields, poly
+from cubiclines import bihom, chow, cubic, fano, fields, poly
 from cubiclines.bihom import STVARS, BihomSolutions, _verify_solutions
 from cubiclines.cubic import ProjLine, fermat_cubic
 from cubiclines.curves import curve_from_json
@@ -170,6 +170,8 @@ if __debug__:
 tower = FieldTower(7, budget=2, seed=0)
 lvl = tower.level(1)
 G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
+circle = MultiPoly.from_int_terms(lvl, STVARS,
+                                  {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1})
 off = ProjLine(lvl, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
 
 
@@ -189,11 +191,23 @@ def lines_through_point_with_wrong_solver():
     # check of each direction must refuse it
     solve = cubic._solve_conic_cubic
     cubic._solve_conic_cubic = lambda Q, K, max_level, seed: (
-        [(1, (1, 1, 1), 1)], True)
+        [(1, (1, 1, 1), 1)], True, True)
     try:
         cubic.lines_through_point(fermat_cubic(lvl, 4), [1, 1, 3, 3, 0], tower)
     finally:
         cubic._solve_conic_cubic = solve
+
+
+def fiber_map_with_wrong_power():
+    # fiber points over sigma^j(a) taken as sigma^(j+1) of those over a:
+    # over the conjugate root -i of s0^2 + s1^2 = 0, the diagonal's fiber
+    # point becomes i, and the substitution check must refuse (-i, i)
+    map_fiber = bihom._map_fiber
+    bihom._map_fiber = lambda pts, s, fld: map_fiber(pts, s + fld.level, fld)
+    try:
+        bihom.solve_bihomog(circle, bihom.diagonal_form(lvl))
+    finally:
+        bihom._map_fiber = map_fiber
 
 
 checks = (
@@ -205,6 +219,7 @@ checks = (
     lambda: chow.residue_surface_classes("single"),
     orbit_with_identity_frob,
     lines_through_point_with_wrong_solver,
+    fiber_map_with_wrong_power,
 )
 # a wrong closed form makes the (correct) row total fail its check
 fano.expected_line_meeting = lambda e: 5 * e - 4
@@ -232,7 +247,7 @@ def test_verification_checks_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "7"
+    assert proc.stdout.strip() == "8"
 
 
 def test_acceptance_suite_under_optimize():
