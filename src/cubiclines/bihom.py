@@ -16,11 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fields import VerificationError
-from .poly import MultiPoly, binary_gcd, binary_roots, resultant
-
-SVARS = ("s0", "s1")
-TVARS = ("t0", "t1")
-STVARS = SVARS + TVARS
+from .poly import (
+    STVARS,
+    SVARS,
+    TVARS,
+    MultiPoly,
+    binary_gcd,
+    binary_roots,
+    resultant,
+)
 
 
 class PositiveDimensionalError(Exception):

@@ -143,12 +143,6 @@ class CubicForm:
     def f_at(self, pt):
         return self.F.eval_elems(list(pt))
 
-    def p1_at(self, a, b):
-        return self.P1.eval_elems(list(a) + list(b))
-
-    def p2_at(self, a, b):
-        return self.P2.eval_elems(list(a) + list(b))
-
     def on_x(self, pt):
         return self.field.is_zero(self.f_at(pt))
 
@@ -163,15 +157,17 @@ class CubicForm:
     # -- lines ------------------------------------------------------------------
 
     def line_in_x(self, line):
-        """F vanishes identically on the line."""
-        return self.line_in_x_points(*line.rows)
+        """F vanishes identically on the line, over the line's field."""
+        return self.line_in_x_points(*line.rows, line.field)
 
     def line_in_x_points(self, a, b, fld=None):
-        """F vanishes identically on the line through a and b over fld."""
-        F = fld or self.field
-        Fm = self._over(F)
-        return (F.is_zero(Fm.f_at(a)) and F.is_zero(Fm.f_at(b))
-                and F.is_zero(Fm.p1_at(a, b)) and F.is_zero(Fm.p2_at(a, b)))
+        """F vanishes identically on the line through a and b over fld.
+
+        F(s0*a + s1*b) is the binary cubic with coefficients F(a), P1(a;b),
+        P2(a;b) and F(b); all four are computed at once, at fld, by
+        substituting the line as a degree-1 curve.
+        """
+        return self.F.along((tuple(zip(a, b)),), fld or self.field).is_zero()
 
     def _over(self, fld):
         """This cubic with coefficients embedded into another tower level.

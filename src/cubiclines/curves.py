@@ -32,9 +32,14 @@ class NotOnXError(ValueError):
 
 
 class RationalCurve:
-    """A degree-e map P^1 -> P^n given by n+1 binary forms in (s0, s1)."""
+    """A degree-e map P^1 -> P^n given by n+1 binary forms in (s0, s1).
 
-    __slots__ = ("field", "n", "e", "coords")
+    ``dense`` holds the same forms as coefficient lists over the curve's
+    field, entry k multiplying s0^(e-k) s1^k: the form in which
+    ``MultiPoly.along`` substitutes the curve and points are evaluated.
+    """
+
+    __slots__ = ("field", "n", "e", "coords", "dense")
 
     def __init__(self, fld, e, coords):
         coords = tuple(coords)
@@ -51,23 +56,24 @@ class RationalCurve:
         self.n = len(coords) - 1
         self.e = e
         self.coords = coords
+        self.dense = tuple(tuple(c.terms.get((e - k, k), fld.zero)
+                                 for k in range(e + 1)) for c in coords)
 
     def point_at(self, s, lvl=None):
         """The image point phi(s) of a parameter s over the level lvl."""
         lvl = lvl or self.field
-        return [c.over(lvl).eval_elems(list(s)) for c in self.coords]
+        return [_horner(d, s, lvl, self.field.k) for d in self.dense]
 
     def jacobian_at(self, s, lvl=None):
         """Rows d(phi)/d(s0) and d(phi)/d(s1) evaluated at the parameter."""
         lvl = lvl or self.field
-        rows = []
-        for name in SVARS:
-            row = []
-            for c in self.coords:
-                d = c.derivative(name).over(lvl)
-                row.append(d.eval_elems(list(s)))
-            rows.append(row)
-        return rows
+        F, e = self.field, self.e
+        # the partials of sum_k d[k] s0^(e-k) s1^k, as dense lists of degree e-1
+        ds0 = [[F.mul(F.from_int(e - k), d[k]) for k in range(e)]
+               for d in self.dense]
+        ds1 = [[F.mul(F.from_int(k + 1), d[k + 1]) for k in range(e)]
+               for d in self.dense]
+        return [[_horner(d, s, lvl, F.k) for d in rows] for rows in (ds0, ds1)]
 
     def tangent_rows_at(self, s, lvl=None):
         """Spanning rows of the embedded tangent line at a smooth parameter."""
@@ -88,16 +94,23 @@ class RationalCurve:
                              [c.over(lvl) for c in self.coords])
 
     def to_json(self):
-        out = []
-        for c in self.coords:
-            dense = [self.field.zero] * (self.e + 1)
-            for (e0, e1), v in c.terms.items():
-                dense[e1] = v
-            out.append([_as_int(self.field, v) for v in dense])
-        return {"e": self.e, "coords": out}
+        return {"e": self.e, "coords": [[_as_int(self.field, v) for v in d]
+                                        for d in self.dense]}
 
     def __repr__(self):
         return "RationalCurve(e=%d, n=%d over %r)" % (self.e, self.n, self.field)
+
+
+def _horner(dense, s, lvl, k):
+    """sum_k dense[k] s0^(e-k) s1^k at s over lvl, by homogeneous Horner;
+    the coefficients, from level k, are embedded into lvl as they are read."""
+    s0, s1 = s
+    acc = lvl.embed_from(dense[0], k)
+    pw = lvl.one
+    for c in dense[1:]:
+        pw = lvl.mul(pw, s1)
+        acc = lvl.add(lvl.mul(acc, s0), lvl.mul(lvl.embed_from(c, k), pw))
+    return acc
 
 
 def _as_int(F, v):
@@ -185,13 +198,12 @@ def coincidence_minors(curve):
 def validate_curve(cubic, curve, max_level=None):
     """Full validation report; raises on base points or a curve off X."""
     F = curve.field
-    X = cubic._over(F)
     e = curve.e
     nonzero = [c for c in curve.coords if not c.is_zero()]
     g = binary_gcd(nonzero, degrees=[e] * len(nonzero))
     if g.degree() > 0:
         raise BasePointError("coordinate forms share the factor %r" % (g,))
-    comp = X.F.eval_polys(list(curve.coords))
+    comp = cubic.F.along((curve.dense,), F)
     if not comp.is_zero():
         raise NotOnXError("F(phi(s)) is a nonzero form of degree %d" % (3 * e))
     report = CurveValidation(e=e, on_x=True, base_point_free=True,

@@ -129,6 +129,13 @@ class Rationals:
             raise ValueError("no embedding of level %d into QQ" % j)
         return a
 
+    def pack(self, a, bits):
+        """A rational is its own packed form (see FiniteLevel.pack)."""
+        return a
+
+    def unpack(self, n, bits):
+        return n
+
     def descend(self, a, j):
         return a
 
@@ -297,6 +304,42 @@ class FiniteLevel:
         for _ in range(t):
             a = tuple([sum(map(mul, row, a)) % p for row in rows])
         return a
+
+    # -- packed elements -------------------------------------------------------
+
+    def pack(self, a, bits):
+        """a as one int, one slot of ``bits`` bits per coefficient
+        (Kronecker substitution).  Sums and products of packed elements
+        are packed sums and products of the unreduced coefficient
+        polynomials, as long as no slot reaches 2^bits; a prime-field
+        element is its own packed form."""
+        if self.k == 1:
+            return a
+        out = 0
+        for c in reversed(a):
+            out = (out << bits) | c
+        return out
+
+    def unpack(self, n, bits):
+        """The element of a packed sum of products of packed elements."""
+        if self.k == 1:
+            return n % self.p
+        p, k, m = self.p, self.k, self.modulus
+        mask = (1 << bits) - 1
+        prod = []
+        while n:
+            prod.append(n & mask)
+            n >>= bits
+        prod += [0] * (k - len(prod))
+        # mul's reduction, for a list of any length (mul keeps its own copy
+        # inline: a call there costs 5-14% of a multiplication)
+        for top in range(len(prod) - 1, k - 1, -1):
+            c = prod[top] % p
+            if c:
+                off = top - k
+                for i in range(k):
+                    prod[off + i] -= c * m[i]
+        return tuple([c % p for c in prod[:k]])
 
     # -- subfield structure ----------------------------------------------------
 

@@ -22,6 +22,10 @@ from .fields import (
     upoly_trim,
 )
 
+# the parameter pairs of the curves that MultiPoly.along substitutes
+SVARS = ("s0", "s1")
+TVARS = ("t0", "t1")
+STVARS = SVARS + TVARS
 
 # one shared tuple per exponent vector that coeffs_in builds: the polar
 # forms of many cubics hold the same few hundred vectors
@@ -237,6 +241,82 @@ class MultiPoly:
                     out[e] = s
         return MultiPoly._trusted(F, tvars, out)
 
+    def along(self, blocks, lvl):
+        """Substitute a rational curve for each block of variables.
+
+        The variables fall into len(blocks) consecutive blocks of equal
+        size (one block x, or two blocks x and y).  A block is the tuple of
+        dense coordinates of a curve over lvl, one list per variable, where
+        c[i] multiplies u0^(e-i) u1^i in the curve's parameter pair; a line
+        a*u0 + b*u1 is the degree-1 curve ((a_0, b_0), (a_1, b_1), ...).
+        Returns the result in (s0, s1) for one block, or bihomogeneous in
+        (s0, s1, t0, t1) for two, over lvl.  Coefficients are embedded into
+        lvl as they are read.
+
+        Products of a block's coordinates are dense convolutions memoized
+        per exponent vector.  Terms are grouped by their x-exponent (for one
+        block: the exponent less its last variable), so each group costs
+        one product with its combined rest: an outer product with the
+        y-part, or a convolution with a combination of coordinates.  All
+        of it is plain integer (or rational) arithmetic on packed elements
+        (``pack``), with slots wide enough for every sum of products here,
+        and each output coefficient is reduced once (``unpack``).
+        """
+        F = self.field
+        if lvl.char != F.char:
+            raise ValueError("cannot substitute across characteristics")
+        w = len(blocks[0])
+        if len(blocks) > 2 or any(len(b) != w for b in blocks) \
+                or w * len(blocks) != len(self.vars):
+            raise ValueError("need one or two blocks of curve coordinates, "
+                             "one per variable")
+        deg = max(map(sum, self.terms), default=0)
+        e = max(len(c) for block in blocks for c in block) - 1
+        bits = (len(self.terms) * ((e + 1) * lvl.k) ** deg
+                * lvl.p ** (deg + 1)).bit_length()
+        prods = [_Products([[lvl.pack(x, bits) for x in c] for c in b])
+                 for b in blocks]
+        heads, tails = prods[0], prods[-1]
+        units = [(0,) * j + (1,) + (0,) * (w - j - 1) for j in range(w)]
+        groups = {}
+        for exps, c in self.terms.items():
+            # a prime-field coefficient is its own packed embedding
+            c = c if F.k == 1 else lvl.pack(lvl.embed_from(c, F.k), bits)
+            if len(blocks) == 2:
+                head, tail = exps[:w], exps[w:]
+            elif any(exps):
+                j = _last_nonzero(exps)
+                head, tail = exps[:j] + (exps[j] - 1,) + exps[j + 1:], units[j]
+            else:
+                head = tail = exps
+            part = tails[tail]
+            acc = groups.setdefault((head, len(part)), [0] * len(part))
+            acc[:] = [a + c * v for a, v in zip(acc, part)]
+        out = {}
+        for (head, _), rest in groups.items():
+            X = heads[head]
+            if len(blocks) == 2:
+                # rows by the power of s1, columns by the power of t1
+                rows = out.setdefault((len(X), len(rest)),
+                                      [[0] * len(rest) for _ in X])
+                for x, row in zip(X, rows):
+                    if x:
+                        row[:] = [r + x * y for r, y in zip(row, rest)]
+            else:
+                size = len(X) + len(rest) - 1
+                _convolve_into(out.setdefault(size, [0] * size), X, rest)
+        if len(blocks) == 2:
+            terms = {(da - 1 - i, i, db - 1 - j, j): v
+                     for (da, db), rows in out.items()
+                     for i, row in enumerate(rows) for j, v in enumerate(row)}
+        else:
+            terms = {(len(acc) - 1 - i, i): v
+                     for acc in out.values() for i, v in enumerate(acc)}
+        terms = {ex: lvl.unpack(v, bits) for ex, v in terms.items()}
+        return MultiPoly._trusted(lvl, STVARS if len(blocks) == 2 else SVARS,
+                                  {ex: v for ex, v in terms.items()
+                                   if not lvl.is_zero(v)})
+
     def map_field(self, new_field, conv):
         """Transport coefficients through conv into another field."""
         out = {}
@@ -329,6 +409,38 @@ class MultiPoly:
                             for v, e in zip(self.vars, exps) if e)
             bits.append("(%s)%s" % (c, "*" + mono if mono else ""))
         return " + ".join(bits)
+
+
+class _Products(dict):
+    """Dense products of a curve's (packed) coordinates, memoized by
+    exponent vector."""
+
+    def __init__(self, coords):
+        super().__init__({(0,) * len(coords): [1]})
+        self.coords = coords
+
+    def __missing__(self, exps):
+        j = _last_nonzero(exps)
+        head = self[exps[:j] + (exps[j] - 1,) + exps[j + 1:]]
+        out = [0] * (len(head) + len(self.coords[j]) - 1)
+        _convolve_into(out, head, self.coords[j])
+        self[exps] = out
+        return out
+
+
+def _last_nonzero(exps):
+    j = len(exps) - 1
+    while not exps[j]:
+        j -= 1
+    return j
+
+
+def _convolve_into(acc, a, b):
+    """Add the product of the dense lists a and b into acc."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
 
 
 # ---------------------------------------------------------------------------

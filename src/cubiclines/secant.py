@@ -22,7 +22,7 @@ from .bihom import (
     solve_bihomog,
 )
 from .cubic import ProjLine, ambient_line_from_plane_form, plane_residual
-from .curves import _normalize, _side_forms, curve_meeting_data, validate_curve
+from .curves import _normalize, curve_meeting_data, validate_curve
 from .fields import VerificationError, check_tower
 from .poly import MultiPoly
 
@@ -47,6 +47,9 @@ def expected_line_meeting(e):
 def build_system(cubic, curve_a, curve_b=None):
     """The two mixed-polar equations for secants of one curve or a pair.
 
+    G1 = P1(phi(s); psi(t)) and G2 = P2(phi(s); psi(t)), with psi = phi
+    for one curve, come from substituting the curves' dense coordinates
+    into the polar forms at the curves' level (``MultiPoly.along``).
     Returns the pair to solve with its formal bidegrees, (G1, G2,
     bidegrees); for one curve both forms are first divided by the
     diagonal twice, its universal vanishing order.
@@ -54,11 +57,9 @@ def build_system(cubic, curve_a, curve_b=None):
     F = curve_a.field
     if curve_b is not None and curve_b.field is not F:
         raise ValueError("curves must live over the same level")
-    X = cubic._over(F)
-    forms = (_side_forms(curve_a, "s")
-             + _side_forms(curve_b if curve_b is not None else curve_a, "t"))
-    G1 = X.P1.eval_polys(forms)
-    G2 = X.P2.eval_polys(forms)
+    blocks = (curve_a.dense, (curve_b or curve_a).dense)
+    G1 = cubic.P1.along(blocks, F)
+    G2 = cubic.P2.along(blocks, F)
     ea = curve_a.e
     if curve_b is not None:
         eb = curve_b.e
@@ -198,7 +199,7 @@ def _handle_diagonal(report, cubic, curve, lvl, s, m):
         report.spurious += m
         return
     line = ProjLine(lvl, rows[0], rows[1])
-    if not cubic._over(lvl).line_in_x(line):
+    if not cubic.line_in_x(line):
         report.spurious += m
         return
     if m % 2 == 0:
@@ -392,7 +393,7 @@ def _proportional(a, b, lvl):
 
 
 def _assert_secant_line(cubic, line):
-    if not cubic._over(line.field).line_in_x(line):
+    if not cubic.line_in_x(line):
         raise VerificationError("reported secant is not contained in X")
 
 

@@ -10,14 +10,19 @@ participates) measures the length.
 
 The per-root fiber lift is the solver's lift before it took one fiber per
 Frobenius orbit: it lifts the fiber over every root of the resultant.
+
+The line certificate and the secant system are the solver's before it
+substituted curves with ``MultiPoly.along``: F(a), P1(a;b), P2(a;b) and
+F(b) by ``eval_elems`` on the cubic moved to the line's field, and the
+polar forms composed with the curves' forms by ``eval_polys``.
 """
 
 import itertools
-from types import SimpleNamespace
 
 from cubiclines import linalg
-from cubiclines.bihom import SVARS, BihomSolutions
+from cubiclines.bihom import SVARS, BihomSolutions, divide_diagonal
 from cubiclines.cubic import ProjLine
+from cubiclines.curves import _side_forms
 from cubiclines.fano import enumerate_lines, second_type_test
 from cubiclines.poly import MultiPoly, binary_gcd, binary_roots
 
@@ -50,6 +55,37 @@ def scheme_length(line, curve):
     return g.degree()
 
 
+def line_values(cubic, a, b, fld=None):
+    """F(a), P1(a;b), P2(a;b) and F(b): the coefficients of F(s0*a + s1*b)."""
+    F = fld or cubic.field
+    Fm = cubic._over(F)
+    ab = list(a) + list(b)
+    return [Fm.F.eval_elems(list(a)), Fm.P1.eval_elems(ab),
+            Fm.P2.eval_elems(ab), Fm.F.eval_elems(list(b))]
+
+
+def line_in_x_points(cubic, a, b, fld=None):
+    """F vanishes identically on the line through a and b over fld."""
+    F = fld or cubic.field
+    return all(F.is_zero(v) for v in line_values(cubic, a, b, F))
+
+
+def build_system(cubic, curve_a, curve_b=None):
+    """(G1, G2, bidegrees) of the secants of one curve or a pair."""
+    F = curve_a.field
+    X = cubic._over(F)
+    forms = (_side_forms(curve_a, "s")
+             + _side_forms(curve_b if curve_b is not None else curve_a, "t"))
+    G1 = X.P1.eval_polys(forms)
+    G2 = X.P2.eval_polys(forms)
+    ea = curve_a.e
+    if curve_b is not None:
+        eb = curve_b.e
+        return G1, G2, ((2 * ea, eb), (ea, 2 * eb))
+    return (divide_diagonal(G1, 2), divide_diagonal(G2, 2),
+            ((2 * ea - 2, ea - 2), (ea - 2, 2 * ea - 2)))
+
+
 def naive_census(cubic, tower, level=1):
     """Sorted lines, adjacency rows and second-type flags of the lines on
     the hypersurface at one level, from a per-candidate scan."""
@@ -74,7 +110,7 @@ def naive_census(cubic, tower, level=1):
                         v[c] = x
                     # (u, v) is already in echelon form: skip the RREF
                     # of a ProjLine for the candidates that fail
-                    if X.line_in_x(SimpleNamespace(rows=(u, v))):
+                    if line_in_x_points(X, u, v, fld):
                         lines.append(ProjLine(fld, u, v))
     lines.sort(key=lambda l: l.key())
     adjacency = [[int(a is not b and meets(a, b)) for b in lines]

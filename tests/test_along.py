@@ -1,0 +1,193 @@
+"""The dense substitution kernel ``MultiPoly.along`` against the solver's
+earlier code paths (``oracle``): the polar forms composed with the curves'
+forms by ``eval_polys``, and the four values F(a), P1(a;b), P2(a;b), F(b)
+by ``eval_elems``."""
+
+import itertools
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from cubiclines.cubic import CubicForm, ProjLine, cubic_from_json, xvars
+from cubiclines.curves import RationalCurve, _side_forms, curve_from_json
+from cubiclines.fields import QQ, FieldTower, VerificationError
+from cubiclines.poly import SVARS, MultiPoly
+from cubiclines.secant import _assert_secant_line, build_system
+from conftest import fixture_json
+import oracle
+
+# (p, cubic level, curve level); p = 0 is QQ
+FIELDS = [(0, 1, 1), (3, 1, 1), (3, 1, 2), (3, 2, 2), (5, 1, 1), (5, 1, 2),
+          (5, 2, 2), (11, 1, 1), (11, 1, 2), (11, 2, 2), (7, 1, 2), (7, 2, 2),
+          (7, 2, 4)]
+
+
+def levels(p, ck, lk):
+    tower = QQ.tower if p == 0 else FieldTower(p, budget=lk, seed=0)
+    return tower.level(ck), tower.level(lk)
+
+
+def rand_elem(fld, rng):
+    if fld.char == 0:
+        return fld.from_int(rng.randrange(-4, 5))
+    return fld.from_coeffs([rng.randrange(fld.p) for _ in range(fld.k)])
+
+
+def rand_cubic(fld, rng, n=4):
+    """A dense random cubic: every monomial, coefficients uniform."""
+    terms = {e: rand_elem(fld, rng)
+             for e in itertools.product(range(4), repeat=n + 1) if sum(e) == 3}
+    F = MultiPoly(fld, xvars(n), terms)
+    return CubicForm(fld, n, F)
+
+
+def rand_curve(fld, e, rng, n=4):
+    """Random binary forms of degree e (not on any particular cubic)."""
+    coords = [MultiPoly(fld, SVARS, {(e - k, k): rand_elem(fld, rng)
+                                     for k in range(e + 1)})
+              for _ in range(n + 1)]
+    if all(c.is_zero() for c in coords):
+        coords[0] = MultiPoly(fld, SVARS, {(e, 0): fld.one})
+    return RationalCurve(fld, e, coords)
+
+
+@pytest.mark.parametrize("p,ck,lk", FIELDS)
+def test_one_block_matches_eval_polys(p, ck, lk):
+    cf, lvl = levels(p, ck, lk)
+    rng = random.Random("one:%d:%d:%d" % (p, ck, lk))
+    X = rand_cubic(cf, rng)
+    for e in (1, 2, 3):
+        curve = rand_curve(lvl, e, rng)
+        want = X.F.over(lvl).eval_polys(list(curve.coords))
+        assert X.F.along((curve.dense,), lvl) == want
+
+
+@pytest.mark.parametrize("p,ck,lk", FIELDS)
+def test_two_blocks_match_eval_polys(p, ck, lk):
+    """Single mode (one curve in both blocks) and pair mode (two curves of
+    any degrees), for both polar forms."""
+    cf, lvl = levels(p, ck, lk)
+    rng = random.Random("two:%d:%d:%d" % (p, ck, lk))
+    X = rand_cubic(cf, rng)
+    curves = {e: rand_curve(lvl, e, rng) for e in (1, 2, 3)}
+    pairs = [(e, e) for e in (1, 2, 3)] + [(1, 2), (2, 3), (3, 1)]
+    for ea, eb in pairs:
+        a = curves[ea]
+        b = curves[eb] if ea != eb else a
+        forms = _side_forms(a, "s") + _side_forms(b, "t")
+        for P in (X.P1, X.P2):
+            assert P.along((a.dense, b.dense), lvl) == \
+                P.over(lvl).eval_polys(forms)
+
+
+@pytest.mark.parametrize("p,ck,lk", FIELDS)
+def test_line_restriction_is_the_four_values(p, ck, lk):
+    cf, lvl = levels(p, ck, lk)
+    rng = random.Random("line:%d:%d:%d" % (p, ck, lk))
+    for n in (3, 4):
+        X = rand_cubic(cf, rng, n)
+        for _ in range(6):
+            a = [rand_elem(lvl, rng) for _ in range(n + 1)]
+            b = [rand_elem(lvl, rng) for _ in range(n + 1)]
+            want = MultiPoly(lvl, SVARS, dict(zip(
+                [(3, 0), (2, 1), (1, 2), (0, 3)],
+                oracle.line_values(X, a, b, lvl))))
+            assert X.F.along((tuple(zip(a, b)),), lvl) == want
+            assert X.line_in_x_points(a, b, lvl) == \
+                oracle.line_in_x_points(X, a, b, lvl)
+
+
+# lines on no cubic: F(s0*a + s1*b) on the Fermat GF(7) surface has exactly
+# one nonzero coefficient, at the named monomial
+ONE_COEFFICIENT_LINES = [
+    ("F(a)", (3, 0), (2, 0, 1, 5), (2, 0, 0, 5)),
+    ("P1(a;b)", (2, 1), (0, 0, 3, 2), (6, 3, 1, 4)),
+    ("P2(a;b)", (1, 2), (2, 5, 6, 4), (3, 5, 1, 1)),
+    ("F(b)", (0, 3), (4, 0, 5, 0), (5, 0, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("mono,a,b", [c[1:] for c in ONE_COEFFICIENT_LINES],
+                         ids=[c[0] for c in ONE_COEFFICIENT_LINES])
+def test_line_with_one_nonzero_coefficient_is_rejected(mono, a, b):
+    X = cubic_from_json(fixture_json("fermat7_surface.json"))[0]
+    fld = X.field
+    values = oracle.line_values(X, a, b)
+    assert [fld.is_zero(v) for v in values] == \
+        [m != mono for m in [(3, 0), (2, 1), (1, 2), (0, 3)]]
+    restriction = X.F.along((tuple(zip(a, b)),), fld)
+    assert list(restriction.terms) == [mono]
+    assert not X.line_in_x_points(a, b)
+    up = fld.tower.level(2)
+    assert not X.line_in_x_points([up.embed_from(x, 1) for x in a],
+                                  [up.embed_from(x, 1) for x in b], up)
+
+
+def test_line_check_at_the_line_level(threefold7, tower7):
+    """A level-1 cubic checks a line over level 3 at that level: other
+    rows of an F_7-line of the Fermat threefold, taken over level 3, pass,
+    and moving one coordinate off the line fails, as for the oracle."""
+    lvl = tower7.level(3)
+    g = lvl.gen()
+    a0 = [lvl.from_int(x) for x in (1, 6, 0, 0, 0)]
+    b0 = [lvl.from_int(x) for x in (0, 0, 1, 6, 0)]
+    a = [lvl.add(x, lvl.mul(g, y)) for x, y in zip(a0, b0)]
+    b = [lvl.add(lvl.mul(g, x), lvl.mul(lvl.add(g, lvl.one), y))
+         for x, y in zip(a0, b0)]
+    assert threefold7.line_in_x_points(a, b, lvl)
+    assert threefold7.line_in_x(ProjLine(lvl, a, b))
+    assert oracle.line_in_x_points(threefold7, a, b, lvl)
+    b[4] = g
+    assert not threefold7.line_in_x_points(a, b, lvl)
+    assert not oracle.line_in_x_points(threefold7, a, b, lvl)
+
+
+def test_secant_line_check_rejects_the_p2_line():
+    """_assert_secant_line refuses the line whose only nonzero coefficient
+    is P2(a;b), with the rows exactly as given."""
+    X = cubic_from_json(fixture_json("fermat7_surface.json"))[0]
+    a, b = ONE_COEFFICIENT_LINES[2][2:]
+    with pytest.raises(VerificationError):
+        _assert_secant_line(X, SimpleNamespace(rows=(a, b), field=X.field))
+
+
+def secant_inputs():
+    t7 = cubic_from_json(fixture_json("fermat7_threefold.json"))[0]
+    dense = cubic_from_json(fixture_json("dense11_threefold.json"))[0]
+    tQ = cubic_from_json(fixture_json("fermatQ_threefold.json"))[0]
+    conic7 = curve_from_json(fixture_json("conic7.json"), t7.field)
+    conicQ = curve_from_json(fixture_json("conicQ.json"), QQ)
+    dconic = curve_from_json(fixture_json("dense11_conic.json"), dense.field)
+    dline = curve_from_json(fixture_json("dense11_meetline.json"), dense.field)
+    line7 = curve_from_json(fixture_json("disjline7.json"), t7.field)
+    return [("conic7", t7, conic7, None), ("conicQ", tQ, conicQ, None),
+            ("dense11_conic", dense, dconic, None),
+            ("conic7_disjline7", t7, conic7, line7),
+            ("dense11_conic_meetline", dense, dconic, dline),
+            ("dense11_meetline_conic", dense, dline, dconic)]
+
+
+def test_secant_system_matches_eval_polys_system():
+    """build_system on committed curves on X equals the earlier system,
+    the diagonal divided out twice in single mode, bidegrees included."""
+    for name, X, a, b in secant_inputs():
+        assert build_system(X, a, b) == oracle.build_system(X, a, b), name
+
+
+@pytest.mark.parametrize("p,lk", [(0, 1), (7, 1), (7, 2), (7, 3), (11, 2)])
+def test_point_and_jacobian_match_form_evaluation(p, lk):
+    """Horner on the dense coordinates gives the values of the forms and
+    of their partial derivatives, evaluated term by term."""
+    lvl = QQ if p == 0 else FieldTower(p, budget=3, seed=0).level(lk)
+    base = lvl.tower.level(1)
+    rng = random.Random("horner:%d:%d" % (p, lk))
+    for e in (1, 2, 3):
+        curve = rand_curve(base, e, rng)
+        for _ in range(4):
+            s = [rand_elem(lvl, rng), rand_elem(lvl, rng)]
+            assert curve.point_at(s, lvl) == \
+                [c.over(lvl).eval_elems(s) for c in curve.coords]
+            assert curve.jacobian_at(s, lvl) == \
+                [[c.derivative(v).over(lvl).eval_elems(s) for c in curve.coords]
+                 for v in SVARS]

@@ -61,7 +61,7 @@ def test_polarization_identity(threefold7, tower7):
         b = [rng.randrange(7) for _ in range(5)]
         s = [lvl.add(x, y) for x, y in zip(a, b)]
         total = lvl.add(lvl.add(X.f_at(a), X.f_at(b)),
-                        lvl.add(X.p1_at(a, b), X.p2_at(a, b)))
+                        lvl.add(X.P1.eval_elems(a + b), X.P2.eval_elems(a + b)))
         assert X.f_at(s) == total
 
 

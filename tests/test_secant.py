@@ -156,6 +156,7 @@ def test_secant_line_check_rejects_line_off_x(threefold7, tower7):
 OPTIMIZED_CHECKS = """
 import json
 import os
+from types import SimpleNamespace
 
 from cubiclines import bihom, chow, cubic, fano, fields, poly
 from cubiclines.bihom import STVARS, BihomSolutions, _verify_solutions
@@ -210,6 +211,16 @@ def fiber_map_with_wrong_power():
         bihom._map_fiber = map_fiber
 
 
+def secant_line_with_only_p2():
+    # on the Fermat GF(7) surface F(s0*a + s1*b) has the one nonzero
+    # coefficient P2(a;b) for these rows: the certificate must see it
+    with open(os.path.join(FIXTURES, "fermat7_surface.json")) as fh:
+        surface = cubic.cubic_from_json(json.load(fh))[0]
+    rows = ([2, 5, 6, 4], [3, 5, 1, 1])
+    _assert_secant_line(surface, SimpleNamespace(rows=rows,
+                                                 field=surface.field))
+
+
 checks = (
     lambda: _verify_solutions(BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)]),
                               (G,)),
@@ -220,6 +231,7 @@ checks = (
     orbit_with_identity_frob,
     lines_through_point_with_wrong_solver,
     fiber_map_with_wrong_power,
+    secant_line_with_only_p2,
 )
 # a wrong closed form makes the (correct) row total fail its check
 fano.expected_line_meeting = lambda e: 5 * e - 4
@@ -247,7 +259,7 @@ def test_verification_checks_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "8"
+    assert proc.stdout.strip() == "9"
 
 
 def test_acceptance_suite_under_optimize():
