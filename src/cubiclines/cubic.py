@@ -1,14 +1,15 @@
-"""Cubic hypersurfaces X = V(F) in P^n with their mixed polar forms.
+"""Cubic hypersurfaces X = V(F) in P^n, read through the gradient of F.
 
-The two polar forms are the coefficients in the characteristic-free
-expansion F(x + t*y) = F(x) + t*P1(x;y) + t^2*P2(x;y) + t^3*F(y); they
-drive the line-containment test, the lines-through-a-point solver and the
-secant systems downstream.
+The two mixed polar forms are the coefficients in the characteristic-free
+expansion F(x + t*y) = F(x) + t*P1(x;y) + t^2*P2(x;y) + t^3*F(y), and both
+are the gradient paired with a point: P1(x;y) = sum_i y_i * dF/dx_i(x) and
+P2(x;y) = P1(y;x).  The gradient drives the smoothness tests, the polar
+quadric of a point, the lines-through-a-point solver and, with the polar
+forms, the line-containment test and the secant systems downstream.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import random
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .bihom import lift_fibers
 from .fields import QQ, FieldTower, VerificationError, check_tower
-from .poly import MultiPoly, binary_gcd, binary_roots, resultant
+from .poly import _EXPONENTS, MultiPoly, binary_gcd, binary_roots, resultant
 
 
 def xvars(n):
@@ -106,7 +107,15 @@ class ProjLine:
 
 
 class CubicForm:
-    """A homogeneous cubic F with cached polar forms P1 (deg (2,1)) and P2."""
+    """A homogeneous cubic F with its gradient and mixed polar forms.
+
+    ``grad`` holds the n+1 partials dF/dx_i, computed once; every other
+    derived form reads them.  P1(x;y) = sum_i y_i * dF/dx_i(x) (degree
+    (2,1) in x and y) and P2(x;y) = P1(y;x) are the same terms with the two
+    blocks of variables swapped; both identities hold in every
+    characteristic.  Exponent tuples are shared through ``poly._EXPONENTS``,
+    so the forms of many cubics hold one copy of each.
+    """
 
     def __init__(self, fld, n, F):
         if F.is_zero():
@@ -118,25 +127,19 @@ class CubicForm:
         self.field = fld
         self.n = n
         self.F = F
-        self.P1, self.P2 = self._polarize()
-
-    def _polarize(self):
-        n = self.n
-        xv, yv = xvars(n), yvars(n)
-        ring_vars = xv + yv + ("lam",)
-        fld = self.field
-        args = []
-        lam = MultiPoly.var(fld, ring_vars, "lam")
-        for i in range(n + 1):
-            xi = MultiPoly.var(fld, ring_vars, "x%d" % i)
-            yi = MultiPoly.var(fld, ring_vars, "y%d" % i)
-            args.append(xi + lam * yi)
-        big = self.F.eval_polys(args)
-        coeffs = big.coeffs_in("lam")
-        xy = xv + yv
-        P1 = coeffs[1] if len(coeffs) > 1 else MultiPoly.zero(fld, xy)
-        P2 = coeffs[2] if len(coeffs) > 2 else MultiPoly.zero(fld, xy)
-        return P1, P2
+        self.grad = tuple(
+            MultiPoly._trusted(fld, F.vars, {_intern(e): c for e, c in
+                                             F.derivative(v).terms.items()})
+            for v in F.vars)
+        units = [(0,) * i + (1,) + (0,) * (n - i) for i in range(n + 1)]
+        p1, p2 = {}, {}
+        for u, g in zip(units, self.grad):
+            for e, c in g.terms.items():
+                p1[_intern(e + u)] = c
+                p2[_intern(u + e)] = c
+        xy = xvars(n) + yvars(n)
+        self.P1 = MultiPoly._trusted(fld, xy, p1)
+        self.P2 = MultiPoly._trusted(fld, xy, p2)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -147,12 +150,20 @@ class CubicForm:
         return self.field.is_zero(self.f_at(pt))
 
     def gradient_at(self, pt):
-        return [self.F.derivative(v).eval_elems(list(pt)) for v in self.F.vars]
+        return [g.eval_elems(list(pt)) for g in self.grad]
 
     def is_smooth_point(self, pt):
         if not self.on_x(pt):
             return False
         return not all(self.field.is_zero(g) for g in self.gradient_at(pt))
+
+    def polar(self, pt):
+        """The polar quadric of pt, sum_i pt_i * dF/dx_i, in the variables
+        of F: P2(pt; .) = P1(.; pt)."""
+        out = MultiPoly.zero(self.field, self.F.vars)
+        for c, g in zip(pt, self.grad):
+            out = out + g.scale(c)
+        return out
 
     # -- lines ------------------------------------------------------------------
 
@@ -170,19 +181,17 @@ class CubicForm:
         return self.F.along((tuple(zip(a, b)),), fld or self.field).is_zero()
 
     def _over(self, fld):
-        """This cubic with coefficients embedded into another tower level.
-
-        Embedding is a ring map, so it commutes with polarization: the polar
-        forms are carried over rather than computed again.
-        """
+        """This cubic with coefficients embedded into another tower level;
+        its gradient and polar forms are derived there again."""
         if fld is self.field:
             return self
         if self.field.char != fld.char:
             raise ValueError("cannot move a cubic to another characteristic")
-        out = copy.copy(self)
-        out.field = fld
-        out.F, out.P1, out.P2 = (P.over(fld) for P in (self.F, self.P1, self.P2))
-        return out
+        return CubicForm(fld, self.n, self.F.over(fld))
+
+
+def _intern(e):
+    return _EXPONENTS.setdefault(e, e)
 
 
 def fermat_cubic(fld, n):
@@ -231,11 +240,12 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     """Lines of X through a smooth point x, with multiplicities.
 
     Solves {P1(x;y)=0, P2(x;y)=0, F(y)=0} in the projective space of
-    directions modulo x: the linear condition is substituted first and the
-    remaining conic/cubic pair is eliminated by resultants.  A positive
+    directions modulo x: the linear condition (the tangent hyperplane, from
+    the gradient at x) is substituted first, and the remaining pair, the
+    polar quadric of x and F, is eliminated by resultants.  A positive
     dimensional solution set is the Eckardt outcome, not an error.  Each
-    direction must solve that pair by substitution at its own level, or
-    VerificationError is raised.
+    reported line must pass the line certificate (``line_in_x``) at its
+    own level, or VerificationError is raised.
     """
     F = cubic.field
     check_tower(tower, F)
@@ -255,7 +265,7 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     cvars = tuple("c%d" % i for i in range(1, m + 1))
     args = MultiPoly.linear_forms(F, cvars, basis[1:])
     # P2(x; y(c)) and F(y(c))
-    Q = cubic.P2.subs(list(x) + [None] * (n + 1)).eval_polys(args)
+    Q = cubic.polar(x).eval_polys(args)
     K = cubic.F.eval_polys(args)
     res = LinesThroughPoint(point=tuple(x), eckardt=False)
     if Q.is_zero() or K.is_zero():
@@ -271,13 +281,12 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     roots, res.complete, res.certified = sols
     for lv, cpt, mult in roots:
         lvl = F.tower.level(lv)
-        if not all(lvl.is_zero(P.over(lvl).eval_elems(list(cpt)))
-                   for P in (Q, K)):
-            raise VerificationError("a direction through the point does not "
-                                    "solve its conic/cubic pair")
         dirs = [[lvl.embed_from(e, F.k) for e in b] for b in basis[1:]]
         direction = linalg.combine(cpt, dirs, lvl)
         line = ProjLine(lvl, [lvl.embed_from(e, F.k) for e in x], direction)
+        if not cubic.line_in_x(line):
+            raise VerificationError("a line through the point does not lie "
+                                    "on X")
         res.directions.append((lv, tuple(direction), mult))
         res.lines.append(line)
         res.total_multiplicity += mult
@@ -536,17 +545,15 @@ def smoothness_probe(cubic, max_level=2, seed=0):
     if F.char == 0:
         raise ValueError("the probe enumerates points; use a finite tower")
     n = cubic.n
-    grads = [cubic.F.derivative(v) for v in cubic.F.vars]
     levels_done = []
     samples = 0
     rng = random.Random("smooth:%d" % seed)
     for lvl in _levels_over(F, max_level):
         count = sum(lvl.q ** i for i in range(n + 1))
         cub = cubic._over(lvl)
-        gl = [g.over(lvl) for g in grads]
         if count <= EXHAUST_LIMIT:
             for pt in _proj_points(lvl, n):
-                if _is_singular_at(cub, gl, pt, lvl):
+                if _is_singular_at(cub, pt):
                     return SmoothnessCertificate(False, tuple(pt), levels_done,
                                                  samples, True)
             levels_done.append(lvl.k)
@@ -558,23 +565,25 @@ def smoothness_probe(cubic, max_level=2, seed=0):
                 if all(lvl.is_zero(c) for c in pt):
                     continue
                 samples += 1
-                if _is_singular_at(cub, gl, pt, lvl):
+                if _is_singular_at(cub, pt):
                     return SmoothnessCertificate(False, tuple(pt), levels_done,
                                                  samples, True)
     conclusive = bool(levels_done) and samples == 0
     return SmoothnessCertificate(True, None, levels_done, samples, conclusive)
 
 
-def _is_singular_at(cub, grads, pt, lvl):
-    if not lvl.is_zero(cub.f_at(pt)):
-        return False
-    return all(lvl.is_zero(g.eval_elems(list(pt))) for g in grads)
+def _is_singular_at(cub, pt):
+    zero = cub.field.is_zero
+    return zero(cub.f_at(pt)) and all(zero(g.eval_elems(list(pt)))
+                                      for g in cub.grad)
 
 
 def _proj_points(lvl, n):
-    """Canonical representatives of P^n over a finite level."""
+    """Canonical representatives of P^n over a finite level: the last
+    nonzero coordinate is one, and the coordinates before it run with the
+    first one slowest."""
     elems = list(lvl.elements())
     for i in range(n, -1, -1):
-        lead = [lvl.zero] * (n - i) + [lvl.one]
-        for tail in itertools.product(elems, repeat=i):
-            yield lead + list(tail)
+        tail = [lvl.one] + [lvl.zero] * (n - i)
+        for head in itertools.product(elems, repeat=i):
+            yield list(head) + tail

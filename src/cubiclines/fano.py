@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .curves import _normalize, curve_meeting_data, line_as_curve
-from .cubic import ProjLine, _levels_over, lines_through_point
+from .cubic import ProjLine, _levels_over, _proj_points, lines_through_point
 from .fields import BudgetError, VerificationError, check_tower
 from .poly import MultiPoly
 from .secant import _enc_vec, count_secants_pair, expected_line_meeting
@@ -150,13 +150,12 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     Scans the canonical echelon representatives (u, v) of the lines of P^n,
     refusing scans above the candidate guard.  F(u) is tested once per first
     row u.  For each u on X the second rows v are cut by the linear
-    condition grad F(u) . v = 0, which is the polar form P1(u; v) (the
-    linear term of F(u + lambda v) has no denominators in any
-    characteristic); the condition is solved for one coordinate of v rather
-    than tested, so only 1/q of the second rows are formed.  A cut row is
-    rejected on F(v) != 0 first (F is evaluated once per distinct second
-    row), and every survivor is checked by full substitution (F(u), F(v),
-    P1, P2) before it is reported.  Incidence
+    condition grad F(u) . v = 0, which is the polar form P1(u; v), read
+    from the cubic's stored gradient; the condition is solved for one
+    coordinate of v rather than tested, so only 1/q of the second rows are
+    formed.  A cut row is rejected on F(v) != 0 first (F is evaluated once
+    per distinct second row), and every survivor is checked by full
+    substitution (F(u), F(v), P1, P2) before it is reported.  Incidence
     comes from shared rational points (see :func:`incidence`), with no
     rank per pair of lines.
     """
@@ -172,7 +171,6 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
             "line scan needs %d candidates (guard %d)" % (total, CANDIDATE_GUARD))
     X = cubic._over(fld)
     census = LineCensus(level=level, n=n)
-    partials = [X.F.derivative(x) for x in X.F.vars]
     elems = list(fld.elements())
     # F(v) = 0 per second row: they lie in the hyperplane x0 = 0 and recur
     # for many first rows
@@ -180,8 +178,7 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     for u, j, vfree in _first_rows(fld, n):
         if not fld.is_zero(X.f_at(u)):
             continue
-        grad = [d.eval_elems(u) for d in partials]
-        for v in _polar_cut(fld, elems, grad, j, vfree):
+        for v in _polar_cut(fld, elems, X.gradient_at(u), j, vfree):
             key = tuple(v)
             if key not in v_on_x:
                 v_on_x[key] = fld.is_zero(X.f_at(v))
@@ -196,66 +193,43 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     return census
 
 
-def _complement_basis(line):
-    """Standard basis vectors at the non-pivot columns of the line's rows."""
+def _normal_rows(cubic, line):
+    """The columns c off the pivots of the line's echelon rows, and the
+    s^2, st and t^2 coefficients of dF/dx_c(s*r0 + t*r1), one column per c:
+    the part of F(s*r0 + t*r1 + u) linear in a vector u supported on those
+    columns."""
     fld = line.field
-    n = line.n
-    pivots = []
-    for row in line.rows:
-        pivots.append(next(c for c, x in enumerate(row) if not fld.is_zero(x)))
-    out = []
-    for c in range(n + 1):
-        if c not in pivots:
-            w = [fld.zero] * (n + 1)
-            w[c] = fld.one
-            out.append(tuple(w))
-    return out
-
-
-def _restrict_along(cubic, line, comp):
-    """F(s*r0 + t*r1 + sum u_i w_i) as a polynomial in (s, t, u...)."""
-    fld = line.field
-    X = cubic._over(fld)
-    pvars = ("s", "t") + tuple("u%d" % i for i in range(len(comp)))
-    coords = MultiPoly.linear_forms(fld, pvars, list(line.rows) + comp)
-    G = X.F.eval_polys(coords)
-    if any(not any(exps[2:]) for exps in G.terms):
+    if not cubic.line_in_x(line):
         raise ValueError("line does not lie on the hypersurface")
-    return pvars, G
-
-
-def _u_part(G, pvars, s_deg, t_deg):
-    """Coefficient of s^a t^b as a polynomial in the u variables; it is a
-    form of degree 3 - a - b, since F is a cubic."""
-    terms = {exps[2:]: c for exps, c in G.terms.items()
-             if exps[:2] == (s_deg, t_deg)}
-    return MultiPoly(G.field, pvars[2:], terms)
+    pivots = {next(c for c, x in enumerate(row) if not fld.is_zero(x))
+              for row in line.rows}
+    cols = [c for c in range(line.n + 1) if c not in pivots]
+    block = (tuple(zip(*line.rows)),)
+    rows = [[], [], []]
+    for c in cols:
+        terms = cubic.grad[c].along(block, fld).terms
+        for row, st in zip(rows, ((2, 0), (1, 1), (0, 2))):
+            row.append(terms.get(st, fld.zero))
+    return cols, rows
 
 
 def second_type_test(cubic, line):
     """Whether some plane through the line cuts the hypersurface in the
     line doubled plus a residual line; returns (flag, witness plane basis).
 
-    The planes through the line form a projective space of directions u;
-    double containment is three conditions linear in u, so the witness is
+    The planes through the line form a projective space of directions u,
+    supported on the columns off the line's pivots; double containment is
+    three conditions linear in u (:func:`_normal_rows`), so the witness is
     a kernel vector of a 3 x (n-1) matrix over the line's own field.
     """
     fld = line.field
-    comp = _complement_basis(line)
-    pvars, G = _restrict_along(cubic, line, comp)
-    m = len(comp)
-    rows = []
-    for (sa, tb) in ((2, 0), (1, 1), (0, 2)):
-        form = _u_part(G, pvars, sa, tb)
-        row = [fld.zero] * m
-        for exps, c in form.terms.items():
-            i = next(k for k, e in enumerate(exps) if e)
-            row[i] = c
-        rows.append(row)
+    cols, rows = _normal_rows(cubic, line)
     kern = linalg.kernel_basis(rows, fld)
     if not kern:
         return False, None
-    direction = linalg.combine(kern[0], comp, fld)
+    direction = [fld.zero] * (line.n + 1)
+    for c, x in zip(cols, kern[0]):
+        direction[c] = x
     plane_basis = [list(line.rows[0]), list(line.rows[1]), direction]
     return True, plane_basis
 
@@ -284,15 +258,8 @@ def discriminant_quintic(cubic, line):
         raise ValueError("projection discriminant needs a threefold")
     if fld.char == 2:
         raise ValueError("conic matrices need characteristic != 2")
-    comp = _complement_basis(line)
-    pvars, G = _restrict_along(cubic, line, comp)
+    alpha, beta, gamma, delta, eps, zeta = _fiber_conic(cubic, line)
     two = fld.add(fld.one, fld.one)
-    alpha = _u_part(G, pvars, 2, 0)
-    beta = _u_part(G, pvars, 1, 1)
-    gamma = _u_part(G, pvars, 0, 2)
-    delta = _u_part(G, pvars, 1, 0)
-    eps = _u_part(G, pvars, 0, 1)
-    zeta = _u_part(G, pvars, 0, 0)
     a2, g2, z2 = (f.scale(two) for f in (alpha, gamma, zeta))
     det = (a2 * (g2 * z2 - eps * eps)
            - beta * (beta * z2 - eps * delta)
@@ -304,6 +271,25 @@ def discriminant_quintic(cubic, line):
         raise DegenerateConfigurationError(
             "discriminant is not a quintic; the line is special")
     return DiscriminantCurve(form=det, level_field=fld)
+
+
+def _fiber_conic(cubic, line):
+    """The coefficients of F(s*r0 + t*r1 + u) by s^2, st, t^2, s, t and 1,
+    as forms in the coordinates u of the columns off the line's pivots.
+
+    The first three are linear (:func:`_normal_rows`); the s and t parts
+    are the polar quadrics of r0 and r1, and the last is F, each with the
+    pivot coordinates set to zero.
+    """
+    fld = line.field
+    X = cubic._over(fld)
+    cols, rows = _normal_rows(X, line)
+    uvars = tuple("u%d" % i for i in range(len(cols)))
+    linear = MultiPoly.linear_forms(fld, uvars, list(zip(*rows)))
+    on_u = [None if c in cols else fld.zero for c in range(line.n + 1)]
+    rest = [P.subs(on_u).rename_vars(uvars)
+            for P in (X.polar(line.rows[0]), X.polar(line.rows[1]), X.F)]
+    return linear + rest
 
 
 def sample_smoothness(curve, count=20, max_level=3, seed=0):
@@ -322,7 +308,7 @@ def sample_smoothness(curve, count=20, max_level=3, seed=0):
     for lvl in _levels_over(base, max_level):
         form = curve.form.over(lvl)
         parts = [form.derivative(v) for v in form.vars]
-        pts = [p for p in _proj2_points(lvl)
+        pts = [p for p in _proj_points(lvl, 2)
                if lvl.is_zero(form.eval_elems(list(p)))]
         rng.shuffle(pts)
         for p in pts:
@@ -333,18 +319,6 @@ def sample_smoothness(curve, count=20, max_level=3, seed=0):
         if len(curve.samples) >= count:
             break
     return bool(curve.samples) and all(s for _, _, s in curve.samples)
-
-
-def _proj2_points(lvl):
-    # keep this order: sample_smoothness shuffles it into its reported samples
-    elems = list(lvl.elements())
-    one, zero = lvl.one, lvl.zero
-    for a in elems:
-        for b in elems:
-            yield (a, b, one)
-    for a in elems:
-        yield (a, one, zero)
-    yield (one, zero, zero)
 
 
 @dataclass

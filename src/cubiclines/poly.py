@@ -27,8 +27,8 @@ SVARS = ("s0", "s1")
 TVARS = ("t0", "t1")
 STVARS = SVARS + TVARS
 
-# one shared tuple per exponent vector that coeffs_in builds: the polar
-# forms of many cubics hold the same few hundred vectors
+# one shared tuple per exponent vector of the gradients and polar forms
+# that cubic.CubicForm builds: many cubics hold the same few hundred vectors
 _EXPONENTS = {}
 
 
@@ -346,7 +346,6 @@ class MultiPoly:
         for exps, c in self.terms.items():
             d = exps[i]
             e2 = exps[: i] + exps[i + 1:]
-            e2 = _EXPONENTS.setdefault(e2, e2)
             by_deg.setdefault(d, {})[e2] = c
         top = max(by_deg) if by_deg else -1
         return [MultiPoly(self.field, rest, by_deg.get(d, {}))

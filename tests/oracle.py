@@ -15,15 +15,24 @@ The line certificate and the secant system are the solver's before it
 substituted curves with ``MultiPoly.along``: F(a), P1(a;b), P2(a;b) and
 F(b) by ``eval_elems`` on the cubic moved to the line's field, and the
 polar forms composed with the curves' forms by ``eval_polys``.
+
+The polar forms are the solver's before it read them from the gradient:
+the coefficients of lam and lam^2 in F(x + lam*y), expanded in an
+11-variable ring (``polarize``), so the certificate and the secant system
+here share nothing with ``CubicForm.P1``/``P2``.  The second-type matrix
+and the entries of the fiber conic of the projection from a line are the
+solver's before it read them from the gradient too: F(s*r0 + t*r1 + u)
+expanded by ``eval_polys`` and split by the powers of s and t.
 """
 
+import functools
 import itertools
 
 from cubiclines import linalg
 from cubiclines.bihom import SVARS, BihomSolutions, divide_diagonal
-from cubiclines.cubic import ProjLine
+from cubiclines.cubic import ProjLine, xvars, yvars
 from cubiclines.curves import _side_forms
-from cubiclines.fano import enumerate_lines, second_type_test
+from cubiclines.fano import enumerate_lines
 from cubiclines.poly import MultiPoly, binary_gcd, binary_roots
 
 
@@ -55,13 +64,42 @@ def scheme_length(line, curve):
     return g.degree()
 
 
+@functools.lru_cache(maxsize=None)
+def polarize(cubic):
+    """(P1, P2) of the cubic: the coefficients of lam and lam^2 in
+    F(x + lam*y)."""
+    n = cubic.n
+    xv, yv = xvars(n), yvars(n)
+    ring_vars = xv + yv + ("lam",)
+    fld = cubic.field
+    args = []
+    lam = MultiPoly.var(fld, ring_vars, "lam")
+    for i in range(n + 1):
+        xi = MultiPoly.var(fld, ring_vars, "x%d" % i)
+        yi = MultiPoly.var(fld, ring_vars, "y%d" % i)
+        args.append(xi + lam * yi)
+    big = cubic.F.eval_polys(args)
+    coeffs = big.coeffs_in("lam")
+    xy = xv + yv
+    P1 = coeffs[1] if len(coeffs) > 1 else MultiPoly.zero(fld, xy)
+    P2 = coeffs[2] if len(coeffs) > 2 else MultiPoly.zero(fld, xy)
+    return P1, P2
+
+
+def polar_forms(cubic, fld=None):
+    """``polarize`` with the coefficients embedded into fld: embedding is a
+    ring map, so it commutes with polarization."""
+    return tuple(P.over(fld or cubic.field) for P in polarize(cubic))
+
+
 def line_values(cubic, a, b, fld=None):
     """F(a), P1(a;b), P2(a;b) and F(b): the coefficients of F(s0*a + s1*b)."""
     F = fld or cubic.field
-    Fm = cubic._over(F)
+    Fm = cubic.F.over(F)
+    P1, P2 = polar_forms(cubic, F)
     ab = list(a) + list(b)
-    return [Fm.F.eval_elems(list(a)), Fm.P1.eval_elems(ab),
-            Fm.P2.eval_elems(ab), Fm.F.eval_elems(list(b))]
+    return [Fm.eval_elems(list(a)), P1.eval_elems(ab),
+            P2.eval_elems(ab), Fm.eval_elems(list(b))]
 
 
 def line_in_x_points(cubic, a, b, fld=None):
@@ -73,17 +111,90 @@ def line_in_x_points(cubic, a, b, fld=None):
 def build_system(cubic, curve_a, curve_b=None):
     """(G1, G2, bidegrees) of the secants of one curve or a pair."""
     F = curve_a.field
-    X = cubic._over(F)
+    P1, P2 = polar_forms(cubic, F)
     forms = (_side_forms(curve_a, "s")
              + _side_forms(curve_b if curve_b is not None else curve_a, "t"))
-    G1 = X.P1.eval_polys(forms)
-    G2 = X.P2.eval_polys(forms)
+    G1 = P1.eval_polys(forms)
+    G2 = P2.eval_polys(forms)
     ea = curve_a.e
     if curve_b is not None:
         eb = curve_b.e
         return G1, G2, ((2 * ea, eb), (ea, 2 * eb))
     return (divide_diagonal(G1, 2), divide_diagonal(G2, 2),
             ((2 * ea - 2, ea - 2), (ea - 2, 2 * ea - 2)))
+
+
+def _complement_basis(line):
+    """Standard basis vectors at the non-pivot columns of the line's rows."""
+    fld = line.field
+    n = line.n
+    pivots = []
+    for row in line.rows:
+        pivots.append(next(c for c, x in enumerate(row) if not fld.is_zero(x)))
+    out = []
+    for c in range(n + 1):
+        if c not in pivots:
+            w = [fld.zero] * (n + 1)
+            w[c] = fld.one
+            out.append(tuple(w))
+    return out
+
+
+def _restrict_along(cubic, line, comp):
+    """F(s*r0 + t*r1 + sum u_i w_i) as a polynomial in (s, t, u...)."""
+    fld = line.field
+    X = cubic._over(fld)
+    pvars = ("s", "t") + tuple("u%d" % i for i in range(len(comp)))
+    coords = MultiPoly.linear_forms(fld, pvars, list(line.rows) + comp)
+    G = X.F.eval_polys(coords)
+    if any(not any(exps[2:]) for exps in G.terms):
+        raise ValueError("line does not lie on the hypersurface")
+    return pvars, G
+
+
+def _u_part(G, pvars, s_deg, t_deg):
+    """Coefficient of s^a t^b as a polynomial in the u variables; it is a
+    form of degree 3 - a - b, since F is a cubic."""
+    terms = {exps[2:]: c for exps, c in G.terms.items()
+             if exps[:2] == (s_deg, t_deg)}
+    return MultiPoly(G.field, pvars[2:], terms)
+
+
+def second_type_rows(cubic, line):
+    """The 3 x (n-1) matrix of the second-type test: the s^2, st and t^2
+    coefficients of the part of F(s*r0 + t*r1 + u) linear in u."""
+    fld = line.field
+    comp = _complement_basis(line)
+    pvars, G = _restrict_along(cubic, line, comp)
+    m = len(comp)
+    rows = []
+    for (sa, tb) in ((2, 0), (1, 1), (0, 2)):
+        form = _u_part(G, pvars, sa, tb)
+        row = [fld.zero] * m
+        for exps, c in form.terms.items():
+            i = next(k for k, e in enumerate(exps) if e)
+            row[i] = c
+        rows.append(row)
+    return rows
+
+
+def second_type_test(cubic, line):
+    """(flag, witness plane basis) from ``second_type_rows``."""
+    fld = line.field
+    kern = linalg.kernel_basis(second_type_rows(cubic, line), fld)
+    if not kern:
+        return False, None
+    direction = linalg.combine(kern[0], _complement_basis(line), fld)
+    return True, [list(line.rows[0]), list(line.rows[1]), direction]
+
+
+def fiber_conic(cubic, line):
+    """The coefficients of s^2, st, t^2, s, t and 1 in F(s*r0 + t*r1 + u),
+    as forms in u: alpha, beta, gamma, delta, epsilon and zeta of the
+    projection discriminant."""
+    pvars, G = _restrict_along(cubic, line, _complement_basis(line))
+    return [_u_part(G, pvars, sa, tb)
+            for sa, tb in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))]
 
 
 def naive_census(cubic, tower, level=1):

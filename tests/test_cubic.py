@@ -207,8 +207,9 @@ def test_fermat_rejected_in_char3():
 
 
 def test_transport_carries_polar_forms(tower7):
-    """Embedding commutes with polarization: the carried polar forms equal
-    the ones computed over the target level."""
+    """A cubic moved to another level derives its gradient and polar forms
+    there, and they equal the embedded ones: embedding is a ring map, so
+    it commutes with differentiation."""
     rng = random.Random(9)
     lvl = tower7.level(1)
     terms = {e: rng.randrange(7) for e in itertools.product(range(4), repeat=5)
@@ -217,5 +218,6 @@ def test_transport_carries_polar_forms(tower7):
     for k in (2, 3):
         ext = tower7.level(k)
         moved = X._over(ext)
-        fresh = CubicForm(ext, 4, X.F.over(ext))
-        assert (moved.F, moved.P1, moved.P2) == (fresh.F, fresh.P1, fresh.P2)
+        assert moved.field is ext and moved.F == X.F.over(ext)
+        assert moved.grad == tuple(g.over(ext) for g in X.grad)
+        assert (moved.P1, moved.P2) == (X.P1.over(ext), X.P2.over(ext))

@@ -6,7 +6,8 @@ substitution layer (second-type witness, row sum, curve validation, the
 line-meeting pair mode, lines through a point of a surface) and the census
 of the threefold (incidence in P^4), is rerun and its report compared byte
 for byte with the file under ``tests/golden/``.  Two more cases run on a
-dense smooth threefold over GF(11) instead of a Fermat cubic.
+dense smooth threefold over GF(11) instead of a Fermat cubic, and two
+more run the second-type test and the discriminant on it.
 Each case also fixes the exit code.
 """
 
@@ -70,6 +71,14 @@ CASES = {
     # over GF(11^6)) through the configuration's first point
     "lines_through_point_dense11": (0, ["lines-through-point", "--cubic", X11,
                                         "--point", "4,6,6,0,8"]),
+    # a second-type line of the dense threefold, witnessed by the plane
+    # that adds the row (0, 0, 4, 6, 1)
+    "second_type_dense11": (0, ["second-type", "--cubic", X11,
+                                "--line", "1,0,0,1,9;0,1,2,8,8"]),
+    # a first-type line: a quintic with 17 monomials, smooth at all 20
+    # sampled zeros, so the report matches
+    "discriminant_dense11": (0, ["discriminant", "--cubic", X11,
+                                 "--line", "0,1,0,9,6;0,0,1,1,6"]),
     # the counts are right: the row total is 5 = 5e - 5, with 6 lines
     # through the meeting point and an excision of multiplicity 2 there
     "row_sum_dense11": (0, ["row-sum", "--cubic", X11,

@@ -188,8 +188,8 @@ def orbit_with_identity_frob():
 
 
 def lines_through_point_with_wrong_solver():
-    # a conic/cubic solver answering a point off the pair: the substitution
-    # check of each direction must refuse it
+    # a conic/cubic solver answering a point off the pair: the line
+    # certificate of the line through the point must refuse its direction
     solve = cubic._solve_conic_cubic
     cubic._solve_conic_cubic = lambda Q, K, max_level, seed: (
         [(1, (1, 1, 1), 1)], True, True)
