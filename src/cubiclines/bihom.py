@@ -1,14 +1,16 @@
 """Exact solving of bihomogeneous equation pairs on P^1 x P^1.
 
-Equations live in the four variables (s0, s1, t0, t1) and are homogeneous
-in each pair separately.  Elimination is by the homogeneous Sylvester
-resultant in the t-pair with formal bidegrees, so vanishing leading
-coefficients (solutions at the points at infinity of either factor) are
-handled uniformly.  ``lift_fibers`` turns the roots of a binary resultant
-into solutions with multiplicities, lifting one fiber per Frobenius orbit
-of roots and mapping it to the orbit's other roots; the
+An equation of bidegree (a, b) is the (a+1) x (b+1) array of ``poly``
+whose entry [i][j] multiplies s0^(a-i) s1^i t0^(b-j) t1^j; the shape is the
+formal bidegree, so vanishing leading coefficients (solutions at the points
+at infinity of either factor) are handled uniformly.  Elimination is by the
+Sylvester resultant in the t-pair of the arrays' columns, at t1 = 1 and
+s1 = 1 (``poly.sylvester_resultant``).  ``lift_fibers`` turns the roots of
+a binary resultant into solutions with multiplicities, lifting one fiber
+per Frobenius orbit of roots and mapping it to the orbit's other roots; a
+fiber is the gcd of the columns evaluated at a root (``fiber_gcd``).  The
 lines-through-a-point solver in ``cubic`` lifts its conic/cubic pair
-through the same function.
+through the same resultant, fibers and lift.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from dataclasses import dataclass, field
 
 from .fields import VerificationError
 from .poly import (
-    STVARS,
-    SVARS,
-    TVARS,
-    MultiPoly,
+    _horner,
+    _horner2,
     binary_gcd,
     binary_roots,
-    resultant,
+    diagonal_quotient,
+    is_zero_array,
+    sylvester_resultant,
 )
 
 
@@ -31,34 +33,21 @@ class PositiveDimensionalError(Exception):
     """The solution set contains a curve; counts are undefined."""
 
 
-def bidegree(G):
-    """(s-degree, t-degree) of a bihomogeneous form; raises if mixed."""
-    if G.is_zero():
-        return (-1, -1)
-    degs = {(e[0] + e[1], e[2] + e[3]) for e in G.terms}
-    if len(degs) != 1:
-        raise ValueError("form is not bihomogeneous")
-    return degs.pop()
-
-
-def diagonal_form(fld):
-    """The bidegree (1,1) form s0*t1 - s1*t0 cutting out the diagonal."""
-    return MultiPoly(fld, STVARS, {(1, 0, 0, 1): fld.one,
-                                   (0, 1, 1, 0): fld.neg(fld.one)})
-
-
-def divide_diagonal(G, times):
-    """Divide by the diagonal form exactly ``times`` times.
+def divide_diagonal(G, times, fld):
+    """Divide an array by the diagonal form s0*t1 - s1*t0 exactly ``times``
+    times.
 
     Asserts the claimed order is sharp: one more division must fail.
     """
-    delta = diagonal_form(G.field)
-    out = G
     for _ in range(times):
-        out = out.exact_div(delta)
-    if not out.is_zero() and out.divides_exactly(delta) is not None:
-        raise ValueError("diagonal vanishing order exceeds %d" % times)
-    return out
+        G = diagonal_quotient(G, fld)
+    if is_zero_array(G, fld):
+        return G
+    try:
+        diagonal_quotient(G, fld)
+    except ValueError:
+        return G
+    raise ValueError("diagonal vanishing order exceeds %d" % times)
 
 
 @dataclass
@@ -79,75 +68,72 @@ class BihomSolutions:
         return sum(m for _, _, _, m in self.solutions)
 
 
-def solve_bihomog(G1, G2, max_level=None, bidegrees=None):
-    """All isolated common zeros of two bihomogeneous forms on P^1 x P^1.
+def solve_bihomog(G1, G2, fld, max_level=None):
+    """All isolated common zeros of two bihomogeneous arrays over fld.
 
     Raises PositiveDimensionalError when the two forms share a component
-    (including a whole fiber).  ``bidegrees`` overrides the formal
-    bidegrees, needed when leading coefficient forms vanish identically.
+    (including a whole fiber).
     """
-    F = G1.field
-    if G1.is_zero() or G2.is_zero():
+    if is_zero_array(G1, fld) or is_zero_array(G2, fld):
         raise PositiveDimensionalError("an equation vanishes identically")
-    if bidegrees is None:
-        bidegrees = (bidegree(G1), bidegree(G2))
-    (d1s, d1t), (d2s, d2t) = bidegrees
-    bezout = d1s * d2t + d2s * d1t
-    if d1t == 0 and d2t == 0:
-        return _pure_s_case(G1, G2, d1s, d2s)
-    if d1s == 0 and d2s == 0:
-        sols = solve_bihomog(_swap_st(G1), _swap_st(G2), max_level=max_level,
-                             bidegrees=((d1t, d1s), (d2t, d2s)))
+    (d1s, d1t), (d2s, d2t) = ((len(G) - 1, len(G[0]) - 1) for G in (G1, G2))
+    if d1t == d2t == 0 < d1s + d2s:
+        # both equations free of t: eliminate s instead
+        sols = solve_bihomog(*(list(zip(*G)) for G in (G1, G2)), fld,
+                             max_level=max_level)
         sols.solutions = [(lv, t, s, m) for lv, s, t, m in sols.solutions]
-        _sort_solutions(sols, F)
+        _sort_solutions(sols, fld)
         return sols
-    # t1 = 1: polynomials in (s0, s1, t0)
-    g1d, g2d = (G.subs((None, None, None, F.one)) for G in (G1, G2))
-    R = resultant(g1d, g2d, "t0", deg_f=d1t, deg_g=d2t)
-    if R.is_zero():
+    cols = [list(zip(*G)) for G in (G1, G2)]
+    R = sylvester_resultant(*cols, fld)
+    if all(map(fld.is_zero, R)):
         raise PositiveDimensionalError("equations share a common component")
-
-    def fiber(lvl, a):
-        forms, degs = [], []
-        for G, dt in ((G1, d1t), (G2, d2t)):
-            spec = G.subs((a[0], a[1], None, None), lvl)
-            if not spec.is_zero():
-                forms.append(spec)
-                degs.append(dt)
-        if not forms:
-            raise PositiveDimensionalError("a fiber line lies in the zero set")
-        return binary_gcd(forms, degrees=degs)
-
-    out = lift_fibers(R, bezout, fiber, max_level)
-    _verify_solutions(out, (G1, G2))
-    _sort_solutions(out, F)
+    out = lift_fibers(R, fld, fiber_gcd(cols, fld), max_level)
+    _verify_solutions(out, (G1, G2), fld)
+    _sort_solutions(out, fld)
     return out
 
 
-def lift_fibers(R, degree, fiber, max_level=None):
+def fiber_gcd(forms, fld):
+    """The ``fiber`` of :func:`lift_fibers` for forms in (t0, t1) given by
+    their coefficients, binary forms in (s0, s1) over fld, as
+    :func:`poly.sylvester_resultant` takes them: the gcd of the forms with
+    every coefficient evaluated at the root.  Raises
+    PositiveDimensionalError when all of them vanish there."""
+    def fiber(lvl, a):
+        specs = [[_horner(c, a, lvl, fld.k) for c in f] for f in forms]
+        if all(lvl.is_zero(x) for f in specs for x in f):
+            raise PositiveDimensionalError("a fiber line lies in the zero set")
+        return binary_gcd(specs, lvl)
+    return fiber
+
+
+def lift_fibers(R, fld, fiber, max_level=None):
     """Common zeros over the roots of a binary resultant, with multiplicities.
 
-    R is a binary form of formal degree ``degree`` in the base pair;
-    ``fiber(lvl, a)`` returns the binary form (the gcd of the specialized
-    equations) whose roots are the fiber points over the root a found at
-    the level lvl.  A root's multiplicity goes whole to a lone fiber point
-    of a complete split, is shared in proportion to the fiber
-    multiplicities when that is integral, and otherwise falls back to the
-    fiber multiplicity with ``certified`` False.
+    R is a binary form over fld in the base pair, of formal degree the
+    Bezout number; ``fiber(lvl, a)`` returns the binary form (the gcd of
+    the specialized equations) over lvl whose roots are the fiber points
+    over the root a found at the level lvl.  A root's multiplicity goes
+    whole to a lone fiber point of a complete split, is shared in
+    proportion to the fiber multiplicities when that is integral, and
+    otherwise falls back to the fiber multiplicity with ``certified``
+    False.
 
-    The equations must be defined over R's level b, so that the Frobenius
-    sigma: x -> x^(p^b) maps the fiber over a onto the fiber over sigma(a).
-    Only the first root met in each orbit (lv // b roots at level lv) is
-    lifted; the fiber over sigma^j(a) is the image of its points under
-    sigma^j.  A conjugate that is missing from R's roots, or has another
-    multiplicity, raises VerificationError.  Solutions are (level, base
-    point, fiber point, multiplicity), in the order of R's roots and, over
-    each, of ``binary_roots`` on its fiber; they are unverified.
+    The equations must be defined over fld, of level b, so that the
+    Frobenius sigma: x -> x^(p^b) maps the fiber over a onto the fiber
+    over sigma(a).  Only the first root met in each orbit (lv // b roots
+    at level lv) is lifted; the fiber over sigma^j(a) is the image of its
+    points under sigma^j.  A conjugate that is missing from R's roots, or
+    has another multiplicity, raises VerificationError.  Solutions are
+    (level, base point, fiber point, multiplicity), in the order of R's
+    roots and, over each, of ``binary_roots`` on its fiber; they are
+    unverified.
     """
-    tower = R.field.tower
-    base = R.field.level
-    rm = binary_roots(R, max_level=max_level, formal_degree=degree)
-    out = BihomSolutions(total_degree=degree, complete=rm.complete)
+    tower = fld.tower
+    base = fld.level
+    rm = binary_roots(R, fld, max_level=max_level)
+    out = BihomSolutions(total_degree=len(R) - 1, complete=rm.complete)
     conjugates = {}     # (level, root) -> (multiplicity, fiber points)
     for lv, a, mult in rm.roots:
         if (lv, a) in conjugates:
@@ -158,8 +144,8 @@ def lift_fibers(R, degree, fiber, max_level=None):
         else:
             lvl = tower.level(lv)
             g = fiber(lvl, a)
-            tot = g.degree()
-            frm = binary_roots(g, max_level=max_level)
+            tot = len(g) - 1
+            frm = binary_roots(g, lvl, max_level=max_level)
             out.complete = out.complete and frm.complete
             pts = []
             for flv, b, fm in frm.roots:
@@ -174,7 +160,7 @@ def lift_fibers(R, degree, fiber, max_level=None):
             for j in range(1, lv // base):
                 conj = tuple(lvl.frob(x, base * j) for x in a)
                 conjugates[(lv, conj)] = (mult,
-                                          _map_fiber(pts, base * j, R.field))
+                                          _map_fiber(pts, base * j, fld))
         out.solutions.extend(
             (flv, tuple(tower.level(flv).embed_from(x, lv) for x in a), b, m)
             for flv, b, m in pts)
@@ -196,31 +182,13 @@ def _map_fiber(pts, s, fld):
     return out
 
 
-def _swap_st(G):
-    return MultiPoly(G.field, STVARS,
-                     {(e[2], e[3], e[0], e[1]): c for e, c in G.terms.items()})
-
-
-def _pure_s_case(G1, G2, d1s, d2s):
-    """Both equations free of t: any common s-root gives a whole fiber."""
-    one = G1.field.one
-    f1, f2 = (G.subs((None, None, one, one)) for G in (G1, G2))
-    g = binary_gcd([f1, f2], degrees=[d1s, d2s])
-    if g.degree() > 0:
-        raise PositiveDimensionalError("common fiber over a shared s-root")
-    return BihomSolutions(total_degree=0)
-
-
-def _verify_solutions(out, eqs):
-    tower = eqs[0].field.tower
-    cache = {}
+def _verify_solutions(out, eqs, fld):
+    """Every solution must make every array (over fld) vanish."""
+    tower = fld.tower
     for lv, s, t, _m in out.solutions:
         lvl = tower.level(lv)
-        if lv not in cache:
-            cache[lv] = [G.over(lvl) for G in eqs]
-        vals = list(s) + list(t)
-        for G in cache[lv]:
-            if not lvl.is_zero(G.eval_elems(vals)):
+        for G in eqs:
+            if not lvl.is_zero(_horner2(G, s, t, lvl, fld.k)):
                 raise VerificationError("solution fails substitution")
 
 

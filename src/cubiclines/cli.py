@@ -42,32 +42,40 @@ def _load_cubic(path, budget, seed):
     doc = _load_json(path)
     try:
         return cubic_from_json(doc, budget=budget, seed=seed)[0]
-    except (KeyError, ValueError) as ex:
+    except (KeyError, TypeError, ValueError) as ex:
         raise UsageError("bad cubic file %s: %s" % (path, ex))
 
 
-def _load_curve(path, fld):
+def _load_curve(path, cubic):
     doc = _load_json(path)
     try:
-        return curve_from_json(doc, fld)
-    except (KeyError, ValueError) as ex:
+        curve = curve_from_json(doc, cubic.field)
+    except (KeyError, TypeError, ValueError) as ex:
         raise UsageError("bad curve file %s: %s" % (path, ex))
+    if curve.n != cubic.n:
+        raise UsageError("bad curve file %s: %d coordinates, the cubic needs "
+                         "%d" % (path, curve.n + 1, cubic.n + 1))
+    return curve
 
 
-def _parse_vector(text, fld):
+def _parse_vector(text, cubic):
     try:
-        return [fld.from_int(int(x)) for x in text.split(",")]
+        vec = [cubic.field.from_int(int(x)) for x in text.split(",")]
     except ValueError:
         raise UsageError("bad vector %r; expected comma-separated integers"
                          % text)
+    if len(vec) != cubic.n + 1:
+        raise UsageError("bad vector %r: %d coordinates, the cubic needs %d"
+                         % (text, len(vec), cubic.n + 1))
+    return vec
 
 
-def _parse_line(text, fld):
+def _parse_line(text, cubic):
     rows = text.split(";")
     if len(rows) != 2:
         raise UsageError("a line needs two rows separated by ';'")
-    a, b = (_parse_vector(r, fld) for r in rows)
-    return ProjLine(fld, a, b)
+    a, b = (_parse_vector(r, cubic) for r in rows)
+    return ProjLine(cubic.field, a, b)
 
 
 def _parse_bindings(text):
@@ -152,7 +160,7 @@ def _cmd_validate_cubic(args):
 
 def _cmd_validate_curve(args):
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
-    curve = _load_curve(args.curve, cubic.field)
+    curve = _load_curve(args.curve, cubic)
     val = validate_curve(cubic, curve, max_level=args.max_level)
     result = {
         "e": val.e, "on_x": val.on_x, "base_point_free": val.base_point_free,
@@ -172,7 +180,7 @@ def _secant_result(report):
 
 def _cmd_secants(args):
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
-    curve = _load_curve(args.curve, cubic.field)
+    curve = _load_curve(args.curve, cubic)
     if curve.e < 2:
         raise UsageError("a line has no secant scheme; use pair-secants")
     report = count_secants_single(cubic, curve, max_level=args.max_level)
@@ -184,8 +192,8 @@ def _cmd_secants(args):
 
 def _cmd_pair_secants(args):
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
-    curve1 = _load_curve(args.curve1, cubic.field)
-    curve2 = _load_curve(args.curve2, cubic.field)
+    curve1 = _load_curve(args.curve1, cubic)
+    curve2 = _load_curve(args.curve2, cubic)
     report = count_secants_pair(cubic, curve1, curve2,
                                 max_level=args.max_level)
     result = _secant_result(report)
@@ -243,7 +251,7 @@ def _cmd_enumerate_lines(args):
 
 def _cmd_lines_through_point(args):
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
-    point = _parse_vector(args.point, cubic.field)
+    point = _parse_vector(args.point, cubic)
     res = lines_through_point(cubic, point, cubic.field.tower,
                               max_level=args.max_level,
                               seed=args.seed)
@@ -267,7 +275,7 @@ def _cmd_lines_through_point(args):
 
 def _cmd_second_type(args):
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
-    line = _parse_line(args.line, cubic.field)
+    line = _parse_line(args.line, cubic)
     flag, witness = fano.second_type_test(cubic, line)
     result = {"second_type": flag,
               "witness_plane": witness if witness else None}
@@ -278,7 +286,7 @@ def _cmd_discriminant(args):
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     if cubic.field.char == 0:
         raise UsageError("smoothness sampling enumerates points; needs p > 0")
-    line = _parse_line(args.line, cubic.field)
+    line = _parse_line(args.line, cubic)
     curve = fano.discriminant_quintic(cubic, line)
     smooth = fano.sample_smoothness(curve, count=args.samples,
                                     max_level=min(4, args.budget),
@@ -299,8 +307,8 @@ def _cmd_discriminant(args):
 
 def _cmd_row_sum(args):
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
-    curve = _load_curve(args.curve, cubic.field)
-    line = _parse_line(args.line, cubic.field)
+    curve = _load_curve(args.curve, cubic)
+    line = _parse_line(args.line, cubic)
     row = fano.correspondence_row(cubic, curve, line,
                                   max_level=args.max_level)
     expected = 5 * curve.e - 5

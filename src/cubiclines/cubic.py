@@ -16,9 +16,10 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg
-from .bihom import lift_fibers
+from .bihom import fiber_gcd, lift_fibers
 from .fields import QQ, FieldTower, VerificationError, check_tower
-from .poly import _EXPONENTS, MultiPoly, binary_gcd, binary_roots, resultant
+from .poly import (_EXPONENTS, MultiPoly, binary_gcd, binary_roots,
+                   sylvester_resultant)
 
 
 def xvars(n):
@@ -178,7 +179,8 @@ class CubicForm:
         P2(a;b) and F(b); all four are computed at once, at fld, by
         substituting the line as a degree-1 curve.
         """
-        return self.F.along((tuple(zip(a, b)),), fld or self.field).is_zero()
+        fld = fld or self.field
+        return all(map(fld.is_zero, self.F.along((tuple(zip(a, b)),), fld)))
 
     def _over(self, fld):
         """This cubic with coefficients embedded into another tower level;
@@ -249,6 +251,9 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     """
     F = cubic.field
     check_tower(tower, F)
+    if len(x) != cubic.n + 1:
+        raise ValueError("a point of P^%d needs %d coordinates"
+                         % (cubic.n, cubic.n + 1))
     if not F.is_zero(cubic.f_at(x)):
         raise ValueError("point is not on X")
     grad = cubic.gradient_at(x)
@@ -296,10 +301,12 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
 def _solve_binary_pair(Q, K, max_level):
     """Common projective roots of two binary forms (n = 3 case), with
     complete and certified flags."""
-    g = binary_gcd([Q, K], degrees=[2, 3])
-    if g.degree() <= 0:
+    F = Q.field
+    g = binary_gcd([[P.terms.get((d - i, i), F.zero) for i in range(d + 1)]
+                    for P, d in ((Q, 2), (K, 3))], F)
+    if len(g) == 1:
         return [], True, True
-    rm = binary_roots(g, max_level=max_level)
+    rm = binary_roots(g, F, max_level=max_level)
     return rm.roots, rm.complete, True
 
 
@@ -307,10 +314,10 @@ def _solve_conic_cubic(Q, K, max_level, seed):
     """Solve a conic/cubic pair in P^2 exactly: (roots, complete,
     certified) from ``lift_fibers``, or None for positive dimension.
 
-    After a coordinate change that makes c3^2 in Q and c3^3 in K appear with
-    nonzero constant coefficients, (0:0:1) lies on neither curve, so the
-    resultant in c3 sees every solution and each fiber over a root (a1:a2)
-    is the binary form in (c3, w) of the points (w*a1 : w*a2 : c3).
+    After a coordinate change that puts the pair in general position
+    (:func:`_c3_arrays`), (0:0:1) lies on neither curve, so the resultant
+    in c3 sees every solution and each fiber over a root (a1:a2) is the
+    binary form in (c3, w) of the points (w*a1 : w*a2 : c3).
     """
     F = Q.field
     cvars = Q.vars
@@ -324,22 +331,13 @@ def _solve_conic_cubic(Q, K, max_level, seed):
             cols = list(zip(*_random_unimodular(F, rng)))
             change = MultiPoly.linear_forms(F, cvars, cols)
             Qt, Kt = Q.eval_polys(change), K.eval_polys(change)
-        lcq = _coeff_of_power(Qt, cvars[2], 2)
-        lck = _coeff_of_power(Kt, cvars[2], 3)
-        if lcq is None or lck is None:
+        arrays = _c3_arrays(Qt, Kt)
+        if arrays is None:
             continue
-        R = resultant(Qt, Kt, cvars[2], deg_f=2, deg_g=3)
-        if R.is_zero():
+        R = sylvester_resultant(*arrays, F)
+        if all(map(F.is_zero, R)):
             return None
-
-        def fiber(lvl, a):
-            forms = [MultiPoly(lvl, (cvars[2], "w"),
-                               {(e[0], d - e[0]): c for e, c in
-                                P.subs((a[0], a[1], None), lvl).terms.items()})
-                     for P, d in ((Qt, 2), (Kt, 3))]
-            return binary_gcd(forms, degrees=[2, 3])
-
-        sols = lift_fibers(R, 6, fiber, max_level)
+        sols = lift_fibers(R, F, fiber_gcd(arrays, F), max_level)
         roots = []
         for lv, a, b, m in sols.solutions:
             pt = (a[0], a[1], b[0])
@@ -354,13 +352,17 @@ def _solve_conic_cubic(Q, K, max_level, seed):
                                 "conic/cubic pair of directions")
 
 
-def _coeff_of_power(P, var, d):
-    """Constant coefficient of var^d in P, or None if absent/vanishing."""
-    i = P.vars.index(var)
-    for exps, c in P.terms.items():
-        if exps[i] == d and sum(exps) == d:
-            return c
-    return None
+def _c3_arrays(Q, K):
+    """The conic Q and the cubic K in (c1, c2, c3) by the power of c3: entry
+    j of a form of degree d is the binary form in (c1, c2) multiplying
+    c3^(d-j).  None unless c3^2 in Q and c3^3 in K have nonzero constant
+    coefficients."""
+    F = Q.field
+    out = [[[P.terms.get((j - i, i, d - j), F.zero) for i in range(j + 1)]
+            for j in range(d + 1)] for P, d in ((Q, 2), (K, 3))]
+    if any(F.is_zero(P[0][0]) for P in out):
+        return None
+    return out
 
 
 def _random_unimodular(F, rng):
@@ -493,8 +495,8 @@ def _split_rank2_conic(C, vertex, F, max_level):
     Cn = C.eval_polys(MultiPoly.linear_forms(F, C.vars, basis))
     if any(e[0] for e in Cn.terms):
         raise VerificationError("rank-2 conic depends on its vertex coordinate")
-    qf = Cn.subs((F.one, None, None))
-    rm = binary_roots(qf, max_level=max_level, formal_degree=2)
+    qf = [Cn.terms.get((0, 2 - i, i), F.zero) for i in range(3)]
+    rm = binary_roots(qf, F, max_level=max_level)
     out = []
     for lv, (r0, r1), mult in rm.roots:
         lvl = F.tower.level(lv)

@@ -3,7 +3,9 @@
 A curve is n+1 binary forms of a common degree e.  Validation checks the
 parameterization is base-point-free, lands on X, and is birational onto
 its image; image singularities are located through the coincidence system
-(all 2x2 minors of [phi(s); phi(t)] after removing the diagonal factor).
+(all 2x2 minors of [phi(s); phi(t)] after removing the diagonal factor),
+each the bihomogeneous array of outer products of two coordinates' dense
+coefficients.
 """
 
 from __future__ import annotations
@@ -11,16 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .bihom import (
-    STVARS,
-    SVARS,
-    BihomSolutions,
-    PositiveDimensionalError,
-    diagonal_form,
-    solve_bihomog,
-)
+from .bihom import PositiveDimensionalError, solve_bihomog
 from .cubic import _levels_over, _proj_points, plane_residual
-from .poly import MultiPoly, binary_gcd
+from .poly import (SVARS, MultiPoly, _horner, _horner2, binary_gcd,
+                   diagonal_quotient, is_zero_array)
 
 
 class BasePointError(ValueError):
@@ -101,18 +97,6 @@ class RationalCurve:
         return "RationalCurve(e=%d, n=%d over %r)" % (self.e, self.n, self.field)
 
 
-def _horner(dense, s, lvl, k):
-    """sum_k dense[k] s0^(e-k) s1^k at s over lvl, by homogeneous Horner;
-    the coefficients, from level k, are embedded into lvl as they are read."""
-    s0, s1 = s
-    acc = lvl.embed_from(dense[0], k)
-    pw = lvl.one
-    for c in dense[1:]:
-        pw = lvl.mul(pw, s1)
-        acc = lvl.add(lvl.mul(acc, s0), lvl.mul(lvl.embed_from(c, k), pw))
-    return acc
-
-
 def _as_int(F, v):
     if F.char == 0 and v.denominator != 1:
         raise ValueError("non-integer coefficient in JSON export")
@@ -167,44 +151,36 @@ class CurveValidation:
                 and self.node_free)
 
 
-def _side_forms(curve, side):
-    """The coordinate forms phi_i as forms in (s0, s1, t0, t1), in the
-    parameter pair ``side`` ("s" or "t")."""
-    pad = (0, 0)
-    return [MultiPoly(curve.field, STVARS,
-                      {(e + pad if side == "s" else pad + e): c
-                       for e, c in p.terms.items()})
-            for p in curve.coords]
-
-
 def _pair_minors(curve1, curve2):
-    """The nonzero forms phi1_i(s) phi2_j(t) - phi1_j(s) phi2_i(t), i < j."""
-    phis, phit = _side_forms(curve1, "s"), _side_forms(curve2, "t")
+    """The nonzero arrays phi1_i(s) phi2_j(t) - phi1_j(s) phi2_i(t), i < j,
+    of bidegree (e1, e2)."""
+    F = curve1.field
+    a, b = curve1.dense, curve2.dense
     out = []
-    for i in range(len(phis)):
-        for j in range(i + 1, len(phis)):
-            M = phis[i] * phit[j] - phis[j] * phit[i]
-            if not M.is_zero():
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            M = [[F.sub(F.mul(x, y), F.mul(x2, y2))
+                  for y, y2 in zip(b[j], b[i])] for x, x2 in zip(a[i], a[j])]
+            if not is_zero_array(M, F):
                 out.append(M)
     return out
 
 
 def coincidence_minors(curve):
-    """The forms (phi_i(s) phi_j(t) - phi_j(s) phi_i(t)) / (s0 t1 - s1 t0)."""
-    delta = diagonal_form(curve.field)
-    return [M.exact_div(delta) for M in _pair_minors(curve, curve)]
+    """The arrays (phi_i(s) phi_j(t) - phi_j(s) phi_i(t)) / (s0 t1 - s1 t0)."""
+    return [diagonal_quotient(M, curve.field)
+            for M in _pair_minors(curve, curve)]
 
 
 def validate_curve(cubic, curve, max_level=None):
     """Full validation report; raises on base points or a curve off X."""
     F = curve.field
     e = curve.e
-    nonzero = [c for c in curve.coords if not c.is_zero()]
-    g = binary_gcd(nonzero, degrees=[e] * len(nonzero))
-    if g.degree() > 0:
-        raise BasePointError("coordinate forms share the factor %r" % (g,))
-    comp = cubic.F.along((curve.dense,), F)
-    if not comp.is_zero():
+    g = binary_gcd(curve.dense, F)
+    if len(g) > 1:
+        raise BasePointError("coordinate forms share a factor of degree %d"
+                             % (len(g) - 1))
+    if not all(map(F.is_zero, cubic.F.along((curve.dense,), F))):
         raise NotOnXError("F(phi(s)) is a nonzero form of degree %d" % (3 * e))
     report = CurveValidation(e=e, on_x=True, base_point_free=True,
                              birational=True,
@@ -214,11 +190,7 @@ def validate_curve(cubic, curve, max_level=None):
         raise ValueError("image of the parameterization is a single point")
     if e == 1:
         return report
-    nonconst = [N for N in mins if not N.is_constant()]
-    if any(N.is_constant() and not N.is_zero() for N in mins):
-        # a constant nonzero minor forbids any coincidence at all
-        return report
-    sols = _solve_system(nonconst, ((e - 1, e - 1),), max_level)
+    sols = _solve_system(mins, F, max_level)
     if sols is None:
         report.birational = False
         return report
@@ -238,29 +210,24 @@ def validate_curve(cubic, curve, max_level=None):
     return report
 
 
-def _solve_system(forms, bidegs, max_level):
-    """Common zeros of >= 1 bihomogeneous forms of one shared bidegree.
+def _solve_system(forms, F, max_level):
+    """Common zeros of nonzero bihomogeneous arrays over F of one shared
+    bidegree, other than (0, 0).
 
     Solves a pair with a nonzero resultant and filters by the rest;
     returns None when every pairing is positive dimensional (the common
-    zero locus contains a curve).
+    zero locus contains a curve), as for a single form.
     """
-    forms = [f for f in forms if not f.is_zero()]
-    if not forms:
-        return None
-    bd = bidegs[0]
-    if len(forms) == 1:
-        return None if max(bd) > 0 else BihomSolutions()
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             try:
-                sols = solve_bihomog(forms[i], forms[j], max_level=max_level,
-                                     bidegrees=(bd, bd))
+                sols = solve_bihomog(forms[i], forms[j], F,
+                                     max_level=max_level)
             except PositiveDimensionalError:
                 continue
             rest = [f for k, f in enumerate(forms) if k not in (i, j)]
             sols.solutions = [sol for sol in sols.solutions
-                              if _vanishes_all(rest, forms[0].field, sol)]
+                              if _vanishes_all(rest, F, sol)]
             return sols
     return None
 
@@ -268,8 +235,7 @@ def _solve_system(forms, bidegs, max_level):
 def _vanishes_all(forms, F, sol):
     lv, s, t, _m = sol
     lvl = F.tower.level(lv)
-    vals = list(s) + list(t)
-    return all(lvl.is_zero(f.over(lvl).eval_elems(vals)) for f in forms)
+    return all(lvl.is_zero(_horner2(f, s, t, lvl, F.k)) for f in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +273,7 @@ def curve_meeting_data(curve1, curve2, max_level=None):
     mins = _pair_minors(curve1, curve2)
     if not mins:
         raise ValueError("images coincide in a single point")
-    sols = _solve_system(mins, ((curve1.e, curve2.e),), max_level)
+    sols = _solve_system(mins, F, max_level)
     if sols is None:
         raise ValueError("curve images share a component")
     by_point = {}
@@ -419,8 +385,10 @@ def _parameterize_conic(C, p, lvl):
     out = []
     for k in range(3):
         out.append(qd.scale(p[k]) - bpd * d[k])
-    g = binary_gcd([f for f in out if not f.is_zero()])
-    if g.degree() > 0:
-        out = [f.exact_div(g.rename_vars(SVARS)) if not f.is_zero() else f
-               for f in out]
+    g = binary_gcd([[f.terms.get((2 - i, i), lvl.zero) for i in range(3)]
+                    for f in out], lvl)
+    if len(g) > 1:
+        div = MultiPoly(lvl, SVARS, {(len(g) - 1 - i, i): c
+                                     for i, c in enumerate(g)})
+        out = [f.exact_div(div) for f in out]
     return out

@@ -205,12 +205,9 @@ def _normal_rows(cubic, line):
               for row in line.rows}
     cols = [c for c in range(line.n + 1) if c not in pivots]
     block = (tuple(zip(*line.rows)),)
-    rows = [[], [], []]
-    for c in cols:
-        terms = cubic.grad[c].along(block, fld).terms
-        for row, st in zip(rows, ((2, 0), (1, 1), (0, 2))):
-            row.append(terms.get(st, fld.zero))
-    return cols, rows
+    # a zero partial (F free of x_c) substitutes to []
+    return cols, [list(r) for r in zip(*(
+        cubic.grad[c].along(block, fld) or [fld.zero] * 3 for c in cols))]
 
 
 def second_type_test(cubic, line):

@@ -507,6 +507,13 @@ def upoly_trim(f, lvl):
     return f
 
 
+def upoly_sub(a, b, lvl):
+    z = lvl.zero
+    n = max(len(a), len(b))
+    a, b = list(a) + [z] * (n - len(a)), list(b) + [z] * (n - len(b))
+    return upoly_trim([lvl.sub(x, y) for x, y in zip(a, b)], lvl)
+
+
 def upoly_mul(a, b, lvl):
     if not a or not b:
         return []

@@ -1,6 +1,15 @@
-"""Sparse multivariate polynomials over an exact field, with resultants,
-and root extraction over a field tower, which runs on dense coefficient
-lists from the binary form to the roots.
+"""Sparse multivariate polynomials over an exact field, and the dense
+binary and bihomogeneous forms that the solver runs on, from substitution
+to the roots.
+
+A binary form of formal degree d in a pair (u0, u1) is a list of d + 1
+elements, entry i multiplying u0^(d-i) u1^i (the convention of
+``RationalCurve.dense``).  A bihomogeneous form of formal bidegree (a, b)
+in (s0, s1; t0, t1) is a list of a + 1 rows of b + 1 entries, entry [i][j]
+multiplying s0^(a-i) s1^i t0^(b-j) t1^j.  The shape carries the formal
+degree, so a vanishing leading coefficient needs no separate bookkeeping.
+``MultiPoly.along`` writes these forms; the Sylvester resultant, the exact
+divisions, the fiber evaluations and the root finder read them.
 
 No floating point anywhere; elimination is resultant-based (Sylvester
 determinants with fraction-free Bareiss reduction) by design.
@@ -18,14 +27,15 @@ from .fields import (
     _distinct_degree,
     _exact_quo,
     roots_of_split_poly,
+    upoly_divmod,
     upoly_gcd,
+    upoly_mul,
+    upoly_sub,
     upoly_trim,
 )
 
-# the parameter pairs of the curves that MultiPoly.along substitutes
+# the parameter pair of a curve's coordinate forms
 SVARS = ("s0", "s1")
-TVARS = ("t0", "t1")
-STVARS = SVARS + TVARS
 
 # one shared tuple per exponent vector of the gradients and polar forms
 # that cubic.CubicForm builds: many cubics hold the same few hundred vectors
@@ -249,9 +259,12 @@ class MultiPoly:
         dense coordinates of a curve over lvl, one list per variable, where
         c[i] multiplies u0^(e-i) u1^i in the curve's parameter pair; a line
         a*u0 + b*u1 is the degree-1 curve ((a_0, b_0), (a_1, b_1), ...).
-        Returns the result in (s0, s1) for one block, or bihomogeneous in
-        (s0, s1, t0, t1) for two, over lvl.  Coefficients are embedded into
-        lvl as they are read.
+        Returns, over lvl, the binary form in (s0, s1) for one block, or
+        the bihomogeneous array in (s0, s1; t0, t1) for two (the dense
+        forms of this module), of formal degree deg times the curve degree
+        in each pair; the zero polynomial gives [].  A polynomial that is
+        not homogeneous in each block raises ValueError.  Coefficients are
+        embedded into lvl as they are read.
 
         Products of a block's coordinates are dense convolutions memoized
         per exponent vector.  Terms are grouped by their x-exponent (for one
@@ -305,17 +318,14 @@ class MultiPoly:
             else:
                 size = len(X) + len(rest) - 1
                 _convolve_into(out.setdefault(size, [0] * size), X, rest)
+        if len(out) > 1:
+            raise ValueError("the form is not homogeneous in each block")
+        if not out:
+            return []
+        acc, = out.values()
         if len(blocks) == 2:
-            terms = {(da - 1 - i, i, db - 1 - j, j): v
-                     for (da, db), rows in out.items()
-                     for i, row in enumerate(rows) for j, v in enumerate(row)}
-        else:
-            terms = {(len(acc) - 1 - i, i): v
-                     for acc in out.values() for i, v in enumerate(acc)}
-        terms = {ex: lvl.unpack(v, bits) for ex, v in terms.items()}
-        return MultiPoly._trusted(lvl, STVARS if len(blocks) == 2 else SVARS,
-                                  {ex: v for ex, v in terms.items()
-                                   if not lvl.is_zero(v)})
+            return [[lvl.unpack(v, bits) for v in row] for row in acc]
+        return [lvl.unpack(v, bits) for v in acc]
 
     def map_field(self, new_field, conv):
         """Transport coefficients through conv into another field."""
@@ -337,19 +347,6 @@ class MultiPoly:
         return MultiPoly._trusted(self.field, tuple(new_vars), dict(self.terms))
 
     # -- structure -------------------------------------------------------------
-
-    def coeffs_in(self, name):
-        """Coefficients as polynomials in the other variables, by degree in name."""
-        i = self.vars.index(name)
-        rest = self.vars[: i] + self.vars[i + 1:]
-        by_deg = {}
-        for exps, c in self.terms.items():
-            d = exps[i]
-            e2 = exps[: i] + exps[i + 1:]
-            by_deg.setdefault(d, {})[e2] = c
-        top = max(by_deg) if by_deg else -1
-        return [MultiPoly(self.field, rest, by_deg.get(d, {}))
-                for d in range(top + 1)]
 
     def exact_div(self, divisor):
         """Exact division; raises ValueError if the division is not exact."""
@@ -443,90 +440,119 @@ def _convolve_into(acc, a, b):
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# dense binary and bihomogeneous forms
 # ---------------------------------------------------------------------------
 
-def resultant(f, g, name, deg_f=None, deg_g=None):
-    """Sylvester resultant of f and g eliminating one variable.
+def _horner(form, u, lvl, k):
+    """The binary form at the point u over lvl, by homogeneous Horner; the
+    coefficients, from level k, are embedded into lvl as they are read."""
+    u0, u1 = u
+    acc = lvl.embed_from(form[0], k)
+    pw = lvl.one
+    for c in form[1:]:
+        pw = lvl.mul(pw, u1)
+        acc = lvl.add(lvl.mul(acc, u0), lvl.mul(lvl.embed_from(c, k), pw))
+    return acc
 
-    ``deg_f``/``deg_g`` override the formal degrees, which matters for
-    (bi)homogeneous inputs whose leading coefficient may vanish at special
-    points.  Computed by fraction-free Bareiss elimination, so it stays exact
-    over any coefficient ring the entries live in.
+
+def _horner2(G, s, t, lvl, k):
+    """The bihomogeneous array at (s, t) over lvl: each row at t, then the
+    binary form of the row values at s."""
+    return _horner([_horner(row, t, lvl, k) for row in G], s, lvl, lvl.k)
+
+
+def is_zero_array(G, lvl):
+    """Whether every entry of a bihomogeneous array is zero."""
+    return all(lvl.is_zero(x) for row in G for x in row)
+
+
+def diagonal_quotient(G, lvl):
+    """The array of G / (s0*t1 - s1*t0); raises ValueError unless exact.
+
+    A quotient H of bidegree (a-1, b-1) has G[i][j] = H[i][j-1] - H[i-1][j]
+    (entries outside H are zero).  Read row by row this solves for every
+    entry of H; the equations left over, in column 0 and in the last row,
+    check that the division is exact.
     """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of a zero polynomial")
-    cf = f.coeffs_in(name)
-    cg = g.coeffs_in(name)
-    m = deg_f if deg_f is not None else len(cf) - 1
-    n = deg_g if deg_g is not None else len(cg) - 1
-    if m < len(cf) - 1 or n < len(cg) - 1:
-        raise ValueError("formal degree below actual degree")
-    rest = cf[0].vars if cf else cg[0].vars
-    F = f.field
-    zero = MultiPoly.zero(F, rest)
-    cf = cf + [zero] * (m + 1 - len(cf))
-    cg = cg + [zero] * (n + 1 - len(cg))
-    size = m + n
-    if size == 0:
-        return MultiPoly.const(F, rest, F.one)
-    if m == 0:
-        return cf[0].pow(n)
-    if n == 0:
-        return cg[0].pow(m)
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(cf)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(cg)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_det(rows, F, rest)
+    if not G:
+        return G
+    a, b = len(G) - 1, len(G[0]) - 1
+    H = [[None] * b for _ in range(a)]
+    for i, row in enumerate(G):
+        for j, g in enumerate(row):
+            v = lvl.add(g, H[i - 1][j]) if i and j < b else g
+            if i < a and j:
+                H[i][j - 1] = v
+            elif not lvl.is_zero(v):
+                raise ValueError("inexact division by the diagonal")
+    return H
 
 
-def _bareiss_det(mat, F, variables):
-    """Fraction-free determinant of a matrix of MultiPolys."""
+def linear_quotient(f, p, lvl):
+    """The binary form f divided by p1*u0 - p0*u1, the linear form that
+    vanishes at p = (p0 : p1); raises ValueError unless exact.
+
+    At u0 = 1 the division is one of polynomials in u1; it is exact as a
+    division of forms when it leaves no remainder and a quotient of degree
+    below that of f.
+    """
+    q, r = upoly_divmod(f, upoly_trim([p[1], lvl.neg(p[0])], lvl), lvl)
+    if r or len(q) >= len(f):
+        raise ValueError("inexact division by a linear form")
+    return q + [lvl.zero] * (len(f) - 1 - len(q))
+
+
+def sylvester_resultant(f, g, lvl):
+    """Resultant of two forms in a pair (t0, t1) whose coefficients are
+    binary forms in (s0, s1).
+
+    f[j] multiplies t0^(m-j) t1^j, m = len(f) - 1, and likewise g[j] with
+    n = len(g) - 1; the formal degrees of the coefficients (their lengths
+    less one) must grow by one common step along f and along g, as they
+    do for the columns of two bihomogeneous arrays (step 0).  Then the
+    resultant is a binary form of formal degree n*deg f[0] + m*deg g[n],
+    which is returned.  It is the fraction-free (Bareiss) determinant of
+    the Sylvester matrix at t1 = 1, whose entries are the coefficients at
+    s1 = 1: dense polynomials in s0.
+    """
+    m, n = len(f) - 1, len(g) - 1
+    cf, cg = ([upoly_trim(list(c[::-1]), lvl) for c in h] for h in (f, g))
+    mat = ([[[]] * i + cf + [[]] * (n - 1 - i) for i in range(n)]
+           + [[[]] * i + cg + [[]] * (m - 1 - i) for i in range(m)])
+    det = _bareiss_det(mat, lvl)
+    degree = n * (len(f[0]) - 1) + m * (len(g[-1]) - 1)
+    return [lvl.zero] * (degree + 1 - len(det)) + det[::-1]
+
+
+def _bareiss_det(mat, lvl):
+    """Fraction-free determinant of a square matrix of dense polynomials."""
+    if not mat:
+        return [lvl.one]
     n = len(mat)
-    mat = [row[:] for row in mat]
     sign = 1
-    prev = MultiPoly.const(F, variables, F.one)
+    prev = [lvl.one]
     for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not mat[i][k].is_zero()), None)
+        piv = next((i for i in range(k, n) if mat[i][k]), None)
         if piv is None:
-            return MultiPoly.zero(F, variables)
+            return []
         if piv != k:
             mat[k], mat[piv] = mat[piv], mat[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = num.exact_div(prev)
-            mat[i][k] = MultiPoly.zero(F, variables)
-        prev = mat[k][k]
-    det = mat[n - 1][n - 1]
-    return -det if sign < 0 else det
+        top = mat[k]
+        for row in mat[k + 1:]:
+            lead = row[k]
+            row[k + 1:] = [
+                _exact_quo(upoly_sub(upoly_mul(x, top[k], lvl),
+                                     upoly_mul(lead, y, lvl), lvl), prev, lvl)
+                for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = top[k]
+    det = mat[-1][-1]
+    return [lvl.neg(c) for c in det] if sign < 0 else det
 
 
 # ---------------------------------------------------------------------------
 # univariate root finding on dense element lists (coefficients by degree)
 # ---------------------------------------------------------------------------
-
-def to_dense(f, name):
-    """Coefficients of f by degree in name, with the other variables set to one.
-
-    For a binary form this is its dehomogenization.
-    """
-    i = f.vars.index(name)
-    F = f.field
-    out = [F.zero] * (f.degree(name) + 1)
-    for exps, c in f.terms.items():
-        out[exps[i]] = F.add(out[exps[i]], c)
-    return upoly_trim(out, F)
-
 
 def squarefree_decompose(f, F):
     """Squarefree decomposition of a nonzero dense polynomial over F.
@@ -680,49 +706,37 @@ def _divisors(n):
 
 
 # ---------------------------------------------------------------------------
-# binary (two-variable homogeneous) form helpers
+# roots and gcds of binary forms
 # ---------------------------------------------------------------------------
 
-def binary_roots(form, max_level=None, formal_degree=None):
-    """Projective roots [a:1] and possibly [1:0] of a binary form.
+def binary_roots(form, lvl, max_level=None):
+    """Projective roots [a:1] and possibly [1:0] of a binary form over lvl.
 
     Returns a RootMultiset whose root values are pairs (a, b) of field
     elements normalized so the last nonzero coordinate is 1; the point at
-    infinity is ((one, zero)).
+    infinity is ((one, zero)), with the multiplicity by which the degree
+    at u1 = 1 falls short of the formal degree.
     """
-    F = form.field
-    d = formal_degree if formal_degree is not None else form.degree()
-    dense = to_dense(form, form.vars[0])
-    rm = roots_in_tower(dense, F, max_level=max_level)
-    roots = [(lv, (r, F.tower.level(lv).one), m) for lv, r, m in rm.roots]
-    inf_mult = d - (len(dense) - 1)
+    dense = upoly_trim(list(form[::-1]), lvl)
+    rm = roots_in_tower(dense, lvl, max_level=max_level)
+    roots = [(lv, (r, lvl.tower.level(lv).one), m) for lv, r, m in rm.roots]
+    inf_mult = len(form) - len(dense)
     if inf_mult > 0:
-        roots.insert(0, (F.k, (F.one, F.zero), inf_mult))
+        roots.insert(0, (lvl.k, (lvl.one, lvl.zero), inf_mult))
     return RootMultiset(roots, rm.unsplit)
 
 
-def binary_gcd(forms, degrees=None):
-    """Monic gcd of a list of binary forms over a field (projective divisor)."""
-    forms = [f for f in forms if not f.is_zero()]
-    if not forms:
+def binary_gcd(forms, lvl):
+    """Gcd of binary forms over lvl (their common projective divisor), as
+    a binary form: monic at u1 = 1 when there are two nonzero forms or more,
+    times u1 to the smallest multiplicity of the point at infinity.  Zero
+    forms are skipped."""
+    g = inf = None
+    for f in forms:
+        d = upoly_trim(list(f[::-1]), lvl)
+        if d:
+            g = d if g is None else upoly_gcd(g, d, lvl)
+            inf = len(f) - len(d) if inf is None else min(inf, len(f) - len(d))
+    if g is None:
         raise ValueError("gcd of zero forms")
-    F = forms[0].field
-    s0, s1 = forms[0].vars
-    denses = []
-    infs = []
-    for i, f in enumerate(forms):
-        d = degrees[i] if degrees else f.degree()
-        de = to_dense(f, s0)
-        denses.append(de)
-        infs.append(d - (len(de) - 1))
-    g = denses[0]
-    for d2 in denses[1:]:
-        g = upoly_gcd(g, d2, F)
-    inf = min(infs)
-    # homogenize g to degree len(g)-1 and append s1^inf
-    terms = {}
-    total = (len(g) - 1) + inf
-    for i, c in enumerate(g):
-        if not F.is_zero(c):
-            terms[(i, total - i)] = c
-    return MultiPoly(F, (s0, s1), terms)
+    return [lvl.zero] * inf + g[::-1]

@@ -13,18 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .bihom import (
-    STVARS,
-    SVARS,
-    TVARS,
-    PositiveDimensionalError,
-    divide_diagonal,
-    solve_bihomog,
-)
+from .bihom import PositiveDimensionalError, divide_diagonal, solve_bihomog
 from .cubic import ProjLine, ambient_line_from_plane_form, plane_residual
 from .curves import _normalize, curve_meeting_data, validate_curve
 from .fields import VerificationError, check_tower
-from .poly import MultiPoly
+from .poly import linear_quotient
 
 
 def expected_single(e, g=0):
@@ -50,9 +43,9 @@ def build_system(cubic, curve_a, curve_b=None):
     G1 = P1(phi(s); psi(t)) and G2 = P2(phi(s); psi(t)), with psi = phi
     for one curve, come from substituting the curves' dense coordinates
     into the polar forms at the curves' level (``MultiPoly.along``).
-    Returns the pair to solve with its formal bidegrees, (G1, G2,
-    bidegrees); for one curve both forms are first divided by the
-    diagonal twice, its universal vanishing order.
+    Returns the pair of arrays to solve, whose shapes are their formal
+    bidegrees, (2 e_a, e_b) and (e_a, 2 e_b); for one curve both forms are
+    first divided by the diagonal twice, its universal vanishing order.
     """
     F = curve_a.field
     if curve_b is not None and curve_b.field is not F:
@@ -60,12 +53,9 @@ def build_system(cubic, curve_a, curve_b=None):
     blocks = (curve_a.dense, (curve_b or curve_a).dense)
     G1 = cubic.P1.along(blocks, F)
     G2 = cubic.P2.along(blocks, F)
-    ea = curve_a.e
     if curve_b is not None:
-        eb = curve_b.e
-        return G1, G2, ((2 * ea, eb), (ea, 2 * eb))
-    return (divide_diagonal(G1, 2), divide_diagonal(G2, 2),
-            ((2 * ea - 2, ea - 2), (ea - 2, 2 * ea - 2)))
+        return G1, G2
+    return divide_diagonal(G1, 2, F), divide_diagonal(G2, 2, F)
 
 
 @dataclass
@@ -158,11 +148,10 @@ def count_secants_single(cubic, curve, tower=None, max_level=None):
     check_tower(tower, curve.field)
     if not validate_curve(cubic, curve, max_level).valid:
         raise ValueError("curve must validate as birational and node-free")
-    Gt1, Gt2, bidegrees = build_system(cubic, curve)
+    Gt1, Gt2 = build_system(cubic, curve)
     report = SecantReport(mode="single", expected=expected_single(e))
     try:
-        sols = solve_bihomog(Gt1, Gt2, max_level=max_level,
-                             bidegrees=bidegrees)
+        sols = solve_bihomog(Gt1, Gt2, curve.field, max_level=max_level)
     except PositiveDimensionalError:
         report.outcome = "infinitely_many"
         return report
@@ -221,9 +210,10 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     Line mode: when one member is a line through r >= 1 points of the
     other curve, the whole fiber over each meeting parameter of the other
     curve degenerates.  Its linear factor is divided out, which lowers the
-    formal bidegrees; the solutions at any meeting parameter are excised
-    with the coincidences; the Bezout excess left at each meeting point is
-    2 instead of 6; and the expected count switches to 5 e - 5.
+    formal bidegrees (the arrays lose a row or a column); the solutions at
+    any meeting parameter are excised with the coincidences; the Bezout
+    excess left at each meeting point is 2 instead of 6; and the expected
+    count switches to 5 e - 5.
     """
     F = curve1.field
     if curve2.field is not F:
@@ -235,7 +225,7 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     line_sides = [curve1.e == 1, curve2.e == 1]
     if r > 0 and all(line_sides):
         raise ValueError("two meeting lines span a plane; no secant count")
-    G1, G2, ((d1s, d1t), (d2s, d2t)) = build_system(cubic, curve1, curve2)
+    G1, G2 = build_system(cubic, curve1, curve2)
     bad_s, bad_t = [], []
     if r > 0 and any(line_sides):
         expected = expected_line_meeting(curve2.e if line_sides[0]
@@ -249,24 +239,16 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
                                  "are not supported in line mode")
             bad_s.extend(mp.s_params)
             bad_t.extend(mp.t_params)
-        # the fibers over the other curve's meeting parameters degenerate
-        bad, pair = (bad_t, TVARS) if line_sides[0] else (bad_s, SVARS)
-        u0, u1 = (MultiPoly.var(F, STVARS, v) for v in pair)
-        for p in bad:
-            lam = u0.scale(p[1]) - u1.scale(p[0])
-            G1 = G1.exact_div(lam)
-            G2 = G2.exact_div(lam)
-        if line_sides[0]:
-            d1t, d2t = d1t - len(bad), d2t - len(bad)
-        else:
-            d1s, d2s = d1s - len(bad), d2s - len(bad)
+        # the fibers over the other curve's meeting parameters degenerate:
+        # divide the rows (forms in t) or the columns (forms in s)
+        for p in bad_t if line_sides[0] else bad_s:
+            G1, G2 = (_divide_pair(G, p, line_sides[0], F) for G in (G1, G2))
     else:
         expected = expected_pair(curve1.e, curve2.e, r)
         base_excess = 6
     report = SecantReport(mode="pair", expected=expected)
     try:
-        sols = solve_bihomog(G1, G2, max_level=max_level,
-                             bidegrees=((d1s, d1t), (d2s, d2t)))
+        sols = solve_bihomog(G1, G2, F, max_level=max_level)
     except PositiveDimensionalError:
         report.outcome = "infinitely_many"
         return report
@@ -290,6 +272,15 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
                         excised, base_excess)
     _sort_report(report)
     return report
+
+
+def _divide_pair(G, p, in_t, fld):
+    """The array divided by the linear form vanishing at p in the pair t
+    (``in_t``) or s."""
+    if in_t:
+        return [linear_quotient(row, p, fld) for row in G]
+    return [list(r) for r in zip(*(linear_quotient(col, p, fld)
+                                   for col in zip(*G)))]
 
 
 def _absorb_second_type(report, cubic, curve1, curve2, meeting, max_level,

@@ -16,6 +16,14 @@ substituted curves with ``MultiPoly.along``: F(a), P1(a;b), P2(a;b) and
 F(b) by ``eval_elems`` on the cubic moved to the line's field, and the
 polar forms composed with the curves' forms by ``eval_polys``.
 
+The sparse elimination is the solver's before it ran on dense arrays: the
+Sylvester resultant of ``MultiPoly`` entries by Bareiss reduction
+(``resultant``), division by the diagonal form with ``exact_div``
+(``divide_diagonal``), the curves' coordinate forms in (s0, s1, t0, t1)
+(``side_forms``) and the coefficient lists of ``to_dense``.  ``dense``
+converts a sparse binary or bihomogeneous form of given formal degrees to
+the solver's dense lists and arrays.
+
 The polar forms are the solver's before it read them from the gradient:
 the coefficients of lam and lam^2 in F(x + lam*y), expanded in an
 11-variable ring (``polarize``), so the certificate and the secant system
@@ -29,11 +37,148 @@ import functools
 import itertools
 
 from cubiclines import linalg
-from cubiclines.bihom import SVARS, BihomSolutions, divide_diagonal
+from cubiclines.bihom import BihomSolutions
 from cubiclines.cubic import ProjLine, xvars, yvars
-from cubiclines.curves import _side_forms
 from cubiclines.fano import enumerate_lines
-from cubiclines.poly import MultiPoly, binary_gcd, binary_roots
+from cubiclines.fields import upoly_trim
+from cubiclines.poly import SVARS, MultiPoly, binary_gcd, binary_roots
+
+TVARS = ("t0", "t1")
+STVARS = SVARS + TVARS
+
+
+def dense(P, degrees):
+    """A MultiPoly in (s0, s1), of formal degree d = degrees[0], as a
+    binary form, or one in (s0, s1, t0, t1), of formal bidegree (a, b) =
+    degrees, as an array.  A term goes to the index d less its power of
+    s0 (and b less its power of t0), so terms that only fix the power of
+    the first variable of a pair land where ``to_dense`` put them."""
+    F = P.field
+    if len(degrees) == 1:
+        d, = degrees
+        out = [F.zero] * (d + 1)
+        for e, c in P.terms.items():
+            out[d - e[0]] = F.add(out[d - e[0]], c)
+        return out
+    a, b = degrees
+    out = [[F.zero] * (b + 1) for _ in range(a + 1)]
+    for e, c in P.terms.items():
+        row = out[a - e[0]]
+        row[b - e[2]] = F.add(row[b - e[2]], c)
+    return out
+
+
+def to_dense(f, name):
+    """Coefficients of f by degree in name, with the other variables set
+    to one."""
+    i = f.vars.index(name)
+    F = f.field
+    out = [F.zero] * (f.degree(name) + 1)
+    for exps, c in f.terms.items():
+        out[exps[i]] = F.add(out[exps[i]], c)
+    return upoly_trim(out, F)
+
+
+def coeffs_in(P, name):
+    """Coefficients of P as polynomials in the other variables, by degree
+    in name."""
+    i = P.vars.index(name)
+    rest = P.vars[: i] + P.vars[i + 1:]
+    by_deg = {}
+    for exps, c in P.terms.items():
+        by_deg.setdefault(exps[i], {})[exps[: i] + exps[i + 1:]] = c
+    top = max(by_deg) if by_deg else -1
+    return [MultiPoly(P.field, rest, by_deg.get(d, {}))
+            for d in range(top + 1)]
+
+
+def resultant(f, g, name, deg_f=None, deg_g=None):
+    """Sylvester resultant of f and g eliminating one variable, with
+    formal degrees deg_f and deg_g (by default the degrees in name), by
+    Bareiss reduction over MultiPoly entries."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    cf = coeffs_in(f, name)
+    cg = coeffs_in(g, name)
+    m = deg_f if deg_f is not None else len(cf) - 1
+    n = deg_g if deg_g is not None else len(cg) - 1
+    if m < len(cf) - 1 or n < len(cg) - 1:
+        raise ValueError("formal degree below actual degree")
+    rest = cf[0].vars if cf else cg[0].vars
+    F = f.field
+    zero = MultiPoly.zero(F, rest)
+    cf = cf + [zero] * (m + 1 - len(cf))
+    cg = cg + [zero] * (n + 1 - len(cg))
+    size = m + n
+    if size == 0:
+        return MultiPoly.const(F, rest, F.one)
+    if m == 0:
+        return cf[0].pow(n)
+    if n == 0:
+        return cg[0].pow(m)
+    rows = []
+    for i in range(n):
+        row = [zero] * size
+        for j, c in enumerate(reversed(cf)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(m):
+        row = [zero] * size
+        for j, c in enumerate(reversed(cg)):
+            row[i + j] = c
+        rows.append(row)
+    return _bareiss_det(rows, F, rest)
+
+
+def _bareiss_det(mat, F, variables):
+    """Fraction-free determinant of a matrix of MultiPolys."""
+    n = len(mat)
+    mat = [row[:] for row in mat]
+    sign = 1
+    prev = MultiPoly.const(F, variables, F.one)
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if not mat[i][k].is_zero()), None)
+        if piv is None:
+            return MultiPoly.zero(F, variables)
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
+                mat[i][j] = num.exact_div(prev)
+            mat[i][k] = MultiPoly.zero(F, variables)
+        prev = mat[k][k]
+    det = mat[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def diagonal_form(fld):
+    """The bidegree (1,1) form s0*t1 - s1*t0 cutting out the diagonal."""
+    return MultiPoly(fld, STVARS, {(1, 0, 0, 1): fld.one,
+                                   (0, 1, 1, 0): fld.neg(fld.one)})
+
+
+def divide_diagonal(G, times):
+    """Divide a MultiPoly by the diagonal form exactly ``times`` times;
+    one more division must fail."""
+    delta = diagonal_form(G.field)
+    out = G
+    for _ in range(times):
+        out = out.exact_div(delta)
+    if not out.is_zero() and out.divides_exactly(delta) is not None:
+        raise ValueError("diagonal vanishing order exceeds %d" % times)
+    return out
+
+
+def side_forms(curve, side):
+    """The coordinate forms phi_i as forms in (s0, s1, t0, t1), in the
+    parameter pair ``side`` ("s" or "t")."""
+    pad = (0, 0)
+    return [MultiPoly(curve.field, STVARS,
+                      {(e + pad if side == "s" else pad + e): c
+                       for e, c in p.terms.items()})
+            for p in curve.coords]
 
 
 def meets(l1, l2):
@@ -60,8 +205,8 @@ def scheme_length(line, curve):
             forms.append(acc)
     if not forms:
         raise ValueError("curve image lies on the line")
-    g = binary_gcd(forms, degrees=[curve.e] * len(forms))
-    return g.degree()
+    g = binary_gcd([dense(f, (curve.e,)) for f in forms], F)
+    return len(g) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,7 +224,7 @@ def polarize(cubic):
         yi = MultiPoly.var(fld, ring_vars, "y%d" % i)
         args.append(xi + lam * yi)
     big = cubic.F.eval_polys(args)
-    coeffs = big.coeffs_in("lam")
+    coeffs = coeffs_in(big, "lam")
     xy = xv + yv
     P1 = coeffs[1] if len(coeffs) > 1 else MultiPoly.zero(fld, xy)
     P2 = coeffs[2] if len(coeffs) > 2 else MultiPoly.zero(fld, xy)
@@ -112,8 +257,8 @@ def build_system(cubic, curve_a, curve_b=None):
     """(G1, G2, bidegrees) of the secants of one curve or a pair."""
     F = curve_a.field
     P1, P2 = polar_forms(cubic, F)
-    forms = (_side_forms(curve_a, "s")
-             + _side_forms(curve_b if curve_b is not None else curve_a, "t"))
+    forms = (side_forms(curve_a, "s")
+             + side_forms(curve_b if curve_b is not None else curve_a, "t"))
     G1 = P1.eval_polys(forms)
     G2 = P2.eval_polys(forms)
     ea = curve_a.e
@@ -289,15 +434,15 @@ def oracle_meeting_pair(census, curve, line, meeting_point, tangent_rows):
     return sorted(out)
 
 
-def lift_fibers_per_root(R, degree, fiber, max_level=None):
+def lift_fibers_per_root(R, fld, fiber, max_level=None):
     """``bihom.lift_fibers`` with one fiber lift per root of R."""
-    tower = R.field.tower
-    rm = binary_roots(R, max_level=max_level, formal_degree=degree)
-    out = BihomSolutions(total_degree=degree, complete=rm.complete)
+    tower = fld.tower
+    rm = binary_roots(R, fld, max_level=max_level)
+    out = BihomSolutions(total_degree=len(R) - 1, complete=rm.complete)
     for lv, a, mult in rm.roots:
         g = fiber(tower.level(lv), a)
-        tot = g.degree()
-        frm = binary_roots(g, max_level=max_level)
+        tot = len(g) - 1
+        frm = binary_roots(g, tower.level(lv), max_level=max_level)
         out.complete = out.complete and frm.complete
         for flv, b, fm in frm.roots:
             if len(frm.roots) == 1 and frm.complete:

@@ -1,7 +1,7 @@
 """The dense substitution kernel ``MultiPoly.along`` against the solver's
 earlier code paths (``oracle``): the polar forms composed with the curves'
 forms by ``eval_polys``, and the four values F(a), P1(a;b), P2(a;b), F(b)
-by ``eval_elems``."""
+by ``eval_elems``, each converted to the dense forms by ``oracle.dense``."""
 
 import itertools
 import random
@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from cubiclines.cubic import CubicForm, ProjLine, cubic_from_json, xvars
-from cubiclines.curves import RationalCurve, _side_forms, curve_from_json
+from cubiclines.curves import RationalCurve, curve_from_json
 from cubiclines.fields import QQ, FieldTower, VerificationError
 from cubiclines.poly import SVARS, MultiPoly
 from cubiclines.secant import _assert_secant_line, build_system
@@ -60,7 +60,7 @@ def test_one_block_matches_eval_polys(p, ck, lk):
     for e in (1, 2, 3):
         curve = rand_curve(lvl, e, rng)
         want = X.F.over(lvl).eval_polys(list(curve.coords))
-        assert X.F.along((curve.dense,), lvl) == want
+        assert X.F.along((curve.dense,), lvl) == oracle.dense(want, (3 * e,))
 
 
 @pytest.mark.parametrize("p,ck,lk", FIELDS)
@@ -75,10 +75,10 @@ def test_two_blocks_match_eval_polys(p, ck, lk):
     for ea, eb in pairs:
         a = curves[ea]
         b = curves[eb] if ea != eb else a
-        forms = _side_forms(a, "s") + _side_forms(b, "t")
-        for P in (X.P1, X.P2):
+        forms = oracle.side_forms(a, "s") + oracle.side_forms(b, "t")
+        for P, bd in ((X.P1, (2 * ea, eb)), (X.P2, (ea, 2 * eb))):
             assert P.along((a.dense, b.dense), lvl) == \
-                P.over(lvl).eval_polys(forms)
+                oracle.dense(P.over(lvl).eval_polys(forms), bd)
 
 
 @pytest.mark.parametrize("p,ck,lk", FIELDS)
@@ -93,7 +93,8 @@ def test_line_restriction_is_the_four_values(p, ck, lk):
             want = MultiPoly(lvl, SVARS, dict(zip(
                 [(3, 0), (2, 1), (1, 2), (0, 3)],
                 oracle.line_values(X, a, b, lvl))))
-            assert X.F.along((tuple(zip(a, b)),), lvl) == want
+            assert X.F.along((tuple(zip(a, b)),), lvl) == \
+                oracle.dense(want, (3,))
             assert X.line_in_x_points(a, b, lvl) == \
                 oracle.line_in_x_points(X, a, b, lvl)
 
@@ -117,7 +118,8 @@ def test_line_with_one_nonzero_coefficient_is_rejected(mono, a, b):
     assert [fld.is_zero(v) for v in values] == \
         [m != mono for m in [(3, 0), (2, 1), (1, 2), (0, 3)]]
     restriction = X.F.along((tuple(zip(a, b)),), fld)
-    assert list(restriction.terms) == [mono]
+    assert [(3 - i, i) for i, v in enumerate(restriction)
+            if not fld.is_zero(v)] == [mono]
     assert not X.line_in_x_points(a, b)
     up = fld.tower.level(2)
     assert not X.line_in_x_points([up.embed_from(x, 1) for x in a],
@@ -172,7 +174,9 @@ def test_secant_system_matches_eval_polys_system():
     """build_system on committed curves on X equals the earlier system,
     the diagonal divided out twice in single mode, bidegrees included."""
     for name, X, a, b in secant_inputs():
-        assert build_system(X, a, b) == oracle.build_system(X, a, b), name
+        G1, G2, bidegrees = oracle.build_system(X, a, b)
+        assert build_system(X, a, b) == (oracle.dense(G1, bidegrees[0]),
+                                         oracle.dense(G2, bidegrees[1])), name
 
 
 @pytest.mark.parametrize("p,lk", [(0, 1), (7, 1), (7, 2), (7, 3), (11, 2)])

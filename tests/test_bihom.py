@@ -4,15 +4,14 @@ import pytest
 
 from cubiclines import bihom, cubic
 from cubiclines.bihom import (BihomSolutions, PositiveDimensionalError,
-                              STVARS, _verify_solutions, bidegree,
-                              diagonal_form, divide_diagonal, lift_fibers,
+                              _verify_solutions, divide_diagonal, lift_fibers,
                               solve_bihomog)
 from cubiclines.curves import curve_from_json, curve_meeting_data, line_as_curve
 from cubiclines.fields import VerificationError
 from cubiclines.poly import MultiPoly
 from cubiclines.secant import count_secants_pair, count_secants_single
 from conftest import fixture_json
-from oracle import lift_fibers_per_root
+from oracle import STVARS, dense, diagonal_form, lift_fibers_per_root
 
 
 def rand_biform(lvl, rng, ds, dt):
@@ -23,6 +22,13 @@ def rand_biform(lvl, rng, ds, dt):
             if c:
                 out[(ds - e0, e0, dt - e1, e1)] = c
     return MultiPoly.from_int_terms(lvl, STVARS, out)
+
+
+def biform_pair(lvl, rng):
+    """Random forms of bidegrees (2, 1) and (1, 2), sparse and dense."""
+    G1 = rand_biform(lvl, rng, 2, 1)
+    G2 = rand_biform(lvl, rng, 1, 2)
+    return G1, G2, dense(G1, (2, 1)), dense(G2, (1, 2))
 
 
 def proj_points(lvl):
@@ -48,12 +54,11 @@ def test_solver_matches_bruteforce(tower7):
     rng = random.Random(21)
     solved = 0
     for _ in range(40):
-        G1 = rand_biform(lvl, rng, 2, 1)
-        G2 = rand_biform(lvl, rng, 1, 2)
+        G1, G2, A1, A2 = biform_pair(lvl, rng)
         if G1.is_zero() or G2.is_zero():
             continue
         try:
-            sols = solve_bihomog(G1, G2, max_level=6)
+            sols = solve_bihomog(A1, A2, lvl, max_level=6)
         except PositiveDimensionalError:
             continue
         solved += 1
@@ -84,10 +89,12 @@ def test_positive_dimensional_detection(tower7):
     delta = diagonal_form(lvl)
     other = rand_biform(lvl, random.Random(3), 1, 1)
     with pytest.raises(PositiveDimensionalError):
-        solve_bihomog(delta, delta * other, max_level=2)
+        solve_bihomog(dense(delta, (1, 1)), dense(delta * other, (2, 2)), lvl,
+                      max_level=2)
     zero = MultiPoly.zero(lvl, STVARS)
     with pytest.raises(PositiveDimensionalError):
-        solve_bihomog(zero, delta, max_level=2)
+        solve_bihomog(dense(zero, (1, 1)), dense(delta, (1, 1)), lvl,
+                      max_level=2)
 
 
 def test_whole_fiber_detection(tower7):
@@ -96,7 +103,28 @@ def test_whole_fiber_detection(tower7):
     s0t0 = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
     s0t1 = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 0, 1): 1})
     with pytest.raises(PositiveDimensionalError):
-        solve_bihomog(s0t0, s0t1, max_level=2)
+        solve_bihomog(dense(s0t0, (1, 1)), dense(s0t1, (1, 1)), lvl,
+                      max_level=2)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_forms_free_of_one_pair(tower7, transpose):
+    """Two forms free of t (or, transposed, of s): a shared root of the
+    other pair is a whole fiber of common zeros, and without one there
+    are no common zeros at all."""
+    lvl = tower7.level(1)
+    shared = ([[1], [3], [2]], [[1], [1]])      # (s0+s1)(s0+2s1), s0+s1
+    apart = ([[1], [3], [2]], [[1], [3]])       # ..., s0+3s1
+    for (G1, G2), common in ((shared, True), (apart, False)):
+        if transpose:
+            G1, G2 = ([list(r) for r in zip(*G)] for G in (G1, G2))
+        if common:
+            with pytest.raises(PositiveDimensionalError):
+                solve_bihomog(G1, G2, lvl, max_level=2)
+        else:
+            sols = solve_bihomog(G1, G2, lvl, max_level=2)
+            assert sols.solutions == [] and sols.total_degree == 0
+            assert sols.complete and sols.certified
 
 
 def test_diagonal_division_sharp(tower7):
@@ -106,27 +134,17 @@ def test_diagonal_division_sharp(tower7):
     while G.is_zero() or G.divides_exactly(delta) is not None:
         G = rand_biform(lvl, random.Random(6), 1, 1)
     prod = delta * delta * G
-    out = divide_diagonal(prod, 2)
-    assert out == G
+    out = divide_diagonal(dense(prod, (3, 3)), 2, lvl)
+    assert out == dense(G, (1, 1))
     with pytest.raises(ValueError):
-        divide_diagonal(delta * prod, 2)
-
-
-def test_bidegree_validation(tower7):
-    lvl = tower7.level(1)
-    G = rand_biform(lvl, random.Random(8), 2, 1)
-    assert bidegree(G) == (2, 1)
-    mixed = G + MultiPoly.from_int_terms(lvl, STVARS, {(0, 0, 0, 1): 1})
-    with pytest.raises(ValueError):
-        bidegree(mixed)
+        divide_diagonal(dense(delta * prod, (4, 4)), 2, lvl)
 
 
 def test_solutions_sorted_and_normalized(tower7):
     lvl = tower7.level(1)
     rng = random.Random(13)
-    G1 = rand_biform(lvl, rng, 2, 1)
-    G2 = rand_biform(lvl, rng, 1, 2)
-    sols = solve_bihomog(G1, G2, max_level=6)
+    _G1, _G2, A1, A2 = biform_pair(lvl, rng)
+    sols = solve_bihomog(A1, A2, lvl, max_level=6)
     keys = []
     for lv, s, t, _m in sols.solutions:
         slv = tower7.level(lv)
@@ -142,7 +160,7 @@ def test_verify_solutions_rejects_bogus_solution(tower7):
     G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
     bogus = BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)])
     with pytest.raises(VerificationError):
-        _verify_solutions(bogus, (G,))
+        _verify_solutions(bogus, (dense(G, (1, 1)),), lvl)
 
 
 def binary_linear(lvl, names, root):
@@ -171,9 +189,9 @@ def test_lift_fibers_split_rule(tower7, mult, fiber_roots, expected,
         g = MultiPoly.const(lvl, ("t0", "t1"), lvl.one)
         for r in fiber_roots:
             g = g * binary_linear(lvl, ("t0", "t1"), r)
-        return g
+        return dense(g, (len(fiber_roots),))
 
-    sols = lift_fibers(R, mult, fiber)
+    sols = lift_fibers(dense(R, (mult,)), lvl, fiber)
     assert seen == [(1, (2, 1))]
     assert sols.complete and sols.total_degree == mult
     assert sols.certified is certified
@@ -230,9 +248,9 @@ def test_orbit_lift_matches_per_root_lift(case, request, monkeypatch):
             return fiber(lvl, a)
         return wrapped
 
-    def both(R, degree, fiber, max_level=None):
-        new = orbit_lift(R, degree, counted(fiber, "orbit"), max_level)
-        old = lift_fibers_per_root(R, degree, counted(fiber, "per_root"),
+    def both(R, fld, fiber, max_level=None):
+        new = orbit_lift(R, fld, counted(fiber, "orbit"), max_level)
+        old = lift_fibers_per_root(R, fld, counted(fiber, "per_root"),
                                    max_level)
         assert new.solutions == old.solutions
         assert (new.complete, new.certified, new.total_degree) == \

@@ -247,7 +247,7 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         assert code == 2 and doc is None, argv
     # a direction system that no coordinate change puts in general position
     from cubiclines import cubic
-    monkeypatch.setattr(cubic, "_coeff_of_power", lambda P, var, d: None)
+    monkeypatch.setattr(cubic, "_c3_arrays", lambda Q, K: None)
     code = main(["lines-through-point", "--cubic", X7, "--point", "1,2,3,5,0"])
     out, err = capsys.readouterr()
     assert code == 2 and not out
@@ -271,3 +271,64 @@ def test_output_deterministic(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lines-through-point", "--point", "1,6,0,0,0,0,0"],
+    ["lines-through-point", "--point", "1,2,3"],
+    ["second-type", "--line", "1,6,0;0,0,1"],
+    ["discriminant", "--line", "1,6,0,0,0;0,0,1,6"],
+    ["row-sum", "--curve", fixture_path("conic7.json"),
+     "--line", "1,0,0,0,3,0;0,1,0,3,0,0"],
+], ids=["point-7", "point-3", "line-3", "line-5-4", "row-sum-line-6"])
+def test_wrong_length_vectors_exit_2(capsys, argv):
+    """Points and lines on the P^4 threefold need five coordinates."""
+    code = main([argv[0], "--cubic", fixture_path("fermat7_threefold.json")]
+                + argv[1:])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith("error: bad vector") and "needs 5" in err
+
+
+@pytest.mark.parametrize("command", ["secants", "validate-curve"])
+def test_wrong_length_curve_exits_2(capsys, tmp_path, command):
+    """A conic with four coordinates is no curve in P^4."""
+    with open(fixture_path("conic7.json")) as fh:
+        doc = json.load(fh)
+    doc["coords"] = doc["coords"][:4]
+    path = tmp_path / "conic4.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--cubic", fixture_path("fermat7_threefold.json"),
+                 "--curve", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith("error: bad curve file") and "needs 5" in err
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"p": 7, "n": 4, "monomials": None},
+    {"p": 7, "n": 4, "monomials": [5]},
+], ids=["list", "null-monomials", "int-monomial"])
+def test_malformed_cubic_file_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(doc))
+    code = main(["enumerate-lines", "--cubic", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith("error: bad cubic file")
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"e": 2, "coords": None},
+    {"e": 2, "coords": [5, 5, 5, 5, 5]},
+], ids=["list", "null-coords", "int-coords"])
+def test_malformed_curve_file_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    code = main(["secants", "--cubic", fixture_path("fermat7_threefold.json"),
+                 "--curve", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith("error: bad curve file")

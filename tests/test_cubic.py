@@ -221,3 +221,13 @@ def test_transport_carries_polar_forms(tower7):
         assert moved.field is ext and moved.F == X.F.over(ext)
         assert moved.grad == tuple(g.over(ext) for g in X.grad)
         assert (moved.P1, moved.P2) == (X.P1.over(ext), X.P2.over(ext))
+
+
+def test_lines_through_point_rejects_a_wrong_length_point(threefold7):
+    """A point of P^4 has five coordinates: more are not cut off, fewer
+    are not read as a point off X."""
+    lvl = threefold7.field
+    for coords in ([1, 6, 0, 0, 0, 0, 0], [1, 2, 3]):
+        with pytest.raises(ValueError, match="needs 5 coordinates"):
+            lines_through_point(threefold7, [lvl.from_int(c) for c in coords],
+                                lvl.tower)

@@ -1,13 +1,12 @@
 import pytest
 
-from cubiclines.bihom import SVARS
 from cubiclines.cubic import ProjLine
 from cubiclines.curves import (BasePointError, NotOnXError, RationalCurve,
                                conic_residual_to_line, curve_from_json,
                                curve_meeting_data, line_as_curve,
                                validate_curve)
 from cubiclines.fields import QQ
-from cubiclines.poly import MultiPoly
+from cubiclines.poly import SVARS, MultiPoly
 from conftest import fixture_json, load_line
 from oracle import meets
 

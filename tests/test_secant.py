@@ -159,20 +159,21 @@ import os
 from types import SimpleNamespace
 
 from cubiclines import bihom, chow, cubic, fano, fields, poly
-from cubiclines.bihom import STVARS, BihomSolutions, _verify_solutions
+from cubiclines.bihom import BihomSolutions, _verify_solutions
 from cubiclines.cubic import ProjLine, fermat_cubic
 from cubiclines.curves import curve_from_json
 from cubiclines.fields import FieldTower, VerificationError
-from cubiclines.poly import MultiPoly, _exact_quo
+from cubiclines.poly import _exact_quo
 from cubiclines.secant import _assert_secant_line
 
 if __debug__:
     raise SystemExit("not running under -O")
 tower = FieldTower(7, budget=2, seed=0)
 lvl = tower.level(1)
-G = MultiPoly.from_int_terms(lvl, STVARS, {(1, 0, 1, 0): 1})
-circle = MultiPoly.from_int_terms(lvl, STVARS,
-                                  {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1})
+# s0*t0, s0^2 + s1^2 and the diagonal s0*t1 - s1*t0 as dense arrays
+G = [[1, 0], [0, 0]]
+circle = [[1], [0], [1]]
+delta = [[0, 1], [6, 0]]
 off = ProjLine(lvl, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
 
 
@@ -206,7 +207,7 @@ def fiber_map_with_wrong_power():
     map_fiber = bihom._map_fiber
     bihom._map_fiber = lambda pts, s, fld: map_fiber(pts, s + fld.level, fld)
     try:
-        bihom.solve_bihomog(circle, bihom.diagonal_form(lvl))
+        bihom.solve_bihomog(circle, delta, lvl)
     finally:
         bihom._map_fiber = map_fiber
 
@@ -223,7 +224,7 @@ def secant_line_with_only_p2():
 
 checks = (
     lambda: _verify_solutions(BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)]),
-                              (G,)),
+                              (G,), lvl),
     lambda: _assert_secant_line(fermat_cubic(lvl, 4), off),
     lambda: _exact_quo([1, 0, 1], [1, 1], lvl),
     lambda: fano.correspondence_row(fermat_cubic(lvl, 4), conic, meet, tower),

@@ -1,0 +1,68 @@
+"""The benchmark's opt-in tracing (``perfbench/spans.py``) still installs on
+the package and leaves results unchanged.
+
+The recorder rebinds functions and methods across the package, so it runs
+in a fresh interpreter: nothing it wraps leaks into the other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+from conftest import fixture_path
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+TRACED_RUN = """
+import json
+import sys
+
+sys.path.insert(0, PERFBENCH)
+from cubiclines import cubic, curves, secant
+
+
+def load(name):
+    with open(FIXTURES + name) as fh:
+        return json.load(fh)
+
+
+def results():
+    X, tower = cubic.cubic_from_json(load("fermat7_threefold.json"))
+    a, b = (curves.curve_from_json(load(n), X.field)
+            for n in ("line7_a.json", "line7_b.json"))
+    report = secant.count_secants_pair(X, a, b, tower, max_level=4)
+    point = [X.field.from_int(c) for c in (1, 2, 3, 5, 0)]
+    ltp = cubic.lines_through_point(X, point, tower)
+    return {"pair": report.to_json(),
+            "point": [ltp.eckardt, ltp.complete, ltp.total_multiplicity,
+                      [list(d) for _lv, d, _m in ltp.directions],
+                      [[list(r) for r in l.rows] for l in ltp.lines]]}
+
+
+plain = results()
+import spans
+recorder = spans.Recorder()
+recorder.install("cubiclines")
+traced = results()
+print(json.dumps({
+    "same": traced == plain,
+    "pair_calls": recorder.spans["secant.count_secants_pair"][0],
+    "point_calls": recorder.spans["cubic.lines_through_point"][0],
+    "solve_calls": recorder.spans["bihom.solve_bihomog"][0],
+    "lines": plain["pair"]["distinct_count"],
+}))
+"""
+
+
+def test_spans_recorder_installs_and_keeps_results():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    code = ("PERFBENCH = %r\nFIXTURES = %r\n"
+            % (os.path.join(ROOT, "perfbench"), fixture_path("")) + TRACED_RUN)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["same"] is True
+    assert doc["pair_calls"] == 1 and doc["point_calls"] == 1
+    assert doc["solve_calls"] >= 1 and doc["lines"] == 5
