@@ -153,11 +153,6 @@ class CubicForm:
     def gradient_at(self, pt):
         return [g.eval_elems(list(pt)) for g in self.grad]
 
-    def is_smooth_point(self, pt):
-        if not self.on_x(pt):
-            return False
-        return not all(self.field.is_zero(g) for g in self.gradient_at(pt))
-
     def polar(self, pt):
         """The polar quadric of pt, sum_i pt_i * dF/dx_i, in the variables
         of F: P2(pt; .) = P1(.; pt)."""

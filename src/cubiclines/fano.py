@@ -47,9 +47,6 @@ class LineCensus:
     def count(self):
         return len(self.lines)
 
-    def meet_counts(self):
-        return [sum(row) for row in self.adjacency]
-
     def to_json(self):
         packed = bytearray()
         bits = [b for row in self.adjacency for b in row]
@@ -69,24 +66,48 @@ class LineCensus:
         }
 
 
-def _first_rows(fld, n):
-    """Canonical echelon first rows u of the lines of P^n over fld.
+def _first_rows_on_x(X, elems):
+    """Canonical echelon first rows u of the lines of P^n with F(u) = 0.
 
-    Yields (u, j, vfree): the second rows paired with u have a one at the
-    pivot column j, zeros before it, and any values at the columns vfree.
+    Yields (u, j, vfree): u has a one at its pivot i, zeros before i and at
+    j, and any values at the other columns after i; the second rows paired
+    with u have a one at the pivot column j, zeros before it, and any values
+    at the columns vfree.  The rows that differ only at the last free column
+    c are b + t*e_c for their common part b (with b_c = 0), so F on them is
+    one cubic in t per such group, F with every coordinate but x_c fixed,
+    and only the t where it vanishes are formed (all of them when it is
+    zero).  The pivot pair with no free column has the single first row e_i.
     """
-    elems = list(fld.elements())
+    fld, n = X.field, X.n
     zero, one = fld.zero, fld.one
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             ufree = [c for c in range(i + 1, n + 1) if c != j]
             vfree = list(range(j + 1, n + 1))
-            for uvals in itertools.product(elems, repeat=len(ufree)):
+            if not ufree:
                 u = [zero] * (n + 1)
                 u[i] = one
-                for c, x in zip(ufree, uvals):
-                    u[c] = x
-                yield u, j, vfree
+                if fld.is_zero(X.f_at(u)):
+                    yield u, j, vfree
+                continue
+            *rest, c = ufree
+            for vals in itertools.product(elems, repeat=len(rest)):
+                base = [zero] * (n + 1)
+                base[i] = one
+                for col, x in zip(rest, vals):
+                    base[col] = x
+                base[c] = None
+                # F(b + t*e_c) = sum_k cub[k] * t^k
+                terms = X.F.subs(base).terms
+                cub = [terms.get((k,), zero) for k in range(4)]
+                for t in elems:
+                    acc = cub[3]
+                    for a in (cub[2], cub[1], cub[0]):
+                        acc = fld.add(fld.mul(acc, t), a)
+                    if fld.is_zero(acc):
+                        u = list(base)
+                        u[c] = t
+                        yield u, j, vfree
 
 
 def _polar_cut(fld, elems, grad, j, vfree):
@@ -148,16 +169,19 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     """Exhaustive census of the lines on the hypersurface at one level.
 
     Scans the canonical echelon representatives (u, v) of the lines of P^n,
-    refusing scans above the candidate guard.  F(u) is tested once per first
-    row u.  For each u on X the second rows v are cut by the linear
-    condition grad F(u) . v = 0, which is the polar form P1(u; v), read
-    from the cubic's stored gradient; the condition is solved for one
-    coordinate of v rather than tested, so only 1/q of the second rows are
-    formed.  A cut row is rejected on F(v) != 0 first (F is evaluated once
-    per distinct second row), and every survivor is checked by full
-    substitution (F(u), F(v), P1, P2) before it is reported.  Incidence
-    comes from shared rational points (see :func:`incidence`), with no
-    rank per pair of lines.
+    refusing scans above the candidate guard.  F is expanded once per group
+    of first rows that differ only at their last free coordinate, as a
+    cubic in that coordinate, and only the rows where it vanishes are kept
+    (:func:`_first_rows_on_x`).  For each such u the second rows v are
+    cut by the linear condition grad F(u) . v = 0, which is the polar form
+    P1(u; v), read from the cubic's stored gradient; the condition is solved
+    for one coordinate of v rather than tested, so only 1/q of the second
+    rows are formed.  F(s*u + t*v) has the coefficients F(u), P1(u; v),
+    P2(u; v) and F(v), so a cut row is on a line of X exactly when F(v) = 0
+    and P2(u; v) = sum_i u_i dF/dx_i(v) = 0; F(v) and grad F(v) are
+    evaluated once per distinct second row.  Every survivor is certified by
+    full substitution before it is reported.  Incidence comes from shared
+    rational points (see :func:`incidence`), with no rank per pair of lines.
     """
     if cubic.field.char == 0:
         raise ValueError("line enumeration needs a finite field (p > 0)")
@@ -172,18 +196,28 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     X = cubic._over(fld)
     census = LineCensus(level=level, n=n)
     elems = list(fld.elements())
-    # F(v) = 0 per second row: they lie in the hyperplane x0 = 0 and recur
-    # for many first rows
-    v_on_x = {}
-    for u, j, vfree in _first_rows(fld, n):
-        if not fld.is_zero(X.f_at(u)):
-            continue
+    # grad F(v) where F(v) = 0, else None, per second row: they lie in the
+    # hyperplane x0 = 0 and recur for many first rows
+    v_grad = {}
+    for u, j, vfree in _first_rows_on_x(X, elems):
         for v in _polar_cut(fld, elems, X.gradient_at(u), j, vfree):
             key = tuple(v)
-            if key not in v_on_x:
-                v_on_x[key] = fld.is_zero(X.f_at(v))
-            if v_on_x[key] and X.line_in_x_points(u, v, fld):
-                census.lines.append(ProjLine(fld, u, v))
+            if key not in v_grad:
+                v_grad[key] = (X.gradient_at(v) if fld.is_zero(X.f_at(v))
+                               else None)
+            grad_v = v_grad[key]
+            if grad_v is None:
+                continue
+            # F(u) = P1(u; v) = F(v) = 0 here, so P2(u; v) decides
+            p2 = fld.zero
+            for x, g in zip(u, grad_v):
+                p2 = fld.add(p2, fld.mul(x, g))
+            if not fld.is_zero(p2):
+                continue
+            if not X.line_in_x_points(u, v, fld):
+                raise VerificationError(
+                    "scan candidate %r, %r fails the line certificate" % (u, v))
+            census.lines.append(ProjLine(fld, u, v))
     census.lines.sort(key=lambda l: l.key())
     census.adjacency = incidence(fld, [l.rows for l in census.lines])
     if with_second_type:

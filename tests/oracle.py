@@ -24,6 +24,8 @@ Sylvester resultant of ``MultiPoly`` entries by Bareiss reduction
 converts a sparse binary or bihomogeneous form of given formal degrees to
 the solver's dense lists and arrays.
 
+``meet_counts`` and ``is_smooth_point`` are read-outs only tests use.
+
 The polar forms are the solver's before it read them from the gradient:
 the coefficients of lam and lam^2 in F(x + lam*y), expanded in an
 11-variable ring (``polarize``), so the certificate and the secant system
@@ -179,6 +181,18 @@ def side_forms(curve, side):
                       {(e + pad if side == "s" else pad + e): c
                        for e, c in p.terms.items()})
             for p in curve.coords]
+
+
+def meet_counts(census):
+    """How many other lines of the census each line meets."""
+    return [sum(row) for row in census.adjacency]
+
+
+def is_smooth_point(cubic, pt):
+    """pt is on X and some partial of F is nonzero there."""
+    if not cubic.on_x(pt):
+        return False
+    return not all(cubic.field.is_zero(g) for g in cubic.gradient_at(pt))
 
 
 def meets(l1, l2):

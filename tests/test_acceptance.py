@@ -21,8 +21,9 @@ from cubiclines.fano import (correspondence_row, discriminant_quintic,
 from cubiclines.fields import QQ
 from cubiclines.secant import count_secants_pair, count_secants_single
 from conftest import fixture_json, fixture_path, load_line
-from oracle import (level1_census, oracle_disjoint_pair, oracle_meeting_pair,
-                    oracle_single, oracle_skew_pair, report_level1_keys)
+from oracle import (is_smooth_point, level1_census, meet_counts,
+                    oracle_disjoint_pair, oracle_meeting_pair, oracle_single,
+                    oracle_skew_pair, report_level1_keys)
 from test_chow import PROD_ATOMS, SYM_ATOMS, fold, rand_atoms, rfold
 from test_fano import find_first_type_line
 from test_fields import rand_elem
@@ -84,7 +85,7 @@ def test_criterion_04_surface_27_lines(surface7, tower7):
                       "each meeting 10 others", 60):
         census = enumerate_lines(surface7, tower7, level=1)
         assert census.count == 27
-        assert census.meet_counts() == [10] * 27
+        assert meet_counts(census) == [10] * 27
 
 
 def test_criterion_05_point_multiplicities(threefold7, tower7):
@@ -93,7 +94,7 @@ def test_criterion_05_point_multiplicities(threefold7, tower7):
                    60):
         lvl = tower7.level(1)
         pts = [p for p in _proj_points(lvl, 4)
-               if threefold7.on_x(p) and threefold7.is_smooth_point(p)]
+               if threefold7.on_x(p) and is_smooth_point(threefold7, p)]
         rng = random.Random(5)
         rng.shuffle(pts)
         checked = 0

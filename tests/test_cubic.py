@@ -11,7 +11,7 @@ from cubiclines.cubic import (CubicForm, DegenerateSpanError, ProjLine,
 from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
-from oracle import meets
+from oracle import is_smooth_point, meets
 
 
 def F7pts(lvl):
@@ -99,7 +99,7 @@ def test_lines_through_point_vs_bruteforce(threefold7, tower7):
     lvl = tower7.level(1)
     rng = random.Random(4)
     pts = [p for p in F7pts(lvl) if threefold7.on_x(p)
-           and threefold7.is_smooth_point(p)]
+           and is_smooth_point(threefold7, p)]
     rng.shuffle(pts)
     checked = 0
     for x in pts:

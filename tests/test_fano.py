@@ -14,7 +14,7 @@ from cubiclines.fano import (DegenerateConfigurationError, DiscriminantCurve,
 from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
-from oracle import meets, naive_census
+from oracle import is_smooth_point, meet_counts, meets, naive_census
 
 
 def find_first_type_line(cubic, tower, seed=1, tries=200):
@@ -28,7 +28,7 @@ def find_first_type_line(cubic, tower, seed=1, tries=200):
               for _ in range(5)]
         if all(lvl.is_zero(c) for c in pt) or not X.on_x(pt):
             continue
-        if not X.is_smooth_point(pt):
+        if not is_smooth_point(X, pt):
             continue
         res = lines_through_point(X, pt, tower, max_level=6)
         if res.eckardt:
@@ -45,7 +45,7 @@ def find_first_type_line(cubic, tower, seed=1, tries=200):
 def test_fermat_surface_27_lines(surface7, tower7):
     census = enumerate_lines(surface7, tower7, level=1)
     assert census.count == 27
-    assert census.meet_counts() == [10] * 27
+    assert meet_counts(census) == [10] * 27
     assert not any(census.second_type)
 
 
@@ -91,11 +91,13 @@ def cone_over_plane_cubic(p):
 
 def census_cases():
     """(cubic, tower, level, expected count or None) per input; the dense
-    cubics in characteristics 2 and 3 check the gradient identity there."""
-    for p, n, seed in ((2, 3, 1), (3, 3, 2), (5, 3, 3), (7, 3, 4),
-                       (2, 4, 5), (3, 4, 6)):
-        yield pytest.param(*dense_through_line(p, n, seed), 1, None,
-                           id="dense_gf%d_n%d" % (p, n))
+    cubics in characteristics 2 and 3 check the gradient identity there,
+    and the one at level 2 a scan over tuple elements (q = 9)."""
+    for p, n, seed, level in ((2, 3, 1, 1), (3, 3, 2, 1), (5, 3, 3, 1),
+                              (7, 3, 4, 1), (11, 3, 7, 1), (2, 4, 5, 1),
+                              (3, 4, 6, 1), (3, 3, 11, 2)):
+        yield pytest.param(*dense_through_line(p, n, seed), level, None,
+                           id="dense_gf%d_n%d" % (p ** level, n))
     yield pytest.param(*cone_over_plane_cubic(7), 1, 9, id="cone_gf7")
     tower2 = FieldTower(2, budget=2, seed=0)
     yield pytest.param(fermat_cubic(tower2.level(1), 3), tower2, 2, 27,
@@ -115,9 +117,11 @@ def test_census_matches_naive_scan(cubic, tower, level, expected):
     assert census.adjacency == adjacency
     assert census.second_type == second_type
     if expected is None:
-        lvl = tower.level(1)
-        axis = ProjLine(lvl, [0, 0, 1] + [0] * (cubic.n - 2),
-                        [0, 0, 0, 1] + [0] * (cubic.n - 3))
+        lvl = tower.level(level)
+        axis = ProjLine(lvl, [lvl.from_int(x) for x in
+                              [0, 0, 1] + [0] * (cubic.n - 2)],
+                        [lvl.from_int(x) for x in
+                         [0, 0, 0, 1] + [0] * (cubic.n - 3)])
         assert axis in census.lines
     else:
         assert census.count == expected
@@ -214,6 +218,21 @@ def test_every_reported_line_is_certified(monkeypatch):
     census = enumerate_lines(cubic, tower, with_second_type=False)
     assert census.count > 0
     assert {l.rows for l in census.lines} <= set(certified)
+
+
+def test_only_lines_reach_the_certificate(threefold7, tower7, monkeypatch):
+    """F(v) and P2(u; v) decide the cut rows exactly: without the
+    second-type test, the certificate runs once per line found."""
+    calls = []
+    check = CubicForm.line_in_x_points
+
+    def counting(self, a, b, fld=None):
+        calls.append(1)
+        return check(self, a, b, fld)
+
+    monkeypatch.setattr(CubicForm, "line_in_x_points", counting)
+    census = enumerate_lines(threefold7, tower7, with_second_type=False)
+    assert len(calls) == census.count == 135
 
 
 def test_incidence_through_second_row():

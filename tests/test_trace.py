@@ -1,5 +1,6 @@
 """The benchmark's opt-in tracing (``perfbench/spans.py``) still installs on
-the package and leaves results unchanged.
+the package and leaves results unchanged: a secant count, the lines through
+a point and a line census.
 
 The recorder rebinds functions and methods across the package, so it runs
 in a fresh interpreter: nothing it wraps leaks into the other tests.
@@ -19,7 +20,7 @@ import json
 import sys
 
 sys.path.insert(0, PERFBENCH)
-from cubiclines import cubic, curves, secant
+from cubiclines import cubic, curves, fano, secant
 
 
 def load(name):
@@ -34,7 +35,10 @@ def results():
     report = secant.count_secants_pair(X, a, b, tower, max_level=4)
     point = [X.field.from_int(c) for c in (1, 2, 3, 5, 0)]
     ltp = cubic.lines_through_point(X, point, tower)
+    S, stower = cubic.cubic_from_json(load("fermat7_surface.json"))
+    census = fano.enumerate_lines(S, stower, level=1)
     return {"pair": report.to_json(),
+            "census": census.to_json(),
             "point": [ltp.eckardt, ltp.complete, ltp.total_multiplicity,
                       [list(d) for _lv, d, _m in ltp.directions],
                       [[list(r) for r in l.rows] for l in ltp.lines]]}
@@ -50,7 +54,9 @@ print(json.dumps({
     "pair_calls": recorder.spans["secant.count_secants_pair"][0],
     "point_calls": recorder.spans["cubic.lines_through_point"][0],
     "solve_calls": recorder.spans["bihom.solve_bihomog"][0],
+    "census_calls": recorder.spans["fano.enumerate_lines"][0],
     "lines": plain["pair"]["distinct_count"],
+    "census_lines": plain["census"]["count"],
 }))
 """
 
@@ -66,3 +72,4 @@ def test_spans_recorder_installs_and_keeps_results():
     assert doc["same"] is True
     assert doc["pair_calls"] == 1 and doc["point_calls"] == 1
     assert doc["solve_calls"] >= 1 and doc["lines"] == 5
+    assert doc["census_calls"] == 1 and doc["census_lines"] == 27
