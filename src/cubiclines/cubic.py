@@ -10,6 +10,7 @@ forms, the line-containment test and the secant systems downstream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -147,11 +148,20 @@ class CubicForm:
     def f_at(self, pt):
         return self.F.eval_elems(list(pt))
 
-    def on_x(self, pt):
-        return self.field.is_zero(self.f_at(pt))
-
     def gradient_at(self, pt):
-        return [g.eval_elems(list(pt)) for g in self.grad]
+        """All n+1 partials dF/dx_i at pt at once: the products of two
+        coordinates are formed once and shared by the partials, the sums run
+        on packed elements (``pack``), and each partial is reduced once."""
+        fld = self.field
+        # a term is a product of three elements
+        bits = (len(self.F.terms) * fld.k ** 2 * fld.p ** 3).bit_length()
+        pack = fld.pack
+        x = [pack(c, bits) for c in pt]
+        quad = {e: x[a] * x[b] for e, a, b in _coordinate_pairs(self.n)}
+        zero = pack(fld.zero, bits)
+        return [fld.unpack(sum([pack(c, bits) * quad[e]
+                                for e, c in g.terms.items()], zero), bits)
+                for g in self.grad]
 
     def polar(self, pt):
         """The polar quadric of pt, sum_i pt_i * dF/dx_i, in the variables
@@ -189,6 +199,14 @@ class CubicForm:
 
 def _intern(e):
     return _EXPONENTS.setdefault(e, e)
+
+
+@functools.cache
+def _coordinate_pairs(n):
+    """(exponent, a, b) for each product x_a * x_b, a <= b, of the
+    coordinates of P^n."""
+    return tuple((tuple(int(i == a) + int(i == b) for i in range(n + 1)), a, b)
+                 for a in range(n + 1) for b in range(a, n + 1))
 
 
 def fermat_cubic(fld, n):
@@ -571,8 +589,7 @@ def smoothness_probe(cubic, max_level=2, seed=0):
 
 def _is_singular_at(cub, pt):
     zero = cub.field.is_zero
-    return zero(cub.f_at(pt)) and all(zero(g.eval_elems(list(pt)))
-                                      for g in cub.grad)
+    return zero(cub.f_at(pt)) and all(map(zero, cub.gradient_at(pt)))
 
 
 def _proj_points(lvl, n):

@@ -17,9 +17,12 @@ matrix over GF(p) acting on the coefficients: its columns are the powers
 of x^p, computed once per level on first use; embedding level j into
 level k is the GF(p) matrix that descent solves against.
 
-The dense univariate layer ends in the one root finder (ch. 14 of the
-same book): ``_distinct_degree`` cuts a squarefree polynomial into pieces
-whose irreducible factors share a degree m, and :func:`roots_of_split_poly`
+Over a finite level the dense univariate layer runs on packed ints: a
+product of polynomials is one int product (Kronecker substitution, sec.
+8.4 of the same book), and a power modulo h folds each product back by a
+packed table of x^j mod h.  The layer ends in the one root finder (ch.
+14): ``_distinct_degree`` cuts a squarefree polynomial into pieces whose
+irreducible factors share a degree m, and :func:`roots_of_split_poly`
 splits a piece into them by Cantor-Zassenhaus, finds one root of each by
 Berlekamp's trace algorithm (Math. Comp. 24, 1970), which needs only p-th
 powers, that is the linear Frobenius, and takes the rest as its Frobenius
@@ -277,9 +280,6 @@ class FiniteLevel:
         c = pow(r1[0], p - 2, p)
         return tuple([x * c % p for x in s1] + [0] * (self.k - len(s1)))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return a == self.zero
 
@@ -312,7 +312,10 @@ class FiniteLevel:
         (Kronecker substitution).  Sums and products of packed elements
         are packed sums and products of the unreduced coefficient
         polynomials, as long as no slot reaches 2^bits; a prime-field
-        element is its own packed form."""
+        element is its own packed form.  The substitution kernel
+        (``MultiPoly.along``), the Horner evaluations of ``poly`` and the
+        dense univariate polynomials below (``_pack_poly``, 2k - 1 slots
+        per coefficient) all run on it."""
         if self.k == 1:
             return a
         out = 0
@@ -321,7 +324,10 @@ class FiniteLevel:
         return out
 
     def unpack(self, n, bits):
-        """The element of a packed sum of products of packed elements."""
+        """The element of a packed sum of products of packed elements, of
+        any number of slots: a product of d + 1 elements has d(k - 1) + k.
+        The slots above k - 1 are folded down by the modulus, top first,
+        and the k that remain are reduced modulo p."""
         if self.k == 1:
             return n % self.p
         p, k, m = self.p, self.k, self.modulus
@@ -500,6 +506,15 @@ def _is_prime(n):
 # ---------------------------------------------------------------------------
 # generic dense univariate polynomials over a level (element lists)
 # ---------------------------------------------------------------------------
+#
+# Over a finite level the products run on packed ints (Kronecker
+# substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*,
+# sec. 8.4).  Coefficient i of a polynomial over GF(p^k) is packed by
+# ``FiniteLevel.pack`` at slot i*(2k - 1), which leaves room for the 2k - 1
+# coefficients of an unreduced product of two elements, so the product of
+# two packed polynomials is one int product whose coefficient chunks are
+# sums of products of packed elements, each reduced once by ``unpack``.
+# Over QQ no slot width bounds a coefficient, so the loops run on elements.
 
 def upoly_trim(f, lvl):
     while f and lvl.is_zero(f[-1]):
@@ -514,9 +529,46 @@ def upoly_sub(a, b, lvl):
     return upoly_trim([lvl.sub(x, y) for x, y in zip(a, b)], lvl)
 
 
+def _slot_bits(terms, lvl):
+    """Slot width for a sum of ``terms`` products of two packed elements."""
+    return (terms * lvl.k * (lvl.p - 1) ** 2).bit_length()
+
+
+def _pack_poly(f, lvl, bits):
+    """The dense polynomial f over a finite level as one int."""
+    stride = (2 * lvl.k - 1) * bits
+    out = 0
+    if lvl.k == 1:
+        for c in reversed(f):
+            out = (out << stride) | c
+    else:
+        pack = lvl.pack
+        for c in reversed(f):
+            out = (out << stride) | pack(c, bits)
+    return out
+
+
+def _unpack_poly(n, length, lvl, bits):
+    """The first ``length`` coefficients of a packed polynomial whose
+    coefficient chunks are sums of products of packed elements."""
+    stride = (2 * lvl.k - 1) * bits
+    mask = (1 << stride) - 1
+    if lvl.k == 1:
+        p = lvl.p
+        return [(n >> i & mask) % p for i in range(0, length * stride, stride)]
+    unpack = lvl.unpack
+    return [unpack(n >> i & mask, bits)
+            for i in range(0, length * stride, stride)]
+
+
 def upoly_mul(a, b, lvl):
     if not a or not b:
         return []
+    if lvl.char:
+        bits = _slot_bits(min(len(a), len(b)), lvl)
+        return upoly_trim(_unpack_poly(
+            _pack_poly(a, lvl, bits) * _pack_poly(b, lvl, bits),
+            len(a) + len(b) - 1, lvl, bits), lvl)
     out = [lvl.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not lvl.is_zero(ai):
@@ -528,6 +580,8 @@ def upoly_mul(a, b, lvl):
 def upoly_divmod(a, b, lvl):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if lvl.k == 1 and lvl.char:
+        return _divmod_ints(a, b, lvl.p)
     a = list(a)
     monic = b[-1] == lvl.one
     binv = lvl.one if monic else lvl.inv(b[-1])
@@ -542,6 +596,24 @@ def upoly_divmod(a, b, lvl):
                 a[off + i] = lvl.sub(a[off + i], lvl.mul(c, b[i]))
         a.pop()
     return upoly_trim(quot, lvl), upoly_trim(a, lvl)
+
+
+def _divmod_ints(a, b, p):
+    """upoly_divmod over GF(p) on plain ints, each reduced modulo p when
+    it is read as a leading coefficient or returned."""
+    if not b[-1] % p:
+        raise ZeroDivisionError("inverse of 0 in GF(%d)" % p)
+    a = list(a)
+    db = len(b) - 1
+    binv = pow(b[-1], p - 2, p)
+    low = b[:-1]
+    quot = [0] * max(0, len(a) - db)
+    for off in range(len(a) - 1 - db, -1, -1):
+        c = a[off + db] * binv % p
+        if c:
+            quot[off] = c
+            a[off:off + db] = [x - c * y for x, y in zip(a[off:off + db], low)]
+    return _trim(quot), _trim([x % p for x in a[:db]])
 
 
 def _exact_quo(a, b, lvl):
@@ -564,15 +636,61 @@ def upoly_gcd(a, b, lvl):
 
 
 def upoly_powmod(base, e, m, lvl):
+    """base^e modulo m.
+
+    Over a finite level, with d = deg m, each square or product is one
+    packed product; its coefficients j >= d are folded back by one packed
+    sum sum_j c_j * (x^j mod m) over a table of x^j mod m, d <= j <= 2d - 2,
+    and one unpack reduces the result: there is no long division.  The
+    table is made once per call, each row folded from the one before.
+    """
     _, r = upoly_divmod(base, m, lvl)
-    result = [lvl.one]
-    while e:
+    if not lvl.char:
+        result = [lvl.one]
+        while e:
+            if e & 1:
+                _, result = upoly_divmod(upoly_mul(result, r, lvl), m, lvl)
+            e >>= 1
+            if e:
+                _, r = upoly_divmod(upoly_mul(r, r, lvl), m, lvl)
+        return result
+    if not e:
+        return [lvl.one]
+    if not r:
+        return []
+    d = len(m) - 1
+    # a chunk sums the d products of a square and d - 1 folded products
+    bits = _slot_bits(2 * d - 1, lvl)
+    stride = (2 * lvl.k - 1) * bits
+    low = (1 << d * stride) - 1
+    mask = (1 << stride) - 1
+    p, pack, unpack = lvl.p, lvl.pack, lvl.unpack
+    if m[-1] != lvl.one:
+        inv = lvl.inv(m[-1])
+        m = [lvl.mul(c, inv) for c in m]
+    table = [_pack_poly([lvl.neg(c) for c in m[:-1]], lvl, bits)]
+
+    def fold(n):
+        acc, n = n & low, n >> d * stride
+        for row in table:
+            if not n:
+                break
+            c = n & mask
+            acc += (c % p if lvl.k == 1 else pack(unpack(c, bits), bits)) * row
+            n >>= stride
+        return _pack_poly(_unpack_poly(acc, d, lvl, bits), lvl, bits)
+
+    for _ in range(d - 2):
+        table.append(fold(table[-1] << stride))
+    sq = _pack_poly(r, lvl, bits)
+    result = None
+    while True:
         if e & 1:
-            _, result = upoly_divmod(upoly_mul(result, r, lvl), m, lvl)
+            result = sq if result is None else fold(result * sq)
         e >>= 1
-        if e:
-            _, r = upoly_divmod(upoly_mul(r, r, lvl), m, lvl)
-    return result
+        if not e:
+            return upoly_trim(_unpack_poly(result, d, lvl, bits), lvl)
+        sq = fold(sq * sq)
 
 
 def roots_of_split_poly(f, m, lvl, tgt, rng):

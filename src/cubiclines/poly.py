@@ -445,20 +445,50 @@ def _convolve_into(acc, a, b):
 
 def _horner(form, u, lvl, k):
     """The binary form at the point u over lvl, by homogeneous Horner; the
-    coefficients, from level k, are embedded into lvl as they are read."""
-    u0, u1 = u
-    acc = lvl.embed_from(form[0], k)
-    pw = lvl.one
-    for c in form[1:]:
-        pw = lvl.mul(pw, u1)
-        acc = lvl.add(lvl.mul(acc, u0), lvl.mul(lvl.embed_from(c, k), pw))
-    return acc
+    coefficients, from level k, are embedded into lvl as they are read.
+
+    The sum runs on packed elements (``pack``), unreduced, with slots wide
+    enough for d + 1 products of d + 1 elements, and is reduced once: at
+    level 1 and over QQ the packed form is the element itself.
+    """
+    d = len(form) - 1
+    bits = _horner_bits(d, d + 1, lvl)
+    acc = _packed_horner(_packed_coeffs(form, lvl, k, bits), u, lvl, bits)
+    return lvl.unpack(acc, bits)
 
 
 def _horner2(G, s, t, lvl, k):
     """The bihomogeneous array at (s, t) over lvl: each row at t, then the
-    binary form of the row values at s."""
-    return _horner([_horner(row, t, lvl, k) for row in G], s, lvl, lvl.k)
+    binary form of the row values at s, all packed and reduced once."""
+    a, b = len(G) - 1, len(G[0]) - 1
+    bits = _horner_bits(a + b, (a + 1) * (b + 1), lvl)
+    rows = [_packed_horner(_packed_coeffs(row, lvl, k, bits), t, lvl, bits)
+            for row in G]
+    return lvl.unpack(_packed_horner(rows, s, lvl, bits), bits)
+
+
+def _horner_bits(deg, terms, lvl):
+    """Slot width for a sum of ``terms`` products of deg + 1 packed
+    elements."""
+    return (terms * lvl.k ** deg * lvl.p ** (deg + 1)).bit_length()
+
+
+def _packed_coeffs(form, lvl, k, bits):
+    """Coefficients from level k, embedded into lvl and packed; a
+    prime-field (or rational) coefficient is its own packed embedding."""
+    if k == 1:
+        return form
+    return [lvl.pack(lvl.embed_from(c, k), bits) for c in form]
+
+
+def _packed_horner(coeffs, u, lvl, bits):
+    """sum_i coeffs[i] u0^(d-i) u1^i on packed ints, unreduced."""
+    u0, u1 = lvl.pack(u[0], bits), lvl.pack(u[1], bits)
+    acc, pw = coeffs[0], 1
+    for c in coeffs[1:]:
+        pw *= u1
+        acc = acc * u0 + c * pw
+    return acc
 
 
 def is_zero_array(G, lvl):

@@ -24,7 +24,14 @@ Sylvester resultant of ``MultiPoly`` entries by Bareiss reduction
 converts a sparse binary or bihomogeneous form of given formal degrees to
 the solver's dense lists and arrays.
 
-``meet_counts`` and ``is_smooth_point`` are read-outs only tests use.
+``meet_counts``, ``on_x`` and ``is_smooth_point`` are read-outs only tests
+use.
+
+The element loops are the dense univariate layer and the Horner evaluation
+before they ran on packed ints: one field operation per coefficient
+product in ``upoly_mul``, long division in ``upoly_divmod`` and
+``upoly_gcd``, square-and-multiply with a long division per step in
+``upoly_powmod``, and homogeneous Horner on elements in ``horner``.
 
 The polar forms are the solver's before it read them from the gradient:
 the coefficients of lam and lam^2 in F(x + lam*y), expanded in an
@@ -188,9 +195,14 @@ def meet_counts(census):
     return [sum(row) for row in census.adjacency]
 
 
+def on_x(cubic, pt):
+    """pt is on X: F vanishes there."""
+    return cubic.field.is_zero(cubic.f_at(pt))
+
+
 def is_smooth_point(cubic, pt):
     """pt is on X and some partial of F is nonzero there."""
-    if not cubic.on_x(pt):
+    if not on_x(cubic, pt):
         return False
     return not all(cubic.field.is_zero(g) for g in cubic.gradient_at(pt))
 
@@ -470,3 +482,72 @@ def lift_fibers_per_root(R, fld, fiber, max_level=None):
             out.solutions.append(
                 (flv, tuple(flvl.embed_from(x, lv) for x in a), b, m))
     return out
+
+
+def upoly_mul(a, b, lvl):
+    """Schoolbook product, one field multiplication per coefficient pair."""
+    if not a or not b:
+        return []
+    out = [lvl.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not lvl.is_zero(ai):
+            for j, bj in enumerate(b):
+                out[i + j] = lvl.add(out[i + j], lvl.mul(ai, bj))
+    return upoly_trim(out, lvl)
+
+
+def upoly_divmod(a, b, lvl):
+    """Long division, one leading term at a time."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    monic = b[-1] == lvl.one
+    binv = lvl.one if monic else lvl.inv(b[-1])
+    db = len(b) - 1
+    quot = [lvl.zero] * max(0, len(a) - db)
+    while len(a) - 1 >= db and a:
+        c = a[-1] if monic else lvl.mul(a[-1], binv)
+        off = len(a) - 1 - db
+        if not lvl.is_zero(c):
+            quot[off] = c
+            for i in range(db + 1):
+                a[off + i] = lvl.sub(a[off + i], lvl.mul(c, b[i]))
+        a.pop()
+    return upoly_trim(quot, lvl), upoly_trim(a, lvl)
+
+
+def upoly_gcd(a, b, lvl):
+    """Monic gcd by Euclid's algorithm on ``upoly_divmod``."""
+    a, b = list(a), list(b)
+    while b:
+        _, a = upoly_divmod(a, b, lvl)
+        a, b = b, a
+    if a:
+        inv = lvl.inv(a[-1])
+        a = [lvl.mul(c, inv) for c in a]
+    return a
+
+
+def upoly_powmod(base, e, m, lvl):
+    """base^e mod m by square-and-multiply, dividing after every product."""
+    _, r = upoly_divmod(base, m, lvl)
+    result = [lvl.one]
+    while e:
+        if e & 1:
+            _, result = upoly_divmod(upoly_mul(result, r, lvl), m, lvl)
+        e >>= 1
+        if e:
+            _, r = upoly_divmod(upoly_mul(r, r, lvl), m, lvl)
+    return result
+
+
+def horner(form, u, lvl, k):
+    """The binary form at u over lvl, one field operation per step; the
+    coefficients, from level k, are embedded as they are read."""
+    u0, u1 = u
+    acc = lvl.embed_from(form[0], k)
+    pw = lvl.one
+    for c in form[1:]:
+        pw = lvl.mul(pw, u1)
+        acc = lvl.add(lvl.mul(acc, u0), lvl.mul(lvl.embed_from(c, k), pw))
+    return acc

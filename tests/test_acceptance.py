@@ -21,7 +21,7 @@ from cubiclines.fano import (correspondence_row, discriminant_quintic,
 from cubiclines.fields import QQ
 from cubiclines.secant import count_secants_pair, count_secants_single
 from conftest import fixture_json, fixture_path, load_line
-from oracle import (is_smooth_point, level1_census, meet_counts,
+from oracle import (is_smooth_point, level1_census, meet_counts, on_x,
                     oracle_disjoint_pair, oracle_meeting_pair, oracle_single,
                     oracle_skew_pair, report_level1_keys)
 from test_chow import PROD_ATOMS, SYM_ATOMS, fold, rand_atoms, rfold
@@ -94,7 +94,7 @@ def test_criterion_05_point_multiplicities(threefold7, tower7):
                    60):
         lvl = tower7.level(1)
         pts = [p for p in _proj_points(lvl, 4)
-               if threefold7.on_x(p) and is_smooth_point(threefold7, p)]
+               if on_x(threefold7, p) and is_smooth_point(threefold7, p)]
         rng = random.Random(5)
         rng.shuffle(pts)
         checked = 0

@@ -11,7 +11,7 @@ from cubiclines.cubic import (CubicForm, DegenerateSpanError, ProjLine,
 from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
-from oracle import is_smooth_point, meets
+from oracle import is_smooth_point, meets, on_x
 
 
 def F7pts(lvl):
@@ -98,7 +98,7 @@ def test_smoothness_probe_sweeps_only_levels_over_the_cubic():
 def test_lines_through_point_vs_bruteforce(threefold7, tower7):
     lvl = tower7.level(1)
     rng = random.Random(4)
-    pts = [p for p in F7pts(lvl) if threefold7.on_x(p)
+    pts = [p for p in F7pts(lvl) if on_x(threefold7, p)
            and is_smooth_point(threefold7, p)]
     rng.shuffle(pts)
     checked = 0

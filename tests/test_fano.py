@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cubiclines import linalg
 from cubiclines.cubic import (CubicForm, ProjLine, fermat_cubic,
                               lines_through_point, xvars)
 from cubiclines.curves import curve_from_json
@@ -14,7 +15,7 @@ from cubiclines.fano import (DegenerateConfigurationError, DiscriminantCurve,
 from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
-from oracle import is_smooth_point, meet_counts, meets, naive_census
+from oracle import is_smooth_point, meet_counts, meets, naive_census, on_x
 
 
 def find_first_type_line(cubic, tower, seed=1, tries=200):
@@ -26,7 +27,7 @@ def find_first_type_line(cubic, tower, seed=1, tries=200):
     for _ in range(tries):
         pt = [lvl.from_coeffs([rng.randrange(7), rng.randrange(7)])
               for _ in range(5)]
-        if all(lvl.is_zero(c) for c in pt) or not X.on_x(pt):
+        if all(lvl.is_zero(c) for c in pt) or not on_x(X, pt):
             continue
         if not is_smooth_point(X, pt):
             continue
@@ -80,6 +81,26 @@ def dense_through_line(p, n, seed):
     return CubicForm(fld, n, F), tower
 
 
+def dense_moved_line(p, n, seed):
+    """``dense_through_line`` after a seeded invertible change of
+    coordinates x -> A x, drawn until F(A e_c) != 0 for some c >= 2, so the
+    cubics of the census scan have a t^3 term there.  Returns the cubic
+    F(A x), its tower and the line A^-1 (x0 = x1 = 0) that it contains."""
+    X, tower = dense_through_line(p, n, seed)
+    fld = tower.level(1)
+    rng = random.Random("moved:%d:%d:%d" % (p, n, seed))
+    while True:
+        A = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(n + 1)]
+        cols = [list(c) for c in zip(*A)]
+        if (linalg.rank(A, fld) == n + 1
+                and any(not fld.is_zero(X.f_at(c)) for c in cols[2:])):
+            break
+    F = X.F.eval_polys(MultiPoly.linear_forms(fld, xvars(n), cols))
+    units = [[int(i == j) for i in range(n + 1)] for j in range(n + 1)]
+    line = ProjLine(fld, *(linalg.solve(A, units[c], fld) for c in (2, 3)))
+    return CubicForm(fld, n, F), tower, line
+
+
 def cone_over_plane_cubic(p):
     """x1^3 + x2^3 + x3^3 in P^3: a cone with vertex (1:0:0:0), where F and
     its gradient vanish, so no second row is cut by the prefilter there."""
@@ -90,14 +111,23 @@ def cone_over_plane_cubic(p):
 
 
 def census_cases():
-    """(cubic, tower, level, expected count or None) per input; the dense
-    cubics in characteristics 2 and 3 check the gradient identity there,
-    and the one at level 2 a scan over tuple elements (q = 9)."""
+    """(cubic, tower, level, expected count or a line on X) per input; the
+    dense cubics in characteristics 2 and 3 check the gradient identity
+    there, the one at level 2 a scan over tuple elements (q = 9), and the
+    moved ones the t^3 term of the scan's cubics, which is zero on the
+    others but the cone and the Fermat cubics."""
     for p, n, seed, level in ((2, 3, 1, 1), (3, 3, 2, 1), (5, 3, 3, 1),
                               (7, 3, 4, 1), (11, 3, 7, 1), (2, 4, 5, 1),
                               (3, 4, 6, 1), (3, 3, 11, 2)):
-        yield pytest.param(*dense_through_line(p, n, seed), level, None,
+        cubic, tower = dense_through_line(p, n, seed)
+        lvl = tower.level(level)
+        axis = ProjLine(lvl, *([lvl.from_int(int(i == c))
+                                for i in range(n + 1)] for c in (2, 3)))
+        yield pytest.param(cubic, tower, level, axis,
                            id="dense_gf%d_n%d" % (p ** level, n))
+    for p, n, seed in ((5, 3, 21), (7, 3, 22), (3, 4, 23)):
+        cubic, tower, line = dense_moved_line(p, n, seed)
+        yield pytest.param(cubic, tower, 1, line, id="moved_gf%d_n%d" % (p, n))
     yield pytest.param(*cone_over_plane_cubic(7), 1, 9, id="cone_gf7")
     tower2 = FieldTower(2, budget=2, seed=0)
     yield pytest.param(fermat_cubic(tower2.level(1), 3), tower2, 2, 27,
@@ -116,13 +146,8 @@ def test_census_matches_naive_scan(cubic, tower, level, expected):
     assert [l.key() for l in census.lines] == [l.key() for l in lines]
     assert census.adjacency == adjacency
     assert census.second_type == second_type
-    if expected is None:
-        lvl = tower.level(level)
-        axis = ProjLine(lvl, [lvl.from_int(x) for x in
-                              [0, 0, 1] + [0] * (cubic.n - 2)],
-                        [lvl.from_int(x) for x in
-                         [0, 0, 0, 1] + [0] * (cubic.n - 3)])
-        assert axis in census.lines
+    if isinstance(expected, ProjLine):
+        assert expected in census.lines
     else:
         assert census.count == expected
 
@@ -176,7 +201,7 @@ def test_polar_cut_rejects_all_when_only_pivot_gradient_survives(tower7):
              (0, 0, 0, 3): 1}
     X = CubicForm(fld, 3, MultiPoly.from_int_terms(fld, xvars(3), terms))
     u = [1, 0, 0, 0]
-    assert X.on_x(u)
+    assert on_x(X, u)
     grad = X.gradient_at(u)
     assert grad == [0, 1, 0, 0]
     assert list(_polar_cut(fld, list(fld.elements()), grad, 1, [2, 3])) == []
@@ -211,7 +236,7 @@ def test_every_reported_line_is_certified(monkeypatch):
 
     def recording(self, a, b, fld=None):
         certified.append((tuple(a), tuple(b)))
-        assert self.on_x(b)
+        assert on_x(self, b)
         return check(self, a, b, fld)
 
     monkeypatch.setattr(CubicForm, "line_in_x_points", recording)

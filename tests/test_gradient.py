@@ -2,7 +2,8 @@
 forms, the polar quadric of a point, the second-type matrix and the fiber
 conic of the projection from a line.  Each is checked against the earlier
 expansions kept in ``oracle`` (F(x + lam*y) in an 11-variable ring, and
-F(s*r0 + t*r1 + u) by ``eval_polys``)."""
+F(s*r0 + t*r1 + u) by ``eval_polys``).  ``gradient_at``, which evaluates
+all the partials in one pass, is checked against each partial on its own."""
 
 import itertools
 import random
@@ -50,6 +51,31 @@ def test_polar_forms_match_the_expansion(p, k, n):
         pt = [rand_elem(fld, rng) for _ in range(n + 1)]
         want = X.P2.subs(pt + [None] * (n + 1)).rename_vars(xvars(n))
         assert X.polar(pt) == want
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("p,k", FIELDS + [(11, 3), (13, 6)])
+def test_gradient_at_matches_each_partial(p, k, n):
+    """gradient_at, one pass over the partials with the products of two
+    coordinates shared and one reduction each, equals every partial
+    evaluated on its own by eval_elems, at random points and, on the cubic
+    whose coefficients are all p - 1, at the point whose coordinates are."""
+    fld = QQ if p == 0 else FieldTower(p, budget=k, seed=0).level(k)
+    rng = random.Random("gradient:%d:%d:%d" % (p, k, n))
+    cubics = [dense_cubic(fld, n, rng) for _ in range(3)]
+    points = [[rand_elem(fld, rng) for _ in range(n + 1)] for _ in range(4)]
+    if p:
+        top = fld.from_coeffs([p - 1] * k)
+        cubics.append(CubicForm(fld, n, MultiPoly(fld, xvars(n), {
+            e: top for e in itertools.product(range(4), repeat=n + 1)
+            if sum(e) == 3})))
+        points.append([top] * (n + 1))
+    for X in cubics:
+        for pt in points:
+            want = [g.eval_elems(list(pt)) for g in X.grad]
+            got = X.gradient_at(pt)
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
 
 
 def fermat_surface_gf4():

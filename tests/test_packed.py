@@ -1,0 +1,203 @@
+"""The packed univariate layer (``fields.upoly_mul``, ``upoly_divmod``,
+``upoly_gcd``, ``upoly_powmod``) and the packed Horner evaluations
+(``poly._horner``, ``_horner2``) against the element loops they replaced,
+which ``oracle`` keeps.
+
+Every test runs at levels 1-6 of GF(p) for p in 3, 5, 7, 11 and 13.  The
+inputs are random polynomials; zero and constant polynomials; moduli of
+degree 1 and 2 and non-monic moduli; and worst-case slots, where every
+coefficient of every element is p - 1, at the largest degrees that one
+seed-1 ``solve`` pass of the benchmark reaches.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cubiclines.fields import (QQ, FieldTower, upoly_divmod, upoly_gcd,
+                               upoly_mul, upoly_powmod)
+from cubiclines.poly import _horner, _horner2
+import oracle
+
+PRIMES = (3, 5, 7, 11, 13)
+CASES = [(p, k) for p in PRIMES for k in range(1, 7)]
+
+# The largest degrees of a seed-1 solve pass.  At level 1 they are products
+# of degree 8, dividends of degree 14 and moduli of degree 10, with
+# exponents of up to 17 bits.  At level k > 1 a modulus has degree at most
+# k.  Binary forms have degree 4, and arrays have bidegree (4, 2).
+MAX_DEG = 14
+MAX_MOD_DEG = 10
+FORM_DEGREES = (0, 1, 2, 4, 8)
+
+_TOWERS = {}
+
+
+def level(p, k):
+    if p not in _TOWERS:
+        _TOWERS[p] = FieldTower(p, budget=6, seed=0)
+    return _TOWERS[p].level(k)
+
+
+def rand_elem(lvl, rng):
+    return lvl.from_coeffs([rng.randrange(lvl.p) for _ in range(lvl.k)])
+
+
+def rand_poly(lvl, deg, rng, monic=False):
+    """A dense polynomial of degree exactly deg (monic on request)."""
+    lead = lvl.one
+    while not monic and lead == lvl.one:
+        lead = rand_elem(lvl, rng)
+        if lvl.is_zero(lead):
+            lead = lvl.one
+    return [rand_elem(lvl, rng) for _ in range(deg)] + [lead]
+
+
+def top(lvl):
+    """The element whose every coefficient is p - 1."""
+    return lvl.from_coeffs([lvl.p - 1] * lvl.k)
+
+
+def worst(lvl, deg):
+    return [top(lvl)] * (deg + 1)
+
+
+def edge_polys(lvl, rng):
+    """Zero (also with a zero coefficient left in) and constants."""
+    return [[], [lvl.zero], [lvl.one], [top(lvl)], [rand_elem(lvl, rng)]]
+
+
+@pytest.mark.parametrize("p,k", CASES)
+def test_mul_matches_element_loop(p, k):
+    lvl = level(p, k)
+    rng = random.Random("mul:%d:%d" % (p, k))
+    polys = edge_polys(lvl, rng) + [rand_poly(lvl, d, rng)
+                                    for d in (1, 2, 5, 8, MAX_DEG)]
+    for a in polys:
+        for b in polys:
+            assert upoly_mul(a, b, lvl) == oracle.upoly_mul(a, b, lvl)
+
+
+@pytest.mark.parametrize("p,k", CASES)
+def test_mul_worst_case_slots(p, k):
+    """All coefficients p - 1 fill the middle slot of the middle
+    coefficient to its bound, min(len a, len b) * k * (p - 1)^2."""
+    lvl = level(p, k)
+    for da in (0, 1, 7, MAX_DEG):
+        for db in (0, 3, MAX_DEG):
+            a, b = worst(lvl, da), worst(lvl, db)
+            assert upoly_mul(a, b, lvl) == oracle.upoly_mul(a, b, lvl)
+
+
+@pytest.mark.parametrize("p,k", CASES)
+def test_divmod_and_gcd_match_element_loop(p, k):
+    """Dividends from zero to degree 14 by divisors of degree 0, 1, 2 and
+    10, monic and not, random and worst-case."""
+    lvl = level(p, k)
+    rng = random.Random("divmod:%d:%d" % (p, k))
+    dividends = edge_polys(lvl, rng) + [rand_poly(lvl, d, rng)
+                                        for d in (1, 2, 6, MAX_DEG)]
+    dividends.append(worst(lvl, MAX_DEG))
+    divisors = [[lvl.one], [top(lvl)]]
+    for d in (1, 2, MAX_MOD_DEG):
+        divisors += [rand_poly(lvl, d, rng), rand_poly(lvl, d, rng, True),
+                     worst(lvl, d)]
+    for a in dividends:
+        for b in divisors:
+            assert upoly_divmod(a, b, lvl) == oracle.upoly_divmod(a, b, lvl)
+            if a and not lvl.is_zero(a[-1]):
+                assert upoly_gcd(a, b, lvl) == oracle.upoly_gcd(a, b, lvl)
+                assert upoly_gcd(b, a, lvl) == oracle.upoly_gcd(b, a, lvl)
+    for a in dividends:
+        with pytest.raises(ZeroDivisionError):
+            upoly_divmod(a, [], lvl)
+
+
+@pytest.mark.parametrize("p,k", CASES)
+def test_powmod_matches_element_loop(p, k):
+    """Moduli of degree 1, 2, k and 10, monic, non-monic and worst-case;
+    zero, constant, reduced and unreduced bases; small exponents, and the
+    large ones of root splitting, up to (q^m - 1)/2, on moduli of degree at
+    most max(k, 2) above level 1, as in a solve pass."""
+    lvl = level(p, k)
+    q = p ** k
+    rng = random.Random("powmod:%d:%d" % (p, k))
+    small = (0, 1, 2, 3, (p - 1) // 2, p)
+    large = ((q - 1) // 2, q, (q ** (6 if k == 1 else 2) - 1) // 2)
+    for d in sorted({1, 2, k, MAX_MOD_DEG}):
+        moduli = [rand_poly(lvl, d, rng), rand_poly(lvl, d, rng, True),
+                  worst(lvl, d), [top(lvl)] * d + [lvl.one]]
+        for m in moduli:
+            bases = edge_polys(lvl, rng) + [
+                [lvl.zero, lvl.one], rand_poly(lvl, d + 3, rng),
+                rand_poly(lvl, d - 1, rng), worst(lvl, d - 1)]
+            cases = [(b, e) for b in bases for e in small]
+            if k == 1 or d <= max(k, 2):
+                cases += [(b, e) for b in bases[-2:] for e in large]
+            for base, e in cases:
+                assert (upoly_powmod(base, e, m, lvl)
+                        == oracle.upoly_powmod(base, e, m, lvl)), (m, e)
+
+
+def test_powmod_over_the_rationals():
+    m = [Fraction(1, 2), Fraction(-3), Fraction(2)]
+    base = [Fraction(5, 7), Fraction(1, 3)]
+    for e in (0, 1, 2, 7):
+        assert (upoly_powmod(base, e, m, QQ)
+                == oracle.upoly_powmod(base, e, m, QQ))
+
+
+def coefficient_levels(k):
+    """The levels a form's coefficients may come from: 1, the proper
+    subfields of level k, and k."""
+    return [j for j in range(1, k + 1) if k % j == 0]
+
+
+@pytest.mark.parametrize("p,k", CASES)
+def test_horner_matches_element_loop(p, k):
+    """Binary forms of degree 0 to 8 and arrays of bidegree up to (4, 2)
+    and (8, 8), with coefficients from each subfield, at random points,
+    at points with a zero coordinate and at the worst-case point."""
+    lvl = level(p, k)
+    rng = random.Random("horner:%d:%d" % (p, k))
+    points = [(rand_elem(lvl, rng), rand_elem(lvl, rng)) for _ in range(3)]
+    points += [(lvl.one, lvl.zero), (lvl.zero, lvl.one), (top(lvl), top(lvl))]
+    for j in coefficient_levels(k):
+        sub = level(p, j)
+        for d in FORM_DEGREES:
+            forms = [[rand_elem(sub, rng) for _ in range(d + 1)],
+                     [sub.zero] * (d + 1), worst(sub, d)]
+            for form in forms:
+                for u in points:
+                    assert (_horner(form, u, lvl, j)
+                            == oracle.horner(form, u, lvl, j))
+        for a, b in ((0, 0), (1, 2), (4, 2), (8, 8)):
+            arrays = [[[rand_elem(sub, rng) for _ in range(b + 1)]
+                       for _ in range(a + 1)],
+                      [worst(sub, b)] * (a + 1)]
+            for G in arrays:
+                for s in points[:3] + points[-1:]:
+                    for t in points[-3:]:
+                        want = oracle.horner(
+                            [oracle.horner(row, t, lvl, j) for row in G], s,
+                            lvl, k)
+                        assert _horner2(G, s, t, lvl, j) == want
+
+
+def test_horner_over_the_rationals():
+    rng = random.Random("horner:QQ")
+
+    def rat():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+
+    for d in FORM_DEGREES:
+        form = [rat() for _ in range(d + 1)]
+        G = [[rat() for _ in range(3)] for _ in range(d + 1)]
+        for u in ((rat(), rat()), (QQ.one, QQ.zero)):
+            got = _horner(form, u, QQ, 1)
+            assert got == oracle.horner(form, u, QQ, 1)
+            assert isinstance(got, Fraction)
+            want = oracle.horner([oracle.horner(row, u, QQ, 1) for row in G],
+                                 u, QQ, 1)
+            assert _horner2(G, u, u, QQ, 1) == want
