@@ -7,7 +7,10 @@ line-meeting pair mode, lines through a point of a surface) and the census
 of the threefold (incidence in P^4), is rerun and its report compared byte
 for byte with the file under ``tests/golden/``.  Two more cases run on a
 dense smooth threefold over GF(11) instead of a Fermat cubic, and two
-more run the second-type test and the discriminant on it.
+more run the second-type test and the discriminant on it.  Two pin the
+order of the point scans: the singular point that the exhaustive level-1
+scan of ``validate-cubic`` finds first on a cone, and the shuffled zeros
+of a discriminant whose 20 samples reach level 2.
 Each case also fixes the exit code.
 """
 
@@ -28,6 +31,11 @@ X7 = fixture_path("fermat7_threefold.json")
 X11 = fixture_path("dense11_threefold.json")
 MEET11 = ";".join(",".join(str(c) for c in row) for row in zip(
     *fixture_json("dense11_meetline.json")["coords"]))
+
+# the `cli` benchmark's seed-1 GF(7) configuration cubic (perfbench/wl_cli.py,
+# generate(1)); its discriminant along the disjoint line below has 10
+# zeros over GF(7), so the sample list reaches GF(49)
+CONFIG7 = fixture_path("config7_threefold.json")
 
 # name -> (expected exit code, argv after the global flags)
 CASES = {
@@ -84,6 +92,12 @@ CASES = {
     "row_sum_dense11": (0, ["row-sum", "--cubic", X11,
                             "--curve", fixture_path("dense11_conic.json"),
                             "--line", MEET11]),
+    # a cone with vertex (1:2:0:3:1) over the Fermat surface: the level-1
+    # scan reports the vertex, exit 1
+    "validate_cone7": (1, ["validate-cubic", "--cubic",
+                           fixture_path("cone7_threefold.json")]),
+    "discriminant_config7": (0, ["discriminant", "--cubic", CONFIG7,
+                                 "--line", "2,6,2,1,1;3,5,1,3,2"]),
 }
 
 
