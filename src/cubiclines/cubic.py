@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from . import linalg
 from .bihom import fiber_gcd, lift_fibers
 from .fields import QQ, FieldTower, VerificationError, check_tower
-from .poly import (_EXPONENTS, MultiPoly, binary_gcd, binary_roots,
+from .poly import (_EXPONENTS, MultiPoly, _horner_bits, _packed_coeffs,
+                   _packed_horner, binary_gcd, binary_roots,
                    sylvester_resultant)
 
 
@@ -554,7 +555,8 @@ def smoothness_probe(cubic, max_level=2, seed=0):
 
     Exhaustive wherever the projective point count fits EXHAUST_LIMIT,
     SAMPLE_BUDGET seeded random points beyond; the certificate says which
-    was which.
+    was which.  An exhaustive level tests the gradient only at the zeros
+    of F, which come from one scan (:func:`_proj_zeros`).
     """
     F = cubic.field
     if F.char == 0:
@@ -567,8 +569,8 @@ def smoothness_probe(cubic, max_level=2, seed=0):
         count = sum(lvl.q ** i for i in range(n + 1))
         cub = cubic._over(lvl)
         if count <= EXHAUST_LIMIT:
-            for pt in _proj_points(lvl, n):
-                if _is_singular_at(cub, pt):
+            for pt in _proj_zeros(cub.F, lvl, n):
+                if all(map(lvl.is_zero, cub.gradient_at(pt))):
                     return SmoothnessCertificate(False, tuple(pt), levels_done,
                                                  samples, True)
             levels_done.append(lvl.k)
@@ -601,3 +603,45 @@ def _proj_points(lvl, n):
         tail = [lvl.one] + [lvl.zero] * (n - i)
         for head in itertools.product(elems, repeat=i):
             yield list(head) + tail
+
+
+def _proj_zeros(form, lvl, n):
+    """The points of :func:`_proj_points` where a form over lvl vanishes,
+    in the same order.
+
+    The points that differ only in their fastest coordinate, the one
+    before the last nonzero, are b + t*e_c for t in the field's order, so
+    the form is substituted once per such group (:func:`_zeros_along`);
+    the last point, e_0, is evaluated on its own.
+    """
+    elems = list(lvl.elements())
+    for i in range(n, 0, -1):
+        tail = [lvl.one] + [lvl.zero] * (n - i)
+        for head in itertools.product(elems, repeat=i - 1):
+            for t in _zeros_along(form, list(head) + [None] + tail, elems):
+                yield list(head) + [t] + tail
+    e0 = [lvl.one] + [lvl.zero] * n
+    if lvl.is_zero(form.eval_elems(e0)):
+        yield e0
+
+
+def _zeros_along(form, base, elems):
+    """The t in elems, in their order, where the form vanishes at base
+    with t at its one None entry: the form is substituted once, as a
+    polynomial in that coordinate, and evaluated at each t by packed
+    Horner (every t is a zero when the substitution is zero)."""
+    lvl = form.field
+    part = form.subs(base).terms
+    if not part:
+        yield from elems
+        return
+    d = max(part)[0]
+    bits = _horner_bits(d, d + 1, lvl)
+    # coefficient i multiplies u0^(d-i) u1^i: the polynomial at u = (1, t)
+    coeffs = _packed_coeffs([part.get((i,), lvl.zero) for i in range(d + 1)],
+                            lvl, lvl.k, bits)
+    one = lvl.one
+    for t in elems:
+        if lvl.is_zero(lvl.unpack(_packed_horner(coeffs, (one, t), lvl, bits),
+                                  bits)):
+            yield t

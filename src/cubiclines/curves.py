@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .bihom import PositiveDimensionalError, solve_bihomog
-from .cubic import _levels_over, _proj_points, plane_residual
 from .poly import (SVARS, MultiPoly, _horner, _horner2, binary_gcd,
                    diagonal_quotient, is_zero_array)
 
@@ -308,87 +307,3 @@ def _is_transversal(curve1, curve2, rec, lvl):
     if rows1 is None or rows2 is None:
         return False
     return linalg.rank(rows1 + rows2, lvl) >= 3
-
-
-# ---------------------------------------------------------------------------
-# conics residual to a line in a plane section
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConicResidual:
-    kind: str            # parameterized | two_lines | double_line | no_rational_point
-    curve: object = None
-    conic: object = None
-    lines: list = field(default_factory=list)
-    level: int = 1
-
-
-def conic_residual_to_line(cubic, line, plane_basis, max_level=2):
-    """Parameterize the conic residual to a known line in a plane section."""
-    F = cubic.field
-    if not cubic.line_in_x(line):
-        raise ValueError("the given line does not lie on X")
-    sec = plane_residual(cubic, plane_basis, known_line=line,
-                         max_level=max_level)
-    if sec.status == "plane_in_X":
-        raise ValueError("the plane lies inside X")
-    if sec.conic_class != "smooth":
-        return ConicResidual(kind=sec.conic_class, conic=sec.conic,
-                             lines=sec.conic_lines)
-    found = _point_on_conic(sec.conic, F, max_level)
-    if found is None:
-        return ConicResidual(kind="no_rational_point", conic=sec.conic)
-    lvl, p = found
-    plane_param = _parameterize_conic(sec.conic, p, lvl)
-    rows = [[lvl.embed_from(x, F.k) for x in b] for b in plane_basis]
-    coords = [f.eval_polys(plane_param) for f in
-              MultiPoly.linear_forms(lvl, sec.conic.vars, rows)]
-    curve = RationalCurve(lvl, 2, coords)
-    return ConicResidual(kind="parameterized", curve=curve, conic=sec.conic,
-                         level=lvl.k)
-
-
-Q_BOUND = 12   # rational points of a conic over QQ: coordinates up to this
-
-
-def _point_on_conic(C, F, max_level):
-    if F.char == 0:
-        rng = range(-Q_BOUND, Q_BOUND + 1)
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if (a, b, c) == (0, 0, 0):
-                        continue
-                    pt = [F.from_int(a), F.from_int(b), F.from_int(c)]
-                    if F.is_zero(C.eval_elems(pt)):
-                        return F, pt
-        return None
-    for lvl in _levels_over(F, max_level):
-        Cl = C.over(lvl)
-        for pt in _proj_points(lvl, 2):
-            if lvl.is_zero(Cl.eval_elems(pt)):
-                return lvl, pt
-    return None
-
-
-def _parameterize_conic(C, p, lvl):
-    """Degree-2 binary forms sweeping a smooth conic through its point p.
-
-    The pencil of lines through p meets the conic once more; the second
-    intersection Q(d) p - B(p, d) d gives the parameterization.
-    """
-    Cl = C.over(lvl)
-    d = MultiPoly.linear_forms(lvl, SVARS, linalg.complete_basis([p], lvl)[1:])
-    pd = [dk + MultiPoly.const(lvl, SVARS, pk) for dk, pk in zip(d, p)]
-    qd = Cl.eval_polys(d)
-    bpd = Cl.eval_polys(pd) - qd  # C(p) = 0 drops out
-    out = []
-    for k in range(3):
-        out.append(qd.scale(p[k]) - bpd * d[k])
-    g = binary_gcd([[f.terms.get((2 - i, i), lvl.zero) for i in range(3)]
-                    for f in out], lvl)
-    if len(g) > 1:
-        div = MultiPoly(lvl, SVARS, {(len(g) - 1 - i, i): c
-                                     for i, c in enumerate(g)})
-        out = [f.exact_div(div) for f in out]
-    return out

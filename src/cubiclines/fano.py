@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .curves import _normalize, curve_meeting_data, line_as_curve
-from .cubic import ProjLine, _levels_over, _proj_points, lines_through_point
+from .cubic import (ProjLine, _levels_over, _proj_zeros, _zeros_along,
+                    lines_through_point)
 from .fields import BudgetError, VerificationError, check_tower
 from .poly import MultiPoly
 from .secant import _enc_vec, count_secants_pair, expected_line_meeting
@@ -97,17 +98,10 @@ def _first_rows_on_x(X, elems):
                 for col, x in zip(rest, vals):
                     base[col] = x
                 base[c] = None
-                # F(b + t*e_c) = sum_k cub[k] * t^k
-                terms = X.F.subs(base).terms
-                cub = [terms.get((k,), zero) for k in range(4)]
-                for t in elems:
-                    acc = cub[3]
-                    for a in (cub[2], cub[1], cub[0]):
-                        acc = fld.add(fld.mul(acc, t), a)
-                    if fld.is_zero(acc):
-                        u = list(base)
-                        u[c] = t
-                        yield u, j, vfree
+                for t in _zeros_along(X.F, base, elems):
+                    u = list(base)
+                    u[c] = t
+                    yield u, j, vfree
 
 
 def _polar_cut(fld, elems, grad, j, vfree):
@@ -339,8 +333,7 @@ def sample_smoothness(curve, count=20, max_level=3, seed=0):
     for lvl in _levels_over(base, max_level):
         form = curve.form.over(lvl)
         parts = [form.derivative(v) for v in form.vars]
-        pts = [p for p in _proj_points(lvl, 2)
-               if lvl.is_zero(form.eval_elems(list(p)))]
+        pts = list(_proj_zeros(form, lvl, 2))
         rng.shuffle(pts)
         for p in pts:
             if len(curve.samples) >= count:

@@ -45,7 +45,7 @@ _EXPONENTS = {}
 class MultiPoly:
     """Sparse polynomial: exponent tuples -> nonzero field elements."""
 
-    __slots__ = ("field", "vars", "terms")
+    __slots__ = ("field", "vars", "terms", "_packed")
 
     def __init__(self, field, variables, terms=None):
         self.field = field
@@ -189,22 +189,58 @@ class MultiPoly:
     # -- substitution -------------------------------------------------------------
 
     def eval_elems(self, values):
-        """Evaluate at field elements, one per variable.
+        """Evaluate at field elements of this field, one per variable.
 
-        Each value's powers are computed once per call.
+        Over a finite level the value is one sum on packed elements
+        (``pack``): each variable's powers are packed products, each term
+        is its packed coefficient times those powers, and the sum is
+        reduced once, with slots wide enough for every term.  The packed
+        terms are built on the first call and kept on the form.  Over QQ
+        it is a loop of element operations, each value's powers computed
+        once per call.
         """
         F = self.field
-        powers = [{1: v} for v in values]
-        acc = F.zero
-        for exps, c in self.terms.items():
-            t = c
-            for v, e, pw in zip(values, exps, powers):
-                if e:
-                    if e not in pw:
-                        pw[e] = F.pow_(v, e)
-                    t = F.mul(t, pw[e])
-            acc = F.add(acc, t)
-        return acc
+        if F.char == 0:
+            powers = [{1: v} for v in values]
+            acc = F.zero
+            for exps, c in self.terms.items():
+                t = c
+                for v, e, pw in zip(values, exps, powers):
+                    if e:
+                        if e not in pw:
+                            pw[e] = F.pow_(v, e)
+                        t = F.mul(t, pw[e])
+                acc = F.add(acc, t)
+            return acc
+        try:
+            bits, tops, packed = self._packed
+        except AttributeError:
+            bits, tops, packed = self._packed = self._pack_terms()
+        pw = []
+        for v, top in zip(values, tops):
+            if top:
+                x = F.pack(v, bits)
+                pw.append(x)
+                for _ in range(top - 1):
+                    pw.append(pw[-1] * x)
+        get = pw.__getitem__
+        return F.unpack(sum([math.prod(map(get, idx), start=c)
+                             for c, idx in packed]), bits)
+
+    def _pack_terms(self):
+        """For ``eval_elems`` over a finite level: the slot width, each
+        variable's largest exponent, and per term the packed coefficient
+        with the positions of its powers in the list of packed powers (the
+        powers 1..top of each variable in turn)."""
+        F = self.field
+        deg = max(map(sum, self.terms), default=0)
+        bits = _horner_bits(deg, len(self.terms), F)
+        tops = [max(col) for col in zip(*self.terms)]
+        starts = [sum(tops[:i]) - 1 for i in range(len(tops))]
+        packed = [(F.pack(c, bits),
+                   tuple(s + e for s, e in zip(starts, exps) if e))
+                  for exps, c in self.terms.items()]
+        return bits, tops, packed
 
     def subs(self, values, lvl=None):
         """Fix the variables whose entry in values is not None.

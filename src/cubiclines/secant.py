@@ -400,20 +400,3 @@ def _finish_line(line, s, t, mult, kind):
 
 def _sort_report(report):
     report.lines.sort(key=lambda l: (l.level, l.line.key(), l.param_level))
-
-
-def secant_multiplicity(cubic, target, line, max_level=None):
-    """Multiplicity of one line in the relevant secant scheme (0 if absent)."""
-    if isinstance(target, tuple):
-        report = count_secants_pair(cubic, target[0], target[1],
-                                    max_level=max_level)
-    else:
-        report = count_secants_single(cubic, target, max_level=max_level)
-    if report.outcome != "ok":
-        raise ValueError("secant scheme is not zero dimensional")
-    min_lv = line.min_level()
-    probe = line.descend(min_lv)
-    for rec in report.lines:
-        if rec.level == min_lv and rec.line.key() == probe.key():
-            return rec.multiplicity
-    return 0

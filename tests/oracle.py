@@ -25,13 +25,17 @@ converts a sparse binary or bihomogeneous form of given formal degrees to
 the solver's dense lists and arrays.
 
 ``meet_counts``, ``on_x`` and ``is_smooth_point`` are read-outs only tests
-use.
+use, and so are ``secant_multiplicity`` (one line's multiplicity in a
+secant report) and ``conic_residual_to_line`` (the conic residual to a
+line in a plane section, parameterized from a point found on it).
 
 The element loops are the dense univariate layer and the Horner evaluation
 before they ran on packed ints: one field operation per coefficient
 product in ``upoly_mul``, long division in ``upoly_divmod`` and
 ``upoly_gcd``, square-and-multiply with a long division per step in
 ``upoly_powmod``, and homogeneous Horner on elements in ``horner``.
+``eval_elems`` is ``MultiPoly.eval_elems`` before it ran on packed ints:
+one field operation per factor of every term.
 
 The polar forms are the solver's before it read them from the gradient:
 the coefficients of lam and lam^2 in F(x + lam*y), expanded in an
@@ -44,13 +48,17 @@ expanded by ``eval_polys`` and split by the powers of s and t.
 
 import functools
 import itertools
+from dataclasses import dataclass, field
 
 from cubiclines import linalg
 from cubiclines.bihom import BihomSolutions
-from cubiclines.cubic import ProjLine, xvars, yvars
+from cubiclines.cubic import (ProjLine, _levels_over, _proj_zeros,
+                              plane_residual, xvars, yvars)
+from cubiclines.curves import RationalCurve
 from cubiclines.fano import enumerate_lines
 from cubiclines.fields import upoly_trim
 from cubiclines.poly import SVARS, MultiPoly, binary_gcd, binary_roots
+from cubiclines.secant import count_secants_pair, count_secants_single
 
 TVARS = ("t0", "t1")
 STVARS = SVARS + TVARS
@@ -551,3 +559,115 @@ def horner(form, u, lvl, k):
         pw = lvl.mul(pw, u1)
         acc = lvl.add(lvl.mul(acc, u0), lvl.mul(lvl.embed_from(c, k), pw))
     return acc
+
+
+def eval_elems(form, values):
+    """The form at field elements, one field operation per factor of every
+    term, each value's powers computed once."""
+    F = form.field
+    powers = [{1: v} for v in values]
+    acc = F.zero
+    for exps, c in form.terms.items():
+        t = c
+        for v, e, pw in zip(values, exps, powers):
+            if e:
+                if e not in pw:
+                    pw[e] = F.pow_(v, e)
+                t = F.mul(t, pw[e])
+        acc = F.add(acc, t)
+    return acc
+
+
+def secant_multiplicity(cubic, target, line, max_level=None):
+    """Multiplicity of one line in the relevant secant scheme (0 if absent)."""
+    if isinstance(target, tuple):
+        report = count_secants_pair(cubic, target[0], target[1],
+                                    max_level=max_level)
+    else:
+        report = count_secants_single(cubic, target, max_level=max_level)
+    if report.outcome != "ok":
+        raise ValueError("secant scheme is not zero dimensional")
+    min_lv = line.min_level()
+    probe = line.descend(min_lv)
+    for rec in report.lines:
+        if rec.level == min_lv and rec.line.key() == probe.key():
+            return rec.multiplicity
+    return 0
+
+
+@dataclass
+class ConicResidual:
+    kind: str            # parameterized | two_lines | double_line | no_rational_point
+    curve: object = None
+    conic: object = None
+    lines: list = field(default_factory=list)
+    level: int = 1
+
+
+def conic_residual_to_line(cubic, line, plane_basis, max_level=2):
+    """Parameterize the conic residual to a known line in a plane section."""
+    F = cubic.field
+    if not cubic.line_in_x(line):
+        raise ValueError("the given line does not lie on X")
+    sec = plane_residual(cubic, plane_basis, known_line=line,
+                         max_level=max_level)
+    if sec.status == "plane_in_X":
+        raise ValueError("the plane lies inside X")
+    if sec.conic_class != "smooth":
+        return ConicResidual(kind=sec.conic_class, conic=sec.conic,
+                             lines=sec.conic_lines)
+    found = _point_on_conic(sec.conic, F, max_level)
+    if found is None:
+        return ConicResidual(kind="no_rational_point", conic=sec.conic)
+    lvl, p = found
+    plane_param = _parameterize_conic(sec.conic, p, lvl)
+    rows = [[lvl.embed_from(x, F.k) for x in b] for b in plane_basis]
+    coords = [f.eval_polys(plane_param) for f in
+              MultiPoly.linear_forms(lvl, sec.conic.vars, rows)]
+    curve = RationalCurve(lvl, 2, coords)
+    return ConicResidual(kind="parameterized", curve=curve, conic=sec.conic,
+                         level=lvl.k)
+
+
+Q_BOUND = 12   # rational points of a conic over QQ: coordinates up to this
+
+
+def _point_on_conic(C, F, max_level):
+    if F.char == 0:
+        rng = range(-Q_BOUND, Q_BOUND + 1)
+        for a in rng:
+            for b in rng:
+                for c in rng:
+                    if (a, b, c) == (0, 0, 0):
+                        continue
+                    pt = [F.from_int(a), F.from_int(b), F.from_int(c)]
+                    if F.is_zero(C.eval_elems(pt)):
+                        return F, pt
+        return None
+    for lvl in _levels_over(F, max_level):
+        for pt in _proj_zeros(C.over(lvl), lvl, 2):
+            return lvl, pt
+    return None
+
+
+def _parameterize_conic(C, p, lvl):
+    """Degree-2 binary forms sweeping a smooth conic through its point p.
+
+    The pencil of lines through p meets the conic once more; the second
+    intersection Q(d) p - B(p, d) d gives the parameterization.
+    """
+    Cl = C.over(lvl)
+    d = MultiPoly.linear_forms(lvl, SVARS, linalg.complete_basis([p], lvl)[1:])
+    pd = [dk + MultiPoly.const(lvl, SVARS, pk) for dk, pk in zip(d, p)]
+    qd = Cl.eval_polys(d)
+    bpd = Cl.eval_polys(pd) - qd  # C(p) = 0 drops out
+    out = []
+    for k in range(3):
+        out.append(qd.scale(p[k]) - bpd * d[k])
+    g = binary_gcd([[f.terms.get((2 - i, i), lvl.zero) for i in range(3)]
+                    for f in out], lvl)
+    if len(g) > 1:
+        div = MultiPoly(lvl, SVARS, {(len(g) - 1 - i, i): c
+                                     for i, c in enumerate(g)})
+        out = [f.exact_div(div) for f in out]
+    return out

@@ -2,13 +2,12 @@ import pytest
 
 from cubiclines.cubic import ProjLine
 from cubiclines.curves import (BasePointError, NotOnXError, RationalCurve,
-                               conic_residual_to_line, curve_from_json,
-                               curve_meeting_data, line_as_curve,
-                               validate_curve)
+                               curve_from_json, curve_meeting_data,
+                               line_as_curve, validate_curve)
 from cubiclines.fields import QQ
 from cubiclines.poly import SVARS, MultiPoly
 from conftest import fixture_json, load_line
-from oracle import meets
+from oracle import conic_residual_to_line, meets
 
 
 def test_conic_fixtures_validate(threefold7, conic7, threefold11, conic11,

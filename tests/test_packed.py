@@ -1,23 +1,29 @@
 """The packed univariate layer (``fields.upoly_mul``, ``upoly_divmod``,
-``upoly_gcd``, ``upoly_powmod``) and the packed Horner evaluations
-(``poly._horner``, ``_horner2``) against the element loops they replaced,
-which ``oracle`` keeps.
+``upoly_gcd``, ``upoly_powmod``), the packed Horner evaluations
+(``poly._horner``, ``_horner2``) and the packed point evaluation
+(``MultiPoly.eval_elems``) against the element loops they replaced, which
+``oracle`` keeps.
 
 Every test runs at levels 1-6 of GF(p) for p in 3, 5, 7, 11 and 13.  The
 inputs are random polynomials; zero and constant polynomials; moduli of
 degree 1 and 2 and non-monic moduli; and worst-case slots, where every
 coefficient of every element is p - 1, at the largest degrees that one
-seed-1 ``solve`` pass of the benchmark reaches.
+seed-1 ``solve`` pass of the benchmark reaches, and for forms at degree 5,
+the degree of the discriminant quintic.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from cubiclines.cubic import ProjLine, cubic_from_json
+from cubiclines.fano import discriminant_quintic
 from cubiclines.fields import (QQ, FieldTower, upoly_divmod, upoly_gcd,
                                upoly_mul, upoly_powmod)
-from cubiclines.poly import _horner, _horner2
+from cubiclines.poly import MultiPoly, _horner, _horner2
+from conftest import fixture_json
 import oracle
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -201,3 +207,79 @@ def test_horner_over_the_rationals():
             want = oracle.horner([oracle.horner(row, u, QQ, 1) for row in G],
                                  u, QQ, 1)
             assert _horner2(G, u, u, QQ, 1) == want
+
+
+def monomials(nvars, deg, homogeneous):
+    return [e for e in itertools.product(range(deg + 1), repeat=nvars)
+            if sum(e) == deg or (not homogeneous and sum(e) < deg)]
+
+
+def eval_points(lvl, nvars, rng):
+    """Random points, points with a repeated value and with zero values,
+    the zero point, a unit point and the worst-case point."""
+    pts = [[rand_elem(lvl, rng) for _ in range(nvars)] for _ in range(2)]
+    a = rand_elem(lvl, rng)
+    pts.append([a] * nvars)
+    pts.append([a, lvl.zero] + [rand_elem(lvl, rng)] * (nvars - 2))
+    pts.append([lvl.zero] * nvars)
+    pts.append([lvl.one] + [lvl.zero] * (nvars - 1))
+    pts.append([top(lvl)] * nvars)
+    return pts
+
+
+@pytest.mark.parametrize("p,k", CASES)
+def test_eval_elems_matches_element_loop(p, k):
+    """Forms of degree 1 to 5 in three variables and 1 to 3 in five: random
+    sparse and dense ones, homogeneous and not, with coefficients from a
+    subfield, the zero form, and the worst-case forms, all of whose
+    monomials of degree d (or at most d) have the coefficient p - 1 in
+    every slot.  Each form is evaluated at several points, so the packed
+    terms it keeps are reused."""
+    lvl = level(p, k)
+    rng = random.Random("eval:%d:%d" % (p, k))
+    for nvars, degrees in ((3, (1, 2, 3, 4, 5)), (5, (1, 2, 3))):
+        V = tuple("x%d" % i for i in range(nvars))
+        points = eval_points(lvl, nvars, rng)
+        for d in degrees:
+            sub = level(p, coefficient_levels(k)[-2 if k > 1 else 0])
+            dense = monomials(nvars, d, False)
+            forms = [
+                MultiPoly(lvl, V, {e: rand_elem(lvl, rng)
+                                   for e in rng.sample(dense, 4)}),
+                MultiPoly(lvl, V, {e: rand_elem(lvl, rng)
+                                   for e in monomials(nvars, d, True)}),
+                MultiPoly(lvl, V, {e: rand_elem(lvl, rng) for e in dense}),
+                MultiPoly(sub, V, {e: rand_elem(sub, rng)
+                                   for e in dense}).over(lvl),
+                MultiPoly.zero(lvl, V),
+                MultiPoly(lvl, V, {e: top(lvl)
+                                   for e in monomials(nvars, d, True)}),
+                MultiPoly(lvl, V, {e: top(lvl) for e in dense}),
+            ]
+            for f in forms:
+                for pt in points:
+                    assert f.eval_elems(pt) == oracle.eval_elems(f, pt), \
+                        (f, pt)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_eval_elems_on_the_discriminant_quintic(k):
+    """The discriminant quintic of the cli benchmark's seed-1 GF(7) cubic
+    along a disjoint line (21 monomials) and its three partials, moved to
+    level k, at random points and at those of 400 more where the quintic
+    vanishes."""
+    X = cubic_from_json(fixture_json("config7_threefold.json"))[0]
+    base = X.field
+    line = ProjLine(base, [2, 6, 2, 1, 1], [3, 5, 1, 3, 2])
+    quintic = discriminant_quintic(X, line).form
+    lvl = base.tower.level(k)
+    rng = random.Random("quintic:%d" % k)
+    forms = [quintic.over(lvl)]
+    forms += [forms[0].derivative(v) for v in quintic.vars]
+    points = eval_points(lvl, 3, rng)
+    points += [pt for pt in ([rand_elem(lvl, rng), rand_elem(lvl, rng),
+                              lvl.one] for _ in range(400))
+               if lvl.is_zero(oracle.eval_elems(forms[0], pt))]
+    for f in forms:
+        for pt in points:
+            assert f.eval_elems(pt) == oracle.eval_elems(f, pt)

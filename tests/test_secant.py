@@ -10,10 +10,11 @@ from cubiclines.fields import QQ, VerificationError
 from cubiclines.secant import (_assert_secant_line, count_secants_pair,
                                count_secants_single,
                                expected_line_meeting, expected_pair,
-                               expected_single, secant_multiplicity)
+                               expected_single)
 from conftest import fixture_json, fixture_path, load_line
 from oracle import (oracle_disjoint_pair, oracle_meeting_pair, oracle_single,
-                    oracle_skew_pair, report_level1_keys, scheme_length)
+                    oracle_skew_pair, report_level1_keys, scheme_length,
+                    secant_multiplicity)
 
 
 def line_of_curve(curve):
