@@ -5,6 +5,10 @@ finished but a count or check mismatched; 2 = usage, IO or parse errors,
 unsupported cases (including a direction system that no tried coordinate
 change puts in general position) and curves that are not valid input (off
 X, base points); 3 = an expression evaluation had an unbound parameter.
+
+Each subcommand imports the library modules it runs when it starts, so a
+run compiles and loads only those (``chow-eval`` never loads the geometry,
+``validate-cubic`` only the cubic and what it imports).
 """
 
 from __future__ import annotations
@@ -12,14 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from . import chow, fano
-from .cubic import (CoordinateChangeError, ProjLine, cubic_from_json,
-                    lines_through_point, smoothness_probe)
-from .curves import (BasePointError, NotOnXError, curve_from_json,
-                     validate_curve)
-from .fields import BudgetError
-from .secant import count_secants_pair, count_secants_single
 
 __all__ = ["main"]
 
@@ -39,6 +35,7 @@ def _load_json(path):
 
 
 def _load_cubic(path, budget, seed):
+    from .cubic import cubic_from_json
     doc = _load_json(path)
     try:
         return cubic_from_json(doc, budget=budget, seed=seed)[0]
@@ -47,6 +44,7 @@ def _load_cubic(path, budget, seed):
 
 
 def _load_curve(path, cubic):
+    from .curves import curve_from_json
     doc = _load_json(path)
     try:
         curve = curve_from_json(doc, cubic.field)
@@ -71,6 +69,7 @@ def _parse_vector(text, cubic):
 
 
 def _parse_line(text, cubic):
+    from .cubic import ProjLine
     rows = text.split(";")
     if len(rows) != 2:
         raise UsageError("a line needs two rows separated by ';'")
@@ -143,6 +142,7 @@ def _emit(args, command, result, matched):
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_validate_cubic(args):
+    from .cubic import smoothness_probe
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     if cubic.field.char == 0:
         raise UsageError("smoothness probing enumerates points; needs p > 0")
@@ -159,6 +159,7 @@ def _cmd_validate_cubic(args):
 
 
 def _cmd_validate_curve(args):
+    from .curves import validate_curve
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     curve = _load_curve(args.curve, cubic)
     val = validate_curve(cubic, curve, max_level=args.max_level)
@@ -179,6 +180,7 @@ def _secant_result(report):
 
 
 def _cmd_secants(args):
+    from .secant import count_secants_single
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     curve = _load_curve(args.curve, cubic)
     if curve.e < 2:
@@ -191,6 +193,7 @@ def _cmd_secants(args):
 
 
 def _cmd_pair_secants(args):
+    from .secant import count_secants_pair
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     curve1 = _load_curve(args.curve1, cubic)
     curve2 = _load_curve(args.curve2, cubic)
@@ -203,6 +206,7 @@ def _cmd_pair_secants(args):
 
 
 def _cmd_chow_eval(args):
+    from . import chow
     expr = chow.parse(args.expr)
     result = {"normal_form": expr.to_str()}
     bindings = _parse_bindings(args.bind)
@@ -213,6 +217,7 @@ def _cmd_chow_eval(args):
 
 
 def _cmd_derive_count(args):
+    from . import chow
     pair_args = (args.e1, args.e2, args.r)
     if args.e is not None and args.g is not None:
         value, trace = chow.derive_secant_count(args.e, args.g)
@@ -232,6 +237,7 @@ def _cmd_derive_count(args):
 
 
 def _cmd_relation_check(args):
+    from . import chow
     ranges = _parse_ranges(args.range)
     try:
         table = chow.relation_degree_check(args.relation, ranges or None)
@@ -241,6 +247,7 @@ def _cmd_relation_check(args):
 
 
 def _cmd_enumerate_lines(args):
+    from . import fano
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     if cubic.field.char == 0:
         raise UsageError("line enumeration needs a finite field (p > 0)")
@@ -250,6 +257,7 @@ def _cmd_enumerate_lines(args):
 
 
 def _cmd_lines_through_point(args):
+    from .cubic import lines_through_point
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     point = _parse_vector(args.point, cubic)
     res = lines_through_point(cubic, point, cubic.field.tower,
@@ -274,6 +282,7 @@ def _cmd_lines_through_point(args):
 
 
 def _cmd_second_type(args):
+    from . import fano
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     line = _parse_line(args.line, cubic)
     flag, witness = fano.second_type_test(cubic, line)
@@ -283,6 +292,7 @@ def _cmd_second_type(args):
 
 
 def _cmd_discriminant(args):
+    from . import fano
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     if cubic.field.char == 0:
         raise UsageError("smoothness sampling enumerates points; needs p > 0")
@@ -306,6 +316,7 @@ def _cmd_discriminant(args):
 
 
 def _cmd_row_sum(args):
+    from . import fano
     cubic = _load_cubic(args.cubic, args.budget, args.seed)
     curve = _load_curve(args.curve, cubic)
     line = _parse_line(args.line, cubic)
@@ -418,16 +429,29 @@ def main(argv=None):
         return 2 if ex.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except chow.UnboundParameterError as ex:
+    except Exception as ex:
+        code = _exit_code(ex)
+        if code is None:
+            raise
         sys.stderr.write("error: %s\n" % ex)
+        return code
+
+
+def _exit_code(ex):
+    """The exit code for an error a subcommand raised, None for any other
+    exception (the error classes are imported here, on the error path)."""
+    from .chow import ChowError, UnboundParameterError
+    from .cubic import CoordinateChangeError
+    from .curves import BasePointError, NotOnXError
+    from .fields import BudgetError
+    if isinstance(ex, UnboundParameterError):
         return 3
-    except (chow.ChowError, UsageError, BudgetError, NotImplementedError,
-            BasePointError, NotOnXError, CoordinateChangeError) as ex:
-        sys.stderr.write("error: %s\n" % ex)
+    if isinstance(ex, (ChowError, UsageError, BudgetError, NotImplementedError,
+                       BasePointError, NotOnXError, CoordinateChangeError)):
         return 2
-    except (ValueError, AssertionError) as ex:
-        sys.stderr.write("error: %s\n" % ex)
+    if isinstance(ex, (ValueError, AssertionError)):
         return 1
+    return None
 
 
 if __name__ == "__main__":

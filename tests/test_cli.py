@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -133,7 +136,7 @@ def test_lines_through_point(capsys):
 
 def test_census_and_point_commands_pass_the_cubic_tower(capsys, monkeypatch):
     # wrappers that observe these calls read the tower positionally
-    from cubiclines import cli, fano
+    from cubiclines import cubic, fano
     seen = []
 
     def recording(fn):
@@ -144,8 +147,8 @@ def test_census_and_point_commands_pass_the_cubic_tower(capsys, monkeypatch):
 
     monkeypatch.setattr(fano, "enumerate_lines",
                         recording(fano.enumerate_lines))
-    monkeypatch.setattr(cli, "lines_through_point",
-                        recording(cli.lines_through_point))
+    monkeypatch.setattr(cubic, "lines_through_point",
+                        recording(cubic.lines_through_point))
     code, _ = run(capsys, "enumerate-lines",
                   "--cubic", fixture_path("fermat7_surface.json"))
     assert code == 0
@@ -332,3 +335,23 @@ def test_malformed_curve_file_exits_2(capsys, tmp_path, doc):
     out, err = capsys.readouterr()
     assert code == 2 and not out
     assert err.startswith("error: bad curve file")
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["chow-eval", "D[a]*D[a]", "--bind", "e=3"], ["chow"],
+     ["cubic", "curves", "secant", "fano"]),
+    (["validate-cubic", "--cubic", fixture_path("fermat7_surface.json")],
+     ["cubic"], ["chow", "curves", "secant", "fano"]),
+])
+def test_subcommand_loads_only_its_modules(argv, loaded, absent):
+    # a fresh interpreter: this one has every module imported already
+    script = ("import sys\nfrom cubiclines import cli\ncode = cli.main(%r)\n"
+              "print(code, sorted(m.split('.')[1] for m in sys.modules\n"
+              "                   if m.startswith('cubiclines.')))" % argv)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, mods = out.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert all(repr(m) in mods for m in loaded)
+    assert not any(repr(m) in mods for m in absent)
