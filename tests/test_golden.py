@@ -10,7 +10,8 @@ dense smooth threefold over GF(11) instead of a Fermat cubic, and two
 more run the second-type test and the discriminant on it.  Two pin the
 order of the point scans: the singular point that the exhaustive level-1
 scan of ``validate-cubic`` finds first on a cone, and the shuffled zeros
-of a discriminant whose 20 samples reach level 2.
+of a discriminant whose 20 samples reach level 2.  Two row sums, on
+dense threefolds over GF(7) and GF(11), report a second-type line.
 Each case also fixes the exit code.
 """
 
@@ -23,19 +24,31 @@ from conftest import fixture_json, fixture_path
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
+
+def _line_arg(name):
+    return ";".join(",".join(str(c) for c in row)
+                    for row in zip(*fixture_json(name)["coords"]))
+
+
 X7 = fixture_path("fermat7_threefold.json")
 
 # the first GF(11) configuration of the `solve` benchmark's seed 1
 # (perfbench/wl_solve.py, generate(1)): a dense cubic with 31 monomials,
 # a conic on it and a line meeting the conic once
 X11 = fixture_path("dense11_threefold.json")
-MEET11 = ";".join(",".join(str(c) for c in row) for row in zip(
-    *fixture_json("dense11_meetline.json")["coords"]))
+MEET11 = _line_arg("dense11_meetline.json")
 
 # the `cli` benchmark's seed-1 GF(7) configuration cubic (perfbench/wl_cli.py,
 # generate(1)); its discriminant along the disjoint line below has 10
 # zeros over GF(7), so the sample list reaches GF(49)
 CONFIG7 = fixture_path("config7_threefold.json")
+
+# the first GF(7) and the sixth GF(11) configuration of the same seed: at the
+# point where the line meets the conic, one line of X lies in the plane of
+# the two tangent directions (a second-type secant of the pair)
+SOLVE0 = fixture_path("solve0_threefold.json")
+SOLVE37 = fixture_path("solve37_threefold.json")
+
 
 # name -> (expected exit code, argv after the global flags)
 CASES = {
@@ -92,6 +105,14 @@ CASES = {
     "row_sum_dense11": (0, ["row-sum", "--cubic", X11,
                             "--curve", fixture_path("dense11_conic.json"),
                             "--line", MEET11]),
+    # the counts are right: 4 secants and one second-type line, which takes
+    # the multiplicity left over at the meeting point (3 excised, 2 expected)
+    "row_sum_solve0": (0, ["row-sum", "--cubic", SOLVE0,
+                           "--curve", fixture_path("solve0_conic.json"),
+                           "--line", _line_arg("solve0_meetline.json")]),
+    "row_sum_solve37": (0, ["row-sum", "--cubic", SOLVE37,
+                            "--curve", fixture_path("solve37_conic.json"),
+                            "--line", _line_arg("solve37_meetline.json")]),
     # a cone with vertex (1:2:0:3:1) over the Fermat surface: the level-1
     # scan reports the vertex, exit 1
     "validate_cone7": (1, ["validate-cubic", "--cubic",
