@@ -237,6 +237,12 @@ def cubic_from_json(doc, budget=6, seed=0):
     return CubicForm(fld, n, MultiPoly.from_int_terms(fld, xvars(n), terms)), tower
 
 
+def _levels_over(F, max_level):
+    """The tower levels that contain F, up to max_level and the budget."""
+    for k in range(F.k, min(max_level, F.tower.budget) + 1, F.k):
+        yield F.tower.level(k)
+
+
 # ---------------------------------------------------------------------------
 # lines through a point
 # ---------------------------------------------------------------------------
@@ -256,12 +262,14 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     """Lines of X through a smooth point x, with multiplicities.
 
     Solves {P1(x;y)=0, P2(x;y)=0, F(y)=0} in the projective space of
-    directions modulo x: the linear condition (the tangent hyperplane, from
-    the gradient at x) is substituted first, and the remaining pair, the
-    polar quadric of x and F, is eliminated by resultants.  A positive
-    dimensional solution set is the Eckardt outcome, not an error.  Each
-    reported line must pass the line certificate (``line_in_x``) at its
-    own level, or VerificationError is raised.
+    directions modulo x: the directions are taken in the tangent
+    hyperplane (the kernel of the gradient at x), where P1 vanishes, and
+    the remaining pair, the polar quadric of x and F, is solved as binary
+    forms on a surface (:func:`pencil_forms`) and by resultants on a
+    threefold (:func:`_solve_conic_cubic`).  A positive dimensional
+    solution set is the Eckardt outcome, not an error.  Each reported line
+    must pass the line certificate (``line_in_x``) at its own level, or
+    VerificationError is raised.
     """
     F = cubic.field
     check_tower(tower, F)
@@ -273,36 +281,22 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     grad = cubic.gradient_at(x)
     if all(F.is_zero(g) for g in grad):
         raise SingularPointError("singular point of X")
-    n = cubic.n
-    # basis of the hyperplane P1(x; .) = 0 containing x
+    # n - 1 directions that span the hyperplane P1(x; .) = 0 with x
     ker = linalg.kernel_basis([grad], F)
     coords = linalg.solve([[ker[j][i] for j in range(len(ker))]
-                           for i in range(n + 1)], list(x), F)
+                           for i in range(cubic.n + 1)], list(x), F)
     swap = next(i for i, c in enumerate(coords) if not F.is_zero(c))
-    basis = [list(x)] + [k for i, k in enumerate(ker) if i != swap]
-    m = len(basis) - 1  # = n - 1 direction coordinates
-    cvars = tuple("c%d" % i for i in range(1, m + 1))
-    args = MultiPoly.linear_forms(F, cvars, basis[1:])
-    # P2(x; y(c)) and F(y(c))
-    Q = cubic.polar(x).eval_polys(args)
-    K = cubic.F.eval_polys(args)
-    res = LinesThroughPoint(point=tuple(x), eckardt=False)
-    if Q.is_zero() or K.is_zero():
-        res.eckardt = True
-        return res
-    if m == 2:
-        sols = _solve_binary_pair(Q, K, max_level)
+    dirs = [k for i, k in enumerate(ker) if i != swap]
+    if cubic.n == 3:
+        sols = _solve_binary_pair(cubic, x, dirs, max_level)
     else:
-        sols = _solve_conic_cubic(Q, K, max_level, seed)
+        sols = _solve_conic_cubic(cubic, x, dirs, max_level, seed)
+    res = LinesThroughPoint(point=tuple(x), eckardt=sols is None)
     if sols is None:
-        res.eckardt = True
         return res
     roots, res.complete, res.certified = sols
-    for lv, cpt, mult in roots:
-        lvl = F.tower.level(lv)
-        dirs = [[lvl.embed_from(e, F.k) for e in b] for b in basis[1:]]
-        direction = linalg.combine(cpt, dirs, lvl)
-        line = ProjLine(lvl, [lvl.embed_from(e, F.k) for e in x], direction)
+    for lv, direction, mult in roots:
+        line = _line_through(x, direction, F, lv)
         if not cubic.line_in_x(line):
             raise VerificationError("a line through the point does not lie "
                                     "on X")
@@ -312,71 +306,147 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     return res
 
 
-def _solve_binary_pair(Q, K, max_level):
-    """Common projective roots of two binary forms (n = 3 case), with
-    complete and certified flags."""
-    F = Q.field
-    g = binary_gcd([[P.terms.get((d - i, i), F.zero) for i in range(d + 1)]
-                    for P, d in ((Q, 2), (K, 3))], F)
+def pencil_forms(cubic, x, w1, w2):
+    """The binary forms L, Q and K in (u0, u1) of the direction
+    d = u0*w1 + u1*w2, for a point x of X over the cubic's field.
+
+    F(x + t*d) = t*L + t^2*Q + t^3*K with L = P1(x; d), read from the
+    gradient at x, Q = P2(x; d), the polar quadric of x along the pencil,
+    and K = F(d); so the lines of X through x in the plane of x, w1 and w2
+    are the common roots of the three forms.
+    """
+    F = cubic.field
+    grad = cubic.gradient_at(x)
+    pencil = (tuple(zip(w1, w2)),)
+    return ([linalg.dot(grad, w1, F), linalg.dot(grad, w2, F)],
+            _along(cubic.polar(x), pencil, F, 2),
+            _along(cubic.F, pencil, F, 3))
+
+
+def lines_in_plane(cubic, x, w1, w2, max_level=None):
+    """The lines of X through x in the plane of x, w1 and w2 (three
+    independent points over the cubic's field), each over the level where
+    its direction is found, up to max_level; None when the plane lies in
+    X.  The directions are the roots of the gcd of :func:`pencil_forms`.
+    """
+    F = cubic.field
+    forms = pencil_forms(cubic, x, w1, w2)
+    if _vanishes(forms, F):
+        return None
+    roots, _complete = _pencil_roots(forms, (w1, w2), F, max_level)
+    return [_line_through(x, d, F, lv) for lv, d, _m in roots]
+
+
+def _along(P, pencil, F, d):
+    """P along a pencil of directions as a binary form of formal degree d
+    (``along`` gives [] for the zero polynomial)."""
+    return P.along(pencil, F) or [F.zero] * (d + 1)
+
+
+def _vanishes(forms, F):
+    return all(map(F.is_zero, itertools.chain.from_iterable(forms)))
+
+
+def _pencil_roots(forms, w, F, max_level):
+    """The common roots of binary forms in the pencil of w = (w1, w2), as
+    (level, direction, multiplicity), with the flag that every root was
+    found."""
+    g = binary_gcd(forms, F)
     if len(g) == 1:
-        return [], True, True
+        return [], True
     rm = binary_roots(g, F, max_level=max_level)
-    return rm.roots, rm.complete, True
+    return [(lv, _direction(r, w, F, lv), m) for lv, r, m in rm.roots], \
+        rm.complete
 
 
-def _solve_conic_cubic(Q, K, max_level, seed):
-    """Solve a conic/cubic pair in P^2 exactly: (roots, complete,
+def _direction(coeffs, w, F, lv):
+    """The combination of the vectors w over F with coefficients at level lv."""
+    lvl = F.tower.level(lv)
+    return linalg.combine(coeffs, [[lvl.embed_from(e, F.k) for e in b]
+                                   for b in w], lvl)
+
+
+def _line_through(x, direction, F, lv):
+    lvl = F.tower.level(lv)
+    return ProjLine(lvl, [lvl.embed_from(e, F.k) for e in x], direction)
+
+
+def _solve_binary_pair(cubic, x, dirs, max_level):
+    """Lines through x on a surface: the common roots of Q and K in the
+    pencil of the two tangent directions, as (roots, complete, certified),
+    or None when Q or K vanishes."""
+    F = cubic.field
+    _L, Q, K = pencil_forms(cubic, x, *dirs)
+    if _vanishes([Q], F) or _vanishes([K], F):
+        return None
+    roots, complete = _pencil_roots([Q, K], dirs, F, max_level)
+    return roots, complete, True
+
+
+def _solve_conic_cubic(cubic, x, dirs, max_level, seed):
+    """Lines through x on a threefold: the conic/cubic pair of directions
+    y = c1*b1 + c2*b2 + c3*b3 solved exactly, as (roots, complete,
     certified) from ``lift_fibers``, or None for positive dimension.
 
-    After a coordinate change that puts the pair in general position
-    (:func:`_c3_arrays`), (0:0:1) lies on neither curve, so the resultant
-    in c3 sees every solution and each fiber over a root (a1:a2) is the
-    binary form in (c3, w) of the points (w*a1 : w*a2 : c3).
+    The basis b starts as the three tangent directions and is recombined
+    by random unimodular changes until (0:0:1) lies on neither curve
+    (:func:`_c3_arrays`); then the resultant in c3 sees every solution,
+    and each fiber over a root (a1:a2) is the binary form in (c3, w) of
+    the points (w*a1 : w*a2 : c3), whose direction is a1*b1 + a2*b2 + b3
+    in the basis of that change.
     """
-    F = Q.field
-    cvars = Q.vars
+    F = cubic.field
+    polar = cubic.polar(x)
     rng = random.Random("ltp:%d" % seed)
+    b = dirs
     for attempt in range(24):
-        if attempt == 0:
-            cols = None  # identity
-            Qt, Kt = Q, K
-        else:
-            # c = M c': substitute the forms sum_j c'_j * (column j of M)
-            cols = list(zip(*_random_unimodular(F, rng)))
-            change = MultiPoly.linear_forms(F, cvars, cols)
-            Qt, Kt = Q.eval_polys(change), K.eval_polys(change)
-        arrays = _c3_arrays(Qt, Kt)
-        if arrays is None:
+        if attempt:
+            b = [linalg.combine(col, dirs, F)
+                 for col in zip(*_random_unimodular(F, rng))]
+        Q, K = _c3_arrays(cubic, polar, b)
+        if _vanishes(Q, F) or _vanishes(K, F):
+            return None
+        if F.is_zero(Q[0][0]) or F.is_zero(K[0][0]):
             continue
-        R = sylvester_resultant(*arrays, F)
+        R = sylvester_resultant(Q, K, F)
         if all(map(F.is_zero, R)):
             return None
-        sols = lift_fibers(R, F, fiber_gcd(arrays, F), max_level)
-        roots = []
-        for lv, a, b, m in sols.solutions:
-            pt = (a[0], a[1], b[0])
-            if cols is not None:
-                # map each solution back: c = M c'
-                lvl = F.tower.level(lv)
-                rows = [[lvl.embed_from(x, F.k) for x in col] for col in cols]
-                pt = tuple(linalg.combine(pt, rows, lvl))
-            roots.append((lv, pt, m))
-        return roots, sols.complete, sols.certified
+        sols = lift_fibers(R, F, fiber_gcd((Q, K), F), max_level)
+        return ([(lv, _direction((a[0], a[1], c[0]), b, F, lv), m)
+                 for lv, a, c, m in sols.solutions],
+                sols.complete, sols.certified)
     raise CoordinateChangeError("no usable coordinate change found for the "
                                 "conic/cubic pair of directions")
 
 
-def _c3_arrays(Q, K):
-    """The conic Q and the cubic K in (c1, c2, c3) by the power of c3: entry
-    j of a form of degree d is the binary form in (c1, c2) multiplying
-    c3^(d-j).  None unless c3^2 in Q and c3^3 in K have nonzero constant
-    coefficients."""
-    F = Q.field
-    out = [[[P.terms.get((j - i, i, d - j), F.zero) for i in range(j + 1)]
-            for j in range(d + 1)] for P, d in ((Q, 2), (K, 3))]
-    if any(F.is_zero(P[0][0]) for P in out):
-        return None
-    return out
+def _c3_arrays(cubic, polar, b):
+    """The conic Q(y) = P2(x; y) (``polar`` is that of x) and the cubic
+    K(y) = F(y) on y = v + c3*b3, v = c1*b1 + c2*b2, by the power of c3:
+    entry j of a form of degree d is the binary form in (c1, c2)
+    multiplying c3^(d-j).
+
+    With q = P2(x; .) and its polarization B(u, w) = q(u + w) - q(u) - q(w)
+    (the bilinear form in every characteristic),
+    Q = q(b3)*c3^2 + (B(b1, b3)*c1 + B(b2, b3)*c2)*c3 + q(v), and from the
+    expansion of F(v + c3*b3),
+    K = F(b3)*c3^3 + P2(v; b3)*c3^2 + P1(v; b3)*c3 + F(v), where
+    P2(v; b3) is the gradient at b3 paired with v and P1(v; b3) is the
+    polar quadric of b3 at v.
+    """
+    F = cubic.field
+    b1, b2, b3 = b
+    pencil = (tuple(zip(b1, b2)),)
+    q = polar.eval_elems
+    q3 = q(b3)
+
+    def bilinear(u):
+        return F.sub(F.sub(q([F.add(s, t) for s, t in zip(u, b3)]), q(u)), q3)
+
+    g3 = cubic.gradient_at(b3)
+    Q = [[q3], [bilinear(b1), bilinear(b2)], _along(polar, pencil, F, 2)]
+    K = [[cubic.f_at(b3)], [linalg.dot(g3, b1, F), linalg.dot(g3, b2, F)],
+         _along(cubic.polar(b3), pencil, F, 2), _along(cubic.F, pencil, F, 3)]
+    return Q, K
 
 
 def _random_unimodular(F, rng):
@@ -387,150 +457,6 @@ def _random_unimodular(F, rng):
              for _ in range(3)]
         if linalg.rank(M, F) == 3:
             return M
-
-
-# ---------------------------------------------------------------------------
-# plane sections
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PlaneSection:
-    status: str                 # plane_in_X | decomposed | no_linear_factor
-    cubic: object = None        # ternary restriction of F
-    line_form: object = None    # linear factor divided out (plane coords)
-    conic: object = None        # residual conic (plane coords)
-    conic_class: str = ""       # smooth | two_lines | double_line
-    conic_lines: list = field(default_factory=list)  # (level, linear form)
-    components_degrees: list = field(default_factory=list)
-
-
-def restrict_to_plane(cubic, plane_basis):
-    """F restricted to the plane spanned by three rows, in coords (a,b,c)."""
-    args = MultiPoly.linear_forms(cubic.field, ("pa", "pb", "pc"), plane_basis)
-    return cubic.F.eval_polys(args)
-
-
-def plane_line_form(plane_basis, line, F):
-    """Linear form (plane coords) cutting out a line contained in the plane."""
-    cols = [[plane_basis[j][i] for j in range(3)] for i in range(len(plane_basis[0]))]
-    pts = []
-    for row in line.rows:
-        sol = linalg.solve(cols, list(row), F)
-        if sol is None:
-            raise ValueError("line does not lie in the plane")
-        pts.append(sol)
-    p, q = pts
-    ell = [F.sub(F.mul(p[1], q[2]), F.mul(p[2], q[1])),
-           F.sub(F.mul(p[2], q[0]), F.mul(p[0], q[2])),
-           F.sub(F.mul(p[0], q[1]), F.mul(p[1], q[0]))]
-    if all(F.is_zero(e) for e in ell):
-        raise ValueError("degenerate line data")
-    return ell
-
-
-def _linear_form_poly(ell, F, pv=("pa", "pb", "pc")):
-    return MultiPoly(F, pv, {tuple(1 if i == j else 0 for i in range(3)): c
-                             for j, c in enumerate(ell) if not F.is_zero(c)})
-
-
-def plane_residual(cubic, plane_basis, known_line=None, max_level=2):
-    """Decompose the plane section of X, dividing out a known line exactly."""
-    F = cubic.field
-    T = restrict_to_plane(cubic, plane_basis)
-    if T.is_zero():
-        return PlaneSection(status="plane_in_X")
-    if known_line is not None:
-        lvl, ell = F, plane_line_form(plane_basis, known_line, F)
-    else:
-        # full linear-factor search over low tower levels
-        found = _find_linear_factor(T, F, max_level)
-        if found is None:
-            return PlaneSection(status="no_linear_factor", cubic=T,
-                                components_degrees=[3])
-        lvl, ell = found
-    conic = T.over(lvl).exact_div(_linear_form_poly(ell, lvl))
-    cls, lines = classify_conic(conic, lvl, max_level)
-    degrees = [1, 2] if cls == "smooth" else [1, 1, 1]
-    return PlaneSection(status="decomposed", cubic=T, line_form=ell,
-                        conic=conic, conic_class=cls, conic_lines=lines,
-                        components_degrees=degrees)
-
-
-def _levels_over(F, max_level):
-    """The tower levels that contain F, up to max_level and the budget."""
-    for k in range(F.k, min(max_level, F.tower.budget) + 1, F.k):
-        yield F.tower.level(k)
-
-
-def _find_linear_factor(T, F, max_level):
-    if F.char == 0:
-        return None  # exhaustive factor search is finite-field machinery
-    for lvl in _levels_over(F, max_level):
-        Tl = T.over(lvl)
-        for ell in _proj_points(lvl, 2):
-            if Tl.divides_exactly(_linear_form_poly(ell, lvl)) is not None:
-                return lvl, ell
-    return None
-
-
-def classify_conic(C, F, max_level=2):
-    """Rank classification of a ternary conic, with split lines if cheap.
-
-    Needs characteristic != 2 for the symmetric matrix criterion.
-    """
-    if F.char == 2:
-        raise NotImplementedError("conic classification needs odd characteristic")
-    two = F.from_int(2)
-    c = {e: v for e, v in C.terms.items()}
-    A = c.get((2, 0, 0), F.zero)
-    B = c.get((1, 1, 0), F.zero)
-    Cc = c.get((1, 0, 1), F.zero)
-    D = c.get((0, 2, 0), F.zero)
-    E = c.get((0, 1, 1), F.zero)
-    G = c.get((0, 0, 2), F.zero)
-    M = [[F.mul(two, A), B, Cc],
-         [B, F.mul(two, D), E],
-         [Cc, E, F.mul(two, G)]]
-    r = linalg.rank(M, F)
-    if r == 3:
-        return "smooth", []
-    if r == 1:
-        row = next(row for row in M if any(not F.is_zero(x) for x in row))
-        return "double_line", [(F.k, list(row))]
-    # rank 2: vertex + binary quadratic along a complement
-    vertex = linalg.kernel_basis(M, F)[0]
-    lines = _split_rank2_conic(C, vertex, F, max_level)
-    return "two_lines", lines
-
-
-def _split_rank2_conic(C, vertex, F, max_level):
-    """Two linear factors of a rank-2 conic, possibly over an extension."""
-    basis = linalg.complete_basis([vertex], F)
-    Cn = C.eval_polys(MultiPoly.linear_forms(F, C.vars, basis))
-    if any(e[0] for e in Cn.terms):
-        raise VerificationError("rank-2 conic depends on its vertex coordinate")
-    qf = [Cn.terms.get((0, 2 - i, i), F.zero) for i in range(3)]
-    rm = binary_roots(qf, F, max_level=max_level)
-    out = []
-    for lv, (r0, r1), mult in rm.roots:
-        lvl = F.tower.level(lv)
-        # factor vanishing at [.:r0:r1] in the new coords: r1*b - r0*c -> pull back
-        new_form = [lvl.zero, r1, lvl.neg(r0)]
-        # in original coords ell_orig(sum_j c_j basis[j]) = ell_new(c),
-        # so ell_orig is the unique solution of basis . ell_orig = ell_new
-        rows = [[lvl.embed_from(x, F.k) for x in b] for b in basis]
-        orig = linalg.solve(rows, new_form, lvl)
-        out.extend([(lv, orig)] * mult)
-    return out
-
-
-def ambient_line_from_plane_form(plane_basis, ell, lvl, cubic):
-    """ProjLine in P^n cut out on the plane by a linear plane-coord form."""
-    F = cubic.field
-    ker = linalg.kernel_basis([list(ell)], lvl)
-    rows = [[lvl.embed_from(x, F.k) for x in b] for b in plane_basis]
-    pts = [linalg.combine(v, rows, lvl) for v in ker[:2]]
-    return ProjLine(lvl, pts[0], pts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -594,20 +520,13 @@ def _is_singular_at(cub, pt):
     return zero(cub.f_at(pt)) and all(map(zero, cub.gradient_at(pt)))
 
 
-def _proj_points(lvl, n):
-    """Canonical representatives of P^n over a finite level: the last
-    nonzero coordinate is one, and the coordinates before it run with the
-    first one slowest."""
-    elems = list(lvl.elements())
-    for i in range(n, -1, -1):
-        tail = [lvl.one] + [lvl.zero] * (n - i)
-        for head in itertools.product(elems, repeat=i):
-            yield list(head) + tail
-
-
 def _proj_zeros(form, lvl, n):
-    """The points of :func:`_proj_points` where a form over lvl vanishes,
-    in the same order.
+    """The points of P^n over a finite level where a form over lvl
+    vanishes, as canonical representatives whose last nonzero coordinate
+    is one.  The points with x_n = 1 come first, then those with x_n = 0
+    and x_(n-1) = 1, and so on down to e_0; within each block the
+    coordinates before the one run through the field's elements in their
+    order, the first coordinate slowest.
 
     The points that differ only in their fastest coordinate, the one
     before the last nonzero, are b + t*e_c for t in the field's order, so

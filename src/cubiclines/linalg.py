@@ -71,6 +71,14 @@ def combine(coeffs, rows, F):
     return out
 
 
+def dot(u, v, F):
+    """sum_i u[i] * v[i] over F."""
+    acc = F.zero
+    for a, b in zip(u, v):
+        acc = F.add(acc, F.mul(a, b))
+    return acc
+
+
 def complete_basis(rows, F):
     """Independent rows extended to a basis by standard vectors, in index
     order, each kept when it raises the rank."""

@@ -384,40 +384,6 @@ class MultiPoly:
 
     # -- structure -------------------------------------------------------------
 
-    def exact_div(self, divisor):
-        """Exact division; raises ValueError if the division is not exact."""
-        self._check(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        F = self.field
-        rem = dict(self.terms)
-        # lex-leading term of divisor
-        dlead = max(divisor.terms)
-        dc = divisor.terms[dlead]
-        dcinv = F.inv(dc)
-        out = {}
-        while rem:
-            lead = max(rem)
-            if any(l < d for l, d in zip(lead, dlead)):
-                raise ValueError("inexact polynomial division")
-            q = tuple(l - d for l, d in zip(lead, dlead))
-            c = F.mul(rem[lead], dcinv)
-            out[q] = c
-            for e2, c2 in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(q, e2))
-                s = F.sub(rem.get(e, F.zero), F.mul(c, c2))
-                if F.is_zero(s):
-                    rem.pop(e, None)
-                else:
-                    rem[e] = s
-        return MultiPoly(F, self.vars, out)
-
-    def divides_exactly(self, divisor):
-        try:
-            return self.exact_div(divisor)
-        except ValueError:
-            return None
-
     def derivative(self, name):
         F = self.field
         i = self.vars.index(name)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .bihom import PositiveDimensionalError, divide_diagonal, solve_bihomog
-from .cubic import ProjLine, ambient_line_from_plane_form, plane_residual
+from .cubic import ProjLine, lines_in_plane
 from .curves import _normalize, curve_meeting_data, validate_curve
 from .fields import VerificationError, check_tower
 from .poly import linear_quotient
@@ -314,6 +314,7 @@ def _absorb_second_type(report, cubic, curve1, curve2, meeting, max_level,
             consistent = False
             report.certified = False
         for line in cands:
+            _assert_secant_line(cubic, line)
             report.lines.append(_finish_line(line, mp.s_params[0],
                                              mp.t_params[0], each,
                                              "second_type"))
@@ -321,7 +322,10 @@ def _absorb_second_type(report, cubic, curve1, curve2, meeting, max_level,
 
 
 def _second_type_lines(cubic, curve1, curve2, mp, max_level):
-    """Lines of X through a meeting point inside the node plane there."""
+    """Lines of X through a meeting point inside the node plane there: the
+    plane of the point and the two tangent directions, searched as a pencil
+    of directions (``lines_in_plane``) up to max_level, or level 2 by
+    default; a line among the two curves is not one of them."""
     if len(mp.s_params) != 1 or len(mp.t_params) != 1:
         return []
     c1 = curve1.embed(mp.level)
@@ -331,38 +335,14 @@ def _second_type_lines(cubic, curve1, curve2, mp, max_level):
     rows2 = c2.tangent_rows_at(list(mp.t_params[0]), lvl)
     if rows1 is None or rows2 is None:
         return []
-    mat, piv = linalg.rref(rows1 + rows2, lvl)
-    if len(piv) != 3:
+    (x, w1), w2 = rows1, rows2[1]
+    if linalg.rank([x, w1, w2], lvl) != 3:
         return []
-    basis = mat[:3]
-    X = cubic._over(lvl)
-    known = None
-    for c in (c1, c2):
-        if c.e == 1:
-            known = ProjLine(lvl, c.point_at([lvl.one, lvl.zero]),
-                             c.point_at([lvl.zero, lvl.one]))
-    sec = plane_residual(X, basis, known_line=known, max_level=max_level or 2)
-    if sec.status != "decomposed":
-        return []
-    cands = []
-    if sec.line_form is not None and known is None:
-        cands.append((lvl.k, list(sec.line_form)))
-    cands.extend(sec.conic_lines)
-    out = []
-    seen = set()
-    for clv, ell in cands:
-        l2 = lvl.tower.level(clv)
-        line = ambient_line_from_plane_form(basis, ell, l2, X)
-        if not line.contains([l2.embed_from(v, mp.level) for v in mp.point]):
-            continue
-        if known is not None and clv == mp.level and line == known:
-            continue
-        k = (clv, line.key())
-        if k in seen:
-            continue
-        seen.add(k)
-        out.append(line)
-    return out
+    lines = lines_in_plane(cubic._over(lvl), x, w1, w2, max_level or 2)
+    known = [ProjLine(lvl, c.point_at([lvl.one, lvl.zero]),
+                      c.point_at([lvl.zero, lvl.one]))
+             for c in (c1, c2) if c.e == 1]
+    return [line for line in lines or [] if line not in known]
 
 
 def _param_matches(p, bads, lvl, F):

@@ -52,11 +52,11 @@ from dataclasses import dataclass, field
 
 from cubiclines import linalg
 from cubiclines.bihom import BihomSolutions
-from cubiclines.cubic import (ProjLine, _levels_over, _proj_zeros,
-                              plane_residual, xvars, yvars)
+from cubiclines.cubic import (ProjLine, _levels_over, _proj_zeros, xvars,
+                              yvars)
 from cubiclines.curves import RationalCurve
 from cubiclines.fano import enumerate_lines
-from cubiclines.fields import upoly_trim
+from cubiclines.fields import VerificationError, upoly_trim
 from cubiclines.poly import SVARS, MultiPoly, binary_gcd, binary_roots
 from cubiclines.secant import count_secants_pair, count_secants_single
 
@@ -163,7 +163,7 @@ def _bareiss_det(mat, F, variables):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = num.exact_div(prev)
+                mat[i][j] = exact_div(num, prev)
             mat[i][k] = MultiPoly.zero(F, variables)
         prev = mat[k][k]
     det = mat[n - 1][n - 1]
@@ -182,8 +182,8 @@ def divide_diagonal(G, times):
     delta = diagonal_form(G.field)
     out = G
     for _ in range(times):
-        out = out.exact_div(delta)
-    if not out.is_zero() and out.divides_exactly(delta) is not None:
+        out = exact_div(out, delta)
+    if not out.is_zero() and divides_exactly(out, delta) is not None:
         raise ValueError("diagonal vanishing order exceeds %d" % times)
     return out
 
@@ -669,5 +669,228 @@ def _parameterize_conic(C, p, lvl):
     if len(g) > 1:
         div = MultiPoly(lvl, SVARS, {(len(g) - 1 - i, i): c
                                      for i, c in enumerate(g)})
-        out = [f.exact_div(div) for f in out]
+        out = [exact_div(f, div) for f in out]
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact division, point enumeration and plane sections
+# ---------------------------------------------------------------------------
+
+def exact_div(f, divisor):
+    """Exact division; raises ValueError if the division is not exact."""
+    f._check(divisor)
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    F = f.field
+    rem = dict(f.terms)
+    # lex-leading term of divisor
+    dlead = max(divisor.terms)
+    dc = divisor.terms[dlead]
+    dcinv = F.inv(dc)
+    out = {}
+    while rem:
+        lead = max(rem)
+        if any(l < d for l, d in zip(lead, dlead)):
+            raise ValueError("inexact polynomial division")
+        q = tuple(l - d for l, d in zip(lead, dlead))
+        c = F.mul(rem[lead], dcinv)
+        out[q] = c
+        for e2, c2 in divisor.terms.items():
+            e = tuple(a + b for a, b in zip(q, e2))
+            s = F.sub(rem.get(e, F.zero), F.mul(c, c2))
+            if F.is_zero(s):
+                rem.pop(e, None)
+            else:
+                rem[e] = s
+    return MultiPoly(F, f.vars, out)
+
+
+def divides_exactly(f, divisor):
+    try:
+        return exact_div(f, divisor)
+    except ValueError:
+        return None
+
+
+def _proj_points(lvl, n):
+    """Canonical representatives of P^n over a finite level: the last
+    nonzero coordinate is one, and the coordinates before it run with the
+    first one slowest."""
+    elems = list(lvl.elements())
+    for i in range(n, -1, -1):
+        tail = [lvl.one] + [lvl.zero] * (n - i)
+        for head in itertools.product(elems, repeat=i):
+            yield list(head) + tail
+
+
+def c3_arrays(cubic, x, dirs, change=None):
+    """The conic/cubic arrays of ``lines_through_point`` before they came
+    from ``along``: Q = P2(x; y) and K = F(y) built by ``eval_polys`` on
+    y = c1*b1 + c2*b2 + c3*b3 for the rows b of dirs, the coordinate
+    change c = M c' substituted into both (``change`` is M), and the
+    coefficients read by the power of c3."""
+    F = cubic.field
+    cvars = ("c1", "c2", "c3")
+    args = MultiPoly.linear_forms(F, cvars, dirs)
+    Q = cubic.polar(x).eval_polys(args)
+    K = cubic.F.eval_polys(args)
+    if change is not None:
+        forms = MultiPoly.linear_forms(F, cvars, list(zip(*change)))
+        Q, K = Q.eval_polys(forms), K.eval_polys(forms)
+    return [[[P.terms.get((j - i, i, d - j), F.zero) for i in range(j + 1)]
+             for j in range(d + 1)] for P, d in ((Q, 2), (K, 3))]
+
+
+def plane_lines_through(cubic, x, w1, w2, max_level=2):
+    """The lines of the plane section of X by the plane of x, w1 and w2
+    that contain x, as a set of (level, key), from the decomposition of
+    ``plane_residual``; None when the plane lies in X."""
+    basis = [list(x), list(w1), list(w2)]
+    sec = plane_residual(cubic, basis, max_level=max_level)
+    if sec.status == "plane_in_X":
+        return None
+    if sec.status != "decomposed":
+        return set()
+    F = cubic.field
+    out = set()
+    for clv, ell in [(F.k, list(sec.line_form))] + sec.conic_lines:
+        l2 = F.tower.level(clv)
+        line = ambient_line_from_plane_form(basis, ell, l2, cubic)
+        if line.contains([l2.embed_from(v, F.k) for v in x]):
+            out.add((clv, line.key()))
+    return out
+
+
+@dataclass
+class PlaneSection:
+    status: str                 # plane_in_X | decomposed | no_linear_factor
+    cubic: object = None        # ternary restriction of F
+    line_form: object = None    # linear factor divided out (plane coords)
+    conic: object = None        # residual conic (plane coords)
+    conic_class: str = ""       # smooth | two_lines | double_line
+    conic_lines: list = field(default_factory=list)  # (level, linear form)
+    components_degrees: list = field(default_factory=list)
+
+
+def restrict_to_plane(cubic, plane_basis):
+    """F restricted to the plane spanned by three rows, in coords (a,b,c)."""
+    args = MultiPoly.linear_forms(cubic.field, ("pa", "pb", "pc"), plane_basis)
+    return cubic.F.eval_polys(args)
+
+
+def plane_line_form(plane_basis, line, F):
+    """Linear form (plane coords) cutting out a line contained in the plane."""
+    cols = [[plane_basis[j][i] for j in range(3)] for i in range(len(plane_basis[0]))]
+    pts = []
+    for row in line.rows:
+        sol = linalg.solve(cols, list(row), F)
+        if sol is None:
+            raise ValueError("line does not lie in the plane")
+        pts.append(sol)
+    p, q = pts
+    ell = [F.sub(F.mul(p[1], q[2]), F.mul(p[2], q[1])),
+           F.sub(F.mul(p[2], q[0]), F.mul(p[0], q[2])),
+           F.sub(F.mul(p[0], q[1]), F.mul(p[1], q[0]))]
+    if all(F.is_zero(e) for e in ell):
+        raise ValueError("degenerate line data")
+    return ell
+
+
+def _linear_form_poly(ell, F, pv=("pa", "pb", "pc")):
+    return MultiPoly(F, pv, {tuple(1 if i == j else 0 for i in range(3)): c
+                             for j, c in enumerate(ell) if not F.is_zero(c)})
+
+
+def plane_residual(cubic, plane_basis, known_line=None, max_level=2):
+    """Decompose the plane section of X, dividing out a known line exactly."""
+    F = cubic.field
+    T = restrict_to_plane(cubic, plane_basis)
+    if T.is_zero():
+        return PlaneSection(status="plane_in_X")
+    if known_line is not None:
+        lvl, ell = F, plane_line_form(plane_basis, known_line, F)
+    else:
+        # full linear-factor search over low tower levels
+        found = _find_linear_factor(T, F, max_level)
+        if found is None:
+            return PlaneSection(status="no_linear_factor", cubic=T,
+                                components_degrees=[3])
+        lvl, ell = found
+    conic = exact_div(T.over(lvl), _linear_form_poly(ell, lvl))
+    cls, lines = classify_conic(conic, lvl, max_level)
+    degrees = [1, 2] if cls == "smooth" else [1, 1, 1]
+    return PlaneSection(status="decomposed", cubic=T, line_form=ell,
+                        conic=conic, conic_class=cls, conic_lines=lines,
+                        components_degrees=degrees)
+
+
+def _find_linear_factor(T, F, max_level):
+    if F.char == 0:
+        return None  # exhaustive factor search is finite-field machinery
+    for lvl in _levels_over(F, max_level):
+        Tl = T.over(lvl)
+        for ell in _proj_points(lvl, 2):
+            if divides_exactly(Tl, _linear_form_poly(ell, lvl)) is not None:
+                return lvl, ell
+    return None
+
+
+def classify_conic(C, F, max_level=2):
+    """Rank classification of a ternary conic, with split lines if cheap.
+
+    Needs characteristic != 2 for the symmetric matrix criterion.
+    """
+    if F.char == 2:
+        raise NotImplementedError("conic classification needs odd characteristic")
+    two = F.from_int(2)
+    c = {e: v for e, v in C.terms.items()}
+    A = c.get((2, 0, 0), F.zero)
+    B = c.get((1, 1, 0), F.zero)
+    Cc = c.get((1, 0, 1), F.zero)
+    D = c.get((0, 2, 0), F.zero)
+    E = c.get((0, 1, 1), F.zero)
+    G = c.get((0, 0, 2), F.zero)
+    M = [[F.mul(two, A), B, Cc],
+         [B, F.mul(two, D), E],
+         [Cc, E, F.mul(two, G)]]
+    r = linalg.rank(M, F)
+    if r == 3:
+        return "smooth", []
+    if r == 1:
+        row = next(row for row in M if any(not F.is_zero(x) for x in row))
+        return "double_line", [(F.k, list(row))]
+    # rank 2: vertex + binary quadratic along a complement
+    vertex = linalg.kernel_basis(M, F)[0]
+    lines = _split_rank2_conic(C, vertex, F, max_level)
+    return "two_lines", lines
+
+
+def _split_rank2_conic(C, vertex, F, max_level):
+    """Two linear factors of a rank-2 conic, possibly over an extension."""
+    basis = linalg.complete_basis([vertex], F)
+    Cn = C.eval_polys(MultiPoly.linear_forms(F, C.vars, basis))
+    if any(e[0] for e in Cn.terms):
+        raise VerificationError("rank-2 conic depends on its vertex coordinate")
+    qf = [Cn.terms.get((0, 2 - i, i), F.zero) for i in range(3)]
+    rm = binary_roots(qf, F, max_level=max_level)
+    out = []
+    for lv, (r0, r1), mult in rm.roots:
+        lvl = F.tower.level(lv)
+        # factor vanishing at [.:r0:r1] in the new coords: r1*b - r0*c -> pull back
+        new_form = [lvl.zero, r1, lvl.neg(r0)]
+        # in original coords ell_orig(sum_j c_j basis[j]) = ell_new(c),
+        # so ell_orig is the unique solution of basis . ell_orig = ell_new
+        rows = [[lvl.embed_from(x, F.k) for x in b] for b in basis]
+        orig = linalg.solve(rows, new_form, lvl)
+        out.extend([(lv, orig)] * mult)
+    return out
+
+
+def ambient_line_from_plane_form(plane_basis, ell, lvl, cubic):
+    """ProjLine in P^n cut out on the plane by a linear plane-coord form."""
+    F = cubic.field
+    ker = linalg.kernel_basis([list(ell)], lvl)
+    rows = [[lvl.embed_from(x, F.k) for x in b] for b in plane_basis]
+    pts = [linalg.combine(v, rows, lvl) for v in ker[:2]]
+    return ProjLine(lvl, pts[0], pts[1])

@@ -13,7 +13,7 @@ from cubiclines.chow import (ChowError, ChowExpr, derive_pair_count,
                              derive_secant_count, evaluate, parse,
                              relation_degree_check)
 from cubiclines.cli import main as cli_main
-from cubiclines.cubic import ProjLine, _proj_points, lines_through_point
+from cubiclines.cubic import ProjLine, lines_through_point
 from cubiclines.curves import (curve_from_json, curve_meeting_data,
                                line_as_curve)
 from cubiclines.fano import (correspondence_row, discriminant_quintic,
@@ -21,9 +21,9 @@ from cubiclines.fano import (correspondence_row, discriminant_quintic,
 from cubiclines.fields import QQ
 from cubiclines.secant import count_secants_pair, count_secants_single
 from conftest import fixture_json, fixture_path, load_line
-from oracle import (is_smooth_point, level1_census, meet_counts, on_x,
-                    oracle_disjoint_pair, oracle_meeting_pair, oracle_single,
-                    oracle_skew_pair, report_level1_keys)
+from oracle import (_proj_points, is_smooth_point, level1_census, meet_counts,
+                    on_x, oracle_disjoint_pair, oracle_meeting_pair,
+                    oracle_single, oracle_skew_pair, report_level1_keys)
 from test_chow import PROD_ATOMS, SYM_ATOMS, fold, rand_atoms, rfold
 from test_fano import find_first_type_line
 from test_fields import rand_elem

@@ -11,7 +11,8 @@ from cubiclines.fields import VerificationError
 from cubiclines.poly import MultiPoly
 from cubiclines.secant import count_secants_pair, count_secants_single
 from conftest import fixture_json
-from oracle import STVARS, dense, diagonal_form, lift_fibers_per_root
+from oracle import (STVARS, dense, diagonal_form, divides_exactly,
+                    lift_fibers_per_root)
 
 
 def rand_biform(lvl, rng, ds, dt):
@@ -131,7 +132,7 @@ def test_diagonal_division_sharp(tower7):
     lvl = tower7.level(1)
     delta = diagonal_form(lvl)
     G = rand_biform(lvl, random.Random(5), 1, 1)
-    while G.is_zero() or G.divides_exactly(delta) is not None:
+    while G.is_zero() or divides_exactly(G, delta) is not None:
         G = rand_biform(lvl, random.Random(6), 1, 1)
     prod = delta * delta * G
     out = divide_diagonal(dense(prod, (3, 3)), 2, lvl)

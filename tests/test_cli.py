@@ -250,7 +250,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         assert code == 2 and doc is None, argv
     # a direction system that no coordinate change puts in general position
     from cubiclines import cubic
-    monkeypatch.setattr(cubic, "_c3_arrays", lambda Q, K: None)
+    # (in every basis, c3^2 in the conic and c3^3 in the cubic vanish)
+    monkeypatch.setattr(cubic, "_c3_arrays", lambda *args: (
+        [[0], [1, 0], [0, 0, 0]], [[0], [1, 0], [0, 0, 0], [0, 0, 0, 0]]))
     code = main(["lines-through-point", "--cubic", X7, "--point", "1,2,3,5,0"])
     out, err = capsys.readouterr()
     assert code == 2 and not out

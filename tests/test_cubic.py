@@ -4,14 +4,14 @@ import random
 import pytest
 
 from cubiclines.cubic import (CubicForm, DegenerateSpanError, ProjLine,
-                              SingularPointError, _proj_points,
-                              classify_conic, cubic_from_json, fermat_cubic,
-                              lines_through_point, plane_residual,
+                              SingularPointError, cubic_from_json,
+                              fermat_cubic, lines_through_point,
                               smoothness_probe, xvars)
 from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
-from oracle import is_smooth_point, meets, on_x
+from oracle import (_proj_points, classify_conic, divides_exactly,
+                    is_smooth_point, meets, on_x, plane_residual)
 
 
 def F7pts(lvl):
@@ -177,7 +177,7 @@ def test_rank2_conic_splits_into_its_factors(tower7):
             assert lv == level
             L = tower7.level(lv)
             ell = MultiPoly.linear_forms(L, pv, [[x] for x in form])[0]
-            assert C.over(L).divides_exactly(ell) is not None
+            assert divides_exactly(C.over(L), ell) is not None
 
 
 def test_plane_residual_irreducible_section(threefold7, tower7):

@@ -1,5 +1,5 @@
 """The zero scan ``cubic._proj_zeros`` against the points of
-``_proj_points`` filtered by the element-loop evaluation of ``oracle``, in
+``oracle._proj_points`` filtered by the element-loop evaluation of ``oracle``, in
 the same order, and the number of substitutions and evaluations that the
 smoothness probe makes with it."""
 
@@ -9,12 +9,13 @@ import random
 
 import pytest
 
-from cubiclines.cubic import (CubicForm, _proj_points, _proj_zeros,
-                              cubic_from_json, smoothness_probe)
+from cubiclines.cubic import (CubicForm, _proj_zeros, cubic_from_json,
+                              smoothness_probe)
 from cubiclines.fields import FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
 import oracle
+from oracle import _proj_points
 
 # (p, level, n): every point of P^n at these levels is tested
 SPACES = [(3, 1, 4), (7, 1, 4), (5, 1, 2), (5, 2, 2), (3, 2, 3), (2, 3, 2)]

@@ -159,7 +159,7 @@ import json
 import os
 from types import SimpleNamespace
 
-from cubiclines import bihom, chow, cubic, fano, fields, poly
+from cubiclines import bihom, chow, cubic, fano, fields, poly, secant
 from cubiclines.bihom import BihomSolutions, _verify_solutions
 from cubiclines.cubic import ProjLine, fermat_cubic
 from cubiclines.curves import curve_from_json
@@ -190,11 +190,11 @@ def orbit_with_identity_frob():
 
 
 def lines_through_point_with_wrong_solver():
-    # a conic/cubic solver answering a point off the pair: the line
-    # certificate of the line through the point must refuse its direction
+    # a conic/cubic solver answering a direction off the pair: the line
+    # certificate of the line through the point must refuse it
     solve = cubic._solve_conic_cubic
-    cubic._solve_conic_cubic = lambda Q, K, max_level, seed: (
-        [(1, (1, 1, 1), 1)], True, True)
+    cubic._solve_conic_cubic = lambda X, x, dirs, max_level, seed: (
+        [(1, [0, 0, 0, 0, 1], 1)], True, True)
     try:
         cubic.lines_through_point(fermat_cubic(lvl, 4), [1, 1, 3, 3, 0], tower)
     finally:
@@ -223,6 +223,26 @@ def secant_line_with_only_p2():
                                                  field=surface.field))
 
 
+def second_type_line_off_x():
+    # a second-type search answering a line off X where the conic and the
+    # line of a dense GF(7) configuration meet, with multiplicity left
+    # over there: the certificate must refuse the reported line
+    def load(name):
+        with open(os.path.join(FIXTURES, name)) as fh:
+            return json.load(fh)
+    X = cubic.cubic_from_json(load("solve0_threefold.json"))[0]
+    fld = X.field
+    conic = curve_from_json(load("solve0_conic.json"), fld)
+    meet = curve_from_json(load("solve0_meetline.json"), fld)
+    wrong = ProjLine(fld, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+    search = secant._second_type_lines
+    secant._second_type_lines = lambda *args: [wrong]
+    try:
+        secant.count_secants_pair(X, conic, meet)
+    finally:
+        secant._second_type_lines = search
+
+
 checks = (
     lambda: _verify_solutions(BihomSolutions(solutions=[(1, (1, 0), (1, 0), 1)]),
                               (G,), lvl),
@@ -234,6 +254,7 @@ checks = (
     lines_through_point_with_wrong_solver,
     fiber_map_with_wrong_power,
     secant_line_with_only_p2,
+    second_type_line_off_x,
 )
 # a wrong closed form makes the (correct) row total fail its check
 fano.expected_line_meeting = lambda e: 5 * e - 4
@@ -261,7 +282,7 @@ def test_verification_checks_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "9"
+    assert proc.stdout.strip() == "10"
 
 
 def test_acceptance_suite_under_optimize():
