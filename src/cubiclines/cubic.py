@@ -355,8 +355,8 @@ def _pencil_roots(forms, w, F, max_level):
     if len(g) == 1:
         return [], True
     rm = binary_roots(g, F, max_level=max_level)
-    return [(lv, _direction(r, w, F, lv), m) for lv, r, m in rm.roots], \
-        rm.complete
+    roots = [(lv, _direction(r, w, F, lv), m) for lv, r, m in rm.roots]
+    return roots, rm.complete
 
 
 def _direction(coeffs, w, F, lv):

@@ -44,6 +44,19 @@ here share nothing with ``CubicForm.P1``/``P2``.  The second-type matrix
 and the entries of the fiber conic of the projection from a line are the
 solver's before it read them from the gradient too: F(s*r0 + t*r1 + u)
 expanded by ``eval_polys`` and split by the powers of s and t.
+
+The plane sections are the second-type search before it became a pencil
+of directions: F restricted to a plane by ``eval_polys``
+(``restrict_to_plane``), a linear factor found by exhaustive search over
+the points of the dual plane (``_find_linear_factor``) or given as a
+known line, the residual conic by exact division, classified by the rank
+of its matrix and split at its vertex (``classify_conic``); and
+``plane_lines_through`` keeps the lines of that decomposition through a
+point.  ``c3_arrays`` is the conic/cubic pair of ``lines_through_point``
+before it came from ``along``: Q and K built by ``eval_polys`` and moved
+by a coordinate change substituted into both.  ``exact_div``,
+``divides_exactly`` and ``_proj_points`` (every point of P^n in the
+order of ``cubic._proj_zeros``) are used by tests only.
 """
 
 import functools
