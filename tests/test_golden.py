@@ -43,9 +43,9 @@ MEET11 = _line_arg("dense11_meetline.json")
 # zeros over GF(7), so the sample list reaches GF(49)
 CONFIG7 = fixture_path("config7_threefold.json")
 
-# the first GF(7) and the sixth GF(11) configuration of the same seed: at the
-# point where the line meets the conic, one line of X lies in the plane of
-# the two tangent directions (a second-type secant of the pair)
+# configurations 0 (GF(7)) and 37 (GF(11)) of the `solve` benchmark's seed 1:
+# at the point where the line meets the conic, one line of X lies in the
+# plane of the two tangent directions (a second-type secant of the pair)
 SOLVE0 = fixture_path("solve0_threefold.json")
 SOLVE37 = fixture_path("solve37_threefold.json")
 
