@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, VerificationError
+from .fields import QQ
 from .poly import MultiPoly
 
 PARAMS = ("e", "g", "e1", "e2", "r", "N")
@@ -397,7 +397,7 @@ class _Parser:
             return ChowExpr.grade1(("D", "K_C"))
         if name == "xS":
             # hyperplane class restricted to the residue surface
-            return _Parser(RESIDUE_CLASSES["single"]["xi_S"], self.log).parse()
+            return _Parser("2*D[a] + 3*Delta0 - sumE", self.log).parse()
         if name in ("D", "E", "F", "delta", "pair2"):
             self.take("[")
             akind, aval, apos = self.take()
@@ -491,55 +491,6 @@ def derive_secant_count(e, g):
 def derive_pair_count(e1, e2, r):
     """Secant-line count of a pair of curves meeting at r points."""
     return _derive("pair", {"e1": e1, "e2": e2, "r": r})
-
-
-def secant_bundle_chern_consistent():
-    """Check the two routes to the Chern classes of the bundle twisted by
-    a difference of two named divisors give the same normal form."""
-    total = parse("(1 + D[a1] + Delta0 + pair2[a1]) * (1 - D[a2] + pair2[a2])")
-    return (ChowExpr(g1=total.g1) == parse("Delta0 + D[a1] - D[a2]")
-            and ChowExpr(g2=total.g2) == parse(
-                "pair2[a1] + pair2[a2] + delta[a2] - D[a1]*D[a2]"))
-
-
-# relative hyperplane xi_S, residual-line divisor D_S, self-restriction S_S
-# and the twist class, restricted to the residue surface
-RESIDUE_CLASSES = {
-    "single": {"xi_S": "2*D[a] + 3*Delta0 - sumE",
-               "D_S": "3*D[a] + 4*Delta0 - 2*sumE",
-               "S_S": "3*D[a] + 5*Delta0 - sumE",
-               "twist": COUNT_CLASSES["single"][2]},
-    "pair": {"xi_S": "2*A1xC2 + 2*C1xA2 - 3*sumF - sumE",
-             "D_S": "3*A1xC2 + 3*C1xA2 - 4*sumF - 2*sumE",
-             "S_S": "3*A1xC2 + 3*C1xA2 - 5*sumF - sumE",
-             "twist": COUNT_CLASSES["pair"][2]},
-}
-
-
-def residue_surface_classes(case):
-    """Divisor classes restricted to the residue surface, in normal form.
-
-    Returns xi_S (relative hyperplane), D_S (residual-line divisor), S_S
-    (self-restriction), the twist class and xi_S squared, after asserting
-    the linear consistency identities and the agreement of two independent
-    expansions of xi_S^2.
-    """
-    if case not in RESIDUE_CLASSES:
-        raise ValueError("case must be 'single' or 'pair'")
-    classes = {name: parse(text)
-               for name, text in RESIDUE_CLASSES[case].items()}
-    xi, d_s, s_s, twist = (classes[name]
-                           for name in ("xi_S", "D_S", "S_S", "twist"))
-    for identity in (d_s + s_s - xi.scale(3), d_s - xi.scale(2) + twist,
-                     s_s - xi - twist):
-        if not identity.is_zero():
-            raise VerificationError("residue class identity fails: %s"
-                                    % identity.to_str())
-    classes["xi_S_sq"] = xi * xi
-    half = (d_s + twist).scale(Fraction(1, 2))
-    if classes["xi_S_sq"] != half * half:
-        raise VerificationError("two expansions of xi_S^2 disagree")
-    return classes
 
 
 # -- degree checks for the 1-cycle relations --------------------------------

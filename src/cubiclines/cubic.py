@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .bihom import fiber_gcd, lift_fibers
-from .fields import QQ, FieldTower, VerificationError, check_tower
+from .fields import (QQ, FieldTower, InvalidInputError, VerificationError,
+                     check_tower)
 from .poly import (_EXPONENTS, MultiPoly, _horner_bits, _packed_coeffs,
                    _packed_horner, binary_gcd, binary_roots,
                    sylvester_resultant)
@@ -32,7 +33,7 @@ def yvars(n):
     return tuple("y%d" % i for i in range(n + 1))
 
 
-class DegenerateSpanError(ValueError):
+class DegenerateSpanError(InvalidInputError):
     """Two coincident points were asked to span a line."""
 
 
@@ -57,9 +58,6 @@ class ProjLine:
         self.field = fld
         self.n = n
         self.rows = (tuple(mat[0]), tuple(mat[1]))
-
-    def points(self):
-        return [list(r) for r in self.rows]
 
     def plucker(self):
         F = self.field
@@ -210,18 +208,6 @@ def _coordinate_pairs(n):
                  for a in range(n + 1) for b in range(a, n + 1))
 
 
-def fermat_cubic(fld, n):
-    """sum x_i^3; rejected in characteristic 3 where it is singular."""
-    if fld.char == 3:
-        raise ValueError("the Fermat cubic is singular in characteristic 3")
-    terms = {}
-    for i in range(n + 1):
-        e = [0] * (n + 1)
-        e[i] = 3
-        terms[tuple(e)] = 1
-    return CubicForm(fld, n, MultiPoly.from_int_terms(fld, xvars(n), terms))
-
-
 def cubic_from_json(doc, budget=6, seed=0):
     """Build (CubicForm, tower) from the JSON cubic schema; p = 0 gives QQ."""
     p = int(doc["p"])
@@ -274,10 +260,13 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     F = cubic.field
     check_tower(tower, F)
     if len(x) != cubic.n + 1:
-        raise ValueError("a point of P^%d needs %d coordinates"
-                         % (cubic.n, cubic.n + 1))
+        raise InvalidInputError("a point of P^%d needs %d coordinates"
+                                % (cubic.n, cubic.n + 1))
+    if all(map(F.is_zero, x)):
+        raise InvalidInputError("the zero vector is not a point of P^%d"
+                                % cubic.n)
     if not F.is_zero(cubic.f_at(x)):
-        raise ValueError("point is not on X")
+        raise InvalidInputError("point is not on X")
     grad = cubic.gradient_at(x)
     if all(F.is_zero(g) for g in grad):
         raise SingularPointError("singular point of X")
@@ -486,7 +475,8 @@ def smoothness_probe(cubic, max_level=2, seed=0):
     """
     F = cubic.field
     if F.char == 0:
-        raise ValueError("the probe enumerates points; use a finite tower")
+        raise InvalidInputError("the probe enumerates points; use a finite "
+                                "tower")
     n = cubic.n
     levels_done = []
     samples = 0

@@ -14,45 +14,41 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .bihom import PositiveDimensionalError, solve_bihomog
-from .poly import (SVARS, MultiPoly, _horner, _horner2, binary_gcd,
-                   diagonal_quotient, is_zero_array)
+from .fields import InvalidInputError
+from .poly import (_horner, _horner2, binary_gcd, diagonal_quotient,
+                   is_zero_array)
 
 
-class BasePointError(ValueError):
+class BasePointError(InvalidInputError):
     """All coordinate forms share a root: the map is undefined there."""
 
 
-class NotOnXError(ValueError):
+class NotOnXError(InvalidInputError):
     """The composed form F(phi(s)) is not identically zero."""
 
 
 class RationalCurve:
     """A degree-e map P^1 -> P^n given by n+1 binary forms in (s0, s1).
 
-    ``dense`` holds the same forms as coefficient lists over the curve's
-    field, entry k multiplying s0^(e-k) s1^k: the form in which
+    ``dense`` holds the forms as coefficient lists over the curve's field,
+    entry k multiplying s0^(e-k) s1^k: the form in which
     ``MultiPoly.along`` substitutes the curve and points are evaluated.
     """
 
-    __slots__ = ("field", "n", "e", "coords", "dense")
+    __slots__ = ("field", "n", "e", "dense")
 
-    def __init__(self, fld, e, coords):
-        coords = tuple(coords)
+    def __init__(self, fld, e, dense):
+        dense = tuple(tuple(d) for d in dense)
         if e < 1:
             raise ValueError("curve degree must be >= 1")
-        for c in coords:
-            if c.vars != SVARS:
-                raise ValueError("coordinate forms must use variables %r" % (SVARS,))
-            if not c.is_zero() and any(sum(ex) != e for ex in c.terms):
-                raise ValueError("coordinate form not homogeneous of degree %d" % e)
-        if all(c.is_zero() for c in coords):
+        if any(len(d) != e + 1 for d in dense):
+            raise ValueError("coefficient list length must be e+1")
+        if all(fld.is_zero(c) for d in dense for c in d):
             raise ValueError("zero parameterization")
         self.field = fld
-        self.n = len(coords) - 1
+        self.n = len(dense) - 1
         self.e = e
-        self.coords = coords
-        self.dense = tuple(tuple(c.terms.get((e - k, k), fld.zero)
-                                 for k in range(e + 1)) for c in coords)
+        self.dense = dense
 
     def point_at(self, s, lvl=None):
         """The image point phi(s) of a parameter s over the level lvl."""
@@ -85,8 +81,8 @@ class RationalCurve:
         if F.k == k:
             return self
         lvl = F.tower.level(k)
-        return RationalCurve(lvl, self.e,
-                             [c.over(lvl) for c in self.coords])
+        return RationalCurve(lvl, self.e, [[lvl.embed_from(c, F.k) for c in d]
+                                           for d in self.dense])
 
     def to_json(self):
         return {"e": self.e, "coords": [[_as_int(self.field, v) for v in d]
@@ -109,20 +105,14 @@ def curve_from_json(doc, fld):
 
     Coefficient k of a coordinate multiplies s0^(e-k) s1^k.
     """
-    e = int(doc["e"])
-    coords = []
-    for dense in doc["coords"]:
-        if len(dense) != e + 1:
-            raise ValueError("coefficient list length must be e+1")
-        terms = {(e - k, k): int(c) for k, c in enumerate(dense)}
-        coords.append(MultiPoly.from_int_terms(fld, SVARS, terms))
-    return RationalCurve(fld, e, coords)
+    return RationalCurve(fld, int(doc["e"]),
+                         [[fld.from_int(int(c)) for c in d]
+                          for d in doc["coords"]])
 
 
 def line_as_curve(line):
     """Degree-1 parameterization s0*a + s1*b of a ProjLine."""
-    F = line.field
-    return RationalCurve(F, 1, MultiPoly.linear_forms(F, SVARS, line.rows))
+    return RationalCurve(line.field, 1, zip(*line.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from . import linalg
 from .curves import _normalize, curve_meeting_data, line_as_curve
 from .cubic import (ProjLine, _levels_over, _proj_zeros, _zeros_along,
                     lines_through_point)
-from .fields import BudgetError, VerificationError, check_tower
+from .fields import (BudgetError, InvalidInputError, VerificationError,
+                     check_tower)
 from .poly import MultiPoly
 from .secant import _enc_vec, count_secants_pair, expected_line_meeting
 
@@ -178,7 +179,7 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     rational points (see :func:`incidence`), with no rank per pair of lines.
     """
     if cubic.field.char == 0:
-        raise ValueError("line enumeration needs a finite field (p > 0)")
+        raise InvalidInputError("line enumeration needs a finite field (p > 0)")
     check_tower(tower, cubic.field)
     fld = cubic.field.tower.level(level)
     q = fld.p ** fld.k
@@ -228,7 +229,7 @@ def _normal_rows(cubic, line):
     columns."""
     fld = line.field
     if not cubic.line_in_x(line):
-        raise ValueError("line does not lie on the hypersurface")
+        raise InvalidInputError("line does not lie on the hypersurface")
     pivots = {next(c for c, x in enumerate(row) if not fld.is_zero(x))
               for row in line.rows}
     cols = [c for c in range(line.n + 1) if c not in pivots]
@@ -300,7 +301,8 @@ def discriminant_quintic(cubic, line):
 
 def _fiber_conic(cubic, line):
     """The coefficients of F(s*r0 + t*r1 + u) by s^2, st, t^2, s, t and 1,
-    as forms in the coordinates u of the columns off the line's pivots.
+    as forms in the coordinates x_c of the columns c off the line's pivots,
+    where u is supported.
 
     The first three are linear (:func:`_normal_rows`); the s and t parts
     are the polar quadrics of r0 and r1, and the last is F, each with the
@@ -309,11 +311,11 @@ def _fiber_conic(cubic, line):
     fld = line.field
     X = cubic._over(fld)
     cols, rows = _normal_rows(X, line)
-    uvars = tuple("u%d" % i for i in range(len(cols)))
-    linear = MultiPoly.linear_forms(fld, uvars, list(zip(*rows)))
     on_u = [None if c in cols else fld.zero for c in range(line.n + 1)]
-    rest = [P.subs(on_u).rename_vars(uvars)
+    rest = [P.subs(on_u)
             for P in (X.polar(line.rows[0]), X.polar(line.rows[1]), X.F)]
+    # subs names the forms by their free variables, x_c for c in cols
+    linear = MultiPoly.linear_forms(fld, rest[-1].vars, list(zip(*rows)))
     return linear + rest
 
 
@@ -327,7 +329,8 @@ def sample_smoothness(curve, count=20, max_level=3, seed=0):
     """
     base = curve.form.field
     if base.char == 0:
-        raise ValueError("smoothness sampling enumerates points; needs p > 0")
+        raise InvalidInputError("smoothness sampling enumerates points; needs "
+                                "p > 0")
     rng = random.Random(seed)
     curve.samples = []
     for lvl in _levels_over(base, max_level):
@@ -366,6 +369,8 @@ def correspondence_row(cubic, curve, line, tower=None, max_level=None):
     through the meeting point.
     """
     check_tower(tower, curve.field)
+    if not cubic.line_in_x(line):
+        raise InvalidInputError("line does not lie on the hypersurface")
     line_curve = line_as_curve(line)
     meeting = curve_meeting_data(curve, line_curve, max_level)
     if meeting.r != 1 or not meeting.all_transversal:

@@ -42,6 +42,13 @@ class BudgetError(Exception):
     """A requested extension level exceeds the tower budget."""
 
 
+class InvalidInputError(ValueError):
+    """An argument the computation does not accept: a vector that is not a
+    point of P^n, a point, line or curve off X, rows that span no line, a
+    curve with a base point or one with no secant scheme, or a field that a
+    point scan cannot enumerate."""
+
+
 class VerificationError(AssertionError):
     """A computed result failed its substitution check.
 
@@ -111,15 +118,6 @@ class Rationals:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
-
-    def div(self, a, b):
-        return a / self._nonzero(b)
-
-    @staticmethod
-    def _nonzero(b):
-        if b == 0:
-            raise ZeroDivisionError("division by 0")
-        return b
 
     def is_zero(self, a):
         return a == 0

@@ -77,18 +77,3 @@ def dot(u, v, F):
     for a, b in zip(u, v):
         acc = F.add(acc, F.mul(a, b))
     return acc
-
-
-def complete_basis(rows, F):
-    """Independent rows extended to a basis by standard vectors, in index
-    order, each kept when it raises the rank."""
-    n = len(rows[0])
-    basis = [list(r) for r in rows]
-    for i in range(n):
-        if len(basis) == n:
-            break
-        e = [F.zero] * n
-        e[i] = F.one
-        if rank(basis + [e], F) == len(basis) + 1:
-            basis.append(e)
-    return basis

@@ -34,9 +34,6 @@ from .fields import (
     upoly_trim,
 )
 
-# the parameter pair of a curve's coordinate forms
-SVARS = ("s0", "s1")
-
 # one shared tuple per exponent vector of the gradients and polar forms
 # that cubic.CubicForm builds: many cubics hold the same few hundred vectors
 _EXPONENTS = {}
@@ -191,27 +188,14 @@ class MultiPoly:
     def eval_elems(self, values):
         """Evaluate at field elements of this field, one per variable.
 
-        Over a finite level the value is one sum on packed elements
-        (``pack``): each variable's powers are packed products, each term
-        is its packed coefficient times those powers, and the sum is
-        reduced once, with slots wide enough for every term.  The packed
-        terms are built on the first call and kept on the form.  Over QQ
-        it is a loop of element operations, each value's powers computed
-        once per call.
+        The value is one sum on packed elements (``pack``; over QQ and a
+        prime field an element is its own packed form): each variable's
+        powers are packed products, each term is its packed coefficient
+        times those powers, and the sum is reduced once, with slots wide
+        enough for every term.  The packed terms are built on the first
+        call and kept on the form.
         """
         F = self.field
-        if F.char == 0:
-            powers = [{1: v} for v in values]
-            acc = F.zero
-            for exps, c in self.terms.items():
-                t = c
-                for v, e, pw in zip(values, exps, powers):
-                    if e:
-                        if e not in pw:
-                            pw[e] = F.pow_(v, e)
-                        t = F.mul(t, pw[e])
-                acc = F.add(acc, t)
-            return acc
         try:
             bits, tops, packed = self._packed
         except AttributeError:
@@ -228,10 +212,11 @@ class MultiPoly:
                              for c, idx in packed]), bits)
 
     def _pack_terms(self):
-        """For ``eval_elems`` over a finite level: the slot width, each
-        variable's largest exponent, and per term the packed coefficient
-        with the positions of its powers in the list of packed powers (the
-        powers 1..top of each variable in turn)."""
+        """For ``eval_elems``: the slot width, each variable's largest
+        exponent, and per term the packed coefficient with the positions of
+        its powers in the list of packed powers (the powers 1..top of each
+        variable in turn).  The zero form is one packed zero term, so its
+        value is the field's zero."""
         F = self.field
         deg = max(map(sum, self.terms), default=0)
         bits = _horner_bits(deg, len(self.terms), F)
@@ -240,7 +225,7 @@ class MultiPoly:
         packed = [(F.pack(c, bits),
                    tuple(s + e for s, e in zip(starts, exps) if e))
                   for exps, c in self.terms.items()]
-        return bits, tops, packed
+        return bits, tops, packed or [(F.pack(F.zero, bits), ())]
 
     def subs(self, values, lvl=None):
         """Fix the variables whose entry in values is not None.
@@ -378,9 +363,6 @@ class MultiPoly:
             return self
         k = self.field.k
         return self.map_field(lvl, lambda c: lvl.embed_from(c, k))
-
-    def rename_vars(self, new_vars):
-        return MultiPoly._trusted(self.field, tuple(new_vars), dict(self.terms))
 
     # -- structure -------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from . import linalg
 from .bihom import PositiveDimensionalError, divide_diagonal, solve_bihomog
 from .cubic import ProjLine, lines_in_plane
 from .curves import _normalize, curve_meeting_data, validate_curve
-from .fields import VerificationError, check_tower
+from .fields import InvalidInputError, VerificationError, check_tower
 from .poly import linear_quotient
 
 
@@ -144,7 +144,8 @@ def count_secants_single(cubic, curve, tower=None, max_level=None):
     """All secants of one curve, with multiplicity, against N(e, 0)."""
     e = curve.e
     if e < 2:
-        raise ValueError("a line has no secant scheme; degree must be >= 2")
+        raise InvalidInputError("a line has no secant scheme; degree must be "
+                                ">= 2")
     check_tower(tower, curve.field)
     if not validate_curve(cubic, curve, max_level).valid:
         raise ValueError("curve must validate as birational and node-free")

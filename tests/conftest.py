@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from cubiclines.cubic import CubicForm, ProjLine, cubic_from_json, fermat_cubic
+from cubiclines.cubic import CubicForm, ProjLine, cubic_from_json
 from cubiclines.curves import curve_from_json, line_as_curve
 from cubiclines.fields import QQ, FieldTower
+from oracle import fermat_cubic
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -65,16 +65,49 @@ from dataclasses import dataclass, field
 
 from cubiclines import linalg
 from cubiclines.bihom import BihomSolutions
-from cubiclines.cubic import (ProjLine, _levels_over, _proj_zeros, xvars,
-                              yvars)
+from cubiclines.cubic import (CubicForm, ProjLine, _levels_over, _proj_zeros,
+                              xvars, yvars)
 from cubiclines.curves import RationalCurve
 from cubiclines.fano import enumerate_lines
 from cubiclines.fields import VerificationError, upoly_trim
-from cubiclines.poly import SVARS, MultiPoly, binary_gcd, binary_roots
+from cubiclines.poly import MultiPoly, binary_gcd, binary_roots
 from cubiclines.secant import count_secants_pair, count_secants_single
 
+# the parameter pairs of curves' coordinate forms
+SVARS = ("s0", "s1")
 TVARS = ("t0", "t1")
 STVARS = SVARS + TVARS
+
+
+def fermat_cubic(fld, n):
+    """sum x_i^3; rejected in characteristic 3 where it is singular."""
+    if fld.char == 3:
+        raise ValueError("the Fermat cubic is singular in characteristic 3")
+    terms = {tuple(3 * (i == j) for j in range(n + 1)): 1 for i in range(n + 1)}
+    return CubicForm(fld, n, MultiPoly.from_int_terms(fld, xvars(n), terms))
+
+
+def complete_basis(rows, F):
+    """Independent rows extended to a basis by standard vectors, in index
+    order, each kept when it raises the rank."""
+    n = len(rows[0])
+    basis = [list(r) for r in rows]
+    for i in range(n):
+        if len(basis) == n:
+            break
+        e = [F.zero] * n
+        e[i] = F.one
+        if linalg.rank(basis + [e], F) == len(basis) + 1:
+            basis.append(e)
+    return basis
+
+
+def curve_forms(curve):
+    """A curve's coordinate forms as MultiPolys in (s0, s1), read from its
+    dense lists: entry k multiplies s0^(e-k) s1^k."""
+    e = curve.e
+    return [MultiPoly(curve.field, SVARS, {(e - k, k): c for k, c in enumerate(d)})
+            for d in curve.dense]
 
 
 def dense(P, degrees):
@@ -208,7 +241,7 @@ def side_forms(curve, side):
     return [MultiPoly(curve.field, STVARS,
                       {(e + pad if side == "s" else pad + e): c
                        for e, c in p.terms.items()})
-            for p in curve.coords]
+            for p in curve_forms(curve)]
 
 
 def meet_counts(census):
@@ -246,7 +279,7 @@ def scheme_length(line, curve):
     forms = []
     for v in line_hyperplanes(line):
         acc = MultiPoly.zero(F, SVARS)
-        for c, phi in zip(v, curve.coords):
+        for c, phi in zip(v, curve_forms(curve)):
             acc = acc + phi.scale(c)
         if not acc.is_zero():
             forms.append(acc)
@@ -333,10 +366,11 @@ def _complement_basis(line):
 
 
 def _restrict_along(cubic, line, comp):
-    """F(s*r0 + t*r1 + sum u_i w_i) as a polynomial in (s, t, u...)."""
+    """F(s*r0 + t*r1 + sum u_i w_i) as a polynomial in (s, t, u...), each
+    u_i named x_c after the column c of its unit vector w_i."""
     fld = line.field
     X = cubic._over(fld)
-    pvars = ("s", "t") + tuple("u%d" % i for i in range(len(comp)))
+    pvars = ("s", "t") + tuple(X.F.vars[w.index(fld.one)] for w in comp)
     coords = MultiPoly.linear_forms(fld, pvars, list(line.rows) + comp)
     G = X.F.eval_polys(coords)
     if any(not any(exps[2:]) for exps in G.terms):
@@ -637,7 +671,7 @@ def conic_residual_to_line(cubic, line, plane_basis, max_level=2):
     rows = [[lvl.embed_from(x, F.k) for x in b] for b in plane_basis]
     coords = [f.eval_polys(plane_param) for f in
               MultiPoly.linear_forms(lvl, sec.conic.vars, rows)]
-    curve = RationalCurve(lvl, 2, coords)
+    curve = RationalCurve(lvl, 2, [dense(f, (2,)) for f in coords])
     return ConicResidual(kind="parameterized", curve=curve, conic=sec.conic,
                          level=lvl.k)
 
@@ -670,7 +704,7 @@ def _parameterize_conic(C, p, lvl):
     intersection Q(d) p - B(p, d) d gives the parameterization.
     """
     Cl = C.over(lvl)
-    d = MultiPoly.linear_forms(lvl, SVARS, linalg.complete_basis([p], lvl)[1:])
+    d = MultiPoly.linear_forms(lvl, SVARS, complete_basis([p], lvl)[1:])
     pd = [dk + MultiPoly.const(lvl, SVARS, pk) for dk, pk in zip(d, p)]
     qd = Cl.eval_polys(d)
     bpd = Cl.eval_polys(pd) - qd  # C(p) = 0 drops out
@@ -881,7 +915,7 @@ def classify_conic(C, F, max_level=2):
 
 def _split_rank2_conic(C, vertex, F, max_level):
     """Two linear factors of a rank-2 conic, possibly over an extension."""
-    basis = linalg.complete_basis([vertex], F)
+    basis = complete_basis([vertex], F)
     Cn = C.eval_polys(MultiPoly.linear_forms(F, C.vars, basis))
     if any(e[0] for e in Cn.terms):
         raise VerificationError("rank-2 conic depends on its vertex coordinate")

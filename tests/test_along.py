@@ -12,7 +12,7 @@ import pytest
 from cubiclines.cubic import CubicForm, ProjLine, cubic_from_json, xvars
 from cubiclines.curves import RationalCurve, curve_from_json
 from cubiclines.fields import QQ, FieldTower, VerificationError
-from cubiclines.poly import SVARS, MultiPoly
+from cubiclines.poly import MultiPoly
 from cubiclines.secant import _assert_secant_line, build_system
 from conftest import fixture_json
 import oracle
@@ -44,12 +44,10 @@ def rand_cubic(fld, rng, n=4):
 
 def rand_curve(fld, e, rng, n=4):
     """Random binary forms of degree e (not on any particular cubic)."""
-    coords = [MultiPoly(fld, SVARS, {(e - k, k): rand_elem(fld, rng)
-                                     for k in range(e + 1)})
-              for _ in range(n + 1)]
-    if all(c.is_zero() for c in coords):
-        coords[0] = MultiPoly(fld, SVARS, {(e, 0): fld.one})
-    return RationalCurve(fld, e, coords)
+    dense = [[rand_elem(fld, rng) for _ in range(e + 1)] for _ in range(n + 1)]
+    if all(fld.is_zero(c) for d in dense for c in d):
+        dense[0][0] = fld.one
+    return RationalCurve(fld, e, dense)
 
 
 @pytest.mark.parametrize("p,ck,lk", FIELDS)
@@ -59,7 +57,7 @@ def test_one_block_matches_eval_polys(p, ck, lk):
     X = rand_cubic(cf, rng)
     for e in (1, 2, 3):
         curve = rand_curve(lvl, e, rng)
-        want = X.F.over(lvl).eval_polys(list(curve.coords))
+        want = X.F.over(lvl).eval_polys(oracle.curve_forms(curve))
         assert X.F.along((curve.dense,), lvl) == oracle.dense(want, (3 * e,))
 
 
@@ -90,7 +88,7 @@ def test_line_restriction_is_the_four_values(p, ck, lk):
         for _ in range(6):
             a = [rand_elem(lvl, rng) for _ in range(n + 1)]
             b = [rand_elem(lvl, rng) for _ in range(n + 1)]
-            want = MultiPoly(lvl, SVARS, dict(zip(
+            want = MultiPoly(lvl, oracle.SVARS, dict(zip(
                 [(3, 0), (2, 1), (1, 2), (0, 3)],
                 oracle.line_values(X, a, b, lvl))))
             assert X.F.along((tuple(zip(a, b)),), lvl) == \
@@ -191,7 +189,7 @@ def test_point_and_jacobian_match_form_evaluation(p, lk):
         for _ in range(4):
             s = [rand_elem(lvl, rng), rand_elem(lvl, rng)]
             assert curve.point_at(s, lvl) == \
-                [c.over(lvl).eval_elems(s) for c in curve.coords]
+                [c.over(lvl).eval_elems(s) for c in oracle.curve_forms(curve)]
             assert curve.jacobian_at(s, lvl) == \
-                [[c.derivative(v).over(lvl).eval_elems(s) for c in curve.coords]
-                 for v in SVARS]
+                [[c.derivative(v).over(lvl).eval_elems(s)
+                  for c in oracle.curve_forms(curve)] for v in oracle.SVARS]

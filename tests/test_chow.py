@@ -1,16 +1,16 @@
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 
 from cubiclines import chow
-from cubiclines.chow import (ChowSyntaxError, GradeError, MixedModelError,
-                             RELATION_RANGES, UnboundParameterError,
-                             UnknownSymbolError, count_class,
-                             derive_pair_count, derive_secant_count, evaluate,
-                             parse, relation_degree_check,
-                             residue_surface_classes,
-                             secant_bundle_chern_consistent)
+from cubiclines.chow import (COUNT_CLASSES, ChowExpr, ChowSyntaxError,
+                             GradeError, MixedModelError, RELATION_RANGES,
+                             UnboundParameterError, UnknownSymbolError,
+                             count_class, derive_pair_count,
+                             derive_secant_count, evaluate, parse,
+                             relation_degree_check)
 
 SYM_ATOMS = ["D[a]", "D[K_C]", "Delta0", "sumE", "E[1]", "E[2]", "E[3]",
              "pt", "delta[a]", "pair2[a]", "Delta0sq", "2", "-3", "e", "g",
@@ -86,7 +86,7 @@ def test_basic_products():
 
 
 def test_xs_alias():
-    assert parse("xS") == parse("2*D[a] + 3*Delta0 - sumE")
+    assert parse("xS") == parse(RESIDUE_CLASSES["single"]["xi_S"])
 
 
 def test_mixed_model_rejected():
@@ -145,17 +145,39 @@ def test_pair_count_class_matches_formula():
 
 
 def test_chern_consistency():
-    assert secant_bundle_chern_consistent()
+    """The two routes to the Chern classes of the bundle twisted by a
+    difference of two named divisors give the same normal form."""
+    total = parse("(1 + D[a1] + Delta0 + pair2[a1]) * (1 - D[a2] + pair2[a2])")
+    assert ChowExpr(g1=total.g1) == parse("Delta0 + D[a1] - D[a2]")
+    assert ChowExpr(g2=total.g2) == parse(
+        "pair2[a1] + pair2[a2] + delta[a2] - D[a1]*D[a2]")
+
+
+# relative hyperplane xi_S, residual-line divisor D_S, self-restriction S_S
+# and the twist class, restricted to the residue surface
+RESIDUE_CLASSES = {
+    "single": {"xi_S": "2*D[a] + 3*Delta0 - sumE",
+               "D_S": "3*D[a] + 4*Delta0 - 2*sumE",
+               "S_S": "3*D[a] + 5*Delta0 - sumE",
+               "twist": COUNT_CLASSES["single"][2]},
+    "pair": {"xi_S": "2*A1xC2 + 2*C1xA2 - 3*sumF - sumE",
+             "D_S": "3*A1xC2 + 3*C1xA2 - 4*sumF - 2*sumE",
+             "S_S": "3*A1xC2 + 3*C1xA2 - 5*sumF - sumE",
+             "twist": COUNT_CLASSES["pair"][2]},
+}
 
 
 def test_residue_surface_classes():
-    for case in ("single", "pair"):
-        classes = residue_surface_classes(case)
-        D_S, S_S, xi = classes["D_S"], classes["S_S"], classes["xi_S"]
-        u = classes["twist"]
+    """The classes on the residue surface satisfy the linear consistency
+    identities, and two independent expansions of xi_S^2 agree."""
+    for texts in RESIDUE_CLASSES.values():
+        xi, D_S, S_S, u = (parse(texts[name])
+                           for name in ("xi_S", "D_S", "S_S", "twist"))
         assert (D_S + S_S - xi.scale(3)).is_zero()
         assert (D_S - xi.scale(2) + u).is_zero()
         assert (S_S - xi - u).is_zero()
+        half = (D_S + u).scale(Fraction(1, 2))
+        assert xi * xi == half * half
 
 
 def test_relation_degree_checks():

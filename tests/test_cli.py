@@ -131,7 +131,7 @@ def test_lines_through_point(capsys):
     code, doc = run(capsys, "lines-through-point",
                     "--cubic", fixture_path("fermat7_threefold.json"),
                     "--point", "1,0,0,0,0")
-    assert code == 1  # point not on the hypersurface
+    assert code == 2  # point not on the hypersurface
 
 
 def test_census_and_point_commands_pass_the_cubic_tower(capsys, monkeypatch):
@@ -293,6 +293,41 @@ def test_wrong_length_vectors_exit_2(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2 and not out
     assert err.startswith("error: bad vector") and "needs 5" in err
+
+
+X7, XQ = (fixture_path(name) for name in ("fermat7_threefold.json",
+                                          "fermatQ_threefold.json"))
+OFF_X = "1,0,0,0,0;0,1,0,0,0"
+NO_LINE = "1,6,0,0,0;2,5,0,0,0"   # the second row is twice the first
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lines-through-point", "--cubic", X7, "--point", "0,0,0,0,0"],
+     "the zero vector is not a point of P^4"),
+    (["lines-through-point", "--cubic", X7, "--point", "1,0,0,0,0"],
+     "point is not on X"),
+    (["second-type", "--cubic", X7, "--line", NO_LINE],
+     "points do not span a line"),
+    (["second-type", "--cubic", X7, "--line", OFF_X],
+     "line does not lie on the hypersurface"),
+    (["discriminant", "--cubic", X7, "--line", OFF_X],
+     "line does not lie on the hypersurface"),
+    (["row-sum", "--cubic", X7, "--curve", fixture_path("conic7.json"),
+      "--line", OFF_X], "line does not lie on the hypersurface"),
+    (["validate-cubic", "--cubic", XQ], "use a finite tower"),
+    (["enumerate-lines", "--cubic", XQ], "needs a finite field"),
+    (["secants", "--cubic", X7, "--curve", fixture_path("line7_a.json")],
+     "a line has no secant scheme"),
+], ids=["zero-point", "point-off-x", "rows-no-line", "second-type-off-x",
+        "discriminant-off-x", "row-sum-off-x", "probe-over-qq",
+        "census-over-qq", "secants-of-a-line"])
+def test_input_the_library_refuses_exits_2(capsys, argv, message):
+    """Points, lines and curves that are not valid input, and fields a
+    point scan cannot enumerate: the library's refusal is a usage error."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["secants", "validate-curve"])

@@ -5,13 +5,13 @@ import pytest
 
 from cubiclines.cubic import (CubicForm, DegenerateSpanError, ProjLine,
                               SingularPointError, cubic_from_json,
-                              fermat_cubic, lines_through_point,
-                              smoothness_probe, xvars)
-from cubiclines.fields import QQ, FieldTower
+                              lines_through_point, smoothness_probe, xvars)
+from cubiclines.fields import QQ, FieldTower, InvalidInputError
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
 from oracle import (_proj_points, classify_conic, divides_exactly,
-                    is_smooth_point, meets, on_x, plane_residual)
+                    fermat_cubic, is_smooth_point, meets, on_x,
+                    plane_residual)
 
 
 def F7pts(lvl):
@@ -141,8 +141,11 @@ def test_eckardt_point_on_fermat(threefold7, tower7):
 
 
 def test_lines_through_point_rejects_bad_input(threefold7, tower7):
-    with pytest.raises(ValueError):
-        lines_through_point(threefold7, [1, 0, 0, 0, 0], tower7)  # not on X
+    with pytest.raises(InvalidInputError, match="not on X"):
+        lines_through_point(threefold7, [1, 0, 0, 0, 0], tower7)
+    # F and its gradient vanish at the zero vector, which is no point at all
+    with pytest.raises(InvalidInputError, match="not a point of P\\^4"):
+        lines_through_point(threefold7, [0] * 5, tower7)
     doc = {"p": 7, "n": 4, "monomials": [
         {"exps": [3, 0, 0, 0, 0], "coeff": 1},
         {"exps": [0, 3, 0, 0, 0], "coeff": 1},

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from cubiclines.cubic import ProjLine
@@ -5,7 +7,6 @@ from cubiclines.curves import (BasePointError, NotOnXError, RationalCurve,
                                curve_from_json, curve_meeting_data,
                                line_as_curve, validate_curve)
 from cubiclines.fields import QQ
-from cubiclines.poly import SVARS, MultiPoly
 from conftest import fixture_json, load_line
 from oracle import conic_residual_to_line, meets
 
@@ -19,28 +20,49 @@ def test_conic_fixtures_validate(threefold7, conic7, threefold11, conic11,
         assert rep.e == 2
 
 
-def test_curve_json_round_trip(conic7, tower7):
-    doc = conic7.to_json()
-    back = curve_from_json(doc, tower7.level(1))
-    assert back.e == conic7.e
-    assert all(a == b for a, b in zip(back.coords, conic7.coords))
+def test_curve_json_round_trip(tower7, tower11):
+    """At level 1 a curve's JSON is the document it was read from."""
+    for name, fld in (("conic7.json", tower7.level(1)),
+                      ("line7_a.json", tower7.level(1)),
+                      ("meetline7.json", tower7.level(1)),
+                      ("conic11.json", tower11.level(1)),
+                      ("line11_b.json", tower11.level(1)),
+                      ("conicQ.json", QQ)):
+        doc = {key: fixture_json(name)[key] for key in ("e", "coords")}
+        assert curve_from_json(doc, fld).to_json() == doc, name
+
+
+def test_curve_constructor_checks_every_path(tower7):
+    """curve_from_json, line_as_curve and embed build their curves with
+    the constructor, which rejects a coordinate list of the wrong length
+    and an all-zero parameterization."""
+    lvl = tower7.level(1)
+    curve = line_as_curve(ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 1, 6, 0]))
+    for coords, message in (([[1, 0], [0, 1], [0]], "length must be e\\+1"),
+                            ([[0, 0]] * 3, "zero parameterization")):
+        with pytest.raises(ValueError, match=message):
+            curve_from_json({"e": 1, "coords": coords}, lvl)
+        curve.dense = coords
+        with pytest.raises(ValueError, match=message):
+            curve.embed(2)
+    # a line's two rows are the coefficients of s0 and s1
+    for rows, message in ((([1, 0], [0, 1], [0, 0]), "length must be e\\+1"),
+                          (([0, 0], [0, 0]), "zero parameterization")):
+        with pytest.raises(ValueError, match=message):
+            line_as_curve(SimpleNamespace(field=lvl, rows=rows))
 
 
 def test_base_point_detection(threefold7, tower7):
-    lvl = tower7.level(1)
-    s0 = MultiPoly.var(lvl, SVARS, "s0")
-    s1 = MultiPoly.var(lvl, SVARS, "s1")
-    z = MultiPoly.zero(lvl, SVARS)
-    bad = RationalCurve(lvl, 2, [s0 * s0, s0 * s1, z, z, z])
+    # s0^2 and s0*s1 share the root s0 = 0
+    bad = RationalCurve(tower7.level(1), 2,
+                        [[1, 0, 0], [0, 1, 0]] + [[0, 0, 0]] * 3)
     with pytest.raises(BasePointError):
         validate_curve(threefold7, bad)
 
 
 def test_off_x_detection(threefold7, tower7):
-    lvl = tower7.level(1)
-    s0 = MultiPoly.var(lvl, SVARS, "s0")
-    s1 = MultiPoly.var(lvl, SVARS, "s1")
-    bad = RationalCurve(lvl, 1, [s0, s1, s0, s1, s0])
+    # (s0, s1, s0, s1, s0)
+    bad = RationalCurve(tower7.level(1), 1, [[1, 0], [0, 1]] * 2 + [[1, 0]])
     with pytest.raises(NotOnXError):
         validate_curve(threefold7, bad)
 

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from cubiclines import linalg
-from cubiclines.cubic import (CubicForm, ProjLine, fermat_cubic,
-                              lines_through_point, xvars)
+from cubiclines.cubic import CubicForm, ProjLine, lines_through_point, xvars
 from cubiclines.curves import curve_from_json
 from cubiclines.fano import (DegenerateConfigurationError, DiscriminantCurve,
                              _polar_cut, correspondence_row,
@@ -15,7 +14,8 @@ from cubiclines.fano import (DegenerateConfigurationError, DiscriminantCurve,
 from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
-from oracle import is_smooth_point, meet_counts, meets, naive_census, on_x
+from oracle import (fermat_cubic, is_smooth_point, meet_counts, meets,
+                    naive_census, on_x)
 
 
 def find_first_type_line(cubic, tower, seed=1, tries=200):

@@ -262,6 +262,33 @@ def test_eval_elems_matches_element_loop(p, k):
                         (f, pt)
 
 
+def test_eval_elems_over_the_rationals():
+    """Over QQ a rational is its own packed form, so the packed sum is one
+    of Fractions: on random sparse and dense forms of degree 1 to 5, with
+    rational coefficients and values, it equals the term-by-term Fraction
+    evaluation, and the zero form gives QQ.zero."""
+    rng = random.Random("eval:QQ")
+
+    def draw():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+
+    for nvars, degrees in ((3, (1, 2, 3, 4, 5)), (5, (1, 2, 3))):
+        V = tuple("x%d" % i for i in range(nvars))
+        points = [[draw() for _ in range(nvars)] for _ in range(4)]
+        points += [[QQ.zero] * nvars, [QQ.one] + [QQ.zero] * (nvars - 1)]
+        for d in degrees:
+            for _ in range(10):
+                monos = monomials(nvars, d, rng.random() < 0.5)
+                picked = rng.sample(monos, rng.randint(1, len(monos)))
+                f = MultiPoly(QQ, V, {e: draw() for e in picked})
+                for pt in points:
+                    assert f.eval_elems(pt) == oracle.eval_elems(f, pt), \
+                        (f, pt)
+        for pt in points:
+            value = MultiPoly.zero(QQ, V).eval_elems(pt)
+            assert value == QQ.zero and isinstance(value, Fraction)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_eval_elems_on_the_discriminant_quintic(k):
     """The discriminant quintic of the cli benchmark's seed-1 GF(7) cubic

@@ -21,8 +21,7 @@ import pytest
 from cubiclines import linalg
 from cubiclines.cubic import (ProjLine, _c3_arrays, _proj_zeros,
                               _random_unimodular, cubic_from_json,
-                              fermat_cubic, lines_in_plane,
-                              lines_through_point)
+                              lines_in_plane, lines_through_point)
 from cubiclines.curves import curve_from_json
 from cubiclines.fano import correspondence_row
 from cubiclines.poly import MultiPoly
@@ -143,8 +142,8 @@ def test_one_path_without_eval_polys(monkeypatch, tower7):
     monkeypatch.setattr(MultiPoly, "eval_polys", refuse)
     lvl = tower7.level(1)
     dense11 = cubic_from_json(fixture_json("dense11_threefold.json"))[0]
-    for X, pt in ((fermat_cubic(lvl, 3), [1, 2, 3, 3]),
-                  (fermat_cubic(lvl, 4), [1, 2, 3, 5, 0]),
+    for X, pt in ((oracle.fermat_cubic(lvl, 3), [1, 2, 3, 3]),
+                  (oracle.fermat_cubic(lvl, 4), [1, 2, 3, 5, 0]),
                   (dense11, [4, 6, 6, 0, 8])):
         res = lines_through_point(X, [X.field.from_int(c) for c in pt], None)
         assert res.lines and not res.eckardt
