@@ -57,6 +57,11 @@ before it came from ``along``: Q and K built by ``eval_polys`` and moved
 by a coordinate change substituted into both.  ``exact_div``,
 ``divides_exactly`` and ``_proj_points`` (every point of P^n in the
 order of ``cubic._proj_zeros``) are used by tests only.
+
+So are ``fermat_cubic`` (the cubic sum x_i^3), ``complete_basis`` (rows
+extended to a basis by standard vectors) and ``curve_forms`` (a curve's
+coordinate forms as ``MultiPoly``s in (s0, s1), built from its dense
+lists, which are all the curve keeps).
 """
 
 import functools
@@ -83,7 +88,8 @@ def fermat_cubic(fld, n):
     """sum x_i^3; rejected in characteristic 3 where it is singular."""
     if fld.char == 3:
         raise ValueError("the Fermat cubic is singular in characteristic 3")
-    terms = {tuple(3 * (i == j) for j in range(n + 1)): 1 for i in range(n + 1)}
+    terms = {tuple(3 * (i == j) for j in range(n + 1)): 1
+             for i in range(n + 1)}
     return CubicForm(fld, n, MultiPoly.from_int_terms(fld, xvars(n), terms))
 
 
@@ -106,7 +112,8 @@ def curve_forms(curve):
     """A curve's coordinate forms as MultiPolys in (s0, s1), read from its
     dense lists: entry k multiplies s0^(e-k) s1^k."""
     e = curve.e
-    return [MultiPoly(curve.field, SVARS, {(e - k, k): c for k, c in enumerate(d)})
+    return [MultiPoly(curve.field, SVARS,
+                      {(e - k, k): c for k, c in enumerate(d)})
             for d in curve.dense]
 
 
