@@ -4,9 +4,9 @@ Exit codes: 0 = success with all asserted counts matched; 1 = computation
 finished but a count or check mismatched; 2 = usage, IO or parse errors,
 unsupported cases (including a direction system that no tried coordinate
 change puts in general position) and input the library refuses
-(``InvalidInputError``: a point or line off X, rows that span no line, a
-curve with a base point, a line given to ``secants``, a point scan over
-QQ); 3 = an expression evaluation had an unbound parameter.
+(``InvalidInputError``: a point or line off X, a singular ``--point``,
+rows that span no line, a curve with a base point, a line given to
+``secants``, a point scan over QQ); 3 = an expression evaluation had an unbound parameter.
 
 Each subcommand imports the library modules it runs when it starts, so a
 run compiles and loads only those (``chow-eval`` never loads the geometry,

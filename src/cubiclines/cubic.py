@@ -37,7 +37,7 @@ class DegenerateSpanError(InvalidInputError):
     """Two coincident points were asked to span a line."""
 
 
-class SingularPointError(ValueError):
+class SingularPointError(InvalidInputError):
     """An operation requiring a smooth point was given a singular one."""
 
 

@@ -311,9 +311,11 @@ class FiniteLevel:
         are packed sums and products of the unreduced coefficient
         polynomials, as long as no slot reaches 2^bits; a prime-field
         element is its own packed form.  The substitution kernel
-        (``MultiPoly.along``), the Horner evaluations of ``poly`` and the
-        dense univariate polynomials below (``_pack_poly``, 2k - 1 slots
-        per coefficient) all run on it."""
+        (``MultiPoly.along``, which nests these ints inside the slots of
+        one int per curve coordinate and decodes each parameter slot with
+        one ``unpack``), the Horner evaluations of ``poly`` and the dense
+        univariate polynomials below (``_pack_poly``, 2k - 1 slots per
+        coefficient) all run on it."""
         if self.k == 1:
             return a
         out = 0

@@ -17,7 +17,10 @@ determinants with fraction-free Bareiss reduction) by design.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -42,7 +45,7 @@ _EXPONENTS = {}
 class MultiPoly:
     """Sparse polynomial: exponent tuples -> nonzero field elements."""
 
-    __slots__ = ("field", "vars", "terms", "_packed")
+    __slots__ = ("field", "vars", "terms", "_packed", "_plans")
 
     def __init__(self, field, variables, terms=None):
         self.field = field
@@ -282,19 +285,24 @@ class MultiPoly:
         a*u0 + b*u1 is the degree-1 curve ((a_0, b_0), (a_1, b_1), ...).
         Returns, over lvl, the binary form in (s0, s1) for one block, or
         the bihomogeneous array in (s0, s1; t0, t1) for two (the dense
-        forms of this module), of formal degree deg times the curve degree
-        in each pair; the zero polynomial gives [].  A polynomial that is
-        not homogeneous in each block raises ValueError.  Coefficients are
-        embedded into lvl as they are read.
+        forms of this module), of formal degree the block degree times the
+        curve degree in each pair; the zero polynomial gives [].  A
+        polynomial that is not homogeneous in each block raises ValueError.
+        Coefficients are embedded into lvl as they are read.
 
-        Products of a block's coordinates are dense convolutions memoized
-        per exponent vector.  Terms are grouped by their x-exponent (for one
-        block: the exponent less its last variable), so each group costs
-        one product with its combined rest: an outer product with the
-        y-part, or a convolution with a combination of coordinates.  All
-        of it is plain integer (or rational) arithmetic on packed elements
-        (``pack``), with slots wide enough for every sum of products here,
-        and each output coefficient is reduced once (``unpack``).
+        Each curve coordinate is one int (Kronecker substitution in the
+        parameter over ``pack``'s substitution in the element): its packed
+        elements sit in parameter slots of B bits, wide enough for a packed
+        product of deg + 1 elements with a spare bit, and the second block's
+        parameter steps over the whole range of the first.  Terms are
+        grouped by their x-exponent (for one block: the exponent less its
+        last variable); each group costs one multiply of the product of its
+        head's coordinates by its combined rest, the products come from one
+        chain of multiplies fixed per form, and the form is one int sum,
+        cut into balanced B-bit digits and reduced once per slot
+        (``unpack``).  Over QQ the coefficients and each block are first
+        scaled to integers by their common denominators, and the digits are
+        divided by the scale that homogeneity puts on the output.
         """
         F = self.field
         if lvl.char != F.char:
@@ -304,49 +312,88 @@ class MultiPoly:
                 or w * len(blocks) != len(self.vars):
             raise ValueError("need one or two blocks of curve coordinates, "
                              "one per variable")
-        deg = max(map(sum, self.terms), default=0)
-        e = max(len(c) for block in blocks for c in block) - 1
-        bits = (len(self.terms) * ((e + 1) * lvl.k) ** deg
-                * lvl.p ** (deg + 1)).bit_length()
-        prods = [_Products([[lvl.pack(x, bits) for x in c] for c in b])
-                 for b in blocks]
-        heads, tails = prods[0], prods[-1]
-        units = [(0,) * j + (1,) + (0,) * (w - j - 1) for j in range(w)]
+        try:
+            plans = self._plans
+        except AttributeError:
+            plans = self._plans = {}
+        if len(blocks) not in plans:
+            plans[len(blocks)] = self._along_plan(w, len(blocks))
+        plan = plans[len(blocks)]
+        if plan is None:
+            return []
+        dx, dy, head_chain, tail_chain, heads, bounds, terms, tails = plan
+        degs = (dx, dy)[:len(blocks)]
+        coeffs = list(self.terms.values())
+        if lvl.char:
+            top, scale = (lvl.p - 1) ** (dx + dy + 1), 1
+        else:
+            (coeffs,), scale, top = _integral([coeffs])
+            scaled = [_integral(b) for b in blocks]
+            blocks = [b for b, _, _ in scaled]
+            for (_, den, big), d in zip(scaled, degs):
+                scale *= den ** d
+                top *= big ** d
+        # the most products of packed elements that can meet in one slot
+        k, spans = lvl.k, [max(map(len, b)) for b in blocks]
+        meet = len(self.terms) * _spread(k, dx + dy + 1)
+        for n, d in zip(spans, degs):
+            meet *= _spread(n, d)
+        bits = (meet * top).bit_length()
+        # a packed product of dx + dy + 1 elements, and one spare bit for
+        # the balanced digits
+        B = bits * ((dx + dy) * (k - 1) + k) + 1
+        sizes = [d * (n - 1) + 1 for n, d in zip(spans, degs)]
+        coeffs = _packed_coeffs(coeffs, lvl, F.k, bits)
+        coords = [[_kronecker([lvl.pack(x, bits) for x in c], stride)
+                   for c in b]
+                  for b, stride in zip(blocks, (B, B * sizes[0]))]
+        head = _chain_products(head_chain, coords[0])
+        tail = _chain_products(tail_chain, coords[-1])
+        rest = list(map(operator.mul, map(coeffs.__getitem__, terms),
+                        map(tail.__getitem__, tails)))
+        total = sum([head[h] * sum(rest[a:b])
+                     for h, a, b in zip(heads, bounds, bounds[1:])])
+        out = [lvl.unpack(v, bits)
+               for v in _balanced(total, B, math.prod(sizes))]
+        if not lvl.char:
+            out = [Fraction(v, scale) for v in out]
+        if len(blocks) == 2:
+            # rows by the power of s1, columns by the power of t1
+            return [out[i::sizes[0]] for i in range(sizes[0])]
+        return out
+
+    def _along_plan(self, w, nblocks):
+        """For ``along`` with nblocks blocks of w variables: the block
+        degrees dx and dy; the chains (``_Chain.chain``) of the heads over
+        the first block and of the tails over the last; and the terms in
+        groups by head, as each group's head (its number in the chain),
+        the bounds of the groups' runs, and per term, in run order, its
+        position in ``terms`` and its tail.  A term is its head's monomial
+        times its tail's.  None for the zero polynomial.  Built on the
+        first call and kept on the form, in tuples of small ints."""
+        bidegrees = {(sum(e[:w]), sum(e[w:])) for e in self.terms}
+        if len(bidegrees) > 1:
+            raise ValueError("the form is not homogeneous in each block")
+        if not bidegrees:
+            return None
+        heads, tails = _Chain(w), _Chain(w)
         groups = {}
-        for exps, c in self.terms.items():
-            # a prime-field coefficient is its own packed embedding
-            c = c if F.k == 1 else lvl.pack(lvl.embed_from(c, F.k), bits)
-            if len(blocks) == 2:
+        for i, exps in enumerate(self.terms):
+            if nblocks == 2:
                 head, tail = exps[:w], exps[w:]
             elif any(exps):
                 j = _last_nonzero(exps)
-                head, tail = exps[:j] + (exps[j] - 1,) + exps[j + 1:], units[j]
+                head = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+                tail = (0,) * j + (1,) + (0,) * (w - j - 1)
             else:
                 head = tail = exps
-            part = tails[tail]
-            acc = groups.setdefault((head, len(part)), [0] * len(part))
-            acc[:] = [a + c * v for a, v in zip(acc, part)]
-        out = {}
-        for (head, _), rest in groups.items():
-            X = heads[head]
-            if len(blocks) == 2:
-                # rows by the power of s1, columns by the power of t1
-                rows = out.setdefault((len(X), len(rest)),
-                                      [[0] * len(rest) for _ in X])
-                for x, row in zip(X, rows):
-                    if x:
-                        row[:] = [r + x * y for r, y in zip(row, rest)]
-            else:
-                size = len(X) + len(rest) - 1
-                _convolve_into(out.setdefault(size, [0] * size), X, rest)
-        if len(out) > 1:
-            raise ValueError("the form is not homogeneous in each block")
-        if not out:
-            return []
-        acc, = out.values()
-        if len(blocks) == 2:
-            return [[lvl.unpack(v, bits) for v in row] for row in acc]
-        return [lvl.unpack(v, bits) for v in acc]
+            groups.setdefault(heads[head], []).append((i, tails[tail]))
+        (dx, dy), = bidegrees
+        runs = list(groups.values())
+        bounds = tuple(itertools.accumulate(map(len, runs), initial=0))
+        terms, tails_of = zip(*[m for run in runs for m in run])
+        return (dx, dy, heads.chain(), tails.chain(), tuple(groups), bounds,
+                terms, tails_of)
 
     def map_field(self, new_field, conv):
         """Transport coefficients through conv into another field."""
@@ -391,21 +438,33 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-class _Products(dict):
-    """Dense products of a curve's (packed) coordinates, memoized by
-    exponent vector."""
+class _Chain(dict):
+    """Monomials in w variables numbered in an order where each, past the
+    constant 1 (number 0), is an earlier one times one variable.  Looking
+    a monomial up numbers it and the prefixes it needs."""
 
-    def __init__(self, coords):
-        super().__init__({(0,) * len(coords): [1]})
-        self.coords = coords
+    def __init__(self, w):
+        super().__init__({(0,) * w: 0})
+        self.steps = []
 
     def __missing__(self, exps):
         j = _last_nonzero(exps)
-        head = self[exps[:j] + (exps[j] - 1,) + exps[j + 1:]]
-        out = [0] * (len(head) + len(self.coords[j]) - 1)
-        _convolve_into(out, head, self.coords[j])
-        self[exps] = out
-        return out
+        self.steps.append((self[exps[:j] + (exps[j] - 1,) + exps[j + 1:]], j))
+        n = self[exps] = len(self.steps)
+        return n
+
+    def chain(self):
+        """The numbers of the earlier monomials and the variables that
+        give monomials 1, 2, ..., as two tuples."""
+        return tuple(zip(*self.steps)) or ((), ())
+
+
+def _chain_products(chain, coords):
+    """The products of coords along a ``_Chain.chain``, monomial 0 first."""
+    out = [1]
+    for i, j in zip(*chain):
+        out.append(out[i] * coords[j])
+    return out
 
 
 def _last_nonzero(exps):
@@ -415,12 +474,47 @@ def _last_nonzero(exps):
     return j
 
 
-def _convolve_into(acc, a, b):
-    """Add the product of the dense lists a and b into acc."""
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                acc[j] += x * y
+def _kronecker(row, stride):
+    """The ints of row, entry i at bit stride * i (signed entries
+    allowed: the sum borrows, and ``_balanced`` gives them back)."""
+    out = 0
+    for v in reversed(row):
+        out = (out << stride) + v
+    return out
+
+
+def _balanced(n, width, count):
+    """The count lowest digits of n in base 2^width, each taken in
+    [-2^(width-1), 2^(width-1)), lowest first."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    for _ in range(count):
+        v = n & mask
+        n >>= width
+        if v >= half:
+            v -= mask + 1
+            n += 1
+        out.append(v)
+    return out
+
+
+@functools.cache
+def _spread(n, m):
+    """The largest coefficient of (1 + x + ... + x^(n-1))^m: the most
+    products that meet in one slot when m rows of n slots are multiplied."""
+    row = [1]
+    for _ in range(m):
+        row = [sum(row[max(0, i - n + 1):i + 1])
+               for i in range(len(row) + n - 1)]
+    return max(row)
+
+
+def _integral(rows):
+    """Rows of rationals (or ints) times their least common denominator
+    d: the integer rows, d, and the largest absolute entry."""
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+    return ints, d, max((abs(v) for row in ints for v in row), default=0)
 
 
 # ---------------------------------------------------------------------------

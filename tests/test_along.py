@@ -5,11 +5,13 @@ by ``eval_elems``, each converted to the dense forms by ``oracle.dense``."""
 
 import itertools
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from cubiclines.cubic import CubicForm, ProjLine, cubic_from_json, xvars
+from cubiclines.cubic import (CubicForm, ProjLine, cubic_from_json, xvars,
+                              yvars)
 from cubiclines.curves import RationalCurve, curve_from_json
 from cubiclines.fields import QQ, FieldTower, VerificationError
 from cubiclines.poly import MultiPoly
@@ -95,6 +97,106 @@ def test_line_restriction_is_the_four_values(p, ck, lk):
                 oracle.dense(want, (3,))
             assert X.line_in_x_points(a, b, lvl) == \
                 oracle.line_in_x_points(X, a, b, lvl)
+
+
+@pytest.fixture(scope="module")
+def tower11():
+    return FieldTower(11, budget=6, seed=0)
+
+
+def dense_form(fld, degrees, c, n=4):
+    """Every monomial of the given degree in each block of n + 1
+    variables (x, or x and y), each with coefficient c."""
+    parts = [[e for e in itertools.product(range(d + 1), repeat=n + 1)
+              if sum(e) == d] for d in degrees]
+    names = xvars(n) + (yvars(n) if len(degrees) == 2 else ())
+    return MultiPoly(fld, names,
+                     {sum(es, ()): c for es in itertools.product(*parts)})
+
+
+def substituted(P, curves):
+    """P along the curves by ``eval_polys``, as the dense form."""
+    if len(curves) == 1:
+        curve, = curves
+        want = P.eval_polys(oracle.curve_forms(curve))
+        return oracle.dense(want, (P.degree() * curve.e,))
+    a, b = curves
+    w = len(a.dense)
+    dx, dy = sum(next(iter(P.terms))[:w]), sum(next(iter(P.terms))[w:])
+    forms = oracle.side_forms(a, "s") + oracle.side_forms(b, "t")
+    return oracle.dense(P.eval_polys(forms), (dx * a.e, dy * b.e))
+
+
+# (block degrees, curve degrees): a dense cubic along a twisted cubic, and
+# dense forms of bidegree (2, 1) and (1, 2) along two cubics and along a
+# cubic and a line
+SLOT_CASES = [((3,), (3,)), ((2, 1), (3, 3)), ((1, 2), (3, 3)),
+              ((2, 1), (3, 1)), ((1, 2), (3, 1))]
+
+
+@pytest.mark.parametrize("level", [1, 6])
+@pytest.mark.parametrize("degrees,es", SLOT_CASES,
+                         ids=["%s-%s" % c for c in SLOT_CASES])
+def test_largest_packed_values_fit_their_slots(tower11, degrees, es, level):
+    """Every coefficient and coordinate digit p - 1 at p = 11: the middle
+    slot meets its bound, so the slots are as narrow as they may be, and
+    one bit, one element slot or (at level 1) the spare bit fewer breaks
+    this."""
+    lvl = tower11.level(level)
+    top = lvl.from_coeffs([lvl.p - 1] * lvl.k)
+    P = dense_form(lvl, degrees, top)
+    curves = [RationalCurve(lvl, e, [[top] * (e + 1) for _ in range(5)])
+              for e in es]
+    assert P.along(tuple(c.dense for c in curves), lvl) == \
+        substituted(P, curves)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("degrees,es", SLOT_CASES,
+                         ids=["%s-%s" % c for c in SLOT_CASES])
+def test_largest_rational_values_fit_their_slots(degrees, es, sign):
+    """Over QQ all numerators equal, so the middle slot meets its bound
+    with either sign: the spare bit of the balanced digits is needed."""
+    c = Fraction(sign * (2 ** 70 + 1), 3)
+    x = Fraction(2 ** 66 - 1, 5)
+    P = dense_form(QQ, degrees, c)
+    curves = [RationalCurve(QQ, e, [[x] * (e + 1) for _ in range(5)])
+              for e in es]
+    assert P.along(tuple(c.dense for c in curves), QQ) == \
+        substituted(P, curves)
+
+
+def rand_rational(rng):
+    """A small integer, a small fraction, or a numerator above 2^64 over
+    a nonunit denominator, either sign."""
+    sign = rng.choice((1, -1))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(rng.randrange(-4, 5))
+    if kind == 1:
+        return Fraction(sign * rng.randrange(1, 50), rng.randrange(2, 30))
+    return Fraction(sign * rng.randrange(2 ** 64, 2 ** 72),
+                    rng.randrange(2, 2 ** 20))
+
+
+def test_rationals_with_denominators_match_eval_polys():
+    """The denominator path: a dense QQ cubic with large, signed,
+    fractional coefficients along curves of such coordinates, one block
+    and both polar forms on two."""
+    rng = random.Random("rationals")
+    terms = {e: rand_rational(rng)
+             for e in itertools.product(range(4), repeat=5) if sum(e) == 3}
+    X = CubicForm(QQ, 4, MultiPoly(QQ, xvars(4), terms))
+    curves = {e: RationalCurve(QQ, e, [[rand_rational(rng)
+                                        for _ in range(e + 1)]
+                                       for _ in range(5)])
+              for e in (1, 2, 3)}
+    for e, curve in curves.items():
+        assert X.F.along((curve.dense,), QQ) == substituted(X.F, [curve])
+    for ea, eb in [(1, 1), (2, 2), (2, 1), (1, 3)]:
+        a, b = curves[ea], curves[eb]
+        for P in (X.P1, X.P2):
+            assert P.along((a.dense, b.dense), QQ) == substituted(P, [a, b])
 
 
 # lines on no cubic: F(s0*a + s1*b) on the Fermat GF(7) surface has exactly

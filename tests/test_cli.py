@@ -306,6 +306,8 @@ NO_LINE = "1,6,0,0,0;2,5,0,0,0"   # the second row is twice the first
      "the zero vector is not a point of P^4"),
     (["lines-through-point", "--cubic", X7, "--point", "1,0,0,0,0"],
      "point is not on X"),
+    (["lines-through-point", "--cubic", fixture_path("cone7_threefold.json"),
+      "--point", "1,2,0,3,1"], "singular point of X"),
     (["second-type", "--cubic", X7, "--line", NO_LINE],
      "points do not span a line"),
     (["second-type", "--cubic", X7, "--line", OFF_X],
@@ -318,7 +320,7 @@ NO_LINE = "1,6,0,0,0;2,5,0,0,0"   # the second row is twice the first
     (["enumerate-lines", "--cubic", XQ], "needs a finite field"),
     (["secants", "--cubic", X7, "--curve", fixture_path("line7_a.json")],
      "a line has no secant scheme"),
-], ids=["zero-point", "point-off-x", "rows-no-line", "second-type-off-x",
+], ids=["zero-point", "point-off-x", "singular-point", "rows-no-line", "second-type-off-x",
         "discriminant-off-x", "row-sum-off-x", "probe-over-qq",
         "census-over-qq", "secants-of-a-line"])
 def test_input_the_library_refuses_exits_2(capsys, argv, message):
