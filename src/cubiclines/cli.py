@@ -6,7 +6,11 @@ unsupported cases (including a direction system that no tried coordinate
 change puts in general position) and input the library refuses
 (``InvalidInputError``: a point or line off X, a singular ``--point``,
 rows that span no line, a curve with a base point, a line given to
-``secants``, a point scan over QQ); 3 = an expression evaluation had an unbound parameter.
+``secants`` or a curve there that does not validate, a ``discriminant``
+of a surface, a ``row-sum`` line that does not meet the curve once
+transversally, a ``pair-secants`` pair whose images share a component or
+that is two meeting lines, a point scan over QQ); 3 = an expression
+evaluation had an unbound parameter.
 
 Each subcommand imports the library modules it runs when it starts, so a
 run compiles and loads only those (``chow-eval`` never loads the geometry,

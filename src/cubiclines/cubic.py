@@ -3,9 +3,10 @@
 The two mixed polar forms are the coefficients in the characteristic-free
 expansion F(x + t*y) = F(x) + t*P1(x;y) + t^2*P2(x;y) + t^3*F(y), and both
 are the gradient paired with a point: P1(x;y) = sum_i y_i * dF/dx_i(x) and
-P2(x;y) = P1(y;x).  The gradient drives the smoothness tests, the polar
-quadric of a point, the lines-through-a-point solver and, with the polar
-forms, the line-containment test and the secant systems downstream.
+P2(x;y) = P1(y;x).  So every polar form is read from the gradient: it
+drives the smoothness tests, the polar quadric of a point, the
+lines-through-a-point solver and, downstream, the secant systems; the
+line-containment test substitutes the line into F.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from .poly import (_EXPONENTS, MultiPoly, _horner_bits, _packed_coeffs,
 
 def xvars(n):
     return tuple("x%d" % i for i in range(n + 1))
-
-
-def yvars(n):
-    return tuple("y%d" % i for i in range(n + 1))
 
 
 class DegenerateSpanError(InvalidInputError):
@@ -67,9 +64,6 @@ class ProjLine:
             for j in range(i + 1, self.n + 1):
                 out.append(F.sub(F.mul(a[i], b[j]), F.mul(a[j], b[i])))
         return tuple(out)
-
-    def contains(self, pt):
-        return linalg.rank(list(self.rows) + [list(pt)], self.field) == 2
 
     def key(self):
         F = self.field
@@ -108,14 +102,16 @@ class ProjLine:
 
 
 class CubicForm:
-    """A homogeneous cubic F with its gradient and mixed polar forms.
+    """A homogeneous cubic F with its gradient.
 
-    ``grad`` holds the n+1 partials dF/dx_i, computed once; every other
-    derived form reads them.  P1(x;y) = sum_i y_i * dF/dx_i(x) (degree
-    (2,1) in x and y) and P2(x;y) = P1(y;x) are the same terms with the two
-    blocks of variables swapped; both identities hold in every
-    characteristic.  Exponent tuples are shared through ``poly._EXPONENTS``,
-    so the forms of many cubics hold one copy of each.
+    ``grad`` holds the n+1 partials dF/dx_i, computed once; every derived
+    form reads them.  The mixed polar forms are the gradient paired with a
+    point, P1(x;y) = y . grad F(x) and P2(x;y) = x . grad F(y), so they are
+    never built as polynomials: the solver pairs ``gradient_at`` or the
+    partials along a curve with the other point.  Both identities hold in
+    every characteristic.  Exponent tuples are shared through
+    ``poly._EXPONENTS``, so the gradients of many cubics hold one copy of
+    each.
     """
 
     def __init__(self, fld, n, F):
@@ -132,15 +128,6 @@ class CubicForm:
             MultiPoly._trusted(fld, F.vars, {_intern(e): c for e, c in
                                              F.derivative(v).terms.items()})
             for v in F.vars)
-        units = [(0,) * i + (1,) + (0,) * (n - i) for i in range(n + 1)]
-        p1, p2 = {}, {}
-        for u, g in zip(units, self.grad):
-            for e, c in g.terms.items():
-                p1[_intern(e + u)] = c
-                p2[_intern(u + e)] = c
-        xy = xvars(n) + yvars(n)
-        self.P1 = MultiPoly._trusted(fld, xy, p1)
-        self.P2 = MultiPoly._trusted(fld, xy, p2)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -164,7 +151,8 @@ class CubicForm:
 
     def polar(self, pt):
         """The polar quadric of pt, sum_i pt_i * dF/dx_i, in the variables
-        of F: P2(pt; .) = P1(.; pt)."""
+        of F: P2(pt; .) = P1(.; pt), as a polynomial (the fiber conic of
+        ``fano`` substitutes into it)."""
         out = MultiPoly.zero(self.field, self.F.vars)
         for c, g in zip(pt, self.grad):
             out = out + g.scale(c)
@@ -184,11 +172,11 @@ class CubicForm:
         substituting the line as a degree-1 curve.
         """
         fld = fld or self.field
-        return all(map(fld.is_zero, self.F.along((tuple(zip(a, b)),), fld)))
+        return all(map(fld.is_zero, self.F.along(tuple(zip(a, b)), fld)))
 
     def _over(self, fld):
         """This cubic with coefficients embedded into another tower level;
-        its gradient and polar forms are derived there again."""
+        its gradient is derived there again."""
         if fld is self.field:
             return self
         if self.field.char != fld.char:
@@ -277,9 +265,9 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     swap = next(i for i, c in enumerate(coords) if not F.is_zero(c))
     dirs = [k for i, k in enumerate(ker) if i != swap]
     if cubic.n == 3:
-        sols = _solve_binary_pair(cubic, x, dirs, max_level)
+        sols = _solve_binary_pair(cubic, x, grad, dirs, max_level)
     else:
-        sols = _solve_conic_cubic(cubic, x, dirs, max_level, seed)
+        sols = _solve_conic_cubic(cubic, x, grad, dirs, max_level, seed)
     res = LinesThroughPoint(point=tuple(x), eckardt=sols is None)
     if sols is None:
         return res
@@ -295,21 +283,34 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     return res
 
 
-def pencil_forms(cubic, x, w1, w2):
+def pencil_forms(cubic, x, gx, w1, w2):
     """The binary forms L, Q and K in (u0, u1) of the direction
-    d = u0*w1 + u1*w2, for a point x of X over the cubic's field.
+    d = u0*w1 + u1*w2, for a point x of X over the cubic's field with
+    gradient gx there.
 
-    F(x + t*d) = t*L + t^2*Q + t^3*K with L = P1(x; d), read from the
-    gradient at x, Q = P2(x; d), the polar quadric of x along the pencil,
-    and K = F(d); so the lines of X through x in the plane of x, w1 and w2
-    are the common roots of the three forms.
+    F(x + t*d) = t*L + t^2*Q + t^3*K with L = P1(x; d) = d . gx,
+    Q = P2(x; d) = x . grad F(d), the polar quadric of x along the pencil
+    (:func:`_polar_quadrics`), and K = F(d); so the lines of X through x
+    in the plane of x, w1 and w2 are the common roots of the three forms.
     """
     F = cubic.field
-    grad = cubic.gradient_at(x)
-    pencil = (tuple(zip(w1, w2)),)
-    return ([linalg.dot(grad, w1, F), linalg.dot(grad, w2, F)],
-            _along(cubic.polar(x), pencil, F, 2),
-            _along(cubic.F, pencil, F, 3))
+    return ([linalg.dot(gx, w1, F), linalg.dot(gx, w2, F)],
+            _polar_quadrics(cubic, w1, w2, x)[0],
+            cubic.F.along(tuple(zip(w1, w2)), F))
+
+
+def _polar_quadrics(cubic, w1, w2, *pts):
+    """For each point p, its polar quadric q(d) = p . grad F(d) on
+    d = u0*w1 + u1*w2, from the gradients at w1, w2 and w1 + w2: the u0*u1
+    coefficient is the polarization q(w1 + w2) - q(w1) - q(w2), in every
+    characteristic."""
+    F = cubic.field
+    grads = [cubic.gradient_at(w) for w in (w1, w2, list(map(F.add, w1, w2)))]
+    out = []
+    for p in pts:
+        a, c, ac = (linalg.dot(p, g, F) for g in grads)
+        out.append([a, F.sub(F.sub(ac, a), c), c])
+    return out
 
 
 def lines_in_plane(cubic, x, w1, w2, max_level=None):
@@ -319,17 +320,11 @@ def lines_in_plane(cubic, x, w1, w2, max_level=None):
     X.  The directions are the roots of the gcd of :func:`pencil_forms`.
     """
     F = cubic.field
-    forms = pencil_forms(cubic, x, w1, w2)
+    forms = pencil_forms(cubic, x, cubic.gradient_at(x), w1, w2)
     if _vanishes(forms, F):
         return None
     roots, _complete = _pencil_roots(forms, (w1, w2), F, max_level)
     return [_line_through(x, d, F, lv) for lv, d, _m in roots]
-
-
-def _along(P, pencil, F, d):
-    """P along a pencil of directions as a binary form of formal degree d
-    (``along`` gives [] for the zero polynomial)."""
-    return P.along(pencil, F) or [F.zero] * (d + 1)
 
 
 def _vanishes(forms, F):
@@ -360,22 +355,23 @@ def _line_through(x, direction, F, lv):
     return ProjLine(lvl, [lvl.embed_from(e, F.k) for e in x], direction)
 
 
-def _solve_binary_pair(cubic, x, dirs, max_level):
-    """Lines through x on a surface: the common roots of Q and K in the
-    pencil of the two tangent directions, as (roots, complete, certified),
-    or None when Q or K vanishes."""
+def _solve_binary_pair(cubic, x, gx, dirs, max_level):
+    """Lines through x, where the gradient is gx, on a surface: the common
+    roots of Q and K in the pencil of the two tangent directions, as
+    (roots, complete, certified), or None when Q or K vanishes."""
     F = cubic.field
-    _L, Q, K = pencil_forms(cubic, x, *dirs)
+    _L, Q, K = pencil_forms(cubic, x, gx, *dirs)
     if _vanishes([Q], F) or _vanishes([K], F):
         return None
     roots, complete = _pencil_roots([Q, K], dirs, F, max_level)
     return roots, complete, True
 
 
-def _solve_conic_cubic(cubic, x, dirs, max_level, seed):
-    """Lines through x on a threefold: the conic/cubic pair of directions
-    y = c1*b1 + c2*b2 + c3*b3 solved exactly, as (roots, complete,
-    certified) from ``lift_fibers``, or None for positive dimension.
+def _solve_conic_cubic(cubic, x, gx, dirs, max_level, seed):
+    """Lines through x, where the gradient is gx, on a threefold: the
+    conic/cubic pair of directions y = c1*b1 + c2*b2 + c3*b3 solved
+    exactly, as (roots, complete, certified) from ``lift_fibers``, or None
+    for positive dimension.
 
     The basis b starts as the three tangent directions and is recombined
     by random unimodular changes until (0:0:1) lies on neither curve
@@ -385,14 +381,13 @@ def _solve_conic_cubic(cubic, x, dirs, max_level, seed):
     in the basis of that change.
     """
     F = cubic.field
-    polar = cubic.polar(x)
     rng = random.Random("ltp:%d" % seed)
     b = dirs
     for attempt in range(24):
         if attempt:
             b = [linalg.combine(col, dirs, F)
                  for col in zip(*_random_unimodular(F, rng))]
-        Q, K = _c3_arrays(cubic, polar, b)
+        Q, K = _c3_arrays(cubic, x, gx, b)
         if _vanishes(Q, F) or _vanishes(K, F):
             return None
         if F.is_zero(Q[0][0]) or F.is_zero(K[0][0]):
@@ -408,33 +403,32 @@ def _solve_conic_cubic(cubic, x, dirs, max_level, seed):
                                 "conic/cubic pair of directions")
 
 
-def _c3_arrays(cubic, polar, b):
-    """The conic Q(y) = P2(x; y) (``polar`` is that of x) and the cubic
-    K(y) = F(y) on y = v + c3*b3, v = c1*b1 + c2*b2, by the power of c3:
-    entry j of a form of degree d is the binary form in (c1, c2)
-    multiplying c3^(d-j).
+def _c3_arrays(cubic, x, gx, b):
+    """The conic Q(y) = P2(x; y) and the cubic K(y) = F(y) on
+    y = v + c3*b3, v = c1*b1 + c2*b2, by the power of c3: entry j of a form
+    of degree d is the binary form in (c1, c2) multiplying c3^(d-j).  gx is
+    the gradient at x.
 
-    With q = P2(x; .) and its polarization B(u, w) = q(u + w) - q(u) - q(w)
-    (the bilinear form in every characteristic),
-    Q = q(b3)*c3^2 + (B(b1, b3)*c1 + B(b2, b3)*c2)*c3 + q(v), and from the
-    expansion of F(v + c3*b3),
+    With q(y) = x . grad F(y), the polar quadric of x, and its bilinear
+    form B(u, w) = q(u + w) - q(u) - q(w) (in every characteristic),
+    Q = q(b3)*c3^2 + (B(b1, b3)*c1 + B(b2, b3)*c2)*c3 + q(v), where
+    B(b_i, b3) = b_i . (grad F(x + b3) - gx - grad F(b3)), since B(u, w)
+    is the coefficient of abc in F(a*u + b*w + c*x), symmetric in u, w and
+    x.  From the expansion of F(v + c3*b3),
     K = F(b3)*c3^3 + P2(v; b3)*c3^2 + P1(v; b3)*c3 + F(v), where
-    P2(v; b3) is the gradient at b3 paired with v and P1(v; b3) is the
-    polar quadric of b3 at v.
+    P2(v; b3) = v . grad F(b3) and P1(v; b3) = b3 . grad F(v) is the polar
+    quadric of b3 on v (:func:`_polar_quadrics`).
     """
     F = cubic.field
     b1, b2, b3 = b
-    pencil = (tuple(zip(b1, b2)),)
-    q = polar.eval_elems
-    q3 = q(b3)
-
-    def bilinear(u):
-        return F.sub(F.sub(q([F.add(s, t) for s, t in zip(u, b3)]), q(u)), q3)
-
+    qx, q3 = _polar_quadrics(cubic, b1, b2, x, b3)
     g3 = cubic.gradient_at(b3)
-    Q = [[q3], [bilinear(b1), bilinear(b2)], _along(polar, pencil, F, 2)]
+    h = [F.sub(F.sub(s, t), u) for s, t, u in
+         zip(cubic.gradient_at(list(map(F.add, x, b3))), gx, g3)]
+    Q = [[linalg.dot(x, g3, F)], [linalg.dot(b1, h, F), linalg.dot(b2, h, F)],
+         qx]
     K = [[cubic.f_at(b3)], [linalg.dot(g3, b1, F), linalg.dot(g3, b2, F)],
-         _along(cubic.polar(b3), pencil, F, 2), _along(cubic.F, pencil, F, 3)]
+         q3, cubic.F.along(tuple(zip(b1, b2)), F)]
     return Q, K
 
 

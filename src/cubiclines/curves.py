@@ -169,7 +169,7 @@ def validate_curve(cubic, curve, max_level=None):
     if len(g) > 1:
         raise BasePointError("coordinate forms share a factor of degree %d"
                              % (len(g) - 1))
-    if not all(map(F.is_zero, cubic.F.along((curve.dense,), F))):
+    if not all(map(F.is_zero, cubic.F.along(curve.dense, F))):
         raise NotOnXError("F(phi(s)) is a nonzero form of degree %d" % (3 * e))
     report = CurveValidation(e=e, on_x=True, base_point_free=True,
                              birational=True,
@@ -264,7 +264,7 @@ def curve_meeting_data(curve1, curve2, max_level=None):
         raise ValueError("images coincide in a single point")
     sols = _solve_system(mins, F, max_level)
     if sols is None:
-        raise ValueError("curve images share a component")
+        raise InvalidInputError("curve images share a component")
     by_point = {}
     for lv, s, t, _m in sols.solutions:
         lvl = F.tower.level(lv)

@@ -233,7 +233,7 @@ def _normal_rows(cubic, line):
     pivots = {next(c for c, x in enumerate(row) if not fld.is_zero(x))
               for row in line.rows}
     cols = [c for c in range(line.n + 1) if c not in pivots]
-    block = (tuple(zip(*line.rows)),)
+    block = tuple(zip(*line.rows))
     # a zero partial (F free of x_c) substitutes to []
     return cols, [list(r) for r in zip(*(
         cubic.grad[c].along(block, fld) or [fld.zero] * 3 for c in cols))]
@@ -281,7 +281,7 @@ def discriminant_quintic(cubic, line):
     """
     fld = line.field
     if cubic.n != 4:
-        raise ValueError("projection discriminant needs a threefold")
+        raise InvalidInputError("projection discriminant needs a threefold")
     if fld.char == 2:
         raise ValueError("conic matrices need characteristic != 2")
     alpha, beta, gamma, delta, eps, zeta = _fiber_conic(cubic, line)
@@ -374,7 +374,7 @@ def correspondence_row(cubic, curve, line, tower=None, max_level=None):
     line_curve = line_as_curve(line)
     meeting = curve_meeting_data(curve, line_curve, max_level)
     if meeting.r != 1 or not meeting.all_transversal:
-        raise ValueError(
+        raise InvalidInputError(
             "the line must meet the curve transversally at exactly one point")
     report = count_secants_pair(cubic, curve, line_curve, max_level=max_level,
                                 meeting=meeting)

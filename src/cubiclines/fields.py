@@ -45,8 +45,11 @@ class BudgetError(Exception):
 class InvalidInputError(ValueError):
     """An argument the computation does not accept: a vector that is not a
     point of P^n, a point, line or curve off X, rows that span no line, a
-    curve with a base point or one with no secant scheme, or a field that a
-    point scan cannot enumerate."""
+    curve with a base point, one with no secant scheme or one that does
+    not validate, a surface given to the discriminant, a line that does
+    not meet a curve once transversally, two curves whose images share a
+    component, two meeting lines as a pair, or a field that a point scan
+    cannot enumerate."""
 
 
 class VerificationError(AssertionError):

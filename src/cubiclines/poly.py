@@ -8,7 +8,8 @@ elements, entry i multiplying u0^(d-i) u1^i (the convention of
 in (s0, s1; t0, t1) is a list of a + 1 rows of b + 1 entries, entry [i][j]
 multiplying s0^(a-i) s1^i t0^(b-j) t1^j.  The shape carries the formal
 degree, so a vanishing leading coefficient needs no separate bookkeeping.
-``MultiPoly.along`` writes these forms; the Sylvester resultant, the exact
+``MultiPoly.along`` writes the binary forms (the secant system's arrays
+are sums of products of them); the Sylvester resultant, the exact
 divisions, the fiber evaluations and the root finder read them.
 
 No floating point anywhere; elimination is resultant-based (Sylvester
@@ -37,15 +38,15 @@ from .fields import (
     upoly_trim,
 )
 
-# one shared tuple per exponent vector of the gradients and polar forms
-# that cubic.CubicForm builds: many cubics hold the same few hundred vectors
+# one shared tuple per exponent vector of the gradients that
+# cubic.CubicForm builds: many cubics hold the same few vectors (15 in P^4)
 _EXPONENTS = {}
 
 
 class MultiPoly:
     """Sparse polynomial: exponent tuples -> nonzero field elements."""
 
-    __slots__ = ("field", "vars", "terms", "_packed", "_plans")
+    __slots__ = ("field", "vars", "terms", "_packed", "_plan")
 
     def __init__(self, field, variables, terms=None):
         self.field = field
@@ -275,125 +276,98 @@ class MultiPoly:
                     out[e] = s
         return MultiPoly._trusted(F, tvars, out)
 
-    def along(self, blocks, lvl):
-        """Substitute a rational curve for each block of variables.
+    def along(self, curve, lvl):
+        """Substitute a rational curve for the variables.
 
-        The variables fall into len(blocks) consecutive blocks of equal
-        size (one block x, or two blocks x and y).  A block is the tuple of
-        dense coordinates of a curve over lvl, one list per variable, where
-        c[i] multiplies u0^(e-i) u1^i in the curve's parameter pair; a line
-        a*u0 + b*u1 is the degree-1 curve ((a_0, b_0), (a_1, b_1), ...).
-        Returns, over lvl, the binary form in (s0, s1) for one block, or
-        the bihomogeneous array in (s0, s1; t0, t1) for two (the dense
-        forms of this module), of formal degree the block degree times the
-        curve degree in each pair; the zero polynomial gives [].  A
-        polynomial that is not homogeneous in each block raises ValueError.
-        Coefficients are embedded into lvl as they are read.
+        The curve is the tuple of its dense coordinates over lvl, one list
+        per variable, where c[i] multiplies u0^(e-i) u1^i in its parameter
+        pair; a line a*u0 + b*u1 is the degree-1 curve ((a_0, b_0), (a_1,
+        b_1), ...).  Returns, over lvl, the binary form in (u0, u1) of
+        formal degree d*e for a form of degree d (the dense form of this
+        module); the zero polynomial gives [].  A polynomial that is not
+        homogeneous raises ValueError.  Coefficients are embedded into lvl
+        as they are read.
 
         Each curve coordinate is one int (Kronecker substitution in the
         parameter over ``pack``'s substitution in the element): its packed
         elements sit in parameter slots of B bits, wide enough for a packed
-        product of deg + 1 elements with a spare bit, and the second block's
-        parameter steps over the whole range of the first.  Terms are
-        grouped by their x-exponent (for one block: the exponent less its
-        last variable); each group costs one multiply of the product of its
-        head's coordinates by its combined rest, the products come from one
-        chain of multiplies fixed per form, and the form is one int sum,
-        cut into balanced B-bit digits and reduced once per slot
-        (``unpack``).  Over QQ the coefficients and each block are first
-        scaled to integers by their common denominators, and the digits are
-        divided by the scale that homogeneity puts on the output.
+        product of d + 1 elements with a spare bit.  Terms are grouped by
+        their exponent less its last variable (the head); each group costs
+        one multiply of the product of its head's coordinates by its
+        combined rest, each term's coefficient times the coordinate of its
+        last variable.  The head products come from one chain of multiplies
+        fixed per form, and the form is one int sum, cut into balanced
+        B-bit digits and reduced once per slot (``unpack``).  Over QQ the
+        coefficients and the curve are first scaled to integers by their
+        common denominators, and the digits are divided by the scale that
+        homogeneity puts on the output.
         """
         F = self.field
         if lvl.char != F.char:
             raise ValueError("cannot substitute across characteristics")
-        w = len(blocks[0])
-        if len(blocks) > 2 or any(len(b) != w for b in blocks) \
-                or w * len(blocks) != len(self.vars):
-            raise ValueError("need one or two blocks of curve coordinates, "
-                             "one per variable")
+        if len(curve) != len(self.vars):
+            raise ValueError("need one curve coordinate per variable")
         try:
-            plans = self._plans
+            plan = self._plan
         except AttributeError:
-            plans = self._plans = {}
-        if len(blocks) not in plans:
-            plans[len(blocks)] = self._along_plan(w, len(blocks))
-        plan = plans[len(blocks)]
+            plan = self._plan = self._along_plan()
         if plan is None:
             return []
-        dx, dy, head_chain, tail_chain, heads, bounds, terms, tails = plan
-        degs = (dx, dy)[:len(blocks)]
+        d, chain, heads, bounds, terms, tails = plan
         coeffs = list(self.terms.values())
         if lvl.char:
-            top, scale = (lvl.p - 1) ** (dx + dy + 1), 1
+            top, scale = (lvl.p - 1) ** (d + 1), 1
         else:
             (coeffs,), scale, top = _integral([coeffs])
-            scaled = [_integral(b) for b in blocks]
-            blocks = [b for b, _, _ in scaled]
-            for (_, den, big), d in zip(scaled, degs):
-                scale *= den ** d
-                top *= big ** d
+            curve, den, big = _integral(curve)
+            scale *= den ** d
+            top *= big ** d
         # the most products of packed elements that can meet in one slot
-        k, spans = lvl.k, [max(map(len, b)) for b in blocks]
-        meet = len(self.terms) * _spread(k, dx + dy + 1)
-        for n, d in zip(spans, degs):
-            meet *= _spread(n, d)
+        k, n = lvl.k, max(map(len, curve))
+        meet = len(self.terms) * _spread(k, d + 1) * _spread(n, d)
         bits = (meet * top).bit_length()
-        # a packed product of dx + dy + 1 elements, and one spare bit for
-        # the balanced digits
-        B = bits * ((dx + dy) * (k - 1) + k) + 1
-        sizes = [d * (n - 1) + 1 for n, d in zip(spans, degs)]
+        # a packed product of d + 1 elements, and one spare bit for the
+        # balanced digits
+        B = bits * (d * (k - 1) + k) + 1
         coeffs = _packed_coeffs(coeffs, lvl, F.k, bits)
-        coords = [[_kronecker([lvl.pack(x, bits) for x in c], stride)
-                   for c in b]
-                  for b, stride in zip(blocks, (B, B * sizes[0]))]
-        head = _chain_products(head_chain, coords[0])
-        tail = _chain_products(tail_chain, coords[-1])
+        coords = [_kronecker([lvl.pack(x, bits) for x in c], B) for c in curve]
+        head = _chain_products(chain, coords)
+        tail = [1] + coords
         rest = list(map(operator.mul, map(coeffs.__getitem__, terms),
                         map(tail.__getitem__, tails)))
         total = sum([head[h] * sum(rest[a:b])
                      for h, a, b in zip(heads, bounds, bounds[1:])])
         out = [lvl.unpack(v, bits)
-               for v in _balanced(total, B, math.prod(sizes))]
+               for v in _balanced(total, B, d * (n - 1) + 1)]
         if not lvl.char:
             out = [Fraction(v, scale) for v in out]
-        if len(blocks) == 2:
-            # rows by the power of s1, columns by the power of t1
-            return [out[i::sizes[0]] for i in range(sizes[0])]
         return out
 
-    def _along_plan(self, w, nblocks):
-        """For ``along`` with nblocks blocks of w variables: the block
-        degrees dx and dy; the chains (``_Chain.chain``) of the heads over
-        the first block and of the tails over the last; and the terms in
-        groups by head, as each group's head (its number in the chain),
-        the bounds of the groups' runs, and per term, in run order, its
-        position in ``terms`` and its tail.  A term is its head's monomial
-        times its tail's.  None for the zero polynomial.  Built on the
+    def _along_plan(self):
+        """For ``along``: the degree d; the chain (``_Chain.chain``) of the
+        heads; and the terms in groups by head, as each group's head (its
+        number in the chain), the bounds of the groups' runs, and per term,
+        in run order, its position in ``terms`` and its tail, 1 + its last
+        variable (0 for a constant).  A term is its head's monomial times
+        its tail's variable.  None for the zero polynomial.  Built on the
         first call and kept on the form, in tuples of small ints."""
-        bidegrees = {(sum(e[:w]), sum(e[w:])) for e in self.terms}
-        if len(bidegrees) > 1:
-            raise ValueError("the form is not homogeneous in each block")
-        if not bidegrees:
+        degrees = set(map(sum, self.terms))
+        if len(degrees) > 1:
+            raise ValueError("the form is not homogeneous")
+        if not degrees:
             return None
-        heads, tails = _Chain(w), _Chain(w)
+        heads = _Chain(len(self.vars))
         groups = {}
         for i, exps in enumerate(self.terms):
-            if nblocks == 2:
-                head, tail = exps[:w], exps[w:]
-            elif any(exps):
-                j = _last_nonzero(exps)
-                head = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-                tail = (0,) * j + (1,) + (0,) * (w - j - 1)
-            else:
-                head = tail = exps
-            groups.setdefault(heads[head], []).append((i, tails[tail]))
-        (dx, dy), = bidegrees
+            j = _last_nonzero(exps)
+            if j >= 0:
+                exps = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+            groups.setdefault(heads[exps], []).append((i, j + 1))
+        (d,) = degrees
         runs = list(groups.values())
         bounds = tuple(itertools.accumulate(map(len, runs), initial=0))
-        terms, tails_of = zip(*[m for run in runs for m in run])
-        return (dx, dy, heads.chain(), tails.chain(), tuple(groups), bounds,
-                terms, tails_of)
+        terms, tails = zip(*[m for run in runs for m in run])
+        return d, heads.chain(), tuple(groups), bounds, terms, tails
 
     def map_field(self, new_field, conv):
         """Transport coefficients through conv into another field."""
@@ -468,8 +442,9 @@ def _chain_products(chain, coords):
 
 
 def _last_nonzero(exps):
+    """The index of the last nonzero entry, -1 when there is none."""
     j = len(exps) - 1
-    while not exps[j]:
+    while j >= 0 and not exps[j]:
         j -= 1
     return j
 

@@ -40,22 +40,39 @@ def expected_line_meeting(e):
 def build_system(cubic, curve_a, curve_b=None):
     """The two mixed-polar equations for secants of one curve or a pair.
 
-    G1 = P1(phi(s); psi(t)) and G2 = P2(phi(s); psi(t)), with psi = phi
-    for one curve, come from substituting the curves' dense coordinates
-    into the polar forms at the curves' level (``MultiPoly.along``).
+    Both polar forms are the gradient paired with a point, so with the
+    partials of F along the curves (``MultiPoly.along`` on ``cubic.grad``
+    at the curves' level), G1 = P1(phi(s); psi(t)) is
+    sum_c dF/dx_c(phi(s)) * psi_c(t) and G2 = P2(phi(s); psi(t)) is
+    sum_c phi_c(s) * dF/dx_c(psi(t)), with psi = phi for one curve.
     Returns the pair of arrays to solve, whose shapes are their formal
-    bidegrees, (2 e_a, e_b) and (e_a, 2 e_b); for one curve both forms are
-    first divided by the diagonal twice, its universal vanishing order.
+    bidegrees, (2 e_a, e_b) and (e_a, 2 e_b).  For one curve G1 is first
+    divided by the diagonal twice, its universal vanishing order, and G2
+    is its transpose: P2(phi(s); phi(t)) = P1(phi(t); phi(s)), and
+    swapping s and t leaves the square of the diagonal form unchanged.
     """
     F = curve_a.field
     if curve_b is not None and curve_b.field is not F:
         raise ValueError("curves must live over the same level")
-    blocks = (curve_a.dense, (curve_b or curve_a).dense)
-    G1 = cubic.P1.along(blocks, F)
-    G2 = cubic.P2.along(blocks, F)
-    if curve_b is not None:
-        return G1, G2
-    return divide_diagonal(G1, 2, F), divide_diagonal(G2, 2, F)
+    a, b = curve_a.dense, (curve_b or curve_a).dense
+    G1 = _outer_sum(_partials_along(cubic, a, F), b, F)
+    if curve_b is None:
+        G1 = divide_diagonal(G1, 2, F)
+        return G1, [list(col) for col in zip(*G1)]
+    return G1, _outer_sum(a, _partials_along(cubic, b, F), F)
+
+
+def _partials_along(cubic, dense, F):
+    """The partials of F along a curve's dense coordinates over F, as
+    binary forms of formal degree 2e (a zero partial gives zeros)."""
+    zero = [F.zero] * (2 * len(dense[0]) - 1)
+    return [g.along(dense, F) or zero for g in cubic.grad]
+
+
+def _outer_sum(us, vs, F):
+    """The array sum_c us[c] (x) vs[c] of two lists of binary forms: entry
+    [i][j] is sum_c us[c][i] * vs[c][j]."""
+    return [[linalg.dot(u, v, F) for v in zip(*vs)] for u in zip(*us)]
 
 
 @dataclass
@@ -148,7 +165,8 @@ def count_secants_single(cubic, curve, tower=None, max_level=None):
                                 ">= 2")
     check_tower(tower, curve.field)
     if not validate_curve(cubic, curve, max_level).valid:
-        raise ValueError("curve must validate as birational and node-free")
+        raise InvalidInputError("curve must validate as birational and "
+                                "node-free")
     Gt1, Gt2 = build_system(cubic, curve)
     report = SecantReport(mode="single", expected=expected_single(e))
     try:
@@ -225,7 +243,8 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     r = meeting.r
     line_sides = [curve1.e == 1, curve2.e == 1]
     if r > 0 and all(line_sides):
-        raise ValueError("two meeting lines span a plane; no secant count")
+        raise InvalidInputError("two meeting lines span a plane; no secant "
+                                "count")
     G1, G2 = build_system(cubic, curve1, curve2)
     bad_s, bad_t = [], []
     if r > 0 and any(line_sides):

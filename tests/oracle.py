@@ -37,10 +37,11 @@ product in ``upoly_mul``, long division in ``upoly_divmod`` and
 ``eval_elems`` is ``MultiPoly.eval_elems`` before it ran on packed ints:
 one field operation per factor of every term.
 
-The polar forms are the solver's before it read them from the gradient:
-the coefficients of lam and lam^2 in F(x + lam*y), expanded in an
-11-variable ring (``polarize``), so the certificate and the secant system
-here share nothing with ``CubicForm.P1``/``P2``.  The second-type matrix
+The polar forms P1 and P2 are the solver's before it read them from the
+gradient: the coefficients of lam and lam^2 in F(x + lam*y), expanded in
+an 11-variable ring over x and y (``polarize``, with ``yvars`` naming the
+second block), so the certificate and the secant system here share
+nothing with ``CubicForm.grad``.  The second-type matrix
 and the entries of the fiber conic of the projection from a line are the
 solver's before it read them from the gradient too: F(s*r0 + t*r1 + u)
 expanded by ``eval_polys`` and split by the powers of s and t.
@@ -59,9 +60,10 @@ by a coordinate change substituted into both.  ``exact_div``,
 order of ``cubic._proj_zeros``) are used by tests only.
 
 So are ``fermat_cubic`` (the cubic sum x_i^3), ``complete_basis`` (rows
-extended to a basis by standard vectors) and ``curve_forms`` (a curve's
+extended to a basis by standard vectors), ``curve_forms`` (a curve's
 coordinate forms as ``MultiPoly``s in (s0, s1), built from its dense
-lists, which are all the curve keeps).
+lists, which are all the curve keeps) and ``contains`` (a point on a
+``ProjLine``, by rank).
 """
 
 import functools
@@ -71,7 +73,7 @@ from dataclasses import dataclass, field
 from cubiclines import linalg
 from cubiclines.bihom import BihomSolutions
 from cubiclines.cubic import (CubicForm, ProjLine, _levels_over, _proj_zeros,
-                              xvars, yvars)
+                              xvars)
 from cubiclines.curves import RationalCurve
 from cubiclines.fano import enumerate_lines
 from cubiclines.fields import VerificationError, upoly_trim
@@ -82,6 +84,15 @@ from cubiclines.secant import count_secants_pair, count_secants_single
 SVARS = ("s0", "s1")
 TVARS = ("t0", "t1")
 STVARS = SVARS + TVARS
+
+
+def yvars(n):
+    return tuple("y%d" % i for i in range(n + 1))
+
+
+def contains(line, pt):
+    """The point pt lies on the line: its rows and pt have rank 2."""
+    return linalg.rank(list(line.rows) + [list(pt)], line.field) == 2
 
 
 def fermat_cubic(fld, n):
@@ -513,7 +524,7 @@ def oracle_meeting_pair(census, curve, line, meeting_point, tangent_rows):
     for l in census.lines:
         if l == line:
             continue
-        if l.contains(x):
+        if contains(l, x):
             stacked = plane_rows + [list(r) for r in l.rows]
             if linalg.rank(stacked, F) == 3:
                 out.append(l.key())
@@ -811,7 +822,7 @@ def plane_lines_through(cubic, x, w1, w2, max_level=2):
     for clv, ell in [(F.k, list(sec.line_form))] + sec.conic_lines:
         l2 = F.tower.level(clv)
         line = ambient_line_from_plane_form(basis, ell, l2, cubic)
-        if line.contains([l2.embed_from(v, F.k) for v in x]):
+        if contains(line, [l2.embed_from(v, F.k) for v in x]):
             out.add((clv, line.key()))
     return out
 

@@ -1,7 +1,9 @@
-"""The dense substitution kernel ``MultiPoly.along`` against the solver's
-earlier code paths (``oracle``): the polar forms composed with the curves'
-forms by ``eval_polys``, and the four values F(a), P1(a;b), P2(a;b), F(b)
-by ``eval_elems``, each converted to the dense forms by ``oracle.dense``."""
+"""The dense substitution kernel ``MultiPoly.along`` and the secant system
+built on it (``secant.build_system``, the partials of F along the curves
+paired with the curves' coordinates) against the solver's earlier code
+paths (``oracle``): F and the polar forms composed with the curves' forms
+by ``eval_polys``, and the four values F(a), P1(a;b), P2(a;b), F(b) by
+``eval_elems``, each converted to the dense forms by ``oracle.dense``."""
 
 import itertools
 import random
@@ -10,8 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubiclines.cubic import (CubicForm, ProjLine, cubic_from_json, xvars,
-                              yvars)
+from cubiclines.cubic import CubicForm, ProjLine, cubic_from_json, xvars
 from cubiclines.curves import RationalCurve, curve_from_json
 from cubiclines.fields import QQ, FieldTower, VerificationError
 from cubiclines.poly import MultiPoly
@@ -60,13 +61,20 @@ def test_one_block_matches_eval_polys(p, ck, lk):
     for e in (1, 2, 3):
         curve = rand_curve(lvl, e, rng)
         want = X.F.over(lvl).eval_polys(oracle.curve_forms(curve))
-        assert X.F.along((curve.dense,), lvl) == oracle.dense(want, (3 * e,))
+        assert X.F.along(curve.dense, lvl) == oracle.dense(want, (3 * e,))
+
+
+def oracle_system(X, a, b=None):
+    """The oracle's secant system of one curve or a pair, as arrays."""
+    G1, G2, bidegrees = oracle.build_system(X, a, b)
+    return oracle.dense(G1, bidegrees[0]), oracle.dense(G2, bidegrees[1])
 
 
 @pytest.mark.parametrize("p,ck,lk", FIELDS)
 def test_two_blocks_match_eval_polys(p, ck, lk):
-    """Single mode (one curve in both blocks) and pair mode (two curves of
-    any degrees), for both polar forms."""
+    """Both polar forms along two curves: the pair-mode secant system for
+    two curves of any degrees, and for one curve in both places (not
+    divided by the diagonal, since these curves are on no cubic)."""
     cf, lvl = levels(p, ck, lk)
     rng = random.Random("two:%d:%d:%d" % (p, ck, lk))
     X = rand_cubic(cf, rng)
@@ -75,10 +83,7 @@ def test_two_blocks_match_eval_polys(p, ck, lk):
     for ea, eb in pairs:
         a = curves[ea]
         b = curves[eb] if ea != eb else a
-        forms = oracle.side_forms(a, "s") + oracle.side_forms(b, "t")
-        for P, bd in ((X.P1, (2 * ea, eb)), (X.P2, (ea, 2 * eb))):
-            assert P.along((a.dense, b.dense), lvl) == \
-                oracle.dense(P.over(lvl).eval_polys(forms), bd)
+        assert build_system(X, a, b) == oracle_system(X, a, b)
 
 
 @pytest.mark.parametrize("p,ck,lk", FIELDS)
@@ -93,7 +98,7 @@ def test_line_restriction_is_the_four_values(p, ck, lk):
             want = MultiPoly(lvl, oracle.SVARS, dict(zip(
                 [(3, 0), (2, 1), (1, 2), (0, 3)],
                 oracle.line_values(X, a, b, lvl))))
-            assert X.F.along((tuple(zip(a, b)),), lvl) == \
+            assert X.F.along(tuple(zip(a, b)), lvl) == \
                 oracle.dense(want, (3,))
             assert X.line_in_x_points(a, b, lvl) == \
                 oracle.line_in_x_points(X, a, b, lvl)
@@ -104,51 +109,56 @@ def tower11():
     return FieldTower(11, budget=6, seed=0)
 
 
-def dense_form(fld, degrees, c, n=4):
-    """Every monomial of the given degree in each block of n + 1
-    variables (x, or x and y), each with coefficient c."""
-    parts = [[e for e in itertools.product(range(d + 1), repeat=n + 1)
-              if sum(e) == d] for d in degrees]
-    names = xvars(n) + (yvars(n) if len(degrees) == 2 else ())
-    return MultiPoly(fld, names,
-                     {sum(es, ()): c for es in itertools.product(*parts)})
+def dense_form(fld, d, c, n=4):
+    """Every monomial of degree d in n + 1 variables, each with
+    coefficient c."""
+    return MultiPoly(fld, xvars(n), {
+        e: c for e in itertools.product(range(d + 1), repeat=n + 1)
+        if sum(e) == d})
 
 
-def substituted(P, curves):
-    """P along the curves by ``eval_polys``, as the dense form."""
-    if len(curves) == 1:
-        curve, = curves
-        want = P.eval_polys(oracle.curve_forms(curve))
-        return oracle.dense(want, (P.degree() * curve.e,))
-    a, b = curves
-    w = len(a.dense)
-    dx, dy = sum(next(iter(P.terms))[:w]), sum(next(iter(P.terms))[w:])
-    forms = oracle.side_forms(a, "s") + oracle.side_forms(b, "t")
-    return oracle.dense(P.eval_polys(forms), (dx * a.e, dy * b.e))
+def substituted(P, curve):
+    """P along the curve by ``eval_polys``, as the dense form."""
+    want = P.eval_polys(oracle.curve_forms(curve))
+    return oracle.dense(want, (P.degree() * curve.e,))
 
 
-# (block degrees, curve degrees): a dense cubic along a twisted cubic, and
-# dense forms of bidegree (2, 1) and (1, 2) along two cubics and along a
-# cubic and a line
-SLOT_CASES = [((3,), (3,)), ((2, 1), (3, 3)), ((1, 2), (3, 3)),
-              ((2, 1), (3, 1)), ((1, 2), (3, 1))]
+def largest_value_case(fld, degrees, es, c, x):
+    """The form and its dense substitution computed both ways, every
+    coefficient c and every curve coordinate x.  One block degree (d,) is
+    the dense form of degree d along one curve; (2, 1) and (1, 2) are the
+    arrays G1 and G2 of the pair-mode secant system of the dense cubic
+    along two curves."""
+    curves = [RationalCurve(fld, e, [[x] * (e + 1) for _ in range(5)])
+              for e in es]
+    if len(degrees) == 1:
+        P = dense_form(fld, degrees[0], c)
+        return P.along(curves[0].dense, fld), substituted(P, curves[0])
+    X = CubicForm(fld, 4, dense_form(fld, 3, c))
+    side = degrees.index(2)
+    return build_system(X, *curves)[side], oracle_system(X, *curves)[side]
+
+
+# (block degrees, curve degrees): a dense cubic along a twisted cubic, dense
+# quadrics (the partials the secant system substitutes) along a twisted
+# cubic and a line, and the secant system's G1 (bidegree (2, 1)) and G2
+# (bidegree (1, 2)) along two cubics and along a cubic and a line
+SLOT_CASES = [((3,), (3,)), ((2,), (3,)), ((2,), (1,)), ((2, 1), (3, 3)),
+              ((1, 2), (3, 3)), ((2, 1), (3, 1)), ((1, 2), (3, 1))]
 
 
 @pytest.mark.parametrize("level", [1, 6])
 @pytest.mark.parametrize("degrees,es", SLOT_CASES,
                          ids=["%s-%s" % c for c in SLOT_CASES])
 def test_largest_packed_values_fit_their_slots(tower11, degrees, es, level):
-    """Every coefficient and coordinate digit p - 1 at p = 11: the middle
-    slot meets its bound, so the slots are as narrow as they may be, and
-    one bit, one element slot or (at level 1) the spare bit fewer breaks
-    this."""
+    """Every coefficient and coordinate digit p - 1 at p = 11: in the
+    dense forms the middle slot meets its bound, so the slots are as
+    narrow as they may be, and one bit, one element slot or (at level 1)
+    the spare bit fewer breaks this."""
     lvl = tower11.level(level)
     top = lvl.from_coeffs([lvl.p - 1] * lvl.k)
-    P = dense_form(lvl, degrees, top)
-    curves = [RationalCurve(lvl, e, [[top] * (e + 1) for _ in range(5)])
-              for e in es]
-    assert P.along(tuple(c.dense for c in curves), lvl) == \
-        substituted(P, curves)
+    got, want = largest_value_case(lvl, degrees, es, top, top)
+    assert got == want
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -159,11 +169,8 @@ def test_largest_rational_values_fit_their_slots(degrees, es, sign):
     with either sign: the spare bit of the balanced digits is needed."""
     c = Fraction(sign * (2 ** 70 + 1), 3)
     x = Fraction(2 ** 66 - 1, 5)
-    P = dense_form(QQ, degrees, c)
-    curves = [RationalCurve(QQ, e, [[x] * (e + 1) for _ in range(5)])
-              for e in es]
-    assert P.along(tuple(c.dense for c in curves), QQ) == \
-        substituted(P, curves)
+    got, want = largest_value_case(QQ, degrees, es, c, x)
+    assert got == want
 
 
 def rand_rational(rng):
@@ -181,8 +188,8 @@ def rand_rational(rng):
 
 def test_rationals_with_denominators_match_eval_polys():
     """The denominator path: a dense QQ cubic with large, signed,
-    fractional coefficients along curves of such coordinates, one block
-    and both polar forms on two."""
+    fractional coefficients along curves of such coordinates, alone and
+    in the pair-mode secant system of two."""
     rng = random.Random("rationals")
     terms = {e: rand_rational(rng)
              for e in itertools.product(range(4), repeat=5) if sum(e) == 3}
@@ -192,11 +199,10 @@ def test_rationals_with_denominators_match_eval_polys():
                                        for _ in range(5)])
               for e in (1, 2, 3)}
     for e, curve in curves.items():
-        assert X.F.along((curve.dense,), QQ) == substituted(X.F, [curve])
+        assert X.F.along(curve.dense, QQ) == substituted(X.F, curve)
     for ea, eb in [(1, 1), (2, 2), (2, 1), (1, 3)]:
         a, b = curves[ea], curves[eb]
-        for P in (X.P1, X.P2):
-            assert P.along((a.dense, b.dense), QQ) == substituted(P, [a, b])
+        assert build_system(X, a, b) == oracle_system(X, a, b)
 
 
 # lines on no cubic: F(s0*a + s1*b) on the Fermat GF(7) surface has exactly
@@ -217,7 +223,7 @@ def test_line_with_one_nonzero_coefficient_is_rejected(mono, a, b):
     values = oracle.line_values(X, a, b)
     assert [fld.is_zero(v) for v in values] == \
         [m != mono for m in [(3, 0), (2, 1), (1, 2), (0, 3)]]
-    restriction = X.F.along((tuple(zip(a, b)),), fld)
+    restriction = X.F.along(tuple(zip(a, b)), fld)
     assert [(3 - i, i) for i, v in enumerate(restriction)
             if not fld.is_zero(v)] == [mono]
     assert not X.line_in_x_points(a, b)
@@ -274,9 +280,7 @@ def test_secant_system_matches_eval_polys_system():
     """build_system on committed curves on X equals the earlier system,
     the diagonal divided out twice in single mode, bidegrees included."""
     for name, X, a, b in secant_inputs():
-        G1, G2, bidegrees = oracle.build_system(X, a, b)
-        assert build_system(X, a, b) == (oracle.dense(G1, bidegrees[0]),
-                                         oracle.dense(G2, bidegrees[1])), name
+        assert build_system(X, a, b) == oracle_system(X, a, b), name
 
 
 @pytest.mark.parametrize("p,lk", [(0, 1), (7, 1), (7, 2), (7, 3), (11, 2)])

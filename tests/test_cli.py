@@ -178,9 +178,8 @@ def test_row_sum(capsys):
                     "--cubic", fixture_path("fermat7_threefold.json"),
                     "--curve", fixture_path("conic7.json"),
                     "--line", "1,0,0,0,3;0,1,0,3,0", "--max-level", "4")
-    # the specific line may or may not meet the conic; accept either a
-    # clean row (0) or the rejection path (1), but never a crash
-    assert code in (0, 1)
+    # the line meets the conic once, transversally: the row matches
+    assert code == 0 and doc["matched"] is True
 
 
 def test_row_sum_meet_once_line(capsys):
@@ -299,6 +298,7 @@ X7, XQ = (fixture_path(name) for name in ("fermat7_threefold.json",
                                           "fermatQ_threefold.json"))
 OFF_X = "1,0,0,0,0;0,1,0,0,0"
 NO_LINE = "1,6,0,0,0;2,5,0,0,0"   # the second row is twice the first
+DISJOINT = "0,1,0,0,3;0,0,1,5,0"  # the rows of disjline7, off conic7
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -320,9 +320,23 @@ NO_LINE = "1,6,0,0,0;2,5,0,0,0"   # the second row is twice the first
     (["enumerate-lines", "--cubic", XQ], "needs a finite field"),
     (["secants", "--cubic", X7, "--curve", fixture_path("line7_a.json")],
      "a line has no secant scheme"),
+    (["discriminant", "--cubic", fixture_path("fermat7_surface.json"),
+      "--line", "1,6,0,0;0,0,1,6"], "needs a threefold"),
+    (["row-sum", "--cubic", X7, "--curve", fixture_path("conic7.json"),
+      "--line", DISJOINT], "must meet the curve transversally"),
+    (["pair-secants", "--cubic", X7, "--curve1", fixture_path("line7_a.json"),
+      "--curve2", fixture_path("line7_a.json")],
+     "curve images share a component"),
+    (["secants", "--cubic", X7, "--curve", fixture_path("double_line7.json")],
+     "curve must validate"),
+    (["pair-secants", "--cubic", X7, "--curve1", fixture_path("line7_a.json"),
+      "--curve2", fixture_path("line7_c.json")],
+     "two meeting lines span a plane"),
 ], ids=["zero-point", "point-off-x", "singular-point", "rows-no-line", "second-type-off-x",
         "discriminant-off-x", "row-sum-off-x", "probe-over-qq",
-        "census-over-qq", "secants-of-a-line"])
+        "census-over-qq", "secants-of-a-line", "discriminant-of-a-surface",
+        "row-sum-disjoint-line", "pair-of-one-curve",
+        "secants-of-a-double-line", "pair-of-meeting-lines"])
 def test_input_the_library_refuses_exits_2(capsys, argv, message):
     """Points, lines and curves that are not valid input, and fields a
     point scan cannot enumerate: the library's refusal is a usage error."""

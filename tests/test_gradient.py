@@ -1,9 +1,10 @@
-"""Everything ``CubicForm`` derives from F reads its gradient: the polar
-forms, the polar quadric of a point, the second-type matrix and the fiber
-conic of the projection from a line.  Each is checked against the earlier
-expansions kept in ``oracle`` (F(x + lam*y) in an 11-variable ring, and
-F(s*r0 + t*r1 + u) by ``eval_polys``).  ``gradient_at``, which evaluates
-all the partials in one pass, is checked against each partial on its own."""
+"""Everything derived from F reads its gradient: the secant system (the
+polar forms along curves), the polar quadric of a point and its pencil
+form, the second-type matrix and the fiber conic of the projection from a
+line.  Each is checked against the earlier expansions kept in ``oracle``
+(F(x + lam*y) in an 11-variable ring, and F(s*r0 + t*r1 + u) by
+``eval_polys``).  ``gradient_at``, which evaluates all the partials in one
+pass, is checked against each partial on its own."""
 
 import itertools
 import random
@@ -11,11 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from cubiclines.cubic import CubicForm, cubic_from_json, xvars
+from cubiclines.cubic import CubicForm, cubic_from_json, pencil_forms, xvars
+from cubiclines.curves import RationalCurve
 from cubiclines.fano import (_fiber_conic, _normal_rows, enumerate_lines,
                              second_type_test)
 from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
+from cubiclines.secant import build_system
 from conftest import fixture_json
 import oracle
 
@@ -36,21 +39,64 @@ def dense_cubic(fld, n, rng):
 FIELDS = [(0, 1), (2, 1), (3, 1), (5, 1), (7, 2)]
 
 
+def cubic_with_conic(fld, n, rng):
+    """A random cubic through the conic x0*x2 = x1^2 of the plane where
+    x3, ..., xn vanish: (x0*x2 - x1^2) * L + sum_{i >= 3} x_i * Q_i with a
+    random linear form L and random quadrics Q_i; and that conic, as the
+    curve (s0^2, s0*s1, s1^2, 0, ...)."""
+    def rand_form(d):
+        return MultiPoly(fld, xvars(n), {
+            e: rand_elem(fld, rng)
+            for e in itertools.product(range(d + 1), repeat=n + 1)
+            if sum(e) == d})
+
+    def var(i):
+        return MultiPoly.var(fld, xvars(n), "x%d" % i)
+
+    F = (var(0) * var(2) - var(1) * var(1)) * rand_form(1)
+    for i in range(3, n + 1):
+        F = F + var(i) * rand_form(2)
+    unit = [[fld.one if i == j else fld.zero for j in range(3)]
+            for i in range(3)]
+    conic = RationalCurve(fld, 2, unit + [[fld.zero] * 3] * (n - 2))
+    return CubicForm(fld, n, F), conic
+
+
+def rand_curve(fld, e, n, rng):
+    return RationalCurve(fld, e, [[rand_elem(fld, rng) for _ in range(e + 1)]
+                                  for _ in range(n + 1)])
+
+
+def system(X, a, b=None):
+    G1, G2, bidegrees = oracle.build_system(X, a, b)
+    return oracle.dense(G1, bidegrees[0]), oracle.dense(G2, bidegrees[1])
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_polar_forms_match_the_expansion(p, k, n):
-    """P1 and P2 from the gradient equal the coefficients of lam and lam^2
-    in F(x + lam*y), in characteristics 2 and 3 too, and the polar quadric
-    of a point is P2 with that point put in the first block."""
+    """The polar forms read from the gradient equal the coefficients of
+    lam and lam^2 in F(x + lam*y), in characteristics 2 and 3 too: the
+    secant system of a conic on X (single mode, G2 the transpose of G1)
+    and of two random curves (pair mode), and the polar quadric of a point
+    along a pencil (``pencil_forms``' Q, its middle coefficient by
+    polarization), which is P2 with that point put in the first block."""
     fld = QQ if p == 0 else FieldTower(p, budget=k, seed=0).level(k)
     rng = random.Random("polar:%d:%d:%d" % (p, k, n))
     for _ in range(3):
-        X = dense_cubic(fld, n, rng)
-        assert (X.P1, X.P2) == oracle.polarize(X)
+        X, conic = cubic_with_conic(fld, n, rng)
         assert X.grad == tuple(X.F.derivative(v) for v in X.F.vars)
-        pt = [rand_elem(fld, rng) for _ in range(n + 1)]
-        want = X.P2.subs(pt + [None] * (n + 1))
+        assert build_system(X, conic) == system(X, conic)
+        a, b = rand_curve(fld, 2, n, rng), rand_curve(fld, 1, n, rng)
+        assert build_system(X, a, b) == system(X, a, b)
+        pt, w1, w2 = ([rand_elem(fld, rng) for _ in range(n + 1)]
+                      for _ in range(3))
+        want = oracle.polarize(X)[1].subs(pt + [None] * (n + 1))
         assert X.polar(pt) == MultiPoly(fld, xvars(n), want.terms)
+        pencil = RationalCurve(fld, 1, [list(w) for w in zip(w1, w2)])
+        Q = pencil_forms(X, pt, X.gradient_at(pt), w1, w2)[1]
+        assert Q == oracle.dense(X.polar(pt).eval_polys(
+            oracle.curve_forms(pencil)), (2,))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -115,12 +161,12 @@ def test_second_type_and_fiber_conic_match_the_restriction(name):
 
 
 def test_forms_of_cubics_from_one_document_share_exponent_keys():
-    """The gradients and polar forms of two cubics read from the same JSON
-    hold the same exponent tuples, not equal copies."""
+    """The gradients of two cubics read from the same JSON hold the same
+    exponent tuples, not equal copies."""
     doc = fixture_json("dense11_threefold.json")
     a = cubic_from_json(doc)[0]
     b = cubic_from_json(doc)[0]
-    for Pa, Pb in zip(a.grad + (a.P1, a.P2), b.grad + (b.P1, b.P2)):
+    for Pa, Pb in zip(a.grad, b.grad):
         assert Pa.terms == Pb.terms
         keys = {e: e for e in Pb.terms}
         assert all(keys[e] is e for e in Pa.terms)

@@ -1,5 +1,6 @@
-"""Lines through a point from the pencil forms L, Q and K of ``along``,
-against the oracle's plane sections and its ``eval_polys`` arrays.
+"""Lines through a point from the pencil forms L, Q and K (L and Q from
+the gradient, K from ``along``), against the oracle's plane sections and
+its ``eval_polys`` arrays.
 
 ``cubic.lines_in_plane`` finds the lines of X through x in a plane as the
 common roots of three binary forms; ``oracle.plane_lines_through``
@@ -72,8 +73,8 @@ def pencil_keys(X, x, w1, w2, max_level):
     lines = lines_in_plane(X, x, w1, w2, max_level)
     if lines is None:
         return None
-    assert all(X.line_in_x(l) and l.contains(
-        [l.field.embed_from(c, X.field.k) for c in x]) for l in lines)
+    assert all(X.line_in_x(l) and oracle.contains(
+        l, [l.field.embed_from(c, X.field.k) for c in x]) for l in lines)
     return {(l.field.k, l.key()) for l in lines}
 
 
@@ -122,14 +123,17 @@ def test_c3_arrays_match_eval_polys(name):
     F = X.field
     rng = random.Random("c3:" + name)
     for x in smooth_points(X, rng, 6):
-        dirs = linalg.kernel_basis([X.gradient_at(x)], F)[1:]
-        polar = X.polar(x)
-        assert list(_c3_arrays(X, polar, dirs)) == oracle.c3_arrays(X, x, dirs)
+        gx = X.gradient_at(x)
+        dirs = linalg.kernel_basis([gx], F)[1:]
+        assert list(_c3_arrays(X, x, gx, dirs)) == oracle.c3_arrays(X, x, dirs)
         for _ in range(3):
             M = _random_unimodular(F, rng)
             b = [linalg.combine(col, dirs, F) for col in zip(*M)]
-            assert list(_c3_arrays(X, polar, b)) \
+            assert list(_c3_arrays(X, x, gx, b)) \
                 == oracle.c3_arrays(X, x, dirs, M)
+        # directions off the tangent hyperplane, where gx pairs nonzero
+        b = [[F.from_int(rng.randrange(F.p)) for _ in x] for _ in range(3)]
+        assert list(_c3_arrays(X, x, gx, b)) == oracle.c3_arrays(X, x, b)
 
 
 def test_one_path_without_eval_polys(monkeypatch, tower7):

@@ -194,7 +194,7 @@ def lines_through_point_with_wrong_solver():
     # a conic/cubic solver answering a direction off the pair: the line
     # certificate of the line through the point must refuse it
     solve = cubic._solve_conic_cubic
-    cubic._solve_conic_cubic = lambda X, x, dirs, max_level, seed: (
+    cubic._solve_conic_cubic = lambda X, x, gx, dirs, max_level, seed: (
         [(1, [0, 0, 0, 0, 1], 1)], True, True)
     try:
         cubic.lines_through_point(fermat_cubic(lvl, 4), [1, 1, 3, 3, 0], tower)
