@@ -8,9 +8,9 @@ change puts in general position) and input the library refuses
 rows that span no line, a curve with a base point, a line given to
 ``secants`` or a curve there that does not validate, a ``discriminant``
 of a surface, a ``row-sum`` line that does not meet the curve once
-transversally, a ``pair-secants`` pair whose images share a component or
-that is two meeting lines, a point scan over QQ); 3 = an expression
-evaluation had an unbound parameter.
+transversally, a ``pair-secants`` curve with a base point or off X or a
+pair whose images share a component or are two meeting lines, a point
+scan over QQ); 3 = an expression evaluation had an unbound parameter.
 
 Each subcommand imports the library modules it runs when it starts, so a
 run compiles and loads only those (``chow-eval`` never loads the geometry,

@@ -140,7 +140,7 @@ class CubicForm:
         on packed elements (``pack``), and each partial is reduced once."""
         fld = self.field
         # a term is a product of three elements
-        bits = (len(self.F.terms) * fld.k ** 2 * fld.p ** 3).bit_length()
+        bits = _horner_bits(2, len(self.F.terms), fld)
         pack = fld.pack
         x = [pack(c, bits) for c in pt]
         quad = {e: x[a] * x[b] for e, a, b in _coordinate_pairs(self.n)}
@@ -148,15 +148,6 @@ class CubicForm:
         return [fld.unpack(sum([pack(c, bits) * quad[e]
                                 for e, c in g.terms.items()], zero), bits)
                 for g in self.grad]
-
-    def polar(self, pt):
-        """The polar quadric of pt, sum_i pt_i * dF/dx_i, in the variables
-        of F: P2(pt; .) = P1(.; pt), as a polynomial (the fiber conic of
-        ``fano`` substitutes into it)."""
-        out = MultiPoly.zero(self.field, self.F.vars)
-        for c, g in zip(pt, self.grad):
-            out = out + g.scale(c)
-        return out
 
     # -- lines ------------------------------------------------------------------
 
@@ -514,8 +505,8 @@ def _proj_zeros(form, lvl, n):
 
     The points that differ only in their fastest coordinate, the one
     before the last nonzero, are b + t*e_c for t in the field's order, so
-    the form is substituted once per such group (:func:`_zeros_along`);
-    the last point, e_0, is evaluated on its own.
+    the form is restricted to that coordinate once per such group
+    (:func:`_zeros_along`); the last point, e_0, is evaluated on its own.
     """
     elems = list(lvl.elements())
     for i in range(n, 0, -1):
@@ -530,19 +521,16 @@ def _proj_zeros(form, lvl, n):
 
 def _zeros_along(form, base, elems):
     """The t in elems, in their order, where the form vanishes at base
-    with t at its one None entry: the form is substituted once, as a
-    polynomial in that coordinate, and evaluated at each t by packed
-    Horner (every t is a zero when the substitution is zero)."""
+    with t at its one None entry: the form is restricted once to that
+    coordinate (``MultiPoly.restrict``, on the packed terms of
+    ``eval_elems``) and the polynomial in t is evaluated at each t by
+    packed Horner (every t is a zero when it is zero)."""
     lvl = form.field
-    part = form.subs(base).terms
-    if not part:
-        yield from elems
-        return
-    d = max(part)[0]
+    part = form.restrict(base, base.index(None))
+    d = len(part) - 1
     bits = _horner_bits(d, d + 1, lvl)
     # coefficient i multiplies u0^(d-i) u1^i: the polynomial at u = (1, t)
-    coeffs = _packed_coeffs([part.get((i,), lvl.zero) for i in range(d + 1)],
-                            lvl, lvl.k, bits)
+    coeffs = _packed_coeffs(part, lvl, lvl.k, bits)
     one = lvl.one
     for t in elems:
         if lvl.is_zero(lvl.unpack(_packed_horner(coeffs, (one, t), lvl, bits),

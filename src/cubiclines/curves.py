@@ -161,16 +161,24 @@ def coincidence_minors(curve):
             for M in _pair_minors(curve, curve)]
 
 
-def validate_curve(cubic, curve, max_level=None):
-    """Full validation report; raises on base points or a curve off X."""
+def _check_map_on_x(cubic, curve):
+    """Raise BasePointError when the coordinate forms share a factor and
+    NotOnXError when F does not vanish along the curve."""
     F = curve.field
-    e = curve.e
     g = binary_gcd(curve.dense, F)
     if len(g) > 1:
         raise BasePointError("coordinate forms share a factor of degree %d"
                              % (len(g) - 1))
     if not all(map(F.is_zero, cubic.F.along(curve.dense, F))):
-        raise NotOnXError("F(phi(s)) is a nonzero form of degree %d" % (3 * e))
+        raise NotOnXError("F(phi(s)) is a nonzero form of degree %d"
+                          % (3 * curve.e))
+
+
+def validate_curve(cubic, curve, max_level=None):
+    """Full validation report; raises on base points or a curve off X."""
+    F = curve.field
+    e = curve.e
+    _check_map_on_x(cubic, curve)
     report = CurveValidation(e=e, on_x=True, base_point_free=True,
                              birational=True,
                              composition_formal_degree=3 * e)

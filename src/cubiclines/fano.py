@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .curves import _normalize, curve_meeting_data, line_as_curve
-from .cubic import (ProjLine, _levels_over, _proj_zeros, _zeros_along,
-                    lines_through_point)
+from .cubic import (ProjLine, _c3_arrays, _levels_over, _proj_zeros,
+                    _zeros_along, lines_through_point)
 from .fields import (BudgetError, InvalidInputError, VerificationError,
                      check_tower)
 from .poly import MultiPoly
@@ -76,9 +76,10 @@ def _first_rows_on_x(X, elems):
     with u have a one at the pivot column j, zeros before it, and any values
     at the columns vfree.  The rows that differ only at the last free column
     c are b + t*e_c for their common part b (with b_c = 0), so F on them is
-    one cubic in t per such group, F with every coordinate but x_c fixed,
-    and only the t where it vanishes are formed (all of them when it is
-    zero).  The pivot pair with no free column has the single first row e_i.
+    one cubic in t per such group, F restricted to x_c
+    (``MultiPoly.restrict``), and only the t where it vanishes are formed
+    (all of them when it is zero).  The pivot pair with no free column has
+    the single first row e_i.
     """
     fld, n = X.field, X.n
     zero, one = fld.zero, fld.one
@@ -164,10 +165,10 @@ def enumerate_lines(cubic, tower, level=1, with_second_type=True):
     """Exhaustive census of the lines on the hypersurface at one level.
 
     Scans the canonical echelon representatives (u, v) of the lines of P^n,
-    refusing scans above the candidate guard.  F is expanded once per group
-    of first rows that differ only at their last free coordinate, as a
-    cubic in that coordinate, and only the rows where it vanishes are kept
-    (:func:`_first_rows_on_x`).  For each such u the second rows v are
+    refusing scans above the candidate guard.  F is restricted once per
+    group of first rows that differ only at their last free coordinate, to
+    a cubic in that coordinate, and only the rows where it vanishes are
+    kept (:func:`_first_rows_on_x`).  For each such u the second rows v are
     cut by the linear condition grad F(u) . v = 0, which is the polar form
     P1(u; v), read from the cubic's stored gradient; the condition is solved
     for one coordinate of v rather than tested, so only 1/q of the second
@@ -305,18 +306,30 @@ def _fiber_conic(cubic, line):
     where u is supported.
 
     The first three are linear (:func:`_normal_rows`); the s and t parts
-    are the polar quadrics of r0 and r1, and the last is F, each with the
-    pivot coordinates set to zero.
+    are the polar quadrics of r0 and r1, and the last is F, on the plane of
+    the unit vectors e_c (``cubic._c3_arrays`` at r0 and r1).
     """
     fld = line.field
     X = cubic._over(fld)
     cols, rows = _normal_rows(X, line)
-    on_u = [None if c in cols else fld.zero for c in range(line.n + 1)]
-    rest = [P.subs(on_u)
-            for P in (X.polar(line.rows[0]), X.polar(line.rows[1]), X.F)]
-    # subs names the forms by their free variables, x_c for c in cols
-    linear = MultiPoly.linear_forms(fld, rest[-1].vars, list(zip(*rows)))
-    return linear + rest
+    plane = [[fld.one if i == c else fld.zero for i in range(line.n + 1)]
+             for c in cols]
+    (delta, zeta), (eps, _) = (_c3_arrays(X, r, X.gradient_at(r), plane)
+                               for r in line.rows)
+    names = tuple(X.F.vars[c] for c in cols)
+    # a linear form as the arrays hold it: c3's coefficient, then c1's, c2's
+    linear = [[[row[2]], row[:2]] for row in rows]
+    return [_ternary(A, names, fld) for A in linear + [delta, eps, zeta]]
+
+
+def _ternary(arrays, names, fld):
+    """The form in (c1, c2, c3) of a list of binary forms by the power of
+    c3 (the layout of ``cubic._c3_arrays``): entry j of a form of degree d
+    multiplies c3^(d-j), and its coefficient i multiplies c1^(j-i) c2^i."""
+    d = len(arrays) - 1
+    return MultiPoly(fld, names, {(j - i, i, d - j): c
+                                  for j, form in enumerate(arrays)
+                                  for i, c in enumerate(form)})
 
 
 def sample_smoothness(curve, count=20, max_level=3, seed=0):

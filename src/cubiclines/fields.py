@@ -47,9 +47,9 @@ class InvalidInputError(ValueError):
     point of P^n, a point, line or curve off X, rows that span no line, a
     curve with a base point, one with no secant scheme or one that does
     not validate, a surface given to the discriminant, a line that does
-    not meet a curve once transversally, two curves whose images share a
-    component, two meeting lines as a pair, or a field that a point scan
-    cannot enumerate."""
+    not meet a curve once transversally, a curve of a pair with a base
+    point or off X, two curves whose images share a component, two meeting
+    lines as a pair, or a field that a point scan cannot enumerate."""
 
 
 class VerificationError(AssertionError):
@@ -639,24 +639,18 @@ def upoly_gcd(a, b, lvl):
 
 
 def upoly_powmod(base, e, m, lvl):
-    """base^e modulo m.
+    """base^e modulo m, over a finite level (root finding over QQ takes
+    rational roots and no powers).
 
-    Over a finite level, with d = deg m, each square or product is one
-    packed product; its coefficients j >= d are folded back by one packed
-    sum sum_j c_j * (x^j mod m) over a table of x^j mod m, d <= j <= 2d - 2,
+    With d = deg m, each square or product is one packed product; its
+    coefficients j >= d are folded back by one packed sum
+    sum_j c_j * (x^j mod m) over a table of x^j mod m, d <= j <= 2d - 2,
     and one unpack reduces the result: there is no long division.  The
     table is made once per call, each row folded from the one before.
     """
-    _, r = upoly_divmod(base, m, lvl)
     if not lvl.char:
-        result = [lvl.one]
-        while e:
-            if e & 1:
-                _, result = upoly_divmod(upoly_mul(result, r, lvl), m, lvl)
-            e >>= 1
-            if e:
-                _, r = upoly_divmod(upoly_mul(r, r, lvl), m, lvl)
-        return result
+        raise ValueError("upoly_powmod needs a finite level")
+    _, r = upoly_divmod(base, m, lvl)
     if not e:
         return [lvl.one]
     if not r:

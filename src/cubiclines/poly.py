@@ -85,14 +85,6 @@ class MultiPoly:
         return cls(field, variables, {tuple(e): field.one})
 
     @classmethod
-    def linear_forms(cls, field, variables, rows):
-        """For each column i, the form sum_j rows[j][i] * variables[j]."""
-        units = [tuple(int(i == j) for i in range(len(variables)))
-                 for j in range(len(variables))]
-        return [cls(field, variables, {u: row[i] for u, row in zip(units, rows)})
-                for i in range(len(rows[0]))]
-
-    @classmethod
     def from_int_terms(cls, field, variables, int_terms):
         """Build from {exps: integer} with coefficients reduced into the field."""
         return cls(field, variables,
@@ -199,6 +191,27 @@ class MultiPoly:
         enough for every term.  The packed terms are built on the first
         call and kept on the form.
         """
+        bits, _tops, terms = self._packed_values(values)
+        return self.field.unpack(sum(terms), bits)
+
+    def restrict(self, values, j):
+        """The form at values with x_j set to t (values[j] is not read), as
+        its coefficients by power of t, t^0 first: the packed terms of
+        ``eval_elems`` with x_j's packed value one, each in the sum for its
+        exponent of x_j (it fits the slots of the whole sum), each sum
+        reduced once.  The zero form gives [0]."""
+        F = self.field
+        values = list(values)
+        values[j] = F.one
+        bits, tops, terms = self._packed_values(values)
+        sums = [F.pack(F.zero, bits)] * (tops[j] + 1 if tops else 1)
+        for v, exps in zip(terms, self.terms):
+            sums[exps[j]] += v
+        return [F.unpack(s, bits) for s in sums]
+
+    def _packed_values(self, values):
+        """The slot width, each variable's largest exponent and the list of
+        packed terms at values, unreduced (``_pack_terms``)."""
         F = self.field
         try:
             bits, tops, packed = self._packed
@@ -212,15 +225,15 @@ class MultiPoly:
                 for _ in range(top - 1):
                     pw.append(pw[-1] * x)
         get = pw.__getitem__
-        return F.unpack(sum([math.prod(map(get, idx), start=c)
-                             for c, idx in packed]), bits)
+        return bits, tops, [math.prod(map(get, idx), start=c)
+                            for c, idx in packed]
 
     def _pack_terms(self):
         """For ``eval_elems``: the slot width, each variable's largest
-        exponent, and per term the packed coefficient with the positions of
-        its powers in the list of packed powers (the powers 1..top of each
-        variable in turn).  The zero form is one packed zero term, so its
-        value is the field's zero."""
+        exponent, and per term, in the order of ``terms``, the packed
+        coefficient with the positions of its powers in the list of packed
+        powers (the powers 1..top of each variable in turn).  The zero form
+        is one packed zero term, so its value is the field's zero."""
         F = self.field
         deg = max(map(sum, self.terms), default=0)
         bits = _horner_bits(deg, len(self.terms), F)
@@ -230,29 +243,6 @@ class MultiPoly:
                    tuple(s + e for s, e in zip(starts, exps) if e))
                   for exps, c in self.terms.items()]
         return bits, tops, packed or [(F.pack(F.zero, bits), ())]
-
-    def subs(self, values, lvl=None):
-        """Fix the variables whose entry in values is not None.
-
-        Returns the polynomial in the remaining variables, in their order,
-        over lvl (default: this field); coefficients are embedded into lvl.
-        """
-        F = self.field
-        lvl = lvl or F
-        free = [i for i, v in enumerate(values) if v is None]
-        fixed = [(i, v, {}) for i, v in enumerate(values) if v is not None]
-        out = {}
-        for exps, c in self.terms.items():
-            t = lvl.embed_from(c, F.k)
-            for i, v, powers in fixed:
-                e = exps[i]
-                if e:
-                    if e not in powers:
-                        powers[e] = lvl.pow_(v, e)
-                    t = lvl.mul(t, powers[e])
-            key = tuple(exps[i] for i in free)
-            out[key] = lvl.add(out[key], t) if key in out else t
-        return MultiPoly(lvl, [self.vars[i] for i in free], out)
 
     def eval_polys(self, args):
         """Substitute a MultiPoly (all over the same field/vars) per variable."""

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from . import linalg
 from .bihom import PositiveDimensionalError, divide_diagonal, solve_bihomog
 from .cubic import ProjLine, lines_in_plane
-from .curves import _normalize, curve_meeting_data, validate_curve
+from .curves import (_check_map_on_x, _normalize, curve_meeting_data,
+                     validate_curve)
 from .fields import InvalidInputError, VerificationError, check_tower
 from .poly import linear_quotient
 
@@ -238,6 +239,8 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
     if curve2.field is not F:
         raise ValueError("curves must live over the same level")
     check_tower(tower, F)
+    for curve in (curve1, curve2):
+        _check_map_on_x(cubic, curve)
     if meeting is None:
         meeting = curve_meeting_data(curve1, curve2, max_level)
     r = meeting.r

@@ -64,6 +64,13 @@ extended to a basis by standard vectors), ``curve_forms`` (a curve's
 coordinate forms as ``MultiPoly``s in (s0, s1), built from its dense
 lists, which are all the curve keeps) and ``contains`` (a point on a
 ``ProjLine``, by rank).
+
+``linear_forms`` (the linear forms of the columns of a matrix),
+``polar`` (the polar quadric of a point, as a polynomial) and ``subs``
+(partial substitution, one field operation per factor of every term)
+are sparse forms that the library built before the fiber conic came from
+``cubic._c3_arrays`` and the point scans from ``MultiPoly.restrict``;
+the tests that build sparse forms use them.
 """
 
 import functools
@@ -117,6 +124,41 @@ def complete_basis(rows, F):
         if linalg.rank(basis + [e], F) == len(basis) + 1:
             basis.append(e)
     return basis
+
+
+def linear_forms(fld, variables, rows):
+    """For each column i, the form sum_j rows[j][i] * variables[j]."""
+    units = [tuple(int(i == j) for i in range(len(variables)))
+             for j in range(len(variables))]
+    return [MultiPoly(fld, variables, {u: row[i] for u, row in zip(units, rows)})
+            for i in range(len(rows[0]))]
+
+
+def polar(cubic, pt):
+    """The polar quadric of pt, sum_i pt_i * dF/dx_i, in the variables of
+    F, as a polynomial."""
+    out = MultiPoly.zero(cubic.field, cubic.F.vars)
+    for c, g in zip(pt, cubic.grad):
+        out = out + g.scale(c)
+    return out
+
+
+def subs(form, values, lvl=None):
+    """Fix the variables whose entry in values is not None: the polynomial
+    in the remaining variables, in their order, over lvl (default: the
+    form's field), one field operation per factor of every term."""
+    F = form.field
+    lvl = lvl or F
+    free = [i for i, v in enumerate(values) if v is None]
+    out = {}
+    for exps, c in form.terms.items():
+        t = lvl.embed_from(c, F.k)
+        for v, e in zip(values, exps):
+            if v is not None and e:
+                t = lvl.mul(t, lvl.pow_(v, e))
+        key = tuple(exps[i] for i in free)
+        out[key] = lvl.add(out[key], t) if key in out else t
+    return MultiPoly(lvl, [form.vars[i] for i in free], out)
 
 
 def curve_forms(curve):
@@ -389,7 +431,7 @@ def _restrict_along(cubic, line, comp):
     fld = line.field
     X = cubic._over(fld)
     pvars = ("s", "t") + tuple(X.F.vars[w.index(fld.one)] for w in comp)
-    coords = MultiPoly.linear_forms(fld, pvars, list(line.rows) + comp)
+    coords = linear_forms(fld, pvars, list(line.rows) + comp)
     G = X.F.eval_polys(coords)
     if any(not any(exps[2:]) for exps in G.terms):
         raise ValueError("line does not lie on the hypersurface")
@@ -688,7 +730,7 @@ def conic_residual_to_line(cubic, line, plane_basis, max_level=2):
     plane_param = _parameterize_conic(sec.conic, p, lvl)
     rows = [[lvl.embed_from(x, F.k) for x in b] for b in plane_basis]
     coords = [f.eval_polys(plane_param) for f in
-              MultiPoly.linear_forms(lvl, sec.conic.vars, rows)]
+              linear_forms(lvl, sec.conic.vars, rows)]
     curve = RationalCurve(lvl, 2, [dense(f, (2,)) for f in coords])
     return ConicResidual(kind="parameterized", curve=curve, conic=sec.conic,
                          level=lvl.k)
@@ -722,7 +764,7 @@ def _parameterize_conic(C, p, lvl):
     intersection Q(d) p - B(p, d) d gives the parameterization.
     """
     Cl = C.over(lvl)
-    d = MultiPoly.linear_forms(lvl, SVARS, complete_basis([p], lvl)[1:])
+    d = linear_forms(lvl, SVARS, complete_basis([p], lvl)[1:])
     pd = [dk + MultiPoly.const(lvl, SVARS, pk) for dk, pk in zip(d, p)]
     qd = Cl.eval_polys(d)
     bpd = Cl.eval_polys(pd) - qd  # C(p) = 0 drops out
@@ -797,11 +839,11 @@ def c3_arrays(cubic, x, dirs, change=None):
     coefficients read by the power of c3."""
     F = cubic.field
     cvars = ("c1", "c2", "c3")
-    args = MultiPoly.linear_forms(F, cvars, dirs)
-    Q = cubic.polar(x).eval_polys(args)
+    args = linear_forms(F, cvars, dirs)
+    Q = polar(cubic, x).eval_polys(args)
     K = cubic.F.eval_polys(args)
     if change is not None:
-        forms = MultiPoly.linear_forms(F, cvars, list(zip(*change)))
+        forms = linear_forms(F, cvars, list(zip(*change)))
         Q, K = Q.eval_polys(forms), K.eval_polys(forms)
     return [[[P.terms.get((j - i, i, d - j), F.zero) for i in range(j + 1)]
              for j in range(d + 1)] for P, d in ((Q, 2), (K, 3))]
@@ -840,7 +882,7 @@ class PlaneSection:
 
 def restrict_to_plane(cubic, plane_basis):
     """F restricted to the plane spanned by three rows, in coords (a,b,c)."""
-    args = MultiPoly.linear_forms(cubic.field, ("pa", "pb", "pc"), plane_basis)
+    args = linear_forms(cubic.field, ("pa", "pb", "pc"), plane_basis)
     return cubic.F.eval_polys(args)
 
 
@@ -934,7 +976,7 @@ def classify_conic(C, F, max_level=2):
 def _split_rank2_conic(C, vertex, F, max_level):
     """Two linear factors of a rank-2 conic, possibly over an extension."""
     basis = complete_basis([vertex], F)
-    Cn = C.eval_polys(MultiPoly.linear_forms(F, C.vars, basis))
+    Cn = C.eval_polys(linear_forms(F, C.vars, basis))
     if any(e[0] for e in Cn.terms):
         raise VerificationError("rank-2 conic depends on its vertex coordinate")
     qf = [Cn.terms.get((0, 2 - i, i), F.zero) for i in range(3)]

@@ -332,11 +332,22 @@ DISJOINT = "0,1,0,0,3;0,0,1,5,0"  # the rows of disjline7, off conic7
     (["pair-secants", "--cubic", X7, "--curve1", fixture_path("line7_a.json"),
       "--curve2", fixture_path("line7_c.json")],
      "two meeting lines span a plane"),
+    (["pair-secants", "--cubic", X7, "--curve1",
+      fixture_path("base_point7.json"), "--curve2",
+      fixture_path("line7_a.json")], "coordinate forms share a factor"),
+    (["pair-secants", "--cubic", X7, "--curve1", fixture_path("line7_a.json"),
+      "--curve2", fixture_path("base_point7.json")],
+     "coordinate forms share a factor"),
+    (["pair-secants", "--cubic", X7, "--curve1",
+      fixture_path("offx_line7.json"), "--curve2",
+      fixture_path("line7_b.json")], "F(phi(s)) is a nonzero form"),
 ], ids=["zero-point", "point-off-x", "singular-point", "rows-no-line", "second-type-off-x",
         "discriminant-off-x", "row-sum-off-x", "probe-over-qq",
         "census-over-qq", "secants-of-a-line", "discriminant-of-a-surface",
         "row-sum-disjoint-line", "pair-of-one-curve",
-        "secants-of-a-double-line", "pair-of-meeting-lines"])
+        "secants-of-a-double-line", "pair-of-meeting-lines",
+        "pair-with-a-base-point", "pair-with-a-base-point-second",
+        "pair-with-a-line-off-x"])
 def test_input_the_library_refuses_exits_2(capsys, argv, message):
     """Points, lines and curves that are not valid input, and fields a
     point scan cannot enumerate: the library's refusal is a usage error."""

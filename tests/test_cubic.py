@@ -11,7 +11,7 @@ from cubiclines.fields import QQ, FieldTower, InvalidInputError
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
 from oracle import (_proj_points, classify_conic, contains, divides_exactly,
-                    fermat_cubic, is_smooth_point, meets, on_x,
+                    fermat_cubic, is_smooth_point, linear_forms, meets, on_x,
                     plane_residual)
 
 
@@ -182,7 +182,7 @@ def test_rank2_conic_splits_into_its_factors(tower7):
         for lv, form in lines:
             assert lv == level
             L = tower7.level(lv)
-            ell = MultiPoly.linear_forms(L, pv, [[x] for x in form])[0]
+            ell = linear_forms(L, pv, [[x] for x in form])[0]
             assert divides_exactly(C.over(L), ell) is not None
 
 

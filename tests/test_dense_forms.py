@@ -114,7 +114,7 @@ def test_resultant_matches_sparse_bareiss(p, k):
             (len(G) - 1 - i, i, len(row) - 1 - j, j): c
             for i, row in enumerate(G) for j, c in enumerate(row)})
             for G in (G1, G2)]
-        at_t1 = [P.subs((None, None, None, lvl.one)) for P in sparse]
+        at_t1 = [oracle.subs(P, (None, None, None, lvl.one)) for P in sparse]
         (a1, b1), (a2, b2) = ((len(G) - 1, len(G[0]) - 1) for G in (G1, G2))
         want = oracle.resultant(*at_t1, "t0", deg_f=b1, deg_g=b2)
         got = sylvester_resultant(columns(G1), columns(G2), lvl)

@@ -14,8 +14,8 @@ from cubiclines.fano import (DegenerateConfigurationError, DiscriminantCurve,
 from cubiclines.fields import QQ, FieldTower
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
-from oracle import (contains, fermat_cubic, is_smooth_point, meet_counts,
-                    meets, naive_census, on_x)
+from oracle import (contains, fermat_cubic, is_smooth_point, linear_forms,
+                    meet_counts, meets, naive_census, on_x)
 
 
 def find_first_type_line(cubic, tower, seed=1, tries=200):
@@ -95,7 +95,7 @@ def dense_moved_line(p, n, seed):
         if (linalg.rank(A, fld) == n + 1
                 and any(not fld.is_zero(X.f_at(c)) for c in cols[2:])):
             break
-    F = X.F.eval_polys(MultiPoly.linear_forms(fld, xvars(n), cols))
+    F = X.F.eval_polys(linear_forms(fld, xvars(n), cols))
     units = [[int(i == j) for i in range(n + 1)] for j in range(n + 1)]
     line = ProjLine(fld, *(linalg.solve(A, units[c], fld) for c in (2, 3)))
     return CubicForm(fld, n, F), tower, line

@@ -91,11 +91,11 @@ def test_polar_forms_match_the_expansion(p, k, n):
         assert build_system(X, a, b) == system(X, a, b)
         pt, w1, w2 = ([rand_elem(fld, rng) for _ in range(n + 1)]
                       for _ in range(3))
-        want = oracle.polarize(X)[1].subs(pt + [None] * (n + 1))
-        assert X.polar(pt) == MultiPoly(fld, xvars(n), want.terms)
+        want = oracle.subs(oracle.polarize(X)[1], pt + [None] * (n + 1))
+        assert oracle.polar(X, pt) == MultiPoly(fld, xvars(n), want.terms)
         pencil = RationalCurve(fld, 1, [list(w) for w in zip(w1, w2)])
         Q = pencil_forms(X, pt, X.gradient_at(pt), w1, w2)[1]
-        assert Q == oracle.dense(X.polar(pt).eval_polys(
+        assert Q == oracle.dense(oracle.polar(X, pt).eval_polys(
             oracle.curve_forms(pencil)), (2,))
 
 
@@ -141,8 +141,9 @@ CENSUSES = {
 
 @pytest.mark.parametrize("name", sorted(CENSUSES))
 def test_second_type_and_fiber_conic_match_the_restriction(name):
-    """The second-type matrix and witness, and alpha ... zeta of the fiber
-    conic, equal the parts of F(s*r0 + t*r1 + u) on every census line."""
+    """The second-type matrix and witness, and on threefolds alpha ... zeta
+    of the fiber conic (the discriminant refuses surfaces), equal the parts
+    of F(s*r0 + t*r1 + u) on every census line."""
     make, level, count = CENSUSES[name]
     cubic = make()
     lines = enumerate_lines(cubic, cubic.field.tower, level=level,
@@ -155,7 +156,9 @@ def test_second_type_and_fiber_conic_match_the_restriction(name):
         flag, witness = second_type_test(cubic, line)
         assert (flag, witness) == oracle.second_type_test(cubic, line)
         flags.append(flag)
-        assert _fiber_conic(cubic, line) == oracle.fiber_conic(cubic, line)
+        if cubic.n == 4:
+            assert _fiber_conic(cubic, line) == \
+                oracle.fiber_conic(cubic, line)
     if cubic.n == 4 and cubic.field.p == 11:
         assert any(flags) and not all(flags)
 

@@ -1,7 +1,8 @@
 """The packed univariate layer (``fields.upoly_mul``, ``upoly_divmod``,
 ``upoly_gcd``, ``upoly_powmod``), the packed Horner evaluations
-(``poly._horner``, ``_horner2``) and the packed point evaluation
-(``MultiPoly.eval_elems``) against the element loops they replaced, which
+(``poly._horner``, ``_horner2``), the packed point evaluation
+(``MultiPoly.eval_elems``) and its restriction to one coordinate
+(``MultiPoly.restrict``) against the element loops they replaced, which
 ``oracle`` keeps.
 
 Every test runs at levels 1-6 of GF(p) for p in 3, 5, 7, 11 and 13.  The
@@ -147,11 +148,13 @@ def test_powmod_matches_element_loop(p, k):
 
 
 def test_powmod_over_the_rationals():
+    """Powers modulo a polynomial are taken over finite levels only (over
+    QQ, root finding splits by rational roots): QQ is refused."""
     m = [Fraction(1, 2), Fraction(-3), Fraction(2)]
     base = [Fraction(5, 7), Fraction(1, 3)]
-    for e in (0, 1, 2, 7):
-        assert (upoly_powmod(base, e, m, QQ)
-                == oracle.upoly_powmod(base, e, m, QQ))
+    for e in (0, 1, 7):
+        with pytest.raises(ValueError, match="finite level"):
+            upoly_powmod(base, e, m, QQ)
 
 
 def coefficient_levels(k):
@@ -287,6 +290,73 @@ def test_eval_elems_over_the_rationals():
         for pt in points:
             value = MultiPoly.zero(QQ, V).eval_elems(pt)
             assert value == QQ.zero and isinstance(value, Fraction)
+
+
+def assert_restrictions(f, points, ts, lvl):
+    """f.restrict at each point and each coordinate j, evaluated at every t
+    of ts by element Horner, equals the form at the point with t put at
+    j."""
+    for pt in points:
+        for j in range(len(pt)):
+            coeffs = f.restrict(pt, j)
+            assert len(coeffs) == max([e[j] for e in f.terms], default=0) + 1
+            for t in ts:
+                at = pt[:j] + [t] + pt[j + 1:]
+                assert (oracle.horner(coeffs, (lvl.one, t), lvl, lvl.k)
+                        == oracle.eval_elems(f, at)), (f, pt, j, t)
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in PRIMES for k in (1, 2, 3)])
+def test_restrict_matches_element_loop(p, k):
+    """The restriction to one coordinate, on the packed terms of
+    eval_elems, on random sparse and dense forms of degree 1 to 5 in three
+    variables and 3 in five, the zero form, and the worst-case forms with
+    every coefficient p - 1, at every t of the field (of 40 drawn t and
+    the worst case above 50 elements)."""
+    lvl = level(p, k)
+    rng = random.Random("restrict:%d:%d" % (p, k))
+    if lvl.q <= 50:
+        ts = list(lvl.elements())
+    else:
+        ts = [rand_elem(lvl, rng) for _ in range(40)]
+        ts += [lvl.zero, lvl.one, top(lvl)]
+    for nvars, degrees in ((3, (1, 2, 3, 4, 5)), (5, (3,))):
+        V = tuple("x%d" % i for i in range(nvars))
+        points = eval_points(lvl, nvars, rng)[::3]
+        for d in degrees:
+            dense = monomials(nvars, d, False)
+            forms = [
+                MultiPoly(lvl, V, {e: rand_elem(lvl, rng)
+                                   for e in rng.sample(dense, 4)}),
+                MultiPoly(lvl, V, {e: rand_elem(lvl, rng) for e in dense}),
+                MultiPoly.zero(lvl, V),
+                MultiPoly(lvl, V, {e: top(lvl) for e in dense}),
+            ]
+            for f in forms:
+                assert_restrictions(f, points, ts, lvl)
+        assert MultiPoly.zero(lvl, V).restrict(points[0], 1) == [lvl.zero]
+
+
+def test_restrict_over_the_rationals():
+    """Over QQ the sums are of Fractions: random forms of degree 1 to 5
+    restricted at rational points, at rational t, and the zero form gives
+    [QQ.zero]."""
+    rng = random.Random("restrict:QQ")
+
+    def draw():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+
+    ts = [draw() for _ in range(6)] + [QQ.zero, QQ.one]
+    V = ("x0", "x1", "x2")
+    points = [[draw() for _ in V] for _ in range(3)] + [[QQ.zero] * 3]
+    for d in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            monos = monomials(3, d, rng.random() < 0.5)
+            picked = rng.sample(monos, rng.randint(1, len(monos)))
+            f = MultiPoly(QQ, V, {e: draw() for e in picked})
+            assert_restrictions(f, points, ts, QQ)
+    coeffs = MultiPoly.zero(QQ, V).restrict(points[0], 0)
+    assert coeffs == [QQ.zero] and isinstance(coeffs[0], Fraction)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -88,13 +88,13 @@ def test_zero_scan_yields_every_point_of_a_vanishing_group():
 
 
 def test_probe_substitutes_once_per_group(monkeypatch):
-    """On the Fermat GF(7) threefold, the exhaustive level-1 probe makes one
-    substitution per group, 7^3 + 7^2 + 7 + 1 = 400, evaluates F at e_0
+    """On the Fermat GF(7) threefold, the exhaustive level-1 probe restricts
+    F once per group, 7^3 + 7^2 + 7 + 1 = 400, evaluates F at e_0
     alone, and takes the gradient at the 435 points of X(F_7) only; a scan
     that falls back to one evaluation per point fails here."""
     X = cubic_from_json(fixture_json("fermat7_threefold.json"))[0]
     calls = collections.Counter()
-    for cls, name in ((MultiPoly, "subs"), (MultiPoly, "eval_elems"),
+    for cls, name in ((MultiPoly, "restrict"), (MultiPoly, "eval_elems"),
                       (CubicForm, "gradient_at")):
         def counted(*args, _orig=getattr(cls, name), _name=name, **kw):
             calls[_name] += 1
@@ -102,4 +102,4 @@ def test_probe_substitutes_once_per_group(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     cert = smoothness_probe(X, max_level=1)
     assert cert.smooth_so_far and cert.levels_exhausted == [1]
-    assert calls == {"subs": 400, "eval_elems": 1, "gradient_at": 435}
+    assert calls == {"restrict": 400, "eval_elems": 1, "gradient_at": 435}

@@ -10,7 +10,7 @@ from cubiclines.poly import (MultiPoly, binary_gcd, binary_roots,
                              roots_in_tower, squarefree_decompose,
                              sylvester_resultant)
 from oracle import (STVARS, complete_basis, dense, divides_exactly, exact_div,
-                    to_dense)
+                    linear_forms, subs, to_dense)
 
 
 def in_x(P, dx):
@@ -252,14 +252,14 @@ def test_subs_agrees_with_eval(tower7, over):
         # constants and a variable in eval_polys: the same polynomial in y
         args = [MultiPoly.const(lvl, ("y",), a), MultiPoly.var(lvl, ("y",), "y"),
                 MultiPoly.const(lvl, ("y",), c)]
-        part = f.subs((a, None, c), lvl)
+        part = subs(f, (a, None, c), lvl)
         assert part.vars == ("y",)
         assert part == f.over(lvl).eval_polys(args)
         # every variable fixed: the value of eval_elems
         vals = [a, draw(), c]
-        assert f.subs(vals, lvl).constant_value() == f.over(lvl).eval_elems(vals)
+        assert subs(f, vals, lvl).constant_value() == f.over(lvl).eval_elems(vals)
         # nothing fixed: the same polynomial, carried to lvl
-        assert f.subs((None,) * 3, lvl) == f.over(lvl)
+        assert subs(f, (None,) * 3, lvl) == f.over(lvl)
 
 
 @pytest.mark.parametrize("over", ["GF7", "GF7^3", "QQ"])
@@ -324,14 +324,14 @@ def test_linear_forms_and_combine(tower7):
     lvl = tower7.level(1)
     rows = [[1, 0, 2], [0, 3, 0]]
     s, t = (MultiPoly.var(lvl, ("s", "t"), v) for v in ("s", "t"))
-    assert MultiPoly.linear_forms(lvl, ("s", "t"), rows) == [
+    assert linear_forms(lvl, ("s", "t"), rows) == [
         s, t.scale(3), s.scale(2)]
     assert linalg.combine([2, 5], rows, lvl) == [2, 1, 4]
     rng = random.Random(4)
     for _ in range(10):
         rows = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
         c = [rng.randrange(7) for _ in range(3)]
-        forms = MultiPoly.linear_forms(lvl, ("a", "b", "c"), rows)
+        forms = linear_forms(lvl, ("a", "b", "c"), rows)
         assert [f.eval_elems(c) for f in forms] == linalg.combine(c, rows, lvl)
 
 
