@@ -63,10 +63,6 @@ class BihomSolutions:
     certified: bool = True      # all multiplicities followed the exact rule
     total_degree: int = 0       # bihomogeneous Bezout number
 
-    @property
-    def total_multiplicity(self):
-        return sum(m for _, _, _, m in self.solutions)
-
 
 def solve_bihomog(G1, G2, fld, max_level=None):
     """All isolated common zeros of two bihomogeneous arrays over fld.

@@ -215,9 +215,6 @@ class ChowExpr:
     def __mul__(self, other):
         return self.mul(other)
 
-    def is_zero(self):
-        return self.g0.is_zero() and not self.g1 and not self.g2
-
     def __eq__(self, other):
         return (isinstance(other, ChowExpr) and self.g0 == other.g0
                 and self.g1 == other.g1 and self.g2 == other.g2)

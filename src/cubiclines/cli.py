@@ -3,11 +3,13 @@
 Exit codes: 0 = success with all asserted counts matched; 1 = computation
 finished but a count or check mismatched; 2 = usage, IO or parse errors,
 unsupported cases (including a direction system that no tried coordinate
-change puts in general position) and input the library refuses
-(``InvalidInputError``: a point or line off X, a singular ``--point``,
-rows that span no line, a curve with a base point, a line given to
-``secants`` or a curve there that does not validate, a ``discriminant``
-of a surface, a ``row-sum`` line that does not meet the curve once
+change puts in general position, a ``discriminant`` in characteristic 2
+and a ``pair-secants`` line whose meeting points lie above the curve
+level) and input the library refuses (``InvalidInputError``: a point or
+line off X, a singular ``--point``, rows that span no line, a curve with
+a base point, a line given to ``secants`` or a curve there that does not
+validate, a ``discriminant`` of a surface or along a line too special
+for it, a ``row-sum`` line that does not meet the curve once
 transversally, a ``pair-secants`` curve with a base point or off X or a
 pair whose images share a component or are two meeting lines, a point
 scan over QQ); 3 = an expression evaluation had an unbound parameter.

@@ -89,14 +89,6 @@ class ProjLine:
         rows = [[F.descend(x, j) for x in row] for row in self.rows]
         return ProjLine(lj, rows[0], rows[1])
 
-    def embed(self, k):
-        F = self.field
-        if F.k == k:
-            return self
-        lk = F.tower.level(k)
-        rows = [[lk.embed_from(x, F.k) for x in row] for row in self.rows]
-        return ProjLine(lk, rows[0], rows[1])
-
     def __repr__(self):
         return "ProjLine(%r)" % (self.rows,)
 
@@ -229,12 +221,14 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     Solves {P1(x;y)=0, P2(x;y)=0, F(y)=0} in the projective space of
     directions modulo x: the directions are taken in the tangent
     hyperplane (the kernel of the gradient at x), where P1 vanishes, and
-    the remaining pair, the polar quadric of x and F, is solved as binary
-    forms on a surface (:func:`pencil_forms`) and by resultants on a
-    threefold (:func:`_solve_conic_cubic`).  A positive dimensional
-    solution set is the Eckardt outcome, not an error.  Each reported line
-    must pass the line certificate (``line_in_x``) at its own level, or
-    VerificationError is raised.
+    the remaining pair, the polar quadric Q of x and F, is solved as the
+    common roots of :func:`pencil_forms` on a surface, as in
+    :func:`lines_in_plane`, and by resultants on a threefold
+    (:func:`_solve_conic_cubic`).  ``eckardt`` says that Q vanishes on the
+    tangent space: a surface then lists the lines, the roots of F there,
+    and a threefold none, since its lines through x form a cone.  Each
+    reported line must pass the line certificate (``line_in_x``) at its own
+    level, or VerificationError is raised.
     """
     F = cubic.field
     check_tower(tower, F)
@@ -256,10 +250,15 @@ def lines_through_point(cubic, x, tower, max_level=None, seed=0):
     swap = next(i for i, c in enumerate(coords) if not F.is_zero(c))
     dirs = [k for i, k in enumerate(ker) if i != swap]
     if cubic.n == 3:
-        sols = _solve_binary_pair(cubic, x, grad, dirs, max_level)
+        # the lines of the tangent plane through x; Eckardt when Q vanishes
+        forms = pencil_forms(cubic, x, grad, *dirs)
+        eckardt = _vanishes([forms[1]], F)
+        sols = None if _vanishes(forms, F) else (
+            *_pencil_roots(forms, dirs, F, max_level), True)
     else:
         sols = _solve_conic_cubic(cubic, x, grad, dirs, max_level, seed)
-    res = LinesThroughPoint(point=tuple(x), eckardt=sols is None)
+        eckardt = sols is None
+    res = LinesThroughPoint(point=tuple(x), eckardt=eckardt)
     if sols is None:
         return res
     roots, res.complete, res.certified = sols
@@ -344,18 +343,6 @@ def _direction(coeffs, w, F, lv):
 def _line_through(x, direction, F, lv):
     lvl = F.tower.level(lv)
     return ProjLine(lvl, [lvl.embed_from(e, F.k) for e in x], direction)
-
-
-def _solve_binary_pair(cubic, x, gx, dirs, max_level):
-    """Lines through x, where the gradient is gx, on a surface: the common
-    roots of Q and K in the pencil of the two tangent directions, as
-    (roots, complete, certified), or None when Q or K vanishes."""
-    F = cubic.field
-    _L, Q, K = pencil_forms(cubic, x, gx, *dirs)
-    if _vanishes([Q], F) or _vanishes([K], F):
-        return None
-    roots, complete = _pencil_roots([Q, K], dirs, F, max_level)
-    return roots, complete, True
 
 
 def _solve_conic_cubic(cubic, x, gx, dirs, max_level, seed):

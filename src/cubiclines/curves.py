@@ -84,20 +84,8 @@ class RationalCurve:
         return RationalCurve(lvl, self.e, [[lvl.embed_from(c, F.k) for c in d]
                                            for d in self.dense])
 
-    def to_json(self):
-        return {"e": self.e, "coords": [[_as_int(self.field, v) for v in d]
-                                        for d in self.dense]}
-
     def __repr__(self):
         return "RationalCurve(e=%d, n=%d over %r)" % (self.e, self.n, self.field)
-
-
-def _as_int(F, v):
-    if F.char == 0 and v.denominator != 1:
-        raise ValueError("non-integer coefficient in JSON export")
-    if F.k > 1:
-        raise ValueError("JSON export needs level-1 coefficients")
-    return int(v)
 
 
 def curve_from_json(doc, fld):

@@ -26,7 +26,7 @@ from .secant import _enc_vec, count_secants_pair, expected_line_meeting
 CANDIDATE_GUARD = 10 ** 8
 
 
-class DegenerateConfigurationError(ValueError):
+class DegenerateConfigurationError(InvalidInputError):
     """The chosen line is too special for the requested construction."""
 
 
@@ -284,7 +284,7 @@ def discriminant_quintic(cubic, line):
     if cubic.n != 4:
         raise InvalidInputError("projection discriminant needs a threefold")
     if fld.char == 2:
-        raise ValueError("conic matrices need characteristic != 2")
+        raise NotImplementedError("conic matrices need characteristic != 2")
     alpha, beta, gamma, delta, eps, zeta = _fiber_conic(cubic, line)
     two = fld.add(fld.one, fld.one)
     a2, g2, z2 = (f.scale(two) for f in (alpha, gamma, zeta))

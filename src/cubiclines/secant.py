@@ -86,9 +86,6 @@ class SecantLine:
     multiplicity: int
     kind: str               # secant | tangent
 
-    def key(self):
-        return (self.level, self.line.key())
-
 
 @dataclass
 class SecantReport:
@@ -258,8 +255,9 @@ def count_secants_pair(cubic, curve1, curve2, tower=None, max_level=None,
         base_excess = 2
         for mp in meeting.points:
             if mp.level != F.k:
-                raise ValueError("meeting parameters above the curve level "
-                                 "are not supported in line mode")
+                raise NotImplementedError("meeting parameters above the curve "
+                                          "level are not supported in line "
+                                          "mode")
             bad_s.extend(mp.s_params)
             bad_t.extend(mp.t_params)
         # the fibers over the other curve's meeting parameters degenerate:

@@ -65,6 +65,12 @@ coordinate forms as ``MultiPoly``s in (s0, s1), built from its dense
 lists, which are all the curve keeps) and ``contains`` (a point on a
 ``ProjLine``, by rank).
 
+``embed_line``, ``curve_json``, ``total_multiplicity`` and
+``is_zero_class`` are read-outs that only tests use: a ``ProjLine`` over
+a higher tower level, a level-1 curve's JSON document, the summed
+multiplicities of a ``BihomSolutions`` and the zero test of a
+``ChowExpr``.
+
 ``linear_forms`` (the linear forms of the columns of a matrix),
 ``polar`` (the polar quadric of a point, as a polynomial) and ``subs``
 (partial substitution, one field operation per factor of every term)
@@ -100,6 +106,40 @@ def yvars(n):
 def contains(line, pt):
     """The point pt lies on the line: its rows and pt have rank 2."""
     return linalg.rank(list(line.rows) + [list(pt)], line.field) == 2
+
+
+def embed_line(line, k):
+    """The line over tower level k, a multiple of its field's level."""
+    F = line.field
+    if F.k == k:
+        return line
+    lk = F.tower.level(k)
+    rows = [[lk.embed_from(x, F.k) for x in row] for row in line.rows]
+    return ProjLine(lk, rows[0], rows[1])
+
+
+def curve_json(curve):
+    """The JSON document of a curve with level-1 integer coefficients."""
+    return {"e": curve.e, "coords": [[_as_int(curve.field, v) for v in d]
+                                     for d in curve.dense]}
+
+
+def _as_int(F, v):
+    if F.char == 0 and v.denominator != 1:
+        raise ValueError("non-integer coefficient in JSON export")
+    if F.k > 1:
+        raise ValueError("JSON export needs level-1 coefficients")
+    return int(v)
+
+
+def total_multiplicity(sols):
+    """The sum of the multiplicities of a ``BihomSolutions``."""
+    return sum(m for _, _, _, m in sols.solutions)
+
+
+def is_zero_class(expr):
+    """A ``ChowExpr`` with no scalar, grade-1 or grade-2 part."""
+    return expr.g0.is_zero() and not expr.g1 and not expr.g2
 
 
 def fermat_cubic(fld, n):

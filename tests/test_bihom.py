@@ -12,7 +12,7 @@ from cubiclines.poly import MultiPoly
 from cubiclines.secant import count_secants_pair, count_secants_single
 from conftest import fixture_json
 from oracle import (STVARS, dense, diagonal_form, divides_exactly,
-                    lift_fibers_per_root)
+                    lift_fibers_per_root, total_multiplicity)
 
 
 def rand_biform(lvl, rng, ds, dt):
@@ -63,9 +63,9 @@ def test_solver_matches_bruteforce(tower7):
         except PositiveDimensionalError:
             continue
         solved += 1
-        assert sols.total_multiplicity <= sols.total_degree
+        assert total_multiplicity(sols) <= sols.total_degree
         if sols.complete and sols.certified:
-            assert sols.total_multiplicity == sols.total_degree
+            assert total_multiplicity(sols) == sols.total_degree
         for k in (1, 2):
             ext = tower7.level(k)
             lift = (lambda G: G) if k == 1 else (

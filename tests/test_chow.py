@@ -11,6 +11,7 @@ from cubiclines.chow import (COUNT_CLASSES, ChowExpr, ChowSyntaxError,
                              count_class, derive_pair_count,
                              derive_secant_count, evaluate, parse,
                              relation_degree_check)
+from oracle import is_zero_class
 
 SYM_ATOMS = ["D[a]", "D[K_C]", "Delta0", "sumE", "E[1]", "E[2]", "E[3]",
              "pt", "delta[a]", "pair2[a]", "Delta0sq", "2", "-3", "e", "g",
@@ -58,7 +59,7 @@ def test_ring_laws_random_triples():
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
-        assert (a - a).is_zero()
+        assert is_zero_class(a - a)
 
 
 def test_parse_round_trip_random():
@@ -77,11 +78,11 @@ def test_basic_products():
     assert parse("D[a]*Delta0").to_str() == "-delta[a]"
     assert parse("Delta0*Delta0").to_str() == "Delta0sq"
     assert parse("sumE*sumE").to_str() == "-N*pt"
-    assert parse("E[1]*E[2]").is_zero()
+    assert is_zero_class(parse("E[1]*E[2]"))
     assert parse("E[1]*sumE").to_str() == "-pt"
-    assert parse("D[a]*E[1]").is_zero()
+    assert is_zero_class(parse("D[a]*E[1]"))
     assert parse("A1xC2*C1xA2").to_str() == "e1*e2*pt"
-    assert parse("A1xC2*A1xC2").is_zero()
+    assert is_zero_class(parse("A1xC2*A1xC2"))
     assert parse("D[a]*D[K_C]").to_str() == "(2*e*g - 2*e)*pt"
 
 
@@ -173,9 +174,9 @@ def test_residue_surface_classes():
     for texts in RESIDUE_CLASSES.values():
         xi, D_S, S_S, u = (parse(texts[name])
                            for name in ("xi_S", "D_S", "S_S", "twist"))
-        assert (D_S + S_S - xi.scale(3)).is_zero()
-        assert (D_S - xi.scale(2) + u).is_zero()
-        assert (S_S - xi - u).is_zero()
+        assert is_zero_class(D_S + S_S - xi.scale(3))
+        assert is_zero_class(D_S - xi.scale(2) + u)
+        assert is_zero_class(S_S - xi - u)
         half = (D_S + u).scale(Fraction(1, 2))
         assert xi * xi == half * half
 

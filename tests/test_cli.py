@@ -203,12 +203,21 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     code, _ = run(capsys, "no-such-command")
     assert code == 2
     # root splitting needs odd characteristic: a clean error, no traceback
-    docs = {
-        "fermat2": {"p": 2, "n": 4, "monomials": [
+    def fermat(p):
+        return {"p": p, "n": 4, "monomials": [
             {"exps": [3 if i == j else 0 for j in range(5)], "coeff": 1}
-            for i in range(5)]},
+            for i in range(5)]}
+
+    docs = {
+        "fermat2": fermat(2),
+        # x0^3 + ... + x4^3 = (x0 + ... + x4)^3 in characteristic 3
+        "fermat3": fermat(3),
         "a": {"e": 1, "coords": [[1, 0], [1, 0], [0, 1], [0, 1], [0, 0]]},
         "b": {"e": 1, "coords": [[1, 0], [0, 1], [0, 0], [0, 1], [1, 0]]},
+        # the residual line of conic7's plane section: it meets the conic
+        # in two conjugate GF(49) points
+        "residual7": {"e": 1, "coords": [[0, 0], [1, 0], [0, 1], [0, 3],
+                                         [3, 0]]},
     }
     for name, doc in docs.items():
         (tmp_path / (name + ".json")).write_text(json.dumps(doc))
@@ -217,6 +226,22 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
                     "--curve1", str(tmp_path / "a.json"),
                     "--curve2", str(tmp_path / "b.json"))
     assert code == 2 and doc is None
+    # the discriminant refuses characteristic 2 (unsupported) and a line
+    # whose fiber conics all degenerate (here X is a triple hyperplane)
+    for name, line in (("fermat2", "1,1,0,0,0;0,0,1,1,0"),
+                       ("fermat3", "1,2,0,0,0;0,0,1,2,0")):
+        code, doc = run(capsys, "discriminant",
+                        "--cubic", str(tmp_path / (name + ".json")),
+                        "--line", line)
+        assert code == 2 and doc is None, name
+    # a line that meets the curve above the curve level: unsupported
+    residual = str(tmp_path / "residual7.json")
+    for pair in ((fixture_path("conic7.json"), residual),
+                 (residual, fixture_path("conic7.json"))):
+        code, doc = run(capsys, "pair-secants",
+                        "--cubic", fixture_path("fermat7_threefold.json"),
+                        "--curve1", pair[0], "--curve2", pair[1])
+        assert code == 2 and doc is None, pair
     # curves that are not valid input: off X, with a base point, a line
     X7 = fixture_path("fermat7_threefold.json")
     base = {"e": 2, "coords": [[1, 1, 0], [0, 1, 0], [1, 0, 0],

@@ -11,8 +11,8 @@ from cubiclines.fields import QQ, FieldTower, InvalidInputError
 from cubiclines.poly import MultiPoly
 from conftest import fixture_json
 from oracle import (_proj_points, classify_conic, contains, divides_exactly,
-                    fermat_cubic, is_smooth_point, linear_forms, meets, on_x,
-                    plane_residual)
+                    embed_line, fermat_cubic, is_smooth_point, linear_forms,
+                    meets, on_x, plane_residual)
 
 
 def F7pts(lvl):
@@ -37,7 +37,7 @@ def test_projline_canonical_and_meets(tower7):
 def test_projline_embed_descend_round_trip(tower7):
     lvl = tower7.level(1)
     l1 = ProjLine(lvl, [1, 6, 0, 0, 0], [0, 0, 1, 6, 0])
-    up = l1.embed(2)
+    up = embed_line(l1, 2)
     assert up.min_level() == 1
     assert up.descend(1) == l1
 

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from cubiclines import linalg
-from cubiclines.cubic import CubicForm, ProjLine, lines_through_point, xvars
+from cubiclines.cubic import (CubicForm, ProjLine, _proj_zeros,
+                              lines_through_point, xvars)
 from cubiclines.curves import curve_from_json
 from cubiclines.fano import (DegenerateConfigurationError, DiscriminantCurve,
                              _polar_cut, correspondence_row,
@@ -150,6 +151,41 @@ def test_census_matches_naive_scan(cubic, tower, level, expected):
         assert expected in census.lines
     else:
         assert census.count == expected
+
+
+
+def surface_cases():
+    """(cubic, tower, the sorted (census lines, eckardt) of its points or
+    None)."""
+    tower7 = FieldTower(7, budget=2, seed=0)
+    yield pytest.param(fermat_cubic(tower7.level(1), 3), tower7,
+                       [(2, False)] * 81 + [(3, True)] * 18, id="fermat_gf7")
+    for p, seed in ((5, 3), (7, 4), (11, 7)):
+        yield pytest.param(*dense_through_line(p, 3, seed), None,
+                           id="dense_gf%d" % p)
+
+
+@pytest.mark.parametrize("cubic,tower,points", surface_cases())
+def test_surface_lines_through_every_point_match_the_census(cubic, tower,
+                                                            points):
+    """At every smooth F_q-point of a surface the level-1 lines of
+    ``lines_through_point`` are the census lines through the point, also
+    at an Eckardt point, where the polar quadric vanishes on the tangent
+    plane and the three lines are the roots of F there.  On the Fermat
+    surface over GF(7) those are the 18 points on three lines; the other
+    81 lie on two."""
+    F = cubic.field
+    census = enumerate_lines(cubic, tower, level=1)
+    seen = []
+    for pt in _proj_zeros(cubic.F, F, 3):
+        if not is_smooth_point(cubic, pt):
+            continue
+        res = lines_through_point(cubic, pt, tower)
+        got = [l.key() for l in res.lines if l.field.k == 1]
+        want = [l.key() for l in census.lines if contains(l, pt)]
+        assert res.complete and sorted(got) == want, pt
+        seen.append((len(want), res.eckardt))
+    assert points is None or sorted(seen) == points
 
 
 def cut_by_filter(fld, grad, j, vfree):
