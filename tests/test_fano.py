@@ -153,7 +153,6 @@ def test_census_matches_naive_scan(cubic, tower, level, expected):
         assert census.count == expected
 
 
-
 def surface_cases():
     """(cubic, tower, the sorted (census lines, eckardt) of its points or
     None)."""
